@@ -7,7 +7,7 @@ tower module — all in exact integer, cyclotomic, and polynomial arithmetic.
 """
 
 from .errors import (BoundExceededError, ConfigError, DisconnectedError,
-                     GraphTowerError, LevelMismatchError)
+                     GraphTowerError, LevelMismatchError, PreconditionError)
 from .graphs import (GraphMatrices, Multigraph, connected_components,
                      enumerate_spanning_trees, graph_matrices, is_connected,
                      spanning_tree_count)

@@ -1,7 +1,8 @@
 """Command-line interface: JSON job configs in, JSON/TSV reports out.
 
-Exit codes: 0 success, 1 config error, 2 precondition violation,
-3 resource bound exceeded.
+Exit codes: 0 success, 1 invalid job (config file or flags), 2 precondition
+violation, 3 resource bound exceeded, 4 internal error (a broken arithmetic
+invariant, such as an inexact division).
 """
 
 from __future__ import annotations
@@ -12,24 +13,28 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
 
 from . import __version__
 from .cyclotomic import CyclotomicInteger
-from .errors import (BoundExceededError, ConfigError, DisconnectedError,
-                     GraphTowerError)
-from .graphs import Multigraph, connected_components, is_connected
+from .errors import BoundExceededError, ConfigError, GraphTowerError
+from .graphs import Multigraph, connected_components
 from .grouprings import Character, characters
 from .jacobian import jacobian_structure, level_jacobian, picard_structure
-from .voltage import (QuotientSpec, VoltageAssignment, derive,
-                      quotient_assignment)
+from .voltage import QuotientSpec, VoltageAssignment, derive
 from .groups import TowerGroupSpec
 from .zeta import (artin_l_inverse, factorization_check, ihara_zeta_inverse,
                    interpolation_check)
-from .iwasawa import (fit_iwasawa, fitting_generators, lambda1_determinant,
-                      mhg_check, tower_en)
+from .iwasawa import fit_iwasawa, fitting_generators, mhg_check, tower_en
 
 _EDGE_LIST_LIMIT = 500
+
+# exception type -> (exit code, stderr label); the first matching type wins
+_EXIT_CODES = {
+    ConfigError: (1, "config error"),
+    BoundExceededError: (3, "resource bound exceeded"),
+    GraphTowerError: (2, "precondition violation"),
+    ArithmeticError: (4, "internal error"),
+}
 
 
 @dataclass(frozen=True)
@@ -42,102 +47,112 @@ class JobConfig:
     config_hash: str
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ConfigError(message)
+
+
+def _is_int(x: object) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_id(x: object) -> bool:
+    return isinstance(x, str) or _is_int(x)
+
+
+def _is_int_list(x: object, length: int | None = None) -> bool:
+    return (isinstance(x, list) and all(_is_int(v) for v in x) and
+            (length is None or len(x) == length))
 
 
 def parse_config(path: str | Path) -> JobConfig:
-    """Load and cross-validate a JSON job config."""
+    """Load a JSON job config, checking each node of its schema once.
+
+    The checks here cover types and shapes, so no malformed node reaches a
+    library constructor; the constructors check the values, and a
+    ValueError they raise is reported as a ConfigError.
+    """
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    digest = hashlib.sha256(raw).hexdigest()
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-
+    _require(isinstance(data, dict), "config must be a JSON object")
     try:
-        graph_data = data["graph"]
-        vertices = list(graph_data["vertices"])
-        edges = [(e["id"], (e["ends"][0], e["ends"][1]))
-                 for e in graph_data["edges"]]
-    except (KeyError, TypeError, IndexError) as exc:
-        raise ConfigError(f"invalid graph description: {exc}") from exc
-    try:
-        graph = Multigraph.build(vertices, edges)
+        graph = _parse_graph(data.get("graph"))
+        spec = _parse_group(data.get("group"))
+        alpha = _parse_voltage(data.get("voltage"), graph, spec)
+        quotient = (_parse_quotient(data["quotient"], spec)
+                    if "quotient" in data else None)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    group_data = data.get("group")
-    if not isinstance(group_data, dict):
-        raise ConfigError("missing group spec")
-    p = group_data.get("p")
-    if not isinstance(p, int) or not _is_prime(p):
-        raise ConfigError(f"p must be prime, got {p!r}")
-    kind = group_data.get("kind")
-    try:
-        if kind == "abelian":
-            spec = TowerGroupSpec("abelian", p, rank=group_data.get("rank", 1))
-        elif kind == "metacyclic":
-            unit = group_data.get("action_unit")
-            if isinstance(unit, str):
-                unit = 1 + p if unit.replace(" ", "") == "1+p" else int(unit)
-            spec = TowerGroupSpec("metacyclic", p, action_unit=unit)
-        else:
-            raise ConfigError(f"unknown group kind {kind!r}")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    voltage_data = data.get("voltage")
-    if not isinstance(voltage_data, dict):
-        raise ConfigError("missing voltage map")
-    voltages: dict[Any, list[list[int]]] = {}
-    for eid, _ in graph.edges:
-        key = str(eid)
-        if key not in voltage_data:
-            raise ConfigError(f"edge {eid} has no voltage")
-        word = voltage_data[key]
-        for pair in word:
-            if (not isinstance(pair, list) or len(pair) != 2 or
-                    not all(isinstance(x, int) for x in pair)):
-                raise ConfigError(f"malformed voltage word for edge {eid}")
-            if not 0 <= pair[0] < spec.num_generators:
-                raise ConfigError(
-                    f"voltage of edge {eid} uses unknown generator {pair[0]}")
-        voltages[eid] = word
-    unknown = set(voltage_data) - {str(eid) for eid, _ in graph.edges}
-    if unknown:
-        raise ConfigError(f"voltages for unknown edges: {sorted(unknown)}")
-    try:
-        alpha = VoltageAssignment.build(graph, spec, voltages)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    quotient = None
-    if "quotient" in data:
-        exps = data["quotient"].get("exponents")
-        if (not isinstance(exps, list) or
-                not all(isinstance(x, int) for x in exps)):
-            raise ConfigError("quotient exponents must be a list of integers")
-        quotient = QuotientSpec(tuple(exps))
-        try:
-            quotient.validate(spec)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
     max_level = data.get("max_level", 3)
-    if not isinstance(max_level, int) or max_level < 0:
-        raise ConfigError("max_level must be a nonnegative integer")
-    return JobConfig(alpha, quotient, max_level, digest)
+    _require(_is_int(max_level) and max_level >= 0,
+             "max_level must be a nonnegative integer")
+    return JobConfig(alpha, quotient, max_level,
+                     hashlib.sha256(raw).hexdigest())
+
+
+def _parse_graph(node: object) -> Multigraph:
+    _require(isinstance(node, dict) and isinstance(node.get("vertices"), list)
+             and isinstance(node.get("edges"), list),
+             "invalid graph description: need vertices and edges lists")
+    vertices = node["vertices"]
+    _require(len(vertices) > 0, "graph has no vertices")
+    _require(all(_is_id(v) for v in vertices),
+             "vertex ids must be strings or integers")
+    edges = []
+    for i, e in enumerate(node["edges"]):
+        _require(isinstance(e, dict) and _is_id(e.get("id")) and
+                 isinstance(e.get("ends"), list) and len(e["ends"]) == 2 and
+                 all(_is_id(v) for v in e["ends"]),
+                 f"edge {i} needs a string or integer id and two ends")
+        edges.append((e["id"], tuple(e["ends"])))
+    return Multigraph.build(vertices, edges)
+
+
+def _parse_group(node: object) -> TowerGroupSpec:
+    _require(isinstance(node, dict), "missing group spec")
+    p, kind = node.get("p"), node.get("kind")
+    _require(_is_int(p), f"p must be prime, got {p!r}")
+    if kind == "abelian":
+        rank = node.get("rank", 1)
+        _require(_is_int(rank), f"rank must be an integer, got {rank!r}")
+        return TowerGroupSpec("abelian", p, rank=rank)
+    _require(kind == "metacyclic", f"unknown group kind {kind!r}")
+    unit = node.get("action_unit")
+    if isinstance(unit, str):
+        unit = 1 + p if unit.replace(" ", "") == "1+p" else int(unit)
+    _require(unit is None or _is_int(unit),
+             f"action_unit must be an integer or \"1+p\", got {unit!r}")
+    return TowerGroupSpec("metacyclic", p, action_unit=unit)
+
+
+def _parse_voltage(node: object, graph: Multigraph,
+                   spec: TowerGroupSpec) -> VoltageAssignment:
+    """Words are checked here; missing edges and generator indices by
+    VoltageAssignment itself."""
+    _require(isinstance(node, dict), "missing voltage map")
+    for key, word in node.items():
+        _require(isinstance(word, list) and
+                 all(_is_int_list(pair, 2) for pair in word),
+                 f"malformed voltage word for edge {key}")
+    unknown = set(node) - {str(eid) for eid, _ in graph.edges}
+    _require(not unknown, f"voltages for unknown edges: {sorted(unknown)}")
+    return VoltageAssignment.build(graph, spec, {
+        eid: node[str(eid)] for eid, _ in graph.edges if str(eid) in node})
+
+
+def _parse_quotient(node: object, spec: TowerGroupSpec) -> QuotientSpec:
+    exps = node.get("exponents") if isinstance(node, dict) else None
+    _require(_is_int_list(exps),
+             "quotient must be {\"exponents\": [integer, ...]}")
+    quotient = QuotientSpec(tuple(exps))
+    quotient.validate(spec)
+    return quotient
 
 
 def _cyc_json(x: CyclotomicInteger) -> dict:
@@ -158,16 +173,20 @@ def _structure_json(structure) -> dict:
 # subcommand handlers: each returns a JSON-ready dict
 
 
+def _level(args, default: int = 1) -> int:
+    return default if args.level is None else args.level
+
+
 def _cmd_derive(job: JobConfig, args) -> dict:
-    level = args.level if args.level is not None else 1
-    cover = derive(job.alpha, level)
-    g = cover.graph
+    level = _level(args)
+    g = derive(job.alpha, level).graph
+    components = connected_components(g)
     report = {
         "level": level,
         "num_vertices": g.num_vertices,
         "num_edges": g.num_edges,
-        "connected": is_connected(g),
-        "num_components": len(connected_components(g)),
+        "connected": len(components) <= 1,
+        "num_components": len(components),
     }
     if g.num_edges <= _EDGE_LIST_LIMIT:
         report["edges"] = [
@@ -178,34 +197,31 @@ def _cmd_derive(job: JobConfig, args) -> dict:
 
 
 def _cmd_jacobian(job: JobConfig, args) -> dict:
-    if args.level is None or args.level == 0:
+    level = _level(args, 0)
+    if level == 0:
         structure = jacobian_structure(job.alpha.base)
         pic = picard_structure(job.alpha.base)
         return {"level": 0,
                 "jacobian": _structure_json(structure),
                 "picard": _structure_json(pic),
                 "order": structure.torsion_order}
-    structure, e_n = level_jacobian(job.alpha, args.level)
-    return {"level": args.level,
+    structure, e_n = level_jacobian(job.alpha, level)
+    return {"level": level,
             "jacobian": _structure_json(structure),
             "order": structure.torsion_order,
             "e_n": e_n}
 
 
 def _cmd_zeta(job: JobConfig, args) -> dict:
-    if args.level is None or args.level == 0:
-        graph = job.alpha.base
-        level = 0
-    else:
-        graph = derive(job.alpha, args.level).graph
-        level = args.level
+    level = _level(args, 0)
+    graph = derive(job.alpha, level).graph if level else job.alpha.base
     data = ihara_zeta_inverse(graph)
     return {"level": level, "chi": data.chi,
             "det_part": list(data.det_part.coeffs)}
 
 
 def _cmd_lfun(job: JobConfig, args) -> dict:
-    level = args.level if args.level is not None else 1
+    level = _level(args)
     out = []
     for chi in characters(job.alpha.spec, level):
         data = artin_l_inverse(job.alpha, level, chi)
@@ -216,7 +232,7 @@ def _cmd_lfun(job: JobConfig, args) -> dict:
 
 
 def _cmd_check_interpolation(job: JobConfig, args) -> dict:
-    level = args.level if args.level is not None else 1
+    level = _level(args)
     report = interpolation_check(job.alpha, level)
     return {"level": level,
             "all_pass": report.all_pass,
@@ -225,7 +241,7 @@ def _cmd_check_interpolation(job: JobConfig, args) -> dict:
 
 
 def _cmd_check_factorization(job: JobConfig, args) -> dict:
-    level = args.level if args.level is not None else 1
+    level = _level(args)
     report = factorization_check(job.alpha, level)
     return {"level": level,
             "polynomial_match": report.polynomial_match,
@@ -234,7 +250,7 @@ def _cmd_check_factorization(job: JobConfig, args) -> dict:
 
 
 def _cmd_tower(job: JobConfig, args) -> dict:
-    max_level = args.max_level if args.max_level is not None else job.max_level
+    max_level = job.max_level if args.max_level is None else args.max_level
     report = tower_en(job.alpha, max_level)
     return {"p": report.p,
             "levels": list(report.levels),
@@ -252,7 +268,7 @@ def _cmd_iwasawa_fit(job: JobConfig, args) -> dict:
 
 
 def _cmd_fitting(job: JobConfig, args) -> dict:
-    level = args.level if args.level is not None else 1
+    level = _level(args)
     gens = fitting_generators(job.alpha, level)
     report: dict = {"level": level, "regular_det": gens.regular}
     if gens.components is not None:
@@ -266,7 +282,7 @@ def _cmd_mhg_check(job: JobConfig, args) -> dict:
     if job.quotient is None:
         raise ConfigError("mhg-check requires a quotient spec in the config")
     verdict = mhg_check(job.alpha, job.quotient)
-    det = lambda1_determinant(quotient_assignment(job.alpha, job.quotient))
+    det = verdict.det
     return {"verdict": verdict.verdict,
             "justification": verdict.justification,
             "mu1": verdict.mu1,
@@ -308,6 +324,12 @@ def _to_tsv(report: dict, prefix: str = "") -> list[str]:
     return lines
 
 
+_RENDERERS = {
+    "json": lambda report: json.dumps(report, indent=2, sort_keys=True),
+    "tsv": lambda report: "\n".join(_to_tsv(report)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graphtower",
@@ -316,39 +338,40 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="JSON job config path")
     parser.add_argument("--level", type=int, default=None)
     parser.add_argument("--max-level", type=int, default=None)
-    parser.add_argument("--out", default=None, help="directory for report files")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized suites (reserved)")
-    parser.add_argument("--format", choices=["json", "tsv"], default="json")
+    parser.add_argument("--out", default=None,
+                        help="directory to write the report in every format")
+    parser.add_argument("--format", choices=sorted(_RENDERERS), default="json",
+                        help="format of the report printed to stdout")
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
+        _require(min(args.level or 0, args.max_level or 0) >= 0,
+                 "--level and --max-level must be nonnegative")
         job = parse_config(args.config)
         body = _HANDLERS[args.subcommand](job, args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except BoundExceededError as exc:
-        print(f"resource bound exceeded: {exc}", file=sys.stderr)
-        return 3
-    except (DisconnectedError, GraphTowerError, ValueError) as exc:
-        print(f"precondition violation: {exc}", file=sys.stderr)
-        return 2
+    except tuple(_EXIT_CODES) as exc:
+        code, label = next(entry for kind, entry in _EXIT_CODES.items()
+                           if isinstance(exc, kind))
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
     report = {"subcommand": args.subcommand,
               "config_hash": job.config_hash,
               "version": __version__,
               **body}
-    json_text = json.dumps(report, indent=2, sort_keys=True)
-    tsv_text = "\n".join(_to_tsv(report))
+    formats = _RENDERERS if args.out else (args.format,)
+    texts = {fmt: _RENDERERS[fmt](report) for fmt in formats}
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / f"{args.subcommand}.json").write_text(json_text + "\n")
-        (out_dir / f"{args.subcommand}.tsv").write_text(tsv_text + "\n")
-    print(tsv_text if args.format == "tsv" else json_text)
+        for fmt, text in texts.items():
+            (out_dir / f"{args.subcommand}.{fmt}").write_text(text + "\n")
+    print(texts[args.format])
     return 0
 
 

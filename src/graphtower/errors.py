@@ -19,3 +19,7 @@ class LevelMismatchError(GraphTowerError):
 
 class ConfigError(GraphTowerError):
     """A job configuration file is invalid or inconsistent."""
+
+
+class PreconditionError(GraphTowerError, ValueError):
+    """An operation was called outside its documented domain."""

@@ -8,7 +8,7 @@ identical output.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable, Sequence
 
 from .errors import BoundExceededError

@@ -7,12 +7,13 @@ regular representation as the kind-agnostic fallback.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 from typing import Mapping
 
 from .cyclotomic import CyclotomicInteger, CyclotomicRing
-from .errors import BoundExceededError, LevelMismatchError
-from .groups import GroupElement, TowerGroupSpec
+from .errors import BoundExceededError, LevelMismatchError, PreconditionError
+from .groups import GroupElement, TowerGroupSpec, p_valuation
 from .linalg import det_in_ring, det_int
 
 _REGULAR_DET_BOUND = 300  # |G^(n)| · matrix size
@@ -107,18 +108,7 @@ class GroupRingElement:
         """min_g v_p(coefficient), or None for the zero element."""
         if not self.terms:
             return None
-        p = self.spec.p
-        best: int | None = None
-        for _, c in self.terms:
-            v = 0
-            c = abs(c)
-            while c % p == 0:
-                c //= p
-                v += 1
-            best = v if best is None else min(best, v)
-            if best == 0:
-                return 0
-        return best
+        return min(p_valuation(c, self.spec.p) for _, c in self.terms)
 
 
 @dataclass(frozen=True)
@@ -161,7 +151,8 @@ class Character:
 
     def __post_init__(self) -> None:
         if self.spec.kind != "abelian":
-            raise ValueError("characters are defined for abelian quotients only")
+            raise PreconditionError(
+                "characters are defined for abelian quotients only")
         if len(self.exponents) != self.spec.rank:
             raise ValueError("exponent vector length differs from rank")
 
@@ -183,8 +174,8 @@ class Character:
 def characters(spec: TowerGroupSpec, n: int) -> list[Character]:
     """All characters of G^(n), lexicographic by exponent vector."""
     if spec.kind != "abelian":
-        raise ValueError("characters are defined for abelian quotients only")
-    import itertools
+        raise PreconditionError(
+            "characters are defined for abelian quotients only")
     mod = spec.p ** n
     return [Character(spec, n, exps)
             for exps in itertools.product(range(mod), repeat=spec.rank)]

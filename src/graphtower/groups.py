@@ -31,6 +31,18 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def p_valuation(value: int, p: int) -> int:
+    """v_p(value) for a nonzero integer."""
+    if value == 0:
+        raise ValueError("p-adic valuation of 0 is infinite")
+    v = 0
+    value = abs(value)
+    while value % p == 0:
+        value //= p
+        v += 1
+    return v
+
+
 @dataclass(frozen=True)
 class TowerGroupSpec:
     """Description of the quotient tower ``G^(1) ← G^(2) ← ...``."""

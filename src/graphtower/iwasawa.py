@@ -6,9 +6,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cyclotomic import CyclotomicInteger
-from .errors import BoundExceededError, DisconnectedError
+from .errors import BoundExceededError, DisconnectedError, PreconditionError
 from .graphs import graph_matrices
 from .grouprings import Character, nrd_abelian, regular_det
+from .groups import p_valuation
 from .jacobian import level_jacobian
 from .linalg import det_in_ring
 from .polynomials import (IntPolynomial, LAURENT, LaurentElement,
@@ -53,6 +54,7 @@ class MHGVerdict:
     mu_lower_bound: int
     verdict: str  # "HOLDS" | "INCONCLUSIVE"
     justification: str
+    det: Lambda1Det  # the Λ₁-determinant μ₁ and λ₁ were read from
 
 
 def tower_en(alpha: VoltageAssignment, max_level: int) -> TowerReport:
@@ -79,7 +81,7 @@ def fit_iwasawa(e: tuple[int, ...] | list[int], p: int) -> IwasawaFit:
     fit is stable when it reproduces the last min(4, len(e)) entries exactly.
     """
     if len(e) < 3:
-        raise ValueError("need at least three levels to fit")
+        raise PreconditionError("need at least three levels to fit")
     top = len(e) - 1
     d1 = e[top] - e[top - 1]          # μ p^{top-1}(p−1) + λ
     d0 = e[top - 1] - e[top - 2]      # μ p^{top-2}(p−1) + λ
@@ -140,19 +142,7 @@ def mu_lambda_from_poly(f: IntPolynomial, p: int) -> tuple[int, int]:
     """
     if f.is_zero():
         raise ValueError("zero polynomial has no Weierstrass data")
-    best_v: int | None = None
-    best_i = 0
-    for i, c in enumerate(f.coeffs):
-        if c == 0:
-            continue
-        v = 0
-        c = abs(c)
-        while c % p == 0:
-            c //= p
-            v += 1
-        if best_v is None or v < best_v:
-            best_v, best_i = v, i
-    return best_v, best_i
+    return min((p_valuation(c, p), i) for i, c in enumerate(f.coeffs) if c)
 
 
 def mu_lower_bound(alpha: VoltageAssignment, n_probe: int = 1) -> int:
@@ -185,12 +175,12 @@ def mhg_check(alpha: VoltageAssignment, quotient: QuotientSpec) -> MHGVerdict:
     lower = mu_lower_bound(alpha)
     if mu1 == 0:
         return MHGVerdict(mu1, lambda1, lower, "HOLDS",
-                          "mu1 = 0: finite generation over the H-subring")
+                          "mu1 = 0: finite generation over the H-subring", det)
     if alpha.spec.dimension == 2 and lower >= mu1:
         return MHGVerdict(mu1, lambda1, lower, "HOLDS",
-                          f"bounds pinch: mu = mu1 = {mu1}")
+                          f"bounds pinch: mu = mu1 = {mu1}", det)
     return MHGVerdict(mu1, lambda1, lower, "INCONCLUSIVE",
-                      f"mu1 = {mu1}, content lower bound = {lower}")
+                      f"mu1 = {mu1}, content lower bound = {lower}", det)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ from typing import Sequence
 
 from .errors import DisconnectedError
 from .graphs import Multigraph, graph_matrices, is_connected
+from .groups import p_valuation
 from .linalg import smith_invariant_factors
 from .voltage import VoltageAssignment, derive
 
@@ -73,24 +74,10 @@ def picard_structure(graph: Multigraph) -> AbelianGroupStructure:
     return cokernel_structure(lap, graph.num_vertices)
 
 
-def p_valuation(value: int, p: int) -> int:
-    if value == 0:
-        raise ValueError("p-adic valuation of 0 is infinite")
-    v = 0
-    value = abs(value)
-    while value % p == 0:
-        value //= p
-        v += 1
-    return v
-
-
 def level_jacobian(alpha: VoltageAssignment,
                    n: int) -> tuple[AbelianGroupStructure, int]:
     """Jacobian of the level-n derived graph and e_n = v_p(|J(X_n)|)."""
-    cover = derive(alpha, n)
-    if not is_connected(cover.graph):
-        raise DisconnectedError(f"derived graph at level {n} is disconnected")
-    structure = jacobian_structure(cover.graph)
+    structure = jacobian_structure(derive(alpha, n).graph)
     p = alpha.spec.p
     e_n = sum(p_valuation(d, p) for d in structure.torsion)
     return structure, e_n

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from .linalg import Ring, ZZ
+from .linalg import Ring, ZZ, _eval_poly
 
 Coeffs = tuple[Any, ...]
 
@@ -153,10 +153,7 @@ class IntPolynomial:
         return IntPolynomial(tuple(-c for c in self.coeffs))
 
     def evaluate(self, x: int) -> int:
-        value = 0
-        for c in reversed(self.coeffs):
-            value = value * x + c
-        return value
+        return _eval_poly(self.coeffs, x)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ class VoltageAssignment:
         need = {e for e, _ in self.base.edges}
         missing = need - have
         if missing:
-            raise ValueError(f"edges without voltage: {sorted(map(str, missing))}")
+            raise ValueError(f"edges with no voltage: {sorted(map(str, missing))}")
         extra = have - need
         if extra:
             raise ValueError(f"voltages for unknown edges: {sorted(map(str, extra))}")

@@ -11,11 +11,11 @@ from dataclasses import dataclass
 
 from .cyclotomic import CyclotomicInteger, CyclotomicRing
 from .graphs import Multigraph, graph_matrices
-from .grouprings import Character, character_evaluate, characters, nrd_abelian
+from .grouprings import Character, characters, nrd_abelian
 from .groups import GroupElement
 from .linalg import ZZ, det_in_ring, det_int_poly_matrix
-from .polynomials import IntPolynomial, PolynomialRing
-from .voltage import VoltageAssignment, derive, voltage_adjacency, voltage_laplacian
+from .polynomials import IntPolynomial, PolynomialRing, _normalize
+from .voltage import DerivedGraph, VoltageAssignment, derive, voltage_laplacian
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ def ihara_zeta_inverse(graph: Multigraph) -> ZetaData:
             delta = 1 if i == j else 0
             # constant, u, u² coefficients
             row.append((delta, -mats.A[i][j], mats.D[i][j] - delta))
-        entries.append([_trim(c) for c in row])
+        entries.append([_normalize(c, ZZ) for c in row])
     if n <= 8:
         det = det_in_ring(entries, ring)
     else:
@@ -55,29 +55,20 @@ def ihara_zeta_inverse(graph: Multigraph) -> ZetaData:
     return ZetaData(mats.chi, IntPolynomial(det))
 
 
-def _trim(coeffs: tuple[int, ...]) -> tuple[int, ...]:
-    out = list(coeffs)
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def a_sigma_matrices(alpha: VoltageAssignment,
-                     n: int) -> dict[GroupElement, list[list[int]]]:
-    """The matrices A(σ): edges between (v_i, 1) and (v_j, σ) in X_n.
+def a_sigma_matrices(
+        cover: DerivedGraph) -> dict[GroupElement, list[list[int]]]:
+    """The matrices A(σ): edges between (v_i, 1) and (v_j, σ) in the cover X_n.
 
     Built literally from the derived graph (loops at (v_i,1) count twice in
     A(1)); the identity Σ_σ A(σ)·χ(σ) = χ(A_α) cross-checks this against
     the voltage matrix and is exercised in the tests.
     """
-    spec = alpha.spec
-    base = alpha.base
+    spec, base, n = cover.spec, cover.alpha.base, cover.level
     index = {v: i for i, v in enumerate(base.vertices)}
     m = base.num_vertices
     group = spec.enumerate_group(n)
     identity = spec.identity(n)
     out = {sigma: [[0] * m for _ in range(m)] for sigma in group}
-    cover = derive(alpha, n)
     for _, ((v, g), (w, h)) in cover.graph.edges:
         i, j = index[v], index[w]
         if (v, g) == (w, h):
@@ -106,7 +97,7 @@ def character_twisted_matrices(
     zero = CyclotomicInteger.from_int(p, k, 0)
     a_chi = [[zero for _ in range(m)] for _ in range(m)]
     if sigma_matrices is None:
-        sigma_matrices = a_sigma_matrices(alpha, n)
+        sigma_matrices = a_sigma_matrices(derive(alpha, n))
     for sigma, mat in sigma_matrices.items():
         value = chi.value(sigma)
         for i in range(m):
@@ -135,10 +126,8 @@ def artin_l_inverse(alpha: VoltageAssignment, n: int, chi: Character,
         for j in range(m):
             delta = one if i == j else zero
             # I − A_χ u + (D_χ − I) u²
-            coeffs = (delta, -a_chi[i][j], d_chi[i][j] - delta)
-            while coeffs and coeffs[-1].is_zero():
-                coeffs = coeffs[:-1]
-            row.append(coeffs)
+            row.append(_normalize((delta, -a_chi[i][j], d_chi[i][j] - delta),
+                                  base_ring))
         entries.append(row)
     det = det_in_ring(entries, poly_ring)
     base_chi = graph_matrices(alpha.base).chi
@@ -174,7 +163,7 @@ def interpolation_check(alpha: VoltageAssignment, n: int) -> InterpolationReport
     """
     laplacian = voltage_laplacian(alpha, n, transpose=True)
     components = {chi: value for chi, value in nrd_abelian(laplacian)}
-    sigma_matrices = a_sigma_matrices(alpha, n)
+    sigma_matrices = a_sigma_matrices(derive(alpha, n))
     results = []
     for chi in characters(alpha.spec, n):
         lhs = h_at_one(alpha, n, chi, sigma_matrices)
@@ -200,12 +189,12 @@ def factorization_check(alpha: VoltageAssignment, n: int) -> FactorizationReport
     poly_ring = PolynomialRing(base_ring)
     product = poly_ring.one()
     total_exponent = 0
-    sigma_matrices = a_sigma_matrices(alpha, n)
+    cover = derive(alpha, n)
+    sigma_matrices = a_sigma_matrices(cover)
     for chi in characters(spec, n):
         data = artin_l_inverse(alpha, n, chi, sigma_matrices)
         product = poly_ring.mul(product, data.det_part)
         total_exponent += data.chi
-    cover = derive(alpha, n)
     zeta = ihara_zeta_inverse(cover.graph)
     expected = tuple(CyclotomicInteger.from_int(spec.p, n, c)
                      for c in zeta.det_part.coeffs)

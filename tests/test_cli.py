@@ -1,8 +1,12 @@
+import copy
 import json
+import random
+import sys
 
 import pytest
 
-from graphtower.cli import main, parse_config
+import graphtower
+from graphtower.cli import _HANDLERS, main, parse_config
 from graphtower.errors import ConfigError
 
 LOOP_CONFIG = {
@@ -141,3 +145,163 @@ def test_tsv_format(tmp_path, capsys):
     assert main(["tower", "--config", path, "--format", "tsv"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("subcommand\t")
+
+
+# -- malformed configs and flags: exit 1 with a message, never a traceback
+
+def _replace(path, value):
+    """A copy of LOOP_CONFIG with the node at `path` replaced by `value`."""
+    data = copy.deepcopy(LOOP_CONFIG)
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return data
+
+
+@pytest.mark.parametrize("data, message", [
+    (_replace(("quotient",), [1]), "quotient"),
+    (_replace(("group", "rank"), "x"), "rank"),
+    (_replace(("group", "rank"), True), "rank"),
+    (_replace(("group", "p"), True), "prime"),
+    (_replace(("graph", "vertices"), [["v"]]), "vertex ids"),
+    (_replace(("graph", "vertices"), []), "no vertices"),
+    (_replace(("graph", "edges", 0, "ends"), ["v", ["v"]]), "edge 0"),
+    (_replace(("voltage", "e"), 5), "malformed voltage word"),
+    (_replace(("voltage", "e"), [[0, True]]), "malformed voltage word"),
+    (_replace(("quotient", "exponents"), [True]), "quotient"),
+    (_replace(("max_level",), True), "max_level"),
+    (_replace(("max_level",), -1), "max_level"),
+    ([LOOP_CONFIG], "JSON object"),
+], ids=["quotient-list", "rank-str", "rank-bool", "p-bool", "list-vertex",
+        "no-vertices", "list-end", "word-int", "exponent-bool",
+        "quotient-bool", "max-level-bool", "max-level-negative", "list-root"])
+def test_malformed_config_exits_1(tmp_path, capsys, data, message):
+    path = write_config(tmp_path, data)
+    assert main(["tower", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+
+
+@pytest.mark.parametrize("flag", ["--level", "--max-level"])
+def test_negative_level_flag_exits_1(tmp_path, capsys, flag):
+    path = write_config(tmp_path, LOOP_CONFIG)
+    assert main(["tower", "--config", path, flag, "-1"]) == 1
+    assert "nonnegative" in capsys.readouterr().err
+
+
+def test_invalid_utf8_config_exits_1(tmp_path, capsys):
+    path = tmp_path / "job.json"
+    path.write_bytes(b'{"graph": "\xff"}')
+    assert main(["tower", "--config", str(path)]) == 1
+    assert "not valid JSON" in capsys.readouterr().err
+
+
+_FUZZ_VALUES = [None, True, False, -1, 0, 1, 2, 3, "", "x", "1+p", "v",
+                [], {}, [0], [0, 1], [[0, 1]], [1, 0], {"exponents": [1]}]
+# replacements of the same JSON type, which more often keep a config valid
+_FUZZ_SAME_TYPE = {int: [-1, 0, 1, 2, 3, 4], str: ["v", "w", "e0", "abelian",
+                                                   "metacyclic", "1+p"],
+                   list: [[], [0, 1], [[0, 1]], [[1, 2]], [[0, 1], [1, -1]]]}
+
+
+def _json_paths(node, path=()):
+    """The path of every JSON node below the root."""
+    children = (node.items() if isinstance(node, dict) else
+                enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield path + (key,)
+        yield from _json_paths(child, path + (key,))
+
+
+def test_mutation_fuzz_never_raises(tmp_path, capsys):
+    """Replace or delete one JSON node per case; main must exit 0-3."""
+    rng = random.Random(20240611)
+    # metacyclic p = 3 stays at max-level 1: its level-2 Jacobian costs minutes
+    bases = [(LOOP_CONFIG, "2"), (MU2_CONFIG, "1")]
+    subcommands = sorted(_HANDLERS)
+    path = tmp_path / "job.json"
+    for case in range(300):
+        base, max_level = bases[case % 2]
+        data = copy.deepcopy(base)
+        target = rng.choice(list(_json_paths(data)))
+        parent = data
+        for key in target[:-1]:
+            parent = parent[key]
+        same_type = _FUZZ_SAME_TYPE.get(type(parent[target[-1]]))
+        roll = rng.random()
+        if roll < 0.2:
+            del parent[target[-1]]
+        elif roll < 0.6 and same_type:
+            parent[target[-1]] = copy.deepcopy(rng.choice(same_type))
+        else:
+            parent[target[-1]] = copy.deepcopy(rng.choice(_FUZZ_VALUES))
+        path.write_text(json.dumps(data))
+        argv = [rng.choice(subcommands), "--config", str(path),
+                "--level", "1", "--max-level", max_level]
+        code = main(argv)
+        assert code in (0, 1, 2, 3), (argv, data)
+    capsys.readouterr()
+
+
+# -- preconditions and internal errors
+
+def test_metacyclic_lfun_is_a_precondition_violation(tmp_path, capsys):
+    path = write_config(tmp_path, MU2_CONFIG)
+    assert main(["lfun", "--config", path, "--level", "1"]) == 2
+    assert "abelian" in capsys.readouterr().err
+
+
+def test_iwasawa_fit_needs_three_levels(tmp_path, capsys):
+    path = write_config(tmp_path, LOOP_CONFIG)
+    assert main(["iwasawa-fit", "--config", path, "--max-level", "1"]) == 2
+    assert "three levels" in capsys.readouterr().err
+
+
+def test_arithmetic_error_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    def broken(matrix):
+        raise ArithmeticError("inexact division 7 / 2")
+
+    monkeypatch.setattr(graphtower.jacobian, "smith_invariant_factors", broken)
+    path = write_config(tmp_path, LOOP_CONFIG)
+    assert main(["tower", "--config", path, "--max-level", "2"]) == 4
+    assert capsys.readouterr().err.startswith("internal error: inexact")
+
+
+# -- each job computes each intermediate once
+
+def _count_calls(monkeypatch, fn):
+    """Wrap fn in every package module that binds it; returns the call log."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if (module.__name__.startswith("graphtower") and
+                vars(module).get(fn.__name__) is fn):
+            monkeypatch.setattr(module, fn.__name__, counted)
+    return calls
+
+
+def test_mhg_check_computes_lambda1_determinant_once(tmp_path, capsys,
+                                                      monkeypatch):
+    calls = _count_calls(monkeypatch, graphtower.iwasawa.lambda1_determinant)
+    assert main(["mhg-check", "--config", write_config(tmp_path, MU2_CONFIG)]) == 0
+    assert len(calls) == 1
+
+
+def test_check_factorization_derives_once(tmp_path, capsys, monkeypatch):
+    calls = _count_calls(monkeypatch, graphtower.voltage.derive)
+    path = write_config(tmp_path, LOOP_CONFIG)
+    assert main(["check-factorization", "--config", path, "--level", "2"]) == 0
+    assert len(calls) == 1
+
+
+def test_tower_checks_connectivity_once_per_level(tmp_path, capsys,
+                                                  monkeypatch):
+    calls = _count_calls(monkeypatch, graphtower.graphs.is_connected)
+    path = write_config(tmp_path, LOOP_CONFIG)
+    assert main(["tower", "--config", path, "--max-level", "3"]) == 0
+    assert len(calls) == 3 + 2  # levels 0..3, and the base in the criterion

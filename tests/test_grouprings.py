@@ -4,7 +4,7 @@ import pytest
 
 from graphtower import TowerGroupSpec
 from graphtower.cyclotomic import CyclotomicInteger
-from graphtower.errors import LevelMismatchError
+from graphtower.errors import LevelMismatchError, PreconditionError
 from graphtower.grouprings import (Character, GroupRingElement,
                                    GroupRingMatrix, character_evaluate,
                                    characters, nrd_abelian, regular_det)
@@ -192,3 +192,11 @@ def test_nrd_multiplicative_in_matrix_products():
         nb = dict((chi.exponents, v) for chi, v in nrd_abelian(b))
         for exps, value in prod.items():
             assert value == na[exps] * nb[exps]
+
+
+def test_characters_need_an_abelian_quotient():
+    spec = TowerGroupSpec("metacyclic", 3)
+    with pytest.raises(PreconditionError):
+        characters(spec, 1)
+    with pytest.raises(PreconditionError):
+        Character(spec, 1, (0, 0))

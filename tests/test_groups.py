@@ -4,6 +4,7 @@ import pytest
 
 from graphtower import TowerGroupSpec
 from graphtower.errors import BoundExceededError
+from graphtower.groups import p_valuation
 
 
 def test_word_evaluate_abelian():
@@ -94,3 +95,11 @@ def test_invalid_specs():
         TowerGroupSpec("metacyclic", 3, action_unit=2)
     with pytest.raises(ValueError):
         TowerGroupSpec("dihedral", 3)
+
+
+def test_p_valuation():
+    assert p_valuation(18, 3) == 2
+    assert p_valuation(-27, 3) == 3
+    assert p_valuation(7, 2) == 0
+    with pytest.raises(ValueError):
+        p_valuation(0, 5)

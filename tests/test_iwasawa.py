@@ -7,7 +7,7 @@ from graphtower import (IntPolynomial, Multigraph, QuotientSpec,
                         fitting_generators, lambda1_determinant, mhg_check,
                         mu_lambda_from_poly, mu_lower_bound,
                         quotient_assignment, spanning_tree_count, tower_en)
-from graphtower.errors import DisconnectedError
+from graphtower.errors import DisconnectedError, PreconditionError
 from graphtower.jacobian import p_valuation
 from graphtower.voltage import derive
 
@@ -61,6 +61,11 @@ def test_fit_exact_sequences():
     assert (fit.mu, fit.lam, fit.nu, fit.stable) == (2, 0, 0, True)
 
 
+def test_fit_needs_three_levels():
+    with pytest.raises(PreconditionError):
+        fit_iwasawa((0, 1), 3)
+
+
 def test_fit_instability_reported():
     fit = fit_iwasawa((0, 5, 6, 7), 3)
     assert not fit.stable
@@ -111,6 +116,14 @@ def test_mhg_pinched():
     verdict = mhg_check(two_vertex_nine_edge(), QuotientSpec((0, 1)))
     assert verdict.verdict == "HOLDS"
     assert verdict.mu1 == 2 and verdict.mu_lower_bound == 2
+
+
+def test_mhg_verdict_carries_its_determinant():
+    alpha, quotient = two_vertex_nine_edge(), QuotientSpec((0, 1))
+    verdict = mhg_check(alpha, quotient)
+    assert verdict.det == lambda1_determinant(
+        quotient_assignment(alpha, quotient))
+    assert verdict.det.f.coeffs == (0, 0, -18)
 
 
 def test_mhg_mu1_zero():

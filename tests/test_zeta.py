@@ -76,7 +76,7 @@ def test_sigma_matrices_sum_to_lifted_adjacency():
     rng = random.Random(74)
     for _ in range(6):
         alpha, level = random_abelian_instance(rng)
-        sigma_matrices = a_sigma_matrices(alpha, level)
+        sigma_matrices = a_sigma_matrices(derive(alpha, level))
         a_alpha = voltage_adjacency(alpha, level).entries
         m = alpha.base.num_vertices
         for chi in characters(alpha.spec, level)[:6]:
