@@ -22,8 +22,8 @@ from .grouprings import Character, characters
 from .jacobian import jacobian_structure, level_jacobian, picard_structure
 from .voltage import QuotientSpec, VoltageAssignment, derive
 from .groups import TowerGroupSpec
-from .zeta import (artin_l_inverse, factorization_check, ihara_zeta_inverse,
-                   interpolation_check)
+from .zeta import (a_sigma_matrices, artin_l_inverse, factorization_check,
+                   ihara_zeta_inverse, interpolation_check)
 from .iwasawa import fit_iwasawa, fitting_generators, mhg_check, tower_en
 
 _EDGE_LIST_LIMIT = 500
@@ -222,9 +222,11 @@ def _cmd_zeta(job: JobConfig, args) -> dict:
 
 def _cmd_lfun(job: JobConfig, args) -> dict:
     level = _level(args)
+    chars = characters(job.alpha.spec, level)
+    sigma_matrices = a_sigma_matrices(derive(job.alpha, level))
     out = []
-    for chi in characters(job.alpha.spec, level):
-        data = artin_l_inverse(job.alpha, level, chi)
+    for chi in chars:
+        data = artin_l_inverse(job.alpha, level, chi, sigma_matrices)
         out.append({"character": _character_json(chi),
                     "chi_exponent": data.chi,
                     "det_part": [_cyc_json(c) for c in data.det_part]})

@@ -7,7 +7,6 @@ regular representation as the kind-agnostic fallback.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -172,13 +171,14 @@ class Character:
 
 
 def characters(spec: TowerGroupSpec, n: int) -> list[Character]:
-    """All characters of G^(n), lexicographic by exponent vector."""
+    """All characters of G^(n), lexicographic by exponent vector.
+
+    One per group element, so ``enumerate_group`` lists and bounds them.
+    """
     if spec.kind != "abelian":
         raise PreconditionError(
             "characters are defined for abelian quotients only")
-    mod = spec.p ** n
-    return [Character(spec, n, exps)
-            for exps in itertools.product(range(mod), repeat=spec.rank)]
+    return [Character(spec, n, g.data) for g in spec.enumerate_group(n)]
 
 
 def character_evaluate(chi: Character,

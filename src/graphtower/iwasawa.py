@@ -11,11 +11,13 @@ from .graphs import graph_matrices
 from .grouprings import Character, nrd_abelian, regular_det
 from .groups import p_valuation
 from .jacobian import level_jacobian
-from .linalg import det_in_ring
+from .linalg import det_int_poly_matrix
 from .polynomials import (IntPolynomial, LAURENT, LaurentElement,
                           laurent_substitute_gamma)
 from .voltage import (QuotientSpec, VoltageAssignment, connectivity_criterion,
                       gamma_exponent, quotient_assignment, voltage_laplacian)
+
+_LAMBDA1_DEGREE_BOUND = 1800  # Σ over Laplacian rows of the γ-exponent span
 
 
 @dataclass(frozen=True)
@@ -105,7 +107,9 @@ def lambda1_determinant(alpha_quotient: VoltageAssignment) -> Lambda1Det:
     """Symbolic determinant of D − A_{α'}^t over the rank-1 quotient tower.
 
     The computation is level-free: γ is a formal unit, and the result is an
-    integer Laurent polynomial subsequently written in T = γ − 1.
+    integer Laurent polynomial subsequently written in T = γ − 1.  Clearing
+    each row's negative γ-powers makes it one integer polynomial
+    determinant, shifted back by the powers cleared.
     """
     spec = alpha_quotient.spec
     if spec.kind != "abelian" or spec.rank != 1:
@@ -113,11 +117,23 @@ def lambda1_determinant(alpha_quotient: VoltageAssignment) -> Lambda1Det:
     base = alpha_quotient.base
     m = base.num_vertices
     index = {v: i for i, v in enumerate(base.vertices)}
+    exponents = [(index[v], index[w], gamma_exponent(alpha_quotient, e))
+                 for e, (v, w) in base.edges]
+    # row i of the Laplacian holds γ^0 and γ^−b (γ^b) for each edge leaving
+    # (entering) vertex i; γ^−low[i] clears the row, and the row spans
+    # bound the degree of the cleared determinant
+    low, high = [0] * m, [0] * m
+    for i, j, b in exponents:
+        low[i], high[i] = min(low[i], -b), max(high[i], -b)
+        low[j], high[j] = min(low[j], b), max(high[j], b)
+    degree = sum(high) - sum(low)
+    if degree > _LAMBDA1_DEGREE_BOUND:
+        raise BoundExceededError(
+            f"Λ₁-determinant degree bound {degree} exceeds "
+            f"{_LAMBDA1_DEGREE_BOUND}")
     zero = LAURENT.zero()
     a = [[zero for _ in range(m)] for _ in range(m)]
-    for e, (v, w) in base.edges:
-        b = gamma_exponent(alpha_quotient, e)
-        i, j = index[v], index[w]
+    for i, j, b in exponents:
         if i == j:
             a[i][i] = LAURENT.add(a[i][i], LAURENT.add(
                 LaurentElement.gamma_power(b), LaurentElement.gamma_power(-b)))
@@ -127,7 +143,9 @@ def lambda1_determinant(alpha_quotient: VoltageAssignment) -> Lambda1Det:
     degrees = graph_matrices(base).D
     laplacian = [[LAURENT.sub(LaurentElement.constant(degrees[i][j]), a[j][i])
                   for j in range(m)] for i in range(m)]
-    det = det_in_ring(laplacian, LAURENT)
+    cleared = [[(0,) * (x.low - shift) + x.coeffs if x.coeffs else ()
+                for x in row] for row, shift in zip(laplacian, low)]
+    det = LaurentElement.make(sum(low), det_int_poly_matrix(cleared))
     if det.is_zero():
         raise DisconnectedError(
             "Λ₁-determinant vanishes: the Z_p-cover is disconnected")

@@ -2,12 +2,14 @@
 
 Determinants use the Bareiss algorithm, whose divisions are exact over any
 integral domain; the ring is abstracted through a tiny protocol so the same
-routine serves integers, cyclotomic integers, polynomials and Laurent
-polynomials.
+routine serves integers, cyclotomic integers and polynomials.  Integer
+polynomial matrices take the integer route instead: Kronecker substitution
+packs each one into a single `det_int` call.
 """
 
 from __future__ import annotations
 
+from math import isqrt
 from typing import Any, Protocol, Sequence
 
 
@@ -131,51 +133,40 @@ def det_int_poly_matrix(
         matrix: Sequence[Sequence[Sequence[int]]]) -> tuple[int, ...]:
     """Determinant of a matrix of integer polynomials (coefficient tuples).
 
-    Uses evaluation at integer points followed by exact Lagrange
-    interpolation, which beats symbolic elimination for the large matrices
-    coming from derived graphs.  Returns ascending coefficients.
+    Kronecker substitution: every entry is evaluated at u = 2^B, one integer
+    determinant is taken, and its signed base-2^B digits are the
+    coefficients.  Returns ascending coefficients with no trailing zeros.
     """
-    from fractions import Fraction
+    # Goldstein-Graham: for every θ, |det A(e^{iθ})| ≤ ∏_i ‖row_i‖₂ ≤ √S with
+    # S = ∏_i Σ_j ‖a_ij‖₁², so every coefficient is at most ‖det‖₂ ≤ √S and
+    # fits in a signed digit of B bits.
+    bound = 1
+    for row in matrix:
+        bound *= sum(sum(map(abs, entry)) ** 2 for entry in row)
+    bits = isqrt(bound).bit_length() + 1
+    x = 1 << bits
+    order = _band_order(matrix)
+    return _unpack(det_int([[_eval_poly(matrix[i][j], x) for j in order]
+                            for i in order]), bits)
 
-    n = len(matrix)
-    if n == 0:
-        return (1,)
-    # degree bound: sum over rows of the maximal entry degree
-    bound = sum(max((len(entry) - 1 for entry in row), default=0)
-                for row in matrix)
-    points = range(bound + 1)
-    values = []
-    for t in points:
-        evaluated = [[_eval_poly(entry, t) for entry in row] for row in matrix]
-        values.append(det_int(evaluated))
-    # Lagrange interpolation over Q; the result is known to be integral
-    full = [1]
-    for t_j in points:
-        full = _poly_shift_mul(full, -t_j)
-    coeffs = [Fraction(0)] * (bound + 1)
-    for i, t_i in enumerate(points):
-        # basis polynomial full / (x − t_i) by synthetic division
-        basis = [0] * (len(full) - 1)
-        carry = 0
-        for d in range(len(full) - 1, 0, -1):
-            carry = full[d] + carry * t_i
-            basis[d - 1] = carry
-        denom = 1
-        for j, t_j in enumerate(points):
-            if j != i:
-                denom *= t_i - t_j
-        scale = Fraction(values[i], denom)
-        for d, c in enumerate(basis):
-            if c:
-                coeffs[d] += c * scale
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise ArithmeticError("interpolated determinant is not integral")
-        out.append(int(c))
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+
+def _band_order(matrix: Sequence[Sequence[Sequence[int]]]) -> list[int]:
+    """Breadth-first order over the nonzero pattern.  The same permutation
+    of rows and columns keeps the determinant, and on a sparse matrix keeps
+    the Bareiss fill-in of packed entries near the diagonal."""
+    order: list[int] = []
+    seen: set[int] = set()
+    for start in range(len(matrix)):
+        if start not in seen:
+            seen.add(start)
+            queue = [start]
+            for i in queue:
+                for j, entry in enumerate(matrix[i]):
+                    if any(entry) and j not in seen:
+                        seen.add(j)
+                        queue.append(j)
+            order += queue
+    return order
 
 
 def _eval_poly(coeffs: Sequence[int], x: int) -> int:
@@ -185,12 +176,16 @@ def _eval_poly(coeffs: Sequence[int], x: int) -> int:
     return value
 
 
-def _poly_shift_mul(poly: list, constant: int) -> list:
-    """Multiply a polynomial (ascending coeffs) by (x + constant)."""
-    out = [0] + list(poly)
-    for i, c in enumerate(poly):
-        out[i] += c * constant
-    return out
+def _unpack(value: int, bits: int) -> tuple[int, ...]:
+    """Signed base-2^bits digits of value, ascending, each in [−2^(bits−1),
+    2^(bits−1)); the last digit is nonzero."""
+    mask = (1 << bits) - 1
+    half = 1 << (bits - 1)
+    digits = []
+    while value:
+        digits.append(((value & mask) ^ half) - half)
+        value = (value - digits[-1]) >> bits
+    return tuple(digits)
 
 
 def smith_invariant_factors(matrix: Sequence[Sequence[int]]) -> list[int]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from .linalg import Ring, ZZ, _eval_poly
+from .linalg import Ring, ZZ, _eval_poly, _unpack
 
 Coeffs = tuple[Any, ...]
 
@@ -91,9 +91,6 @@ class PolynomialRing:
     def one(self) -> Coeffs:
         return (self.base.one(),)
 
-    def constant(self, c: Any) -> Coeffs:
-        return _normalize([c], self.base)
-
     def add(self, a: Coeffs, b: Coeffs) -> Coeffs:
         return _add(a, b, self.base)
 
@@ -111,9 +108,6 @@ class PolynomialRing:
 
     def exact_div(self, a: Coeffs, b: Coeffs) -> Coeffs:
         return _exact_div(a, b, self.base)
-
-
-ZX = PolynomialRing(ZZ)
 
 
 @dataclass(frozen=True)
@@ -256,20 +250,11 @@ def laurent_substitute_gamma(value: LaurentElement) -> tuple[int, IntPolynomial]
     if value.is_zero():
         return 0, IntPolynomial(())
     k = max(0, -value.low)
-    poly = LAURENT.mul(value, LaurentElement.gamma_power(k))
-    # poly.low ≥ 0 now; expand Σ c_i (1+T)^{low+i}
-    result: Coeffs = ()
-    one_plus_t = (1, 1)
-    power = _power_poly(one_plus_t, poly.low)
-    for c in poly.coeffs:
-        if c:
-            result = _add(result, _mul((c,), power, ZZ), ZZ)
-        power = _mul(power, one_plus_t, ZZ)
-    return k, IntPolynomial(result)
-
-
-def _power_poly(base: Coeffs, exponent: int) -> Coeffs:
-    out: Coeffs = (1,)
-    for _ in range(exponent):
-        out = _mul(out, base, ZZ)
-    return out
+    coeffs = (0,) * (value.low + k) + value.coeffs  # γ^k·value, from γ^0 up
+    # Kronecker substitution T = 2^B: Horner at γ = 1 + 2^B is a shift-add
+    # pass, and |coefficient of f| ≤ Σ|c_i|·2^i fits in a signed B-bit digit.
+    bits = len(coeffs) + sum(map(abs, coeffs)).bit_length() + 1
+    packed = 0
+    for c in reversed(coeffs):
+        packed = (packed << bits) + packed + c
+    return k, IntPolynomial(_unpack(packed, bits))

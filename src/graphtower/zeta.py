@@ -1,8 +1,8 @@
 """Ihara zeta functions, Artin-Ihara L-functions, and their identities.
 
-All determinants of polynomial matrices use fraction-free elimination over
-the exact coefficient ring, so every identity check below is an equality of
-integers — never a float comparison.
+ζ_X(u)⁻¹ is one integer determinant by Kronecker substitution; L-functions
+use fraction-free elimination over Z[ζ][u].  Every identity check below is
+an exact equality — never a float comparison.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from .cyclotomic import CyclotomicInteger, CyclotomicRing
 from .graphs import Multigraph, graph_matrices
 from .grouprings import Character, characters, nrd_abelian
 from .groups import GroupElement
-from .linalg import ZZ, det_in_ring, det_int_poly_matrix
+from .linalg import det_in_ring, det_int_poly_matrix
 from .polynomials import IntPolynomial, PolynomialRing, _normalize
 from .voltage import DerivedGraph, VoltageAssignment, derive, voltage_laplacian
 
@@ -39,7 +39,6 @@ def ihara_zeta_inverse(graph: Multigraph) -> ZetaData:
     """Exact determinant of I − Au + (D−I)u² and the Euler characteristic."""
     mats = graph_matrices(graph)
     n = graph.num_vertices
-    ring = PolynomialRing(ZZ)
     entries = []
     for i in range(n):
         row = []
@@ -47,12 +46,8 @@ def ihara_zeta_inverse(graph: Multigraph) -> ZetaData:
             delta = 1 if i == j else 0
             # constant, u, u² coefficients
             row.append((delta, -mats.A[i][j], mats.D[i][j] - delta))
-        entries.append([_normalize(c, ZZ) for c in row])
-    if n <= 8:
-        det = det_in_ring(entries, ring)
-    else:
-        det = det_int_poly_matrix(entries)
-    return ZetaData(mats.chi, IntPolynomial(det))
+        entries.append(row)
+    return ZetaData(mats.chi, IntPolynomial(det_int_poly_matrix(entries)))
 
 
 def a_sigma_matrices(
@@ -88,16 +83,17 @@ def a_sigma_matrices(
 
 def character_twisted_matrices(
         alpha: VoltageAssignment, n: int, chi: Character,
-        sigma_matrices: dict[GroupElement, list[list[int]]] | None = None,
+        sigma_matrices: dict[GroupElement, list[list[int]]],
 ) -> tuple[list[list[CyclotomicInteger]], list[list[CyclotomicInteger]]]:
-    """(A_χ, D_χ): A_χ = Σ_σ A(σ)·χ(σ); D_χ is the (rational) degree matrix."""
+    """(A_χ, D_χ): A_χ = Σ_σ A(σ)·χ(σ); D_χ is the (rational) degree matrix.
+
+    sigma_matrices is ``a_sigma_matrices`` of the level-n cover.
+    """
     spec = alpha.spec
     m = alpha.base.num_vertices
     p, k = spec.p, n
     zero = CyclotomicInteger.from_int(p, k, 0)
     a_chi = [[zero for _ in range(m)] for _ in range(m)]
-    if sigma_matrices is None:
-        sigma_matrices = a_sigma_matrices(derive(alpha, n))
     for sigma, mat in sigma_matrices.items():
         value = chi.value(sigma)
         for i in range(m):
@@ -111,7 +107,7 @@ def character_twisted_matrices(
 
 
 def artin_l_inverse(alpha: VoltageAssignment, n: int, chi: Character,
-                    sigma_matrices=None) -> ArtinLData:
+                    sigma_matrices) -> ArtinLData:
     """Exact det part of the Artin-Ihara L-function for a character."""
     a_chi, d_chi = character_twisted_matrices(alpha, n, chi, sigma_matrices)
     m = alpha.base.num_vertices
@@ -135,7 +131,7 @@ def artin_l_inverse(alpha: VoltageAssignment, n: int, chi: Character,
 
 
 def h_at_one(alpha: VoltageAssignment, n: int, chi: Character,
-             sigma_matrices=None) -> CyclotomicInteger:
+             sigma_matrices) -> CyclotomicInteger:
     """h(χ, 1) = det(D_χ − A_χ), exact."""
     a_chi, d_chi = character_twisted_matrices(alpha, n, chi, sigma_matrices)
     m = alpha.base.num_vertices

@@ -2,6 +2,7 @@ import copy
 import json
 import random
 import sys
+import time
 
 import pytest
 
@@ -297,6 +298,28 @@ def test_check_factorization_derives_once(tmp_path, capsys, monkeypatch):
     path = write_config(tmp_path, LOOP_CONFIG)
     assert main(["check-factorization", "--config", path, "--level", "2"]) == 0
     assert len(calls) == 1
+
+
+def test_lfun_derives_once(tmp_path, capsys, monkeypatch):
+    calls = _count_calls(monkeypatch, graphtower.voltage.derive)
+    path = write_config(tmp_path, LOOP_CONFIG)
+    assert main(["lfun", "--config", path, "--level", "2"]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv, voltage", [
+    (["fitting", "--level", "8"], [[0, 1]]),
+    (["check-interpolation", "--level", "7"], [[0, 1]]),
+    (["lfun", "--level", "7"], [[0, 1]]),
+    (["mhg-check"], [[0, 10000]]),
+    (["mhg-check"], [[0, 10 ** 12]]),
+], ids=["fitting", "check-interpolation", "lfun", "mhg-check", "mhg-check-huge"])
+def test_bounds_stop_jobs_at_once(tmp_path, capsys, argv, voltage):
+    path = write_config(tmp_path, dict(LOOP_CONFIG, voltage={"e": voltage}))
+    started = time.monotonic()
+    assert main([*argv, "--config", path]) == 3
+    assert time.monotonic() - started < 1
+    assert "bound" in capsys.readouterr().err
 
 
 def test_tower_checks_connectivity_once_per_level(tmp_path, capsys,

@@ -9,9 +9,11 @@ from graphtower import (IntPolynomial, Multigraph, QuotientSpec,
                         quotient_assignment, spanning_tree_count, tower_en)
 from graphtower.errors import DisconnectedError, PreconditionError
 from graphtower.jacobian import p_valuation
-from graphtower.voltage import derive
+from graphtower.linalg import det_in_ring
+from graphtower.polynomials import LAURENT, LaurentElement
+from graphtower.voltage import derive, gamma_exponent
 
-from conftest import random_abelian_instance
+from conftest import random_abelian_instance, random_connected_multigraph
 
 
 def z3_loop():
@@ -99,6 +101,41 @@ def test_lambda1_disconnected_cover_raises():
         lambda1_determinant(trivial)
 
 
+def _laurent_laplacian(alpha):
+    """D − A_{α'}^t over Z[γ, γ⁻¹], one edge at a time."""
+    index = {v: i for i, v in enumerate(alpha.base.vertices)}
+    lap = [[LAURENT.zero()] * len(index) for _ in index]
+    for e, (v, w) in alpha.base.edges:
+        b = gamma_exponent(alpha, e)
+        i, j = index[v], index[w]
+        for r, c, term in ((i, i, LaurentElement.constant(1)),
+                           (j, j, LaurentElement.constant(1)),
+                           (j, i, LaurentElement.gamma_power(b, -1)),
+                           (i, j, LaurentElement.gamma_power(-b, -1))):
+            lap[r][c] = LAURENT.add(lap[r][c], term)
+    return lap
+
+
+def test_lambda1_matches_laurent_bareiss():
+    rng = random.Random(84)
+    vanishing = 0
+    for _ in range(50):
+        spec = TowerGroupSpec("abelian", rng.choice((2, 3, 5)), rank=1)
+        graph = random_connected_multigraph(rng, max_vertices=5,
+                                            max_extra_edges=4)
+        alpha = VoltageAssignment.build(graph, spec, {
+            e: [[0, rng.randint(-30, 30)]] if rng.random() < 0.7 else []
+            for e, _ in graph.edges})
+        expected = det_in_ring(_laurent_laplacian(alpha), LAURENT)
+        if expected.is_zero():
+            vanishing += 1
+            with pytest.raises(DisconnectedError):
+                lambda1_determinant(alpha)
+        else:
+            assert lambda1_determinant(alpha).gamma_det == expected
+    assert 0 < vanishing < 25
+
+
 def test_mu_lambda_from_poly():
     assert mu_lambda_from_poly(IntPolynomial.of(0, 0, -18), 3) == (2, 2)
     assert mu_lambda_from_poly(IntPolynomial.of(0, 0, 9), 3) == (2, 2)
@@ -156,14 +193,16 @@ def test_fitting_generators_loop_over_z2():
 
 def test_fitting_components_match_h_values():
     from graphtower import h_at_one
+    from graphtower.zeta import a_sigma_matrices
     rng = random.Random(81)
     for _ in range(5):
         alpha, level = random_abelian_instance(rng)
         gens = fitting_generators(alpha, level)
         values = {chi.exponents: v for chi, v in gens.components}
+        sigma_matrices = a_sigma_matrices(derive(alpha, level))
         for chi, _ in gens.components:
             assert values[chi.exponents] == h_at_one(
-                alpha, level, chi.conjugate())
+                alpha, level, chi.conjugate(), sigma_matrices)
 
 
 def test_fitting_projection_compatibility():

@@ -48,13 +48,21 @@ def test_det_in_ring_matches_det_int():
 def test_poly_matrix_det_interpolation_matches_bareiss():
     rng = random.Random(9)
     ring = PolynomialRing(ZZ)
-    for _ in range(15):
-        n = rng.randint(1, 4)
-        m = [[tuple(rng.randint(-4, 4) for _ in range(rng.randint(1, 3)))
+    for _ in range(80):
+        n = rng.randint(1, 6)
+        size = rng.choice((1, 4, 4, 10 ** 15))
+        density = rng.choice((0.3, 1.0))
+        # degree up to 4, with zero entries; sparse ones get reordered
+        m = [[_trim(tuple(rng.randint(-size, size)
+                          for _ in range(rng.randint(0, 5))))
+              if rng.random() < density else ()
               for _ in range(n)] for _ in range(n)]
-        m = [[tuple(c for c in entry) for entry in row] for row in m]
-        trimmed = [[_trim(e) for e in row] for row in m]
-        assert det_int_poly_matrix(trimmed) == tuple(det_in_ring(trimmed, ring))
+        assert det_int_poly_matrix(m) == tuple(det_in_ring(m, ring))
+    assert det_int_poly_matrix([]) == (1,)
+    assert det_int_poly_matrix([[(0, 3, -2)]]) == (0, 3, -2)
+    assert det_int_poly_matrix([[(-10 ** 40,)]]) == (-10 ** 40,)
+    assert det_int_poly_matrix([[(1, 2), (3,)], [(), ()]]) == ()
+    assert det_int_poly_matrix([[(1, 1), (1, 1)], [(2, 2), (2, 2)]]) == ()
 
 
 def _trim(coeffs):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -71,3 +72,24 @@ def test_substitute_gamma():
     assert k0 == 0 and f0.coeffs == (7,)
     kz, fz = laurent_substitute_gamma(LaurentElement(0, ()))
     assert kz == 0 and fz.is_zero()
+    rng = random.Random(64)
+    for _ in range(100):
+        value = LaurentElement.make(
+            rng.randint(-12, 12),
+            [rng.randint(-10 ** rng.randint(1, 20), 10 ** 6)
+             for _ in range(rng.randint(1, 15))])
+        k, f = laurent_substitute_gamma(value)
+        assert (k, f.coeffs) == _naive_substitute(value)
+
+
+def _naive_substitute(value):
+    """(k, coefficients of Σ c_i (1+T)^(low+k+i)) by binomial expansion."""
+    if value.is_zero():
+        return 0, ()
+    k = max(0, -value.low)
+    out = [0] * (value.high + k + 1)
+    for i, c in enumerate(value.coeffs):
+        power = value.low + k + i
+        for j in range(power + 1):
+            out[j] += c * math.comb(power, j)
+    return k, tuple(out)

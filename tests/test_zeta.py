@@ -6,9 +6,12 @@ from graphtower import (Character, Multigraph, TowerGroupSpec,
                         interpolation_check, voltage_adjacency)
 from graphtower.cyclotomic import CyclotomicInteger
 from graphtower.grouprings import character_evaluate, characters
+from graphtower.graphs import graph_matrices
+from graphtower.linalg import ZZ, det_in_ring
+from graphtower.polynomials import PolynomialRing, _normalize
 from graphtower.zeta import a_sigma_matrices
 
-from conftest import random_abelian_instance
+from conftest import random_abelian_instance, random_connected_multigraph
 
 
 def loop_graph():
@@ -43,12 +46,31 @@ def test_zeta_constant_term_is_one():
         assert data.det_part.coefficient(0) == 1
 
 
+def test_zeta_matches_bareiss_on_small_graphs():
+    rng = random.Random(76)
+    ring = PolynomialRing(ZZ)
+    for _ in range(40):
+        graph = random_connected_multigraph(rng, max_vertices=7,
+                                            max_extra_edges=8)
+        if rng.random() < 0.3:  # a second component
+            graph = Multigraph.build((*graph.vertices, "x"),
+                                     (*graph.edges, ("y", ("x", "x"))))
+        mats = graph_matrices(graph)
+        n = graph.num_vertices
+        entries = [[_normalize((int(i == j), -mats.A[i][j],
+                                mats.D[i][j] - int(i == j)), ZZ)
+                    for j in range(n)] for i in range(n)]
+        assert (ihara_zeta_inverse(graph).det_part.coeffs ==
+                tuple(det_in_ring(entries, ring)))
+
+
 def test_trivial_character_recovers_zeta():
     rng = random.Random(72)
     for _ in range(6):
         alpha, level = random_abelian_instance(rng)
         trivial = Character(alpha.spec, level, (0,) * alpha.spec.rank)
-        data = artin_l_inverse(alpha, level, trivial)
+        data = artin_l_inverse(alpha, level, trivial,
+                               a_sigma_matrices(derive(alpha, level)))
         expected = ihara_zeta_inverse(alpha.base).det_part
         assert [c.as_int() for c in data.det_part] == list(expected.coeffs)
 
@@ -57,10 +79,11 @@ def test_sign_character_loop_over_z2():
     spec = TowerGroupSpec("abelian", 2, rank=1)
     alpha = VoltageAssignment.build(loop_graph(), spec, {"e": [[0, 1]]})
     sign = Character(spec, 1, (1,))
-    data = artin_l_inverse(alpha, 1, sign)
+    sigma_matrices = a_sigma_matrices(derive(alpha, 1))
+    data = artin_l_inverse(alpha, 1, sign, sigma_matrices)
     # det(1 + 2u + u²) = (1 + u)²
     assert [c.as_int() for c in data.det_part] == [1, 2, 1]
-    assert h_at_one(alpha, 1, sign).as_int() == 4
+    assert h_at_one(alpha, 1, sign, sigma_matrices).as_int() == 4
 
 
 def test_h_at_one_trivial_character_vanishes():
@@ -68,7 +91,8 @@ def test_h_at_one_trivial_character_vanishes():
     for _ in range(6):
         alpha, level = random_abelian_instance(rng)
         trivial = Character(alpha.spec, level, (0,) * alpha.spec.rank)
-        assert h_at_one(alpha, level, trivial).is_zero()
+        assert h_at_one(alpha, level, trivial,
+                        a_sigma_matrices(derive(alpha, level))).is_zero()
 
 
 def test_sigma_matrices_sum_to_lifted_adjacency():
