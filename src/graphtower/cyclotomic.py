@@ -146,6 +146,23 @@ def _add_monomial(coeffs: list, exponent: int, value, p: int, k: int) -> None:
         coeffs[i * step + r] -= value
 
 
+def root_power_matrix(p: int, k: int, exponent: int) -> list[list[int]]:
+    """The φ×φ integer matrix of multiplication by ζ_{p^k}^exponent on the
+    power basis 1, ζ, …, ζ^{φ−1}.
+
+    x ↦ (its multiplication matrix) embeds Z[ζ] in the integer matrices, and
+    the determinant of that matrix is the norm N(x).
+    """
+    phi = euler_phi_prime_power(p, k)
+    rows = [[0] * phi for _ in range(phi)]
+    for t in range(phi):
+        column = [0] * phi
+        _add_monomial(column, exponent + t, 1, p, k)
+        for r, c in enumerate(column):
+            rows[r][t] = c
+    return rows
+
+
 def _cyclotomic_poly(p: int, k: int) -> list[int]:
     """Coefficients (ascending) of Φ_{p^k}."""
     phi = euler_phi_prime_power(p, k)

@@ -8,6 +8,7 @@ regular representation as the kind-agnostic fallback.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Mapping
 
 from .cyclotomic import CyclotomicInteger, CyclotomicRing
@@ -164,10 +165,20 @@ class Character:
         return Character(self.spec, self.level,
                          tuple((-e) % mod for e in self.exponents))
 
-    def value(self, g: GroupElement) -> CyclotomicInteger:
+    @property
+    def order_level(self) -> int:
+        """j with χ of order p^j: its values lie in Z[ζ_{p^j}]."""
         mod = self.spec.p ** self.level
-        exponent = sum(e * x for e, x in zip(self.exponents, g.data)) % mod
-        return CyclotomicInteger.root_power(self.spec.p, self.level, exponent)
+        return self.level - p_valuation(gcd(mod, *self.exponents), self.spec.p)
+
+    def exponent(self, g: GroupElement) -> int:
+        """e with χ(g) = ζ_{p^n}^e, reduced mod p^n."""
+        mod = self.spec.p ** self.level
+        return sum(e * x for e, x in zip(self.exponents, g.data)) % mod
+
+    def value(self, g: GroupElement) -> CyclotomicInteger:
+        return CyclotomicInteger.root_power(self.spec.p, self.level,
+                                            self.exponent(g))
 
 
 def characters(spec: TowerGroupSpec, n: int) -> list[Character]:
@@ -179,6 +190,28 @@ def characters(spec: TowerGroupSpec, n: int) -> list[Character]:
         raise PreconditionError(
             "characters are defined for abelian quotients only")
     return [Character(spec, n, g.data) for g in spec.enumerate_group(n)]
+
+
+def galois_orbits(spec: TowerGroupSpec,
+                  n: int) -> list[tuple[Character, int]]:
+    """One character per orbit of χ ↦ χ^a (a a unit mod p^n), with its size.
+
+    Representatives come in ``characters()`` order.  The orbit of a
+    character of order p^j has φ(p^j) elements; it is one Q(ζ_{p^j})
+    component of the group algebra Q[G^(n)].
+    """
+    chars = characters(spec, n)
+    mod = spec.p ** n
+    units = [a for a in range(1, mod) if a % spec.p] or [1]
+    seen: set[tuple[int, ...]] = set()
+    out = []
+    for chi in chars:
+        if chi.exponents in seen:
+            continue
+        orbit = {tuple(a * e % mod for e in chi.exponents) for a in units}
+        seen |= orbit
+        out.append((chi, len(orbit)))
+    return out
 
 
 def character_evaluate(chi: Character,

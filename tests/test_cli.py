@@ -8,6 +8,7 @@ import pytest
 
 import graphtower
 from graphtower.cli import _HANDLERS, main, parse_config
+from graphtower.cyclotomic import CyclotomicInteger
 from graphtower.errors import ConfigError
 
 LOOP_CONFIG = {
@@ -253,6 +254,13 @@ def test_metacyclic_lfun_is_a_precondition_violation(tmp_path, capsys):
     assert "abelian" in capsys.readouterr().err
 
 
+def test_metacyclic_check_factorization_is_a_precondition_violation(
+        tmp_path, capsys):
+    path = write_config(tmp_path, MU2_CONFIG)
+    assert main(["check-factorization", "--config", path, "--level", "1"]) == 2
+    assert "abelian" in capsys.readouterr().err
+
+
 def test_iwasawa_fit_needs_three_levels(tmp_path, capsys):
     path = write_config(tmp_path, LOOP_CONFIG)
     assert main(["iwasawa-fit", "--config", path, "--max-level", "1"]) == 2
@@ -300,6 +308,24 @@ def test_check_factorization_derives_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_check_factorization_uses_no_cyclotomic_arithmetic(tmp_path, capsys,
+                                                            monkeypatch):
+    bareiss = _count_calls(monkeypatch, graphtower.linalg.det_in_ring)
+    products = []
+    mul = CyclotomicInteger.__mul__
+
+    def counted(a, b):
+        products.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(CyclotomicInteger, "__mul__", counted)
+    path = write_config(tmp_path, LOOP_CONFIG)
+    assert main(["check-factorization", "--config", path, "--level", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True
+    assert len(bareiss) == 0
+    assert len(products) == 0
+
+
 def test_lfun_derives_once(tmp_path, capsys, monkeypatch):
     calls = _count_calls(monkeypatch, graphtower.voltage.derive)
     path = write_config(tmp_path, LOOP_CONFIG)
@@ -311,9 +337,11 @@ def test_lfun_derives_once(tmp_path, capsys, monkeypatch):
     (["fitting", "--level", "8"], [[0, 1]]),
     (["check-interpolation", "--level", "7"], [[0, 1]]),
     (["lfun", "--level", "7"], [[0, 1]]),
+    (["check-factorization", "--level", "7"], [[0, 1]]),
     (["mhg-check"], [[0, 10000]]),
     (["mhg-check"], [[0, 10 ** 12]]),
-], ids=["fitting", "check-interpolation", "lfun", "mhg-check", "mhg-check-huge"])
+], ids=["fitting", "check-interpolation", "lfun", "check-factorization",
+        "mhg-check", "mhg-check-huge"])
 def test_bounds_stop_jobs_at_once(tmp_path, capsys, argv, voltage):
     path = write_config(tmp_path, dict(LOOP_CONFIG, voltage={"e": voltage}))
     started = time.monotonic()

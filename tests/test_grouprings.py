@@ -7,7 +7,8 @@ from graphtower.cyclotomic import CyclotomicInteger
 from graphtower.errors import LevelMismatchError, PreconditionError
 from graphtower.grouprings import (Character, GroupRingElement,
                                    GroupRingMatrix, character_evaluate,
-                                   characters, nrd_abelian, regular_det)
+                                   characters, galois_orbits, nrd_abelian,
+                                   regular_det)
 
 
 def sigma_element(spec, n, index=0, coeff=1):
@@ -200,3 +201,37 @@ def test_characters_need_an_abelian_quotient():
         characters(spec, 1)
     with pytest.raises(PreconditionError):
         Character(spec, 1, (0, 0))
+
+
+@pytest.mark.parametrize("p, rank, level", [
+    (2, 1, 0), (2, 1, 3), (2, 2, 2), (2, 3, 2), (3, 1, 3), (3, 2, 2),
+    (3, 3, 1), (5, 1, 2), (5, 2, 1), (7, 1, 2), (3, 6, 1), (3, 1, 6),
+])
+def test_galois_orbits_partition_characters(p, rank, level):
+    spec = TowerGroupSpec("abelian", p, rank=rank)
+    chars = characters(spec, level)
+    position = {chi.exponents: i for i, chi in enumerate(chars)}
+    mod = p ** level
+    covered = set()
+    previous = -1
+    orbits = galois_orbits(spec, level)
+    for chi, size in orbits:
+        orbit = {tuple(a * e % mod for e in chi.exponents)
+                 for a in range(1, mod + 1) if a % p}
+        # the representative is the first of its orbit in characters() order
+        assert position[chi.exponents] == min(position[x] for x in orbit)
+        assert position[chi.exponents] > previous
+        previous = position[chi.exponents]
+        assert not orbit & covered
+        covered |= orbit
+        order = next(t for t in range(1, mod + 1)
+                     if all(t * e % mod == 0 for e in chi.exponents))
+        assert order == p ** chi.order_level
+        assert size == len(orbit) == (order - order // p if order > 1 else 1)
+    assert covered == set(position)
+    assert sum(size for _, size in orbits) == len(chars) == spec.order(level)
+
+
+def test_galois_orbits_need_an_abelian_quotient():
+    with pytest.raises(PreconditionError):
+        galois_orbits(TowerGroupSpec("metacyclic", 3), 1)

@@ -1,15 +1,18 @@
 import random
 
+import graphtower.zeta
 from graphtower import (Character, Multigraph, TowerGroupSpec,
                         VoltageAssignment, artin_l_inverse, derive,
                         factorization_check, h_at_one, ihara_zeta_inverse,
                         interpolation_check, voltage_adjacency)
-from graphtower.cyclotomic import CyclotomicInteger
-from graphtower.grouprings import character_evaluate, characters
+from graphtower.cyclotomic import (CyclotomicInteger, CyclotomicRing,
+                                   euler_phi_prime_power)
+from graphtower.grouprings import (character_evaluate, characters,
+                                   galois_orbits)
 from graphtower.graphs import graph_matrices
 from graphtower.linalg import ZZ, det_in_ring
 from graphtower.polynomials import PolynomialRing, _normalize
-from graphtower.zeta import a_sigma_matrices
+from graphtower.zeta import a_sigma_matrices, artin_l_norm
 
 from conftest import random_abelian_instance, random_connected_multigraph
 
@@ -146,3 +149,88 @@ def test_factorization_trivial_group_tautology():
     spec = TowerGroupSpec("abelian", 3, rank=1)
     alpha = VoltageAssignment.build(loop_graph(), spec, {"e": [[0, 1]]})
     assert factorization_check(alpha, 0).passed
+
+
+# (p, rank, level) with |G^(level)| ≤ 64, for the orbit-norm oracle
+_ORBIT_SHAPES = [
+    (2, 1, 1), (2, 1, 2), (2, 1, 3), (2, 2, 1), (2, 2, 2), (2, 3, 1),
+    (2, 3, 2), (3, 1, 1), (3, 1, 2), (3, 1, 3), (3, 2, 1), (3, 3, 1),
+    (5, 1, 1), (5, 1, 2), (5, 2, 1), (7, 1, 1), (7, 2, 1),
+]
+
+
+def _random_orbit_instance(rng):
+    """A random abelian voltage assignment on a base of 1-4 vertices, with
+    at most 36 rows in the largest orbit determinant."""
+    p, rank, level = rng.choice(_ORBIT_SHAPES)
+    spec = TowerGroupSpec("abelian", p, rank=rank)
+    nv = rng.randint(1, min(4, 36 // euler_phi_prime_power(p, level)))
+    edges = [(v, rng.randrange(v)) for v in range(1, nv)]
+    edges += [(rng.randrange(nv), rng.randrange(nv))
+              for _ in range(rng.randint(1, 3))]
+    graph = Multigraph.build(range(nv), list(enumerate(edges)))
+    mod = p ** level
+    voltages = {eid: [[i, rng.randrange(mod)] for i in range(rank)
+                      if rng.random() < 0.7]
+                for eid, _ in graph.edges}
+    return VoltageAssignment.build(graph, spec, voltages), level
+
+
+def test_artin_l_norm_is_the_orbit_product_of_l_functions():
+    rng = random.Random(77)
+    for _ in range(40):
+        alpha, level = _random_orbit_instance(rng)
+        p, mod = alpha.spec.p, alpha.spec.p ** level
+        sigma_matrices = a_sigma_matrices(derive(alpha, level))
+        ring = PolynomialRing(CyclotomicRing(p, level))
+        for chi, size in galois_orbits(alpha.spec, level):
+            orbit = {tuple(a * e % mod for e in chi.exponents)
+                     for a in range(1, mod) if a % p}
+            assert len(orbit) == size
+            product = ring.one()
+            for exponents in sorted(orbit):
+                data = artin_l_inverse(
+                    alpha, level, Character(alpha.spec, level, exponents),
+                    sigma_matrices)
+                product = ring.mul(product, data.det_part)
+            norm = artin_l_norm(alpha, level, chi, sigma_matrices)
+            assert product == tuple(CyclotomicInteger.from_int(p, level, c)
+                                    for c in norm.coeffs)
+
+
+def test_every_character_l_function_multiplies_to_cover_zeta():
+    rng = random.Random(78)
+    for _ in range(10):
+        alpha, level = random_abelian_instance(rng, max_vertices=3)
+        cover = derive(alpha, level)
+        sigma_matrices = a_sigma_matrices(cover)
+        ring = PolynomialRing(CyclotomicRing(alpha.spec.p, level))
+        product, exponent = ring.one(), 0
+        for chi in characters(alpha.spec, level):
+            data = artin_l_inverse(alpha, level, chi, sigma_matrices)
+            product = ring.mul(product, data.det_part)
+            exponent += data.chi
+        zeta = ihara_zeta_inverse(cover.graph)
+        assert [c.as_int() for c in product] == list(zeta.det_part.coeffs)
+        assert exponent == zeta.chi
+
+
+def test_factorization_check_catches_a_corrupted_sigma_matrix(monkeypatch):
+    rng = random.Random(79)
+    original = graphtower.zeta.a_sigma_matrices
+
+    def corrupted(cover):
+        matrices = original(cover)
+        sigma = rng.choice(sorted((s for s in matrices
+                                   if not s.is_identity()),
+                                  key=lambda s: s.data))
+        m = len(matrices[sigma])
+        matrices[sigma][rng.randrange(m)][rng.randrange(m)] += 1
+        return matrices
+
+    for _ in range(12):
+        alpha, level = random_abelian_instance(rng)
+        assert factorization_check(alpha, level).passed
+        monkeypatch.setattr(graphtower.zeta, "a_sigma_matrices", corrupted)
+        assert not factorization_check(alpha, level).polynomial_match
+        monkeypatch.setattr(graphtower.zeta, "a_sigma_matrices", original)
