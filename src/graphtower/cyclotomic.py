@@ -4,6 +4,9 @@ Elements are integer coefficient vectors of length φ(p^k) representing
 polynomials in ζ = ζ_{p^k} modulo the cyclotomic polynomial
 Φ_{p^k}(x) = Σ_{i<p} x^{i·p^{k-1}}.  Conductor 1 (k = 0) degenerates to the
 ordinary integers, which keeps trivial characters on the same code path.
+
+Determinants over Z[ζ] are taken in one place, ``det_cyclotomic``; matrices
+over Z[ζ][u] reach it by Kronecker substitution.
 """
 
 from __future__ import annotations
@@ -11,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
+
+from .linalg import _eval_poly, _unpack, det_in_ring
 
 
 def euler_phi_prime_power(p: int, k: int) -> int:
@@ -268,3 +273,39 @@ class CyclotomicRing:
 
     def exact_div(self, a, b):
         return a.exact_div(b)
+
+
+def det_cyclotomic(p: int, k: int,
+                   matrix: Sequence[Sequence[CyclotomicInteger]]
+                   ) -> CyclotomicInteger:
+    """Determinant over Z[ζ_{p^k}] by fraction-free (Bareiss) elimination."""
+    return det_in_ring(matrix, CyclotomicRing(p, k))
+
+
+def det_cyclotomic_poly_matrix(
+        p: int, k: int,
+        matrix: Sequence[Sequence[Sequence[CyclotomicInteger]]],
+) -> tuple[CyclotomicInteger, ...]:
+    """Determinant of a matrix over Z[ζ_{p^k}][u] whose entries list their
+    ascending u-coefficients; the result has no trailing zeros.
+
+    Kronecker substitution: one ``det_cyclotomic`` at u = 2^B, whose
+    power-basis coordinates split into signed base-2^B digits.
+    """
+    # The determinant is the image under x ↦ ζ of the determinant of the
+    # lifted matrix over Z[x][u], of ℓ1 norm at most S = ∏_i Σ_j ‖a_ij‖₁.
+    # Every ζ^e has power-basis coordinates in {0, ±1}, so no coordinate of
+    # a u-coefficient exceeds S, and each fits in a signed B-bit digit.
+    bound = 1
+    for row in matrix:
+        bound *= sum(abs(c) for entry in row for x in entry for c in x.coeffs)
+    bits = bound.bit_length() + 1
+    phi = euler_phi_prime_power(p, k)
+    packed = [[CyclotomicInteger(p, k, tuple(
+        _eval_poly([x.coeffs[i] for x in entry], 1 << bits)
+        for i in range(phi))) for entry in row] for row in matrix]
+    digits = [_unpack(c, bits) for c in det_cyclotomic(p, k, packed).coeffs]
+    return tuple(
+        CyclotomicInteger(p, k, tuple(d[t] if t < len(d) else 0
+                                      for d in digits))
+        for t in range(max(map(len, digits))))

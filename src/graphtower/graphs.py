@@ -57,9 +57,6 @@ class Multigraph:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def vertex_index(self, v: Vertex) -> int:
-        return self.vertices.index(v)
-
     def endpoints(self, eid: EdgeId) -> tuple[Vertex, Vertex]:
         for e, ends in self.edges:
             if e == eid:

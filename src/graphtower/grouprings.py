@@ -11,10 +11,10 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Mapping
 
-from .cyclotomic import CyclotomicInteger, CyclotomicRing
+from .cyclotomic import CyclotomicInteger, det_cyclotomic
 from .errors import BoundExceededError, LevelMismatchError, PreconditionError
 from .groups import GroupElement, TowerGroupSpec, p_valuation
-from .linalg import det_in_ring, det_int
+from .linalg import det_int
 
 _REGULAR_DET_BOUND = 300  # |G^(n)| · matrix size
 
@@ -156,10 +156,6 @@ class Character:
         if len(self.exponents) != self.spec.rank:
             raise ValueError("exponent vector length differs from rank")
 
-    def is_trivial(self) -> bool:
-        mod = self.spec.p ** self.level
-        return all(e % mod == 0 for e in self.exponents)
-
     def conjugate(self) -> "Character":
         mod = self.spec.p ** self.level
         return Character(self.spec, self.level,
@@ -233,29 +229,35 @@ def nrd_abelian(
     under the character decomposition of the group algebra.
     """
     spec = matrix.spec
-    ring = CyclotomicRing(spec.p, matrix.level)
     out = []
     for chi in characters(spec, matrix.level):
         image = [[character_evaluate(chi, x) for x in row]
                  for row in matrix.entries]
-        out.append((chi, det_in_ring(image, ring)))
+        out.append((chi, det_cyclotomic(spec.p, matrix.level, image)))
     return out
 
 
-def regular_det(matrix: GroupRingMatrix,
-                bound: int = _REGULAR_DET_BOUND) -> int:
+def regular_det_fits(spec: TowerGroupSpec, level: int, size: int) -> bool:
+    """Whether |G^(level)|·size, the regular representation's size, fits."""
+    return not (size and spec.order_exceeds(level,
+                                            _REGULAR_DET_BOUND // size))
+
+
+def regular_det(matrix: GroupRingMatrix) -> int:
     """Determinant of left multiplication on the regular representation.
 
     Works for any group kind; equals the product over characters of the
     per-character determinants when the quotient is abelian.
     """
     spec = matrix.spec
-    order = spec.order(matrix.level)
     m = matrix.size
-    if order * m > bound:
+    if not regular_det_fits(spec, matrix.level, m):
         raise BoundExceededError(
-            f"regular representation size {order * m} exceeds bound {bound}")
+            f"regular representation size "
+            f"{m}·{spec.p}^{matrix.level * spec.dimension} "
+            f"exceeds bound {_REGULAR_DET_BOUND}")
     group = spec.enumerate_group(matrix.level)
+    order = len(group)
     index = {g: i for i, g in enumerate(group)}
     size = m * order
     big = [[0] * size for _ in range(size)]

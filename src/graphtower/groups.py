@@ -17,7 +17,8 @@ from typing import Iterable, Sequence
 
 from .errors import BoundExceededError
 
-_DEFAULT_ENUM_BOUND = 3 ** 6
+_ENUM_BOUND = 3 ** 6
+_PRIME_BOUND = 1 << 40  # p is checked by trial division up to √p
 
 
 def _is_prime(n: int) -> bool:
@@ -55,6 +56,8 @@ class TowerGroupSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("abelian", "metacyclic"):
             raise ValueError(f"unknown group kind {self.kind!r}")
+        if self.p >= _PRIME_BOUND:
+            raise BoundExceededError(f"p = {self.p} exceeds bound 2^40")
         if not _is_prime(self.p):
             raise ValueError(f"p must be prime, got {self.p}")
         if self.kind == "abelian":
@@ -85,6 +88,12 @@ class TowerGroupSpec:
         if n < 0:
             raise ValueError("level must be >= 0")
         return self.p ** (n * self.dimension)
+
+    def order_exceeds(self, n: int, bound: int) -> bool:
+        """Whether |G^(n)| = p^(n·d) > bound, building p^(n·d) only when
+        n·d < bound.bit_length(), since otherwise p^(n·d) ≥ 2^(n·d) > bound."""
+        exponent = n * self.dimension
+        return exponent >= bound.bit_length() or self.p ** exponent > bound
 
     def identity(self, n: int) -> "GroupElement":
         if self.kind == "abelian":
@@ -156,12 +165,11 @@ class TowerGroupSpec:
                 result, self.power(self.generator(index, n), exponent))
         return result
 
-    def enumerate_group(self, n: int,
-                        bound: int = _DEFAULT_ENUM_BOUND) -> list["GroupElement"]:
-        size = self.order(n)
-        if size > bound:
+    def enumerate_group(self, n: int) -> list["GroupElement"]:
+        if self.order_exceeds(n, _ENUM_BOUND):
             raise BoundExceededError(
-                f"group order {size} exceeds enumeration bound {bound}")
+                f"group order {self.p}^{n * self.dimension} exceeds "
+                f"enumeration bound {_ENUM_BOUND}")
         mod = self.p ** n
         width = self.rank if self.kind == "abelian" else 2
         return [GroupElement(n, exps)

@@ -8,16 +8,18 @@ from dataclasses import dataclass
 from .cyclotomic import CyclotomicInteger
 from .errors import BoundExceededError, DisconnectedError, PreconditionError
 from .graphs import graph_matrices
-from .grouprings import Character, nrd_abelian, regular_det
+from .grouprings import (Character, characters, nrd_abelian, regular_det,
+                         regular_det_fits)
 from .groups import p_valuation
 from .jacobian import level_jacobian
 from .linalg import det_int_poly_matrix
-from .polynomials import (IntPolynomial, LAURENT, LaurentElement,
+from .polynomials import (IntPolynomial, LaurentElement,
                           laurent_substitute_gamma)
 from .voltage import (QuotientSpec, VoltageAssignment, connectivity_criterion,
                       gamma_exponent, quotient_assignment, voltage_laplacian)
 
 _LAMBDA1_DEGREE_BOUND = 1800  # Σ over Laplacian rows of the γ-exponent span
+_MU_PROBE_LEVEL = 1  # level of the content bound in mu_lower_bound
 
 
 @dataclass(frozen=True)
@@ -131,20 +133,16 @@ def lambda1_determinant(alpha_quotient: VoltageAssignment) -> Lambda1Det:
         raise BoundExceededError(
             f"Λ₁-determinant degree bound {degree} exceeds "
             f"{_LAMBDA1_DEGREE_BOUND}")
-    zero = LAURENT.zero()
-    a = [[zero for _ in range(m)] for _ in range(m)]
-    for i, j, b in exponents:
-        if i == j:
-            a[i][i] = LAURENT.add(a[i][i], LAURENT.add(
-                LaurentElement.gamma_power(b), LaurentElement.gamma_power(-b)))
-        else:
-            a[i][j] = LAURENT.add(a[i][j], LaurentElement.gamma_power(b))
-            a[j][i] = LAURENT.add(a[j][i], LaurentElement.gamma_power(-b))
+    # cleared[i][j]: coefficients of γ^low[i]..γ^high[i] in (D − A^t)[i][j];
+    # an edge i → j puts −γ^−b at (i, j) and −γ^b at (j, i)
     degrees = graph_matrices(base).D
-    laplacian = [[LAURENT.sub(LaurentElement.constant(degrees[i][j]), a[j][i])
-                  for j in range(m)] for i in range(m)]
-    cleared = [[(0,) * (x.low - shift) + x.coeffs if x.coeffs else ()
-                for x in row] for row, shift in zip(laplacian, low)]
+    cleared = [[[0] * (high[i] - low[i] + 1) for _ in range(m)]
+               for i in range(m)]
+    for i in range(m):
+        cleared[i][i][-low[i]] = degrees[i][i]
+    for i, j, b in exponents:
+        cleared[i][j][-b - low[i]] -= 1
+        cleared[j][i][b - low[j]] -= 1
     det = LaurentElement.make(sum(low), det_int_poly_matrix(cleared))
     if det.is_zero():
         raise DisconnectedError(
@@ -163,12 +161,12 @@ def mu_lambda_from_poly(f: IntPolynomial, p: int) -> tuple[int, int]:
     return min((p_valuation(c, p), i) for i, c in enumerate(f.coeffs) if c)
 
 
-def mu_lower_bound(alpha: VoltageAssignment, n_probe: int = 1) -> int:
+def mu_lower_bound(alpha: VoltageAssignment) -> int:
     """k·|V| where p^k divides every entry of D − A_α^t at the probe level.
 
     Justified by the surjection of Pic onto (Λ/p^k)^{|V|}.
     """
-    laplacian = voltage_laplacian(alpha, n_probe, transpose=True)
+    laplacian = voltage_laplacian(alpha, _MU_PROBE_LEVEL)
     k: int | None = None
     for row in laplacian.entries:
         for x in row:
@@ -214,14 +212,17 @@ def fitting_generators(alpha: VoltageAssignment, n: int) -> FittingGenerators:
     """Reduced-norm generators of the level-n Fitting ideal.
 
     Per-character components for abelian quotients; the determinant of the
-    regular representation whenever it fits in the configured bound.
+    regular representation whenever it fits in its bound.  Both bounds are
+    checked before any level-n arithmetic.
     """
-    laplacian = voltage_laplacian(alpha, n, transpose=True)
-    components = None
-    if alpha.spec.kind == "abelian":
-        components = tuple(nrd_abelian(laplacian))
-    try:
-        regular = regular_det(laplacian)
-    except BoundExceededError:
-        regular = None
+    spec = alpha.spec
+    abelian = spec.kind == "abelian"
+    if abelian:
+        characters(spec, n)  # raises past the character bound
+    regular_fits = regular_det_fits(spec, n, alpha.base.num_vertices)
+    if not (abelian or regular_fits):
+        return FittingGenerators(n, None, None)
+    laplacian = voltage_laplacian(alpha, n)
+    components = tuple(nrd_abelian(laplacian)) if abelian else None
+    regular = regular_det(laplacian) if regular_fits else None
     return FittingGenerators(n, components, regular)

@@ -1,10 +1,11 @@
 """Exact linear algebra: fraction-free determinants and Smith normal form.
 
 Determinants use the Bareiss algorithm, whose divisions are exact over any
-integral domain; the ring is abstracted through a tiny protocol so the same
-routine serves integers, cyclotomic integers and polynomials.  Integer
-polynomial matrices take the integer route instead: Kronecker substitution
-packs each one into a single `det_int` call.
+integral domain.  `det_int` is the integer kernel; integer polynomial
+matrices reach it by Kronecker substitution, which packs each one into a
+single `det_int` call.  `det_in_ring` takes the ring through a tiny
+protocol: in the package it runs only over Z[ζ], inside
+`cyclotomic.det_cyclotomic`, and the tests use it over reference rings.
 """
 
 from __future__ import annotations
@@ -24,40 +25,6 @@ class Ring(Protocol):
     def neg(self, a: Any) -> Any: ...
     def is_zero(self, a: Any) -> bool: ...
     def exact_div(self, a: Any, b: Any) -> Any: ...
-
-
-class IntRing:
-    """Arbitrary-precision integers."""
-
-    def zero(self) -> int:
-        return 0
-
-    def one(self) -> int:
-        return 1
-
-    def add(self, a: int, b: int) -> int:
-        return a + b
-
-    def sub(self, a: int, b: int) -> int:
-        return a - b
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b
-
-    def neg(self, a: int) -> int:
-        return -a
-
-    def is_zero(self, a: int) -> bool:
-        return a == 0
-
-    def exact_div(self, a: int, b: int) -> int:
-        q, r = divmod(a, b)
-        if r:
-            raise ArithmeticError(f"inexact division {a} / {b}")
-        return q
-
-
-ZZ = IntRing()
 
 
 def det_in_ring(matrix: Sequence[Sequence[Any]], ring: Ring) -> Any:

@@ -1,113 +1,111 @@
-"""Polynomials and Laurent polynomials over exact coefficient rings.
+"""Integer polynomials and Laurent polynomials.
 
-Elements are tuples of coefficients in ascending degree with no trailing
-zeros (the zero polynomial is the empty tuple).  A :class:`PolynomialRing`
-wraps any base :class:`~graphtower.linalg.Ring`, so the same code serves
-Z[u], Z[ζ][u] and, via :class:`LaurentRing`, Z[γ, γ⁻¹].
+Elements are tuples of integer coefficients in ascending degree with no
+trailing zeros (the zero polynomial is the empty tuple).  Products and the
+γ = 1 + T substitution are single integer operations by Kronecker
+substitution; the schoolbook routines below serve the Z[u] and Z[γ, γ⁻¹]
+ring adapters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Sequence
 
-from .linalg import Ring, ZZ, _eval_poly, _unpack
+from .linalg import _eval_poly, _unpack
 
-Coeffs = tuple[Any, ...]
+Coeffs = tuple[int, ...]
 
 
-def _normalize(coeffs: Sequence[Any], base: Ring) -> Coeffs:
+def _normalize(coeffs: Sequence[int]) -> Coeffs:
     out = list(coeffs)
-    while out and base.is_zero(out[-1]):
+    while out and out[-1] == 0:
         out.pop()
     return tuple(out)
 
 
-def _add(a: Coeffs, b: Coeffs, base: Ring) -> Coeffs:
+def _add(a: Coeffs, b: Coeffs) -> Coeffs:
     n = max(len(a), len(b))
     out = []
     for i in range(n):
-        x = a[i] if i < len(a) else base.zero()
-        y = b[i] if i < len(b) else base.zero()
-        out.append(base.add(x, y))
-    return _normalize(out, base)
+        x = a[i] if i < len(a) else 0
+        y = b[i] if i < len(b) else 0
+        out.append(x + y)
+    return _normalize(out)
 
 
-def _sub(a: Coeffs, b: Coeffs, base: Ring) -> Coeffs:
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else base.zero()
-        y = b[i] if i < len(b) else base.zero()
-        out.append(base.sub(x, y))
-    return _normalize(out, base)
+def _sub(a: Coeffs, b: Coeffs) -> Coeffs:
+    return _add(a, tuple(-c for c in b))
 
 
-def _mul(a: Coeffs, b: Coeffs, base: Ring) -> Coeffs:
+def _mul(a: Coeffs, b: Coeffs) -> Coeffs:
     if not a or not b:
         return ()
-    out = [base.zero()] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        if base.is_zero(x):
+        if x == 0:
             continue
         for j, y in enumerate(b):
-            out[i + j] = base.add(out[i + j], base.mul(x, y))
-    return _normalize(out, base)
+            out[i + j] += x * y
+    return _normalize(out)
 
 
-def _exact_div(a: Coeffs, b: Coeffs, base: Ring) -> Coeffs:
-    """Long division a / b, which must be exact over the base ring."""
+def _exact_div(a: Coeffs, b: Coeffs) -> Coeffs:
+    """Long division a / b, which must be exact over Z."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     rem = list(a)
     if len(rem) < len(b):
-        if _normalize(rem, base):
+        if _normalize(rem):
             raise ArithmeticError("inexact polynomial division")
         return ()
-    q = [base.zero()] * (len(rem) - len(b) + 1)
+    q = [0] * (len(rem) - len(b) + 1)
     lead = b[-1]
     for shift in range(len(q) - 1, -1, -1):
         top = rem[shift + len(b) - 1]
-        if base.is_zero(top):
+        if top == 0:
             continue
-        factor = base.exact_div(top, lead)
+        factor, r = divmod(top, lead)
+        if r:
+            raise ArithmeticError(f"inexact division {top} / {lead}")
         q[shift] = factor
         for i, bc in enumerate(b):
-            rem[shift + i] = base.sub(rem[shift + i], base.mul(factor, bc))
-    if _normalize(rem, base):
+            rem[shift + i] -= factor * bc
+    if _normalize(rem):
         raise ArithmeticError("inexact polynomial division")
-    return _normalize(q, base)
+    return _normalize(q)
 
 
 class PolynomialRing:
-    """Ring adapter for polynomials (coefficient tuples) over a base ring."""
+    """Ring adapter over Z[u] for the generic determinant routine.
 
-    def __init__(self, base: Ring) -> None:
-        self.base = base
+    It and :class:`LaurentRing` are the reference rings of the tests'
+    Bareiss oracles, and perfbench/layertrace.py wraps both by name.
+    """
 
     def zero(self) -> Coeffs:
         return ()
 
     def one(self) -> Coeffs:
-        return (self.base.one(),)
+        return (1,)
 
     def add(self, a: Coeffs, b: Coeffs) -> Coeffs:
-        return _add(a, b, self.base)
+        return _add(a, b)
 
     def sub(self, a: Coeffs, b: Coeffs) -> Coeffs:
-        return _sub(a, b, self.base)
+        return _sub(a, b)
 
     def mul(self, a: Coeffs, b: Coeffs) -> Coeffs:
-        return _mul(a, b, self.base)
+        return _mul(a, b)
 
     def neg(self, a: Coeffs) -> Coeffs:
-        return tuple(self.base.neg(c) for c in a)
+        return tuple(-c for c in a)
 
     def is_zero(self, a: Coeffs) -> bool:
         return not a
 
     def exact_div(self, a: Coeffs, b: Coeffs) -> Coeffs:
-        return _exact_div(a, b, self.base)
+        return _exact_div(a, b)
 
 
 @dataclass(frozen=True)
@@ -118,7 +116,7 @@ class IntPolynomial:
 
     def __post_init__(self) -> None:
         if self.coeffs and self.coeffs[-1] == 0:
-            object.__setattr__(self, "coeffs", _normalize(self.coeffs, ZZ))
+            object.__setattr__(self, "coeffs", _normalize(self.coeffs))
 
     @staticmethod
     def of(*coeffs: int) -> "IntPolynomial":
@@ -135,13 +133,20 @@ class IntPolynomial:
         return self.coeffs[i] if i < len(self.coeffs) else 0
 
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return IntPolynomial(_add(self.coeffs, other.coeffs, ZZ))
+        return IntPolynomial(_add(self.coeffs, other.coeffs))
 
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return IntPolynomial(_sub(self.coeffs, other.coeffs, ZZ))
+        return IntPolynomial(_sub(self.coeffs, other.coeffs))
 
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return IntPolynomial(_mul(self.coeffs, other.coeffs, ZZ))
+        """One integer product by Kronecker substitution at u = 2^B: every
+        coefficient of the product is at most ‖a‖₁·‖b‖₁ in absolute value,
+        so it fits in a signed digit of B bits."""
+        a, b = self.coeffs, other.coeffs
+        bits = (sum(map(abs, a)) * sum(map(abs, b))).bit_length() + 1
+        u = 1 << bits
+        return IntPolynomial(_unpack(_eval_poly(a, u) * _eval_poly(b, u),
+                                     bits))
 
     def __neg__(self) -> "IntPolynomial":
         return IntPolynomial(tuple(-c for c in self.coeffs))
@@ -200,18 +205,9 @@ class LaurentRing:
         return LaurentElement(0, (1,))
 
     def add(self, a: LaurentElement, b: LaurentElement) -> LaurentElement:
-        if a.is_zero():
-            return b
-        if b.is_zero():
-            return a
         low = min(a.low, b.low)
-        high = max(a.high, b.high)
-        out = [0] * (high - low + 1)
-        for i, c in enumerate(a.coeffs):
-            out[a.low - low + i] += c
-        for i, c in enumerate(b.coeffs):
-            out[b.low - low + i] += c
-        return LaurentElement.make(low, out)
+        return LaurentElement.make(low, _add((0,) * (a.low - low) + a.coeffs,
+                                             (0,) * (b.low - low) + b.coeffs))
 
     def neg(self, a: LaurentElement) -> LaurentElement:
         return LaurentElement(a.low, tuple(-c for c in a.coeffs))
@@ -222,8 +218,7 @@ class LaurentRing:
     def mul(self, a: LaurentElement, b: LaurentElement) -> LaurentElement:
         if a.is_zero() or b.is_zero():
             return self.zero()
-        return LaurentElement.make(a.low + b.low,
-                                   _mul(a.coeffs, b.coeffs, ZZ))
+        return LaurentElement.make(a.low + b.low, _mul(a.coeffs, b.coeffs))
 
     def is_zero(self, a: LaurentElement) -> bool:
         return a.is_zero()
@@ -234,7 +229,7 @@ class LaurentRing:
         if a.is_zero():
             return self.zero()
         return LaurentElement.make(a.low - b.low,
-                                   _exact_div(a.coeffs, b.coeffs, ZZ))
+                                   _exact_div(a.coeffs, b.coeffs))
 
 
 LAURENT = LaurentRing()

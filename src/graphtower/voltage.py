@@ -72,9 +72,6 @@ class DerivedGraph:
     def spec(self) -> TowerGroupSpec:
         return self.alpha.spec
 
-    def project_vertex(self, vertex: tuple[Vertex, GroupElement]) -> Vertex:
-        return vertex[0]
-
     def project_edge(self, eid: tuple[EdgeId, GroupElement]) -> EdgeId:
         return eid[0]
 
@@ -83,21 +80,16 @@ class DerivedGraph:
         v, g = vertex
         return (v, self.spec.multiply(h, g))
 
-    def act_edge(self, h: GroupElement,
-                 eid: tuple[EdgeId, GroupElement]) -> tuple[EdgeId, GroupElement]:
-        e, g = eid
-        return (e, self.spec.multiply(h, g))
 
-
-def derive(alpha: VoltageAssignment, n: int,
-           max_vertices: int = _DERIVE_MAX_VERTICES) -> DerivedGraph:
+def derive(alpha: VoltageAssignment, n: int) -> DerivedGraph:
     """Materialize the derived graph X_n."""
     spec = alpha.spec
     base = alpha.base
-    order = spec.order(n)
-    if order * base.num_vertices > max_vertices:
+    if base.num_vertices and spec.order_exceeds(
+            n, _DERIVE_MAX_VERTICES // base.num_vertices):
         raise BoundExceededError(
-            f"derived graph would have {order * base.num_vertices} vertices")
+            f"derived graph would have {base.num_vertices}·"
+            f"{spec.p}^{n * spec.dimension} vertices")
     group = spec.enumerate_group(n)
     vertices = [(v, g) for v in base.vertices for g in group]
     edges = []
@@ -134,9 +126,8 @@ def voltage_adjacency(alpha: VoltageAssignment, n: int) -> GroupRingMatrix:
     return GroupRingMatrix(spec, n, tuple(map(tuple, a)))
 
 
-def voltage_laplacian(alpha: VoltageAssignment, n: int,
-                      transpose: bool = True) -> GroupRingMatrix:
-    """L = D − A_α^t (or D − A_α with transpose=False) over Z[G^(n)]."""
+def voltage_laplacian(alpha: VoltageAssignment, n: int) -> GroupRingMatrix:
+    """L = D − A_α^t over Z[G^(n)]."""
     spec = alpha.spec
     a_alpha = voltage_adjacency(alpha, n).entries
     m = len(a_alpha)
@@ -145,9 +136,8 @@ def voltage_laplacian(alpha: VoltageAssignment, n: int,
     for i in range(m):
         row = []
         for j in range(m):
-            a_ij = a_alpha[j][i] if transpose else a_alpha[i][j]
             d_ij = GroupRingElement.constant(spec, n, degrees[i][j])
-            row.append(d_ij - a_ij)
+            row.append(d_ij - a_alpha[j][i])
         entries.append(tuple(row))
     return GroupRingMatrix(spec, n, tuple(entries))
 

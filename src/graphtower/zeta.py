@@ -2,22 +2,24 @@
 
 ζ_X(u)⁻¹ is one integer determinant by Kronecker substitution.  The
 factorization check takes one more integer determinant per Galois orbit of
-characters, the norm of the orbit's L-function; the per-character
-L-functions that ``lfun`` prints use fraction-free elimination over Z[ζ][u].
-Every identity check below is an exact equality — never a float comparison.
+characters, the norm of the orbit's L-function.  The per-character
+L-functions that ``lfun`` prints are one Z[ζ] determinant each, by the same
+substitution.  Every identity check below is an exact equality — never a
+float comparison.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cyclotomic import (CyclotomicInteger, CyclotomicRing,
-                         euler_phi_prime_power, root_power_matrix)
+from .cyclotomic import (CyclotomicInteger, det_cyclotomic,
+                         det_cyclotomic_poly_matrix, euler_phi_prime_power,
+                         root_power_matrix)
 from .graphs import Multigraph, graph_matrices
 from .grouprings import Character, characters, galois_orbits, nrd_abelian
 from .groups import GroupElement
-from .linalg import det_in_ring, det_int_poly_matrix
-from .polynomials import IntPolynomial, PolynomialRing, _normalize
+from .linalg import det_int_poly_matrix
+from .polynomials import IntPolynomial
 from .voltage import DerivedGraph, VoltageAssignment, derive, voltage_laplacian
 
 
@@ -114,23 +116,19 @@ def artin_l_inverse(alpha: VoltageAssignment, n: int, chi: Character,
     """Exact det part of the Artin-Ihara L-function for a character."""
     a_chi, d_chi = character_twisted_matrices(alpha, n, chi, sigma_matrices)
     m = alpha.base.num_vertices
-    p, k = alpha.spec.p, n
-    base_ring = CyclotomicRing(p, k)
-    poly_ring = PolynomialRing(base_ring)
-    one = base_ring.one()
-    zero = base_ring.zero()
+    p = alpha.spec.p
+    one = CyclotomicInteger.from_int(p, n, 1)
+    zero = CyclotomicInteger.from_int(p, n, 0)
     entries = []
     for i in range(m):
         row = []
         for j in range(m):
             delta = one if i == j else zero
-            # I − A_χ u + (D_χ − I) u²
-            row.append(_normalize((delta, -a_chi[i][j], d_chi[i][j] - delta),
-                                  base_ring))
+            # I − A_χ u + (D_χ − I) u², as u-coefficient triples
+            row.append((delta, -a_chi[i][j], d_chi[i][j] - delta))
         entries.append(row)
-    det = det_in_ring(entries, poly_ring)
-    base_chi = graph_matrices(alpha.base).chi
-    return ArtinLData(chi, base_chi, tuple(det))
+    det = det_cyclotomic_poly_matrix(p, n, entries)
+    return ArtinLData(chi, graph_matrices(alpha.base).chi, det)
 
 
 def artin_l_norm(alpha: VoltageAssignment, n: int, chi: Character,
@@ -173,9 +171,8 @@ def h_at_one(alpha: VoltageAssignment, n: int, chi: Character,
     """h(χ, 1) = det(D_χ − A_χ), exact."""
     a_chi, d_chi = character_twisted_matrices(alpha, n, chi, sigma_matrices)
     m = alpha.base.num_vertices
-    ring = CyclotomicRing(alpha.spec.p, n)
     matrix = [[d_chi[i][j] - a_chi[i][j] for j in range(m)] for i in range(m)]
-    return det_in_ring(matrix, ring)
+    return det_cyclotomic(alpha.spec.p, n, matrix)
 
 
 @dataclass(frozen=True)
@@ -195,11 +192,12 @@ def interpolation_check(alpha: VoltageAssignment, n: int) -> InterpolationReport
     The transpose in D − A_α^t conjugates characters: the χ-component of the
     reduced norm equals h(χ̄, 1).
     """
-    laplacian = voltage_laplacian(alpha, n, transpose=True)
+    chars = characters(alpha.spec, n)  # the order bound, before level-n work
+    laplacian = voltage_laplacian(alpha, n)
     components = {chi: value for chi, value in nrd_abelian(laplacian)}
     sigma_matrices = a_sigma_matrices(derive(alpha, n))
     results = []
-    for chi in characters(alpha.spec, n):
+    for chi in chars:
         lhs = h_at_one(alpha, n, chi, sigma_matrices)
         rhs = components[chi.conjugate()]
         results.append((chi, lhs == rhs))

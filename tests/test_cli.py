@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import random
 import sys
@@ -333,6 +334,14 @@ def test_lfun_derives_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
 
 
+# subcommands that exit 3 past a level bound, at levels whose group order
+# p^n has more than 4300 digits (Python's int-to-str limit) or would take
+# minutes to build
+_LEVEL_BOUNDED = ("derive", "jacobian", "zeta", "lfun", "fitting",
+                  "check-interpolation", "check-factorization")
+_HUGE_LEVELS = (10 ** 4, 10 ** 9)
+
+
 @pytest.mark.parametrize("argv, voltage", [
     (["fitting", "--level", "8"], [[0, 1]]),
     (["check-interpolation", "--level", "7"], [[0, 1]]),
@@ -340,8 +349,12 @@ def test_lfun_derives_once(tmp_path, capsys, monkeypatch):
     (["check-factorization", "--level", "7"], [[0, 1]]),
     (["mhg-check"], [[0, 10000]]),
     (["mhg-check"], [[0, 10 ** 12]]),
+    *[([cmd, "--level", str(level)], [[0, 1]])
+      for cmd in _LEVEL_BOUNDED for level in _HUGE_LEVELS],
 ], ids=["fitting", "check-interpolation", "lfun", "check-factorization",
-        "mhg-check", "mhg-check-huge"])
+        "mhg-check", "mhg-check-huge",
+        *[f"{cmd}-level-{level}" for cmd in _LEVEL_BOUNDED
+          for level in _HUGE_LEVELS]])
 def test_bounds_stop_jobs_at_once(tmp_path, capsys, argv, voltage):
     path = write_config(tmp_path, dict(LOOP_CONFIG, voltage={"e": voltage}))
     started = time.monotonic()
@@ -356,3 +369,61 @@ def test_tower_checks_connectivity_once_per_level(tmp_path, capsys,
     path = write_config(tmp_path, LOOP_CONFIG)
     assert main(["tower", "--config", path, "--max-level", "3"]) == 0
     assert len(calls) == 3 + 2  # levels 0..3, and the base in the criterion
+
+
+@pytest.mark.parametrize("level", [3, *_HUGE_LEVELS])
+def test_metacyclic_fitting_past_the_regular_bound(tmp_path, capsys, level):
+    """Level 3 is the first past the size-300 regular representation."""
+    path = write_config(tmp_path, MU2_CONFIG)
+    started = time.monotonic()
+    assert main(["fitting", "--config", path, "--level", str(level)]) == 0
+    assert time.monotonic() - started < 1
+    assert json.loads(capsys.readouterr().out)["regular_det"] is None
+
+
+def test_huge_p_exits_3_before_the_primality_check(tmp_path, capsys):
+    data = dict(LOOP_CONFIG,
+                group={"kind": "abelian", "p": 100000000000000003, "rank": 1})
+    started = time.monotonic()
+    assert main(["jacobian", "--config", write_config(tmp_path, data),
+                 "--level", "0"]) == 3
+    assert time.monotonic() - started < 1
+    assert "2^40" in capsys.readouterr().err
+
+
+def _lfun_pin_config(seed):
+    """A seeded abelian config of 2-4 base vertices, with parallel edges and
+    loops, and the level to run lfun at."""
+    rng = random.Random(seed)
+    p, rank, level = [(2, 2, 2), (3, 1, 2), (3, 2, 1), (5, 1, 2),
+                      (7, 1, 1)][seed % 5]
+    nv = rng.randint(2, 4)
+    ends = [[i, rng.randrange(i)] for i in range(1, nv)]
+    ends += [[rng.randrange(nv), rng.randrange(nv)]
+             for _ in range(rng.randint(2, 6))]
+    mod = p ** level
+    return {"graph": {"vertices": list(range(nv)),
+                      "edges": [{"id": f"e{i}", "ends": e}
+                                for i, e in enumerate(ends)]},
+            "group": {"kind": "abelian", "p": p, "rank": rank},
+            "voltage": {f"e{i}": [[g, rng.randrange(mod)] for g in range(rank)]
+                        for i in range(len(ends))}}, level
+
+
+# SHA-256 of the lfun stdout, recorded with Bareiss over Z[ζ][u]
+_LFUN_SHA256 = {
+    1: "658a4e95d21bc524898961404666baf14961dcbff4e87b30f0c175a12656c097",
+    2: "5ae1cf50e5208187de9e730224a844816735d605f83adb31281d4fad649aec60",
+    3: "e27ad8f050b13986d0840930f720e0aabf8e028a5bc282f86247630b97f05a5e",
+    4: "939209b7f6f258068e12136fc0521a219087c921775416ef11e2baf1612a0a04",
+    5: "fa228a9163f6314681e7e37c85354d114db9fb7a651b9b530cec8d63f70fbcc0",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_LFUN_SHA256))
+def test_lfun_output_is_pinned(tmp_path, capsys, seed):
+    data, level = _lfun_pin_config(seed)
+    path = write_config(tmp_path, data)
+    assert main(["lfun", "--config", path, "--level", str(level)]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == _LFUN_SHA256[seed]

@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from graphtower.linalg import ZZ
 from graphtower.polynomials import (IntPolynomial, LAURENT, LaurentElement,
-                                    PolynomialRing, laurent_substitute_gamma)
+                                    PolynomialRing, _mul,
+                                    laurent_substitute_gamma)
 
 
 def test_int_polynomial_basics():
@@ -18,9 +18,26 @@ def test_int_polynomial_basics():
     assert (f - f).is_zero()
 
 
+def test_int_polynomial_product_matches_schoolbook():
+    rng = random.Random(92)
+    for case in range(100):
+        size = 10 ** rng.randint(0, 30)
+        a, b = (tuple(rng.randint(-size, size)
+                      for _ in range(rng.randint(0, 8)))
+                for _ in range(2))
+        if case % 10 == 0:
+            a = ()  # the zero polynomial, on either side
+        if case % 10 == 1:
+            a, b = b, ()
+        if case % 10 == 2:  # every coefficient at the −‖·‖ extreme
+            a, b = (-size,) * len(a), (-size,) * len(b)
+        a, b = IntPolynomial(a), IntPolynomial(b)
+        assert (a * b).coeffs == _mul(a.coeffs, b.coeffs)
+
+
 def test_polynomial_ring_exact_division():
     rng = random.Random(91)
-    ring = PolynomialRing(ZZ)
+    ring = PolynomialRing()
     for _ in range(30):
         a = tuple(rng.randint(-5, 5) for _ in range(rng.randint(1, 4)))
         b = tuple(rng.randint(-5, 5) for _ in range(rng.randint(1, 4)))
@@ -40,7 +57,7 @@ def _trim(coeffs):
 
 
 def test_inexact_division_raises():
-    ring = PolynomialRing(ZZ)
+    ring = PolynomialRing()
     with pytest.raises(ArithmeticError):
         ring.exact_div((1, 1), (2,))
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import graphtower.zeta
@@ -5,12 +6,11 @@ from graphtower import (Character, Multigraph, TowerGroupSpec,
                         VoltageAssignment, artin_l_inverse, derive,
                         factorization_check, h_at_one, ihara_zeta_inverse,
                         interpolation_check, voltage_adjacency)
-from graphtower.cyclotomic import (CyclotomicInteger, CyclotomicRing,
-                                   euler_phi_prime_power)
+from graphtower.cyclotomic import CyclotomicInteger, euler_phi_prime_power
 from graphtower.grouprings import (character_evaluate, characters,
                                    galois_orbits)
 from graphtower.graphs import graph_matrices
-from graphtower.linalg import ZZ, det_in_ring
+from graphtower.linalg import det_in_ring
 from graphtower.polynomials import PolynomialRing, _normalize
 from graphtower.zeta import a_sigma_matrices, artin_l_norm
 
@@ -51,7 +51,7 @@ def test_zeta_constant_term_is_one():
 
 def test_zeta_matches_bareiss_on_small_graphs():
     rng = random.Random(76)
-    ring = PolynomialRing(ZZ)
+    ring = PolynomialRing()
     for _ in range(40):
         graph = random_connected_multigraph(rng, max_vertices=7,
                                             max_extra_edges=8)
@@ -61,7 +61,7 @@ def test_zeta_matches_bareiss_on_small_graphs():
         mats = graph_matrices(graph)
         n = graph.num_vertices
         entries = [[_normalize((int(i == j), -mats.A[i][j],
-                                mats.D[i][j] - int(i == j)), ZZ)
+                                mats.D[i][j] - int(i == j)))
                     for j in range(n)] for i in range(n)]
         assert (ihara_zeta_inverse(graph).det_part.coeffs ==
                 tuple(det_in_ring(entries, ring)))
@@ -151,6 +151,74 @@ def test_factorization_trivial_group_tautology():
     assert factorization_check(alpha, 0).passed
 
 
+def _poly_product(p, k, factors):
+    """Schoolbook product of polynomials over Z[ζ_{p^k}], each a tuple of
+    u-coefficients."""
+    zero = CyclotomicInteger.from_int(p, k, 0)
+    product = (CyclotomicInteger.from_int(p, k, 1),)
+    for factor in factors:
+        out = [zero] * (len(product) + len(factor) - 1)
+        for i, x in enumerate(product):
+            for j, y in enumerate(factor):
+                out[i + j] = out[i + j] + x * y
+        product = tuple(out)
+    return product
+
+
+def _leibniz_det(p, k, matrix):
+    """Determinant over Z[ζ_{p^k}][u] by the Leibniz expansion, trimmed."""
+    m = len(matrix)
+    total = [CyclotomicInteger.from_int(p, k, 0)] * (2 * m + 1)
+    for perm in itertools.permutations(range(m)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(m) for j in range(i + 1, m))
+        term = _poly_product(p, k, [matrix[i][perm[i]] for i in range(m)])
+        for d, c in enumerate(term):
+            total[d] = total[d] + c.scale((-1) ** inversions)
+    while total and total[-1].is_zero():
+        total.pop()
+    return tuple(total)
+
+
+def _dense_parallel_instance(rng):
+    """2-4 vertices joined by many parallel edges and loops, so the row
+    norms, and the packing width B, are large."""
+    p, level = rng.choice([(2, 3), (3, 2), (5, 1), (7, 1)])
+    spec = TowerGroupSpec("abelian", p, rank=1)
+    nv = rng.randint(2, 4)
+    edges = [(v, v - 1) for v in range(1, nv)]
+    edges += [(rng.randrange(nv), rng.randrange(nv))
+              for _ in range(rng.randint(6, 12))]
+    graph = Multigraph.build(range(nv), list(enumerate(edges)))
+    voltages = {eid: [[0, rng.randrange(p ** level)]]
+                for eid, _ in graph.edges}
+    return VoltageAssignment.build(graph, spec, voltages), level
+
+
+def test_artin_l_inverse_matches_leibniz_expansion():
+    rng = random.Random(75)
+    instances = [random_abelian_instance(rng, max_vertices=4)
+                 for _ in range(20)]
+    instances += [_dense_parallel_instance(rng) for _ in range(10)]
+    for alpha, level in instances:
+        p, m = alpha.spec.p, alpha.base.num_vertices
+
+        def const(c):
+            return CyclotomicInteger.from_int(p, level, c)
+
+        adjacency = voltage_adjacency(alpha, level).entries
+        degrees = graph_matrices(alpha.base).D
+        sigma_matrices = a_sigma_matrices(derive(alpha, level))
+        for chi in characters(alpha.spec, level):
+            # I − A_χ u + (D − I)u², with A_χ = χ(A_α)
+            matrix = [[(const(int(i == j)),
+                        -character_evaluate(chi, adjacency[i][j]),
+                        const(degrees[i][j] - int(i == j)))
+                       for j in range(m)] for i in range(m)]
+            data = artin_l_inverse(alpha, level, chi, sigma_matrices)
+            assert data.det_part == _leibniz_det(p, level, matrix)
+
+
 # (p, rank, level) with |G^(level)| ≤ 64, for the orbit-norm oracle
 _ORBIT_SHAPES = [
     (2, 1, 1), (2, 1, 2), (2, 1, 3), (2, 2, 1), (2, 2, 2), (2, 3, 1),
@@ -182,17 +250,15 @@ def test_artin_l_norm_is_the_orbit_product_of_l_functions():
         alpha, level = _random_orbit_instance(rng)
         p, mod = alpha.spec.p, alpha.spec.p ** level
         sigma_matrices = a_sigma_matrices(derive(alpha, level))
-        ring = PolynomialRing(CyclotomicRing(p, level))
         for chi, size in galois_orbits(alpha.spec, level):
             orbit = {tuple(a * e % mod for e in chi.exponents)
                      for a in range(1, mod) if a % p}
             assert len(orbit) == size
-            product = ring.one()
-            for exponents in sorted(orbit):
-                data = artin_l_inverse(
-                    alpha, level, Character(alpha.spec, level, exponents),
-                    sigma_matrices)
-                product = ring.mul(product, data.det_part)
+            product = _poly_product(p, level, [
+                artin_l_inverse(alpha, level,
+                                Character(alpha.spec, level, exponents),
+                                sigma_matrices).det_part
+                for exponents in sorted(orbit)])
             norm = artin_l_norm(alpha, level, chi, sigma_matrices)
             assert product == tuple(CyclotomicInteger.from_int(p, level, c)
                                     for c in norm.coeffs)
@@ -204,12 +270,12 @@ def test_every_character_l_function_multiplies_to_cover_zeta():
         alpha, level = random_abelian_instance(rng, max_vertices=3)
         cover = derive(alpha, level)
         sigma_matrices = a_sigma_matrices(cover)
-        ring = PolynomialRing(CyclotomicRing(alpha.spec.p, level))
-        product, exponent = ring.one(), 0
+        factors, exponent = [], 0
         for chi in characters(alpha.spec, level):
             data = artin_l_inverse(alpha, level, chi, sigma_matrices)
-            product = ring.mul(product, data.det_part)
+            factors.append(data.det_part)
             exponent += data.chi
+        product = _poly_product(alpha.spec.p, level, factors)
         zeta = ihara_zeta_inverse(cover.graph)
         assert [c.as_int() for c in product] == list(zeta.det_part.coeffs)
         assert exponent == zeta.chi
