@@ -6,11 +6,19 @@ matrices reach it by Kronecker substitution, which packs each one into a
 single `det_int` call.  `det_in_ring` takes the ring through a tiny
 protocol: in the package it runs only over Z[ζ], inside
 `cyclotomic.det_cyclotomic`, and the tests use it over reference rings.
+
+Smith normal form runs in three phases.  Sparse elimination removes the ±1
+pivots, chosen by Markowitz cost; on a graph Laplacian that leaves a core of
+a few rows.  A min-pivot loop diagonalizes the core, modulo D = |det core|
+when that is nonzero (Domich, Kannan & Trotter 1987), so its entries stay
+below D.  The diagonal is then normalized by gcd with D and pairwise
+gcd/lcm into a divisibility chain.
 """
 
 from __future__ import annotations
 
-from math import isqrt
+from heapq import heappop, heappush
+from math import gcd, isqrt
 from typing import Any, Protocol, Sequence
 
 
@@ -158,81 +166,142 @@ def _unpack(value: int, bits: int) -> tuple[int, ...]:
 def smith_invariant_factors(matrix: Sequence[Sequence[int]]) -> list[int]:
     """Invariant factors d_1 | d_2 | ... of an integer matrix.
 
-    Deterministic pivoting: smallest nonzero absolute value, row-major ties.
-    The returned list has length min(rows, cols); trailing zeros mark rank
-    deficiency.
+    Three phases: the unit pivots are eliminated sparsely
+    (`_eliminate_unit_pivots`), the small core left over is diagonalized
+    modulo its determinant (`_diagonalize_core`), and the diagonal is
+    normalized into a divisibility chain.  The returned list has length
+    min(rows, cols); trailing zeros mark rank deficiency.
     """
-    m = [list(row) for row in matrix]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    size = min(rows, cols)
-    diag: list[int] = []
-    t = 0
-    while t < size:
-        # locate the smallest nonzero entry of the trailing block
-        pivot = None
-        best = None
-        for i in range(t, rows):
-            row = m[i]
-            for j in range(t, cols):
-                v = row[j]
-                if v != 0 and (best is None or abs(v) < best):
-                    best = abs(v)
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        if pi != t:
-            m[t], m[pi] = m[pi], m[t]
-        if pj != t:
-            for row in m:
-                row[t], row[pj] = row[pj], row[t]
-        while True:
-            p = m[t][t]
-            done = True
-            for i in range(t + 1, rows):
-                if m[i][t]:
-                    q = m[i][t] // p
-                    if q:
-                        row_i, row_t = m[i], m[t]
-                        for j in range(t, cols):
-                            row_i[j] -= q * row_t[j]
-                    if m[i][t]:
-                        m[t], m[i] = m[i], m[t]
-                        done = False
-                        break
-            if not done:
-                continue
-            for j in range(t + 1, cols):
-                if m[t][j]:
-                    q = m[t][j] // p
-                    if q:
-                        for row in m:
-                            row[j] -= q * row[t]
-                    if m[t][j]:
-                        for row in m:
-                            row[t], row[j] = row[j], row[t]
-                        done = False
-                        break
-            if done:
-                break
-        # enforce divisibility of the trailing block by the pivot
-        p = m[t][t]
-        offender = None
-        for i in range(t + 1, rows):
-            row = m[i]
-            for j in range(t + 1, cols):
-                if row[j] % p:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            row_o, row_t = m[offender], m[t]
-            for j in range(t, cols):
-                row_t[j] += row_o[j]
+    units, core = _eliminate_unit_pivots(matrix)
+    diag, modulus = _diagonalize_core(core)
+    # D·Z^r lies in the lattice, so d_t counts only up to gcd(d_t, D);
+    # math.gcd(d, 0) = |d| covers the exact case
+    chain = [g for g in (gcd(d, modulus) for d in diag) if g != 1]
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            a, b = chain[i], chain[j]
+            g = gcd(a, b)
+            chain[i], chain[j] = g, (a // g * b if g else 0)
+    return [1] * (units + len(diag) - len(chain)) + chain
+
+
+def _eliminate_unit_pivots(
+        matrix: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
+    """Sparse elimination of ±1 pivots: each is a unimodular step that
+    contributes one invariant factor 1.  Returns the number of pivots and
+    the dense core of the rows and columns left over.
+
+    Rows are {column: value} dicts, with the set of rows of each column.
+    The next pivot is a ±1 entry of least Markowitz cost
+    (row count − 1)·(column count − 1), popped from a heap; a cost that has
+    gone stale is refreshed when popped, so no step rescans the matrix.
+    """
+    rows: list[dict[int, int] | None] = [
+        {j: v for j, v in enumerate(row) if v} for row in matrix]
+    col_rows: list[set[int] | None] = [
+        set() for _ in (matrix[0] if len(matrix) else ())]
+    for i, row in enumerate(rows):
+        for j in row:
+            col_rows[j].add(i)
+    heap: list[tuple[int, int, int]] = []
+
+    def push_units(i: int) -> None:
+        row = rows[i]
+        for j, v in row.items():
+            if v == 1 or v == -1:
+                heappush(heap, ((len(row) - 1) * (len(col_rows[j]) - 1), i, j))
+
+    for i in range(len(rows)):
+        push_units(i)
+    units = 0
+    while heap:
+        cost, r, c = heappop(heap)
+        pivot_row = rows[r]
+        if pivot_row is None or pivot_row.get(c) not in (1, -1):
             continue
-        diag.append(abs(p))
-        t += 1
-    diag.extend([0] * (size - len(diag)))
-    return diag
+        others = col_rows[c]
+        actual = (len(pivot_row) - 1) * (len(others) - 1)
+        if actual > cost:
+            heappush(heap, (actual, r, c))
+            continue
+        pivot = pivot_row.pop(c)
+        others.discard(r)
+        for i in others:
+            row_i = rows[i]
+            f = row_i.pop(c) * pivot
+            for j, v in pivot_row.items():
+                new = row_i.get(j, 0) - f * v
+                if new:
+                    if j not in row_i:
+                        col_rows[j].add(i)
+                    row_i[j] = new
+                else:
+                    del row_i[j]
+                    col_rows[j].discard(i)
+        for j in pivot_row:
+            col_rows[j].discard(r)
+        rows[r] = col_rows[c] = None
+        units += 1
+        for i in others:
+            push_units(i)
+    core_cols = [j for j, s in enumerate(col_rows) if s is not None]
+    return units, [[row.get(j, 0) for j in core_cols]
+                   for row in rows if row is not None]
+
+
+def _diagonalize_core(core: list[list[int]]) -> tuple[list[int], int]:
+    """Diagonal entries equivalent to the core, and the modulus D that they
+    are read against: min(rows, cols) entries, 0 where the trailing block
+    ran out.
+
+    If the core is square with D = |det| ≠ 0, then D·Z^r lies in its column
+    lattice (D·I = ±core·adj(core)), so every entry is held as a symmetric
+    residue mod D.  Otherwise D = 0 and the arithmetic is exact.  A
+    min-pivot loop of row and column operations diagonalizes.
+    """
+    rows = len(core)
+    cols = len(core[0]) if rows else 0
+    modulus = abs(det_int(core)) if rows == cols > 0 else 0
+    half = modulus >> 1
+
+    def residues(values: list[int]) -> list[int]:
+        return [(v + half) % modulus - half for v in values] if modulus \
+            else values
+
+    m = [residues(row) for row in core]
+    diag: list[int] = []
+    for t in range(min(rows, cols)):
+        block = [(abs(v), i, j) for i in range(t, rows)
+                 for j, v in enumerate(m[i][t:], t) if v]
+        if not block:
+            break
+        _, i, j = min(block)
+        m[t], m[i] = m[i], m[t]
+        for row in m[t:]:
+            row[t], row[j] = row[j], row[t]
+        while True:
+            row_t = m[t]
+            p = row_t[t]
+            # nearest-integer quotients leave remainders of at most |p|/2
+            for i in range(t + 1, rows):
+                q = (2 * m[i][t] + p) // (2 * p)
+                if q:
+                    m[i][t:] = residues([a - q * b for a, b in
+                                         zip(m[i][t:], row_t[t:])])
+            below = [(abs(m[i][t]), i) for i in range(t + 1, rows) if m[i][t]]
+            if below:
+                i = min(below)[1]
+                m[t], m[i] = m[i], m[t]
+                continue
+            # column t is clear below the pivot, so a column operation
+            # changes row t alone
+            for j in range(t + 1, cols):
+                row_t[j] -= (2 * row_t[j] + p) // (2 * p) * p
+            right = [(abs(row_t[j]), j) for j in range(t + 1, cols) if row_t[j]]
+            if not right:
+                break
+            j = min(right)[1]
+            for row in m[t:]:
+                row[t], row[j] = row[j], row[t]
+        diag.append(p)
+    return diag + [0] * (min(rows, cols) - len(diag)), modulus

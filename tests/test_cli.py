@@ -4,6 +4,7 @@ import json
 import random
 import sys
 import time
+from math import prod
 
 import pytest
 
@@ -11,6 +12,8 @@ import graphtower
 from graphtower.cli import _HANDLERS, main, parse_config
 from graphtower.cyclotomic import CyclotomicInteger
 from graphtower.errors import ConfigError
+from graphtower.graphs import spanning_tree_count
+from graphtower.voltage import derive
 
 LOOP_CONFIG = {
     "graph": {"vertices": ["v"], "edges": [{"id": "e", "ends": ["v", "v"]}]},
@@ -220,8 +223,8 @@ def _json_paths(node, path=()):
 def test_mutation_fuzz_never_raises(tmp_path, capsys):
     """Replace or delete one JSON node per case; main must exit 0-3."""
     rng = random.Random(20240611)
-    # metacyclic p = 3 stays at max-level 1: its level-2 Jacobian costs minutes
-    bases = [(LOOP_CONFIG, "2"), (MU2_CONFIG, "1")]
+    # at max-level 2, tower jobs on MU2_CONFIG reach its 162-vertex cover
+    bases = [(LOOP_CONFIG, "2"), (MU2_CONFIG, "2")]
     subcommands = sorted(_HANDLERS)
     path = tmp_path / "job.json"
     for case in range(300):
@@ -245,6 +248,45 @@ def test_mutation_fuzz_never_raises(tmp_path, capsys):
         code = main(argv)
         assert code in (0, 1, 2, 3), (argv, data)
     capsys.readouterr()
+
+
+# -- no Smith normal form cliff on large covers
+
+# A seeded 128-vertex Z/32 cover (p = 2, level 5) over a 4-vertex base.  The
+# dense divisibility-enforcing elimination (now `dense_smith_reference` in
+# test_smith.py) did not finish its Jacobian in 15 minutes.
+CLIFF_128_CONFIG = {
+    "graph": {"vertices": [0, 1, 2, 3],
+              "edges": [{"id": "e1", "ends": [1, 0]}, {"id": "e2", "ends": [2, 0]},
+                        {"id": "e3", "ends": [3, 2]}, {"id": "x0", "ends": [0, 3]},
+                        {"id": "x1", "ends": [2, 3]}, {"id": "x2", "ends": [0, 2]}]},
+    "group": {"kind": "abelian", "p": 2, "rank": 1},
+    "voltage": {"e1": [[0, 13]], "e2": [], "e3": [[0, 4]], "x0": [[0, 19]],
+                "x1": [[0, 26]], "x2": [[0, 8]]},
+}
+
+
+def test_mu2_tower_at_level_2_has_no_cliff(tmp_path, capsys):
+    path = write_config(tmp_path, MU2_CONFIG)
+    start = time.perf_counter()
+    assert main(["tower", "--config", path, "--max-level", "2"]) == 0
+    assert time.perf_counter() - start < 10
+    report = json.loads(capsys.readouterr().out)
+    cover = derive(parse_config(path).alpha, 2).graph
+    assert cover.num_vertices == 162
+    assert prod(report["jacobians"][2]) == spanning_tree_count(cover)
+
+
+def test_jacobian_of_a_128_vertex_cover_has_no_cliff(tmp_path, capsys):
+    path = write_config(tmp_path, CLIFF_128_CONFIG)
+    start = time.perf_counter()
+    assert main(["jacobian", "--config", path, "--level", "5"]) == 0
+    assert time.perf_counter() - start < 2
+    report = json.loads(capsys.readouterr().out)
+    cover = derive(parse_config(path).alpha, 5).graph
+    assert cover.num_vertices == 128
+    assert report["order"] == spanning_tree_count(cover)
+    assert prod(report["jacobian"]["torsion"]) == report["order"]
 
 
 # -- preconditions and internal errors
