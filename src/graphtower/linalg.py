@@ -8,11 +8,10 @@ protocol: in the package it runs only over Z[ζ], inside
 `cyclotomic.det_cyclotomic`, and the tests use it over reference rings.
 
 Smith normal form runs in three phases.  Sparse elimination removes the ±1
-pivots, chosen by Markowitz cost; on a graph Laplacian that leaves a core of
-a few rows.  A min-pivot loop diagonalizes the core, modulo D = |det core|
-when that is nonzero (Domich, Kannan & Trotter 1987), so its entries stay
-below D.  The diagonal is then normalized by gcd with D and pairwise
-gcd/lcm into a divisibility chain.
+pivots, in approximate Markowitz order; on a graph Laplacian that leaves a
+core of a few rows.  A min-pivot loop diagonalizes the core in exact
+arithmetic.  The diagonal is then normalized by pairwise gcd/lcm into a
+divisibility chain.
 """
 
 from __future__ import annotations
@@ -168,15 +167,13 @@ def smith_invariant_factors(matrix: Sequence[Sequence[int]]) -> list[int]:
 
     Three phases: the unit pivots are eliminated sparsely
     (`_eliminate_unit_pivots`), the small core left over is diagonalized
-    modulo its determinant (`_diagonalize_core`), and the diagonal is
-    normalized into a divisibility chain.  The returned list has length
+    (`_diagonalize_core`), and the diagonal is normalized into a
+    divisibility chain.  The returned list has length
     min(rows, cols); trailing zeros mark rank deficiency.
     """
     units, core = _eliminate_unit_pivots(matrix)
-    diag, modulus = _diagonalize_core(core)
-    # D·Z^r lies in the lattice, so d_t counts only up to gcd(d_t, D);
-    # math.gcd(d, 0) = |d| covers the exact case
-    chain = [g for g in (gcd(d, modulus) for d in diag) if g != 1]
+    diag = _diagonalize_core(core)
+    chain = [d for d in map(abs, diag) if d != 1]
     for i in range(len(chain)):
         for j in range(i + 1, len(chain)):
             a, b = chain[i], chain[j]
@@ -192,9 +189,12 @@ def _eliminate_unit_pivots(
     the dense core of the rows and columns left over.
 
     Rows are {column: value} dicts, with the set of rows of each column.
-    The next pivot is a ±1 entry of least Markowitz cost
-    (row count − 1)·(column count − 1), popped from a heap; a cost that has
-    gone stale is refreshed when popped, so no step rescans the matrix.
+    The next pivot is a ±1 entry popped from a heap keyed by Markowitz cost
+    (row count − 1)·(column count − 1), so no step rescans the matrix.  The
+    order is approximate: the updated rows are pushed again, and a key that
+    has risen is refreshed when popped, but an entry whose column count
+    fell keeps its old, higher key.  Pushing those too made the elimination
+    slower and left cores of about the same size.
     """
     rows: list[dict[int, int] | None] = [
         {j: v for j, v in enumerate(row) if v} for row in matrix]
@@ -249,26 +249,16 @@ def _eliminate_unit_pivots(
                    for row in rows if row is not None]
 
 
-def _diagonalize_core(core: list[list[int]]) -> tuple[list[int], int]:
-    """Diagonal entries equivalent to the core, and the modulus D that they
-    are read against: min(rows, cols) entries, 0 where the trailing block
-    ran out.
+def _diagonalize_core(m: list[list[int]]) -> list[int]:
+    """Diagonal entries equivalent to the core, which is overwritten:
+    min(rows, cols) entries, 0 where the trailing block ran out.
 
-    If the core is square with D = |det| ≠ 0, then D·Z^r lies in its column
-    lattice (D·I = ±core·adj(core)), so every entry is held as a symmetric
-    residue mod D.  Otherwise D = 0 and the arithmetic is exact.  A
-    min-pivot loop of row and column operations diagonalizes.
+    A min-pivot loop of exact row and column operations diagonalizes.  It
+    makes no divisibility test; the gcd/lcm pass in the caller turns the
+    diagonal into the chain.
     """
-    rows = len(core)
-    cols = len(core[0]) if rows else 0
-    modulus = abs(det_int(core)) if rows == cols > 0 else 0
-    half = modulus >> 1
-
-    def residues(values: list[int]) -> list[int]:
-        return [(v + half) % modulus - half for v in values] if modulus \
-            else values
-
-    m = [residues(row) for row in core]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
     diag: list[int] = []
     for t in range(min(rows, cols)):
         block = [(abs(v), i, j) for i in range(t, rows)
@@ -286,8 +276,8 @@ def _diagonalize_core(core: list[list[int]]) -> tuple[list[int], int]:
             for i in range(t + 1, rows):
                 q = (2 * m[i][t] + p) // (2 * p)
                 if q:
-                    m[i][t:] = residues([a - q * b for a, b in
-                                         zip(m[i][t:], row_t[t:])])
+                    m[i][t:] = [a - q * b for a, b in
+                                zip(m[i][t:], row_t[t:])]
             below = [(abs(m[i][t]), i) for i in range(t + 1, rows) if m[i][t]]
             if below:
                 i = min(below)[1]
@@ -304,4 +294,4 @@ def _diagonalize_core(core: list[list[int]]) -> tuple[list[int], int]:
             for row in m[t:]:
                 row[t], row[j] = row[j], row[t]
         diag.append(p)
-    return diag + [0] * (min(rows, cols) - len(diag)), modulus
+    return diag + [0] * (min(rows, cols) - len(diag))

@@ -170,7 +170,7 @@ def test_snf_edge_shapes():
     assert smith_invariant_factors([[-5]]) == [5]
     assert smith_invariant_factors([[4, 0], [0, 6]]) == [2, 12]
     assert smith_invariant_factors([[2, 0, 0], [0, 0, 0]]) == [2, 0]
-    # a unit pivot with a core left over, exact and modulo D
+    # a unit pivot with a core left over, singular and regular
     assert smith_invariant_factors([[1, 2, 0], [3, 4, 0], [0, 0, 0]]) == [1, 2, 0]
     assert smith_invariant_factors([[1, 2], [3, 4]]) == [1, 2]
     assert smith_invariant_factors([[6, 4], [4, 6]]) == [2, 10]
