@@ -3,9 +3,14 @@
 Determinants use the Bareiss algorithm, whose divisions are exact over any
 integral domain.  `det_int` is the integer kernel; integer polynomial
 matrices reach it by Kronecker substitution, which packs each one into a
-single `det_int` call.  `det_in_ring` takes the ring through a tiny
-protocol: in the package it runs only over Z[ζ], inside
-`cyclotomic.det_cyclotomic`, and the tests use it over reference rings.
+single `det_int` call.  On the sparse matrices that packing yields, most
+rows have a zero head at most steps, and there a Bareiss step only scales
+the row by the ratio of two consecutive pivots.  `det_int` defers that
+scaling and applies the telescoped ratio once, when the row is next used;
+the division is exact because the scaled entry is a minor of the input.
+`det_in_ring` takes the ring through a tiny protocol: in the package it
+runs only over Z[ζ], inside `cyclotomic.det_cyclotomic`, and the tests use
+it over reference rings.
 
 Smith normal form runs in three phases.  Sparse elimination removes the ±1
 pivots, in approximate Markowitz order; on a graph Laplacian that leaves a
@@ -66,41 +71,67 @@ def det_in_ring(matrix: Sequence[Sequence[Any]], ring: Ring) -> Any:
 
 
 def det_int(matrix: Sequence[Sequence[int]]) -> int:
-    """Bareiss determinant specialised to plain integers (hot path)."""
+    """Bareiss determinant specialised to plain integers (hot path).
+
+    Step s sets each row below the pivot row to
+    (pivot_s·row − head·pivot_row) / pivot_{s−1}.  A row whose head is 0 is
+    only scaled by pivot_s / pivot_{s−1}, and over consecutive such steps
+    t..k−1 the factors telescope to pivot_{k−1} / pivot_{t−1}.  So such a
+    row is skipped, and it is brought up to date once, by that ratio, when
+    its head turns nonzero, when it becomes the pivot row, or at the end.
+    The division is exact: the result is the entry eager Bareiss would
+    hold, a minor of the input.  Scaling keeps zeros zero, so the pivot
+    search reads the stored entries and takes the nonzero one of least
+    absolute value, which keeps the intermediate entries small.
+    """
     n = len(matrix)
     if n == 0:
         return 1
     m = [list(row) for row in matrix]
+    # row i holds its entries after steps 0..seen[i]−1; pivots[s] is the
+    # pivot of step s − 1, and pivots[0] = 1
+    seen = [0] * n
+    pivots = [1]
     sign = 1
-    prev = 1
     for k in range(n - 1):
-        # smallest nonzero pivot keeps intermediate entries small
         pivot_row = None
         best = None
         for r in range(k, n):
             v = m[r][k]
-            if v != 0 and (best is None or abs(v) < best):
+            if v and (best is None or abs(v) < best):
                 best = abs(v)
                 pivot_row = r
         if pivot_row is None:
             return 0
         if pivot_row != k:
             m[k], m[pivot_row] = m[pivot_row], m[k]
+            seen[k], seen[pivot_row] = seen[pivot_row], seen[k]
             sign = -sign
-        pivot = m[k][k]
         row_k = m[k]
+        _catch_up(row_k, k, pivots, seen[k])
+        pivot = row_k[k]
+        prev = pivots[k]
         for i in range(k + 1, n):
             row_i = m[i]
-            head = row_i[k]
-            if head == 0:
-                for j in range(k + 1, n):
-                    row_i[j] = pivot * row_i[j] // prev
-            else:
+            if row_i[k]:
+                _catch_up(row_i, k, pivots, seen[i])
+                head = row_i[k]
                 for j in range(k + 1, n):
                     row_i[j] = (pivot * row_i[j] - head * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return sign * m[n - 1][n - 1]
+                seen[i] = k + 1
+        pivots.append(pivot)
+    last = m[n - 1]
+    _catch_up(last, n - 1, pivots, seen[n - 1])
+    return sign * last[n - 1]
+
+
+def _catch_up(row: list[int], k: int, pivots: list[int], seen: int) -> None:
+    """Apply the zero-head steps seen..k−1 to the entries row[k:]."""
+    if seen != k:
+        num, den = pivots[k], pivots[seen]
+        for j in range(k, len(row)):
+            if row[j]:
+                row[j] = row[j] * num // den
 
 
 def det_int_poly_matrix(
@@ -111,32 +142,43 @@ def det_int_poly_matrix(
     determinant is taken, and its signed base-2^B digits are the
     coefficients.  Returns ascending coefficients with no trailing zeros.
     """
+    # one pass over the n² entries; the bound, the order and the packing
+    # read only the nonzero ones
+    nonzero = [[(j, entry) for j, entry in enumerate(row) if any(entry)]
+               for row in matrix]
     # Goldstein-Graham: for every θ, |det A(e^{iθ})| ≤ ∏_i ‖row_i‖₂ ≤ √S with
     # S = ∏_i Σ_j ‖a_ij‖₁², so every coefficient is at most ‖det‖₂ ≤ √S and
     # fits in a signed digit of B bits.
     bound = 1
-    for row in matrix:
-        bound *= sum(sum(map(abs, entry)) ** 2 for entry in row)
+    for row in nonzero:
+        bound *= sum(sum(map(abs, entry)) ** 2 for _, entry in row)
     bits = isqrt(bound).bit_length() + 1
     x = 1 << bits
-    order = _band_order(matrix)
-    return _unpack(det_int([[_eval_poly(matrix[i][j], x) for j in order]
-                            for i in order]), bits)
+    order = _band_order(nonzero)
+    position = {j: pos for pos, j in enumerate(order)}
+    packed = []
+    for i in order:
+        row = [0] * len(order)
+        for j, entry in nonzero[i]:
+            row[position[j]] = _eval_poly(entry, x)
+        packed.append(row)
+    return _unpack(det_int(packed), bits)
 
 
-def _band_order(matrix: Sequence[Sequence[Sequence[int]]]) -> list[int]:
-    """Breadth-first order over the nonzero pattern.  The same permutation
-    of rows and columns keeps the determinant, and on a sparse matrix keeps
-    the Bareiss fill-in of packed entries near the diagonal."""
+def _band_order(nonzero: Sequence[Sequence[tuple[int, Any]]]) -> list[int]:
+    """Breadth-first order over the nonzero pattern, given as each row's
+    (column, entry) pairs.  The same permutation of rows and columns keeps
+    the determinant, and on a sparse matrix keeps the Bareiss fill-in of
+    packed entries near the diagonal."""
     order: list[int] = []
     seen: set[int] = set()
-    for start in range(len(matrix)):
+    for start in range(len(nonzero)):
         if start not in seen:
             seen.add(start)
             queue = [start]
             for i in queue:
-                for j, entry in enumerate(matrix[i]):
-                    if any(entry) and j not in seen:
+                for j, _ in nonzero[i]:
+                    if j not in seen:
                         seen.add(j)
                         queue.append(j)
             order += queue

@@ -433,23 +433,28 @@ def test_huge_p_exits_3_before_the_primality_check(tmp_path, capsys):
     assert "2^40" in capsys.readouterr().err
 
 
-def _lfun_pin_config(seed):
-    """A seeded abelian config of 2-4 base vertices, with parallel edges and
-    loops, and the level to run lfun at."""
-    rng = random.Random(seed)
-    p, rank, level = [(2, 2, 2), (3, 1, 2), (3, 2, 1), (5, 1, 2),
-                      (7, 1, 1)][seed % 5]
-    nv = rng.randint(2, 4)
+def _abelian_pin_config(rng, p, rank, level, nv, max_extra):
+    """A seeded abelian config on nv base vertices: a random spanning tree
+    plus 2..max_extra edges, parallel edges and loops allowed."""
     ends = [[i, rng.randrange(i)] for i in range(1, nv)]
     ends += [[rng.randrange(nv), rng.randrange(nv)]
-             for _ in range(rng.randint(2, 6))]
+             for _ in range(rng.randint(2, max_extra))]
     mod = p ** level
     return {"graph": {"vertices": list(range(nv)),
                       "edges": [{"id": f"e{i}", "ends": e}
                                 for i, e in enumerate(ends)]},
             "group": {"kind": "abelian", "p": p, "rank": rank},
             "voltage": {f"e{i}": [[g, rng.randrange(mod)] for g in range(rank)]
-                        for i in range(len(ends))}}, level
+                        for i in range(len(ends))}}
+
+
+def _lfun_pin_config(seed):
+    """A seeded abelian config of 2-4 base vertices and the level to run
+    lfun at."""
+    rng = random.Random(seed)
+    p, rank, level = [(2, 2, 2), (3, 1, 2), (3, 2, 1), (5, 1, 2),
+                      (7, 1, 1)][seed % 5]
+    return _abelian_pin_config(rng, p, rank, level, rng.randint(2, 4), 6), level
 
 
 # SHA-256 of the lfun stdout, recorded with Bareiss over Z[ζ][u]
@@ -469,3 +474,29 @@ def test_lfun_output_is_pinned(tmp_path, capsys, seed):
     assert main(["lfun", "--config", path, "--level", str(level)]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == _LFUN_SHA256[seed]
+
+
+# (p, rank, level, base vertices): covers of 16, 32, 27, 32, 45 and 64
+# vertices
+_ZETA_PIN_SHAPES = {1: (2, 1, 3, 2), 2: (2, 2, 2, 2), 3: (3, 1, 2, 3),
+                    4: (2, 3, 1, 4), 5: (3, 2, 1, 5), 6: (2, 2, 2, 4)}
+
+# SHA-256 of the zeta stdout, recorded with eager row scaling in det_int
+_ZETA_SHA256 = {
+    1: "1c8cb83a2860bea04045e76a79a52b8c665ba2395c0366827f0f5b70d5b663de",
+    2: "70b0d76850f399d5555729d242fc331d30bbe13de185fcc546ba5ddb8f96e8fa",
+    3: "b7f20c9cc759ce90a1b1ee1812a4c0542d4349e5725d11405dea4514d0911d68",
+    4: "d08042d240fb888033d36d68f4be563e17c030dd13f6ab925b7689a9dbb3828a",
+    5: "e5c7fea0d405e70c3259471fbc8d30158b2ad9c1744eb93cad1ef90c8f37fef0",
+    6: "4f0506c5cb2a2fc60bfb27574e83f3b164fdbaf5d29a7fb1e88dd274ce1c5619",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_ZETA_SHA256))
+def test_zeta_output_is_pinned(tmp_path, capsys, seed):
+    p, rank, level, nv = _ZETA_PIN_SHAPES[seed]
+    data = _abelian_pin_config(random.Random(seed), p, rank, level, nv, 4)
+    path = write_config(tmp_path, data)
+    assert main(["zeta", "--config", path, "--level", str(level)]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == _ZETA_SHA256[seed]

@@ -1,9 +1,14 @@
 import itertools
 import random
+from fractions import Fraction
 
+import graphtower.linalg
+from conftest import random_abelian_instance
 from graphtower.linalg import (det_in_ring, det_int, det_int_poly_matrix,
                                smith_invariant_factors)
 from graphtower.polynomials import PolynomialRing, _normalize
+from graphtower.voltage import derive
+from graphtower.zeta import ihara_zeta_inverse
 
 
 def naive_det(m):
@@ -35,6 +40,103 @@ def test_det_int_singular_and_trivial():
     assert det_int([]) == 1
     assert det_int([[0, 0], [0, 0]]) == 0
     assert det_int([[1, 2], [2, 4]]) == 0
+
+
+def fraction_det(m):
+    """Gaussian elimination over Q: the exact reference for det_int."""
+    n = len(m)
+    a = [[Fraction(v) for v in row] for row in m]
+    det = Fraction(1)
+    for k in range(n):
+        r = next((r for r in range(k, n) if a[r][k]), None)
+        if r is None:
+            return 0
+        if r != k:
+            a[k], a[r] = a[r], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            if f:
+                for j in range(k, n):
+                    a[i][j] -= f * a[k][j]
+    assert det.denominator == 1
+    return int(det)
+
+
+def _entry(rng):
+    return rng.choice((-1, 1)) * rng.getrandbits(rng.choice((1, 3, 30, 200)))
+
+
+def _shaped_matrix(rng, n, shape):
+    """A seeded n×n matrix whose zero pattern makes Bareiss defer rows."""
+    if shape == "sparse":
+        density = rng.choice((0.15, 0.3, 0.5))
+        keep = lambda i, j: rng.random() < density
+    elif shape == "banded":
+        width = rng.randint(0, 3)
+        keep = lambda i, j: abs(i - j) <= width
+    else:  # block-diagonal
+        cuts = sorted(rng.sample(range(1, n), min(n - 1, rng.randint(1, 3))))
+        block = [sum(i >= c for c in cuts) for i in range(n)]
+        keep = lambda i, j: block[i] == block[j]
+    return [[_entry(rng) if keep(i, j) else 0 for j in range(n)]
+            for i in range(n)]
+
+
+def _permuted(rng, m):
+    rows = rng.sample(range(len(m)), len(m))
+    cols = rng.sample(range(len(m)), len(m))
+    return [[m[i][j] for j in cols] for i in rows]
+
+
+def test_deferred_bareiss_matches_fraction_elimination():
+    rng = random.Random(21)
+    for trial in range(240):
+        n = rng.randint(2, 16)
+        m = _shaped_matrix(rng, n, ("sparse", "banded", "block")[trial % 3])
+        if rng.random() < 0.5:
+            m = _permuted(rng, m)
+        if rng.random() < 0.15:  # a zero column
+            c = rng.randrange(n)
+            for row in m:
+                row[c] = 0
+        elif rng.random() < 0.15:  # a row that is a combination of two others
+            i, j, k = rng.sample(range(n), 3) if n > 2 else (0, 1, 1)
+            m[i] = [a + 3 * b for a, b in zip(m[j], m[k])]
+        assert det_int(m) == fraction_det(m), m
+
+
+def test_deferred_bareiss_lagging_rows():
+    rng = random.Random(22)
+    for _ in range(60):
+        n = rng.randint(4, 16)
+        m = [[_entry(rng) for _ in range(n)] for _ in range(n)]
+        # a row that is zero up to column n − 3 and then holds ±1, so it
+        # lags n − 2 steps and is usually swapped in as the pivot row then
+        lag = rng.randrange(n - 1)
+        m[lag] = [0] * (n - 2) + [rng.choice((-1, 1)), _entry(rng)]
+        # a last row that no step before the end reads
+        m[n - 1] = [0] * (n - 1) + [_entry(rng) or 1]
+        assert det_int(m) == fraction_det(m)
+        # the same with a last row that lags until the last step
+        m[n - 1][n - 2] = 2 ** 150 + 1
+        assert det_int(m) == fraction_det(m)
+
+
+def test_det_int_on_packed_cover_matrices(monkeypatch):
+    packed = []
+    kernel = graphtower.linalg.det_int
+    monkeypatch.setattr(graphtower.linalg, "det_int",
+                        lambda m: packed.append(m) or kernel(m))
+    rng = random.Random(23)
+    while len(packed) < 20:
+        alpha, level = random_abelian_instance(rng, max_vertices=4)
+        cover = derive(alpha, level)
+        if cover.graph.num_vertices <= 32:
+            ihara_zeta_inverse(cover.graph)
+    for m in packed:
+        assert kernel(m) == fraction_det(m)
 
 
 def test_det_in_ring_matches_det_int():
