@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Mapping
 
-from .cyclotomic import CyclotomicInteger, det_cyclotomic
+from .cyclotomic import (CyclotomicInteger, _add_monomial, det_cyclotomic,
+                         euler_phi_prime_power)
 from .errors import BoundExceededError, LevelMismatchError, PreconditionError
 from .groups import GroupElement, TowerGroupSpec, p_valuation
 from .linalg import det_int
@@ -172,10 +173,6 @@ class Character:
         mod = self.spec.p ** self.level
         return sum(e * x for e, x in zip(self.exponents, g.data)) % mod
 
-    def value(self, g: GroupElement) -> CyclotomicInteger:
-        return CyclotomicInteger.root_power(self.spec.p, self.level,
-                                            self.exponent(g))
-
 
 def characters(spec: TowerGroupSpec, n: int) -> list[Character]:
     """All characters of G^(n), lexicographic by exponent vector.
@@ -212,13 +209,17 @@ def galois_orbits(spec: TowerGroupSpec,
 
 def character_evaluate(chi: Character,
                        x: GroupRingElement) -> CyclotomicInteger:
-    """Linear extension of χ to the group ring."""
+    """Linear extension of χ to the group ring: Σ c·ζ^e(g) over the terms.
+
+    The one place where a character is applied to a group-ring element.
+    """
     if x.level != chi.level:
         raise LevelMismatchError("character and element live at different levels")
-    acc = CyclotomicInteger.from_int(chi.spec.p, chi.level, 0)
+    p, k = chi.spec.p, chi.level
+    coeffs = [0] * euler_phi_prime_power(p, k)
     for g, c in x.terms:
-        acc = acc + chi.value(g).scale(c)
-    return acc
+        _add_monomial(coeffs, chi.exponent(g), c, p, k)
+    return CyclotomicInteger(p, k, tuple(coeffs))
 
 
 def nrd_abelian(

@@ -63,6 +63,10 @@ class TowerGroupSpec:
         if self.kind == "abelian":
             if self.rank < 1:
                 raise ValueError("abelian rank must be >= 1")
+            if self.rank > _ENUM_BOUND:
+                # every group element is a tuple of length rank
+                raise BoundExceededError(
+                    f"abelian rank {self.rank} exceeds bound {_ENUM_BOUND}")
         else:
             u = self.unit
             if u % self.p != 1:

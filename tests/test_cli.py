@@ -146,6 +146,12 @@ def test_deterministic_output_and_report_files(tmp_path, capsys):
     assert "e\t[0, 1, 2, 3]" in tsv
 
 
+def test_unwritable_out_exits_1(tmp_path, capsys):
+    path = write_config(tmp_path, LOOP_CONFIG)
+    assert main(["tower", "--config", path, "--out", path]) == 1
+    assert "cannot write report" in capsys.readouterr().err
+
+
 def test_tsv_format(tmp_path, capsys):
     path = write_config(tmp_path, LOOP_CONFIG)
     assert main(["tower", "--config", path, "--format", "tsv"]) == 0
@@ -433,6 +439,17 @@ def test_huge_p_exits_3_before_the_primality_check(tmp_path, capsys):
     assert "2^40" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["tower", "--max-level", "0"],
+                                  ["fitting", "--level", "0"]])
+def test_huge_rank_exits_3_at_once(tmp_path, capsys, argv):
+    data = {"graph": LOOP_CONFIG["graph"], "voltage": {"e": []},
+            "group": {"kind": "abelian", "p": 3, "rank": 3 * 10 ** 8}}
+    started = time.monotonic()
+    assert main([*argv, "--config", write_config(tmp_path, data)]) == 3
+    assert time.monotonic() - started < 1
+    assert "rank 300000000 exceeds bound 729" in capsys.readouterr().err
+
+
 def _abelian_pin_config(rng, p, rank, level, nv, max_extra):
     """A seeded abelian config on nv base vertices: a random spanning tree
     plus 2..max_extra edges, parallel edges and loops allowed."""
@@ -500,3 +517,29 @@ def test_zeta_output_is_pinned(tmp_path, capsys, seed):
     assert main(["zeta", "--config", path, "--level", str(level)]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == _ZETA_SHA256[seed]
+
+
+# (p, rank, level, base vertices): groups of order 16, 9, 25, 7 and 81; on
+# seed 5 the regular representation (size 324) is past its bound
+_FITTING_PIN_SHAPES = {1: (2, 2, 2, 2), 2: (3, 1, 2, 3), 3: (5, 2, 1, 2),
+                       4: (7, 1, 1, 3), 5: (3, 2, 2, 4)}
+
+# SHA-256 of the fitting stdout, recorded with χ applied to a group-ring
+# element as one CyclotomicInteger per term
+_FITTING_SHA256 = {
+    1: "6e3a2792da9a783202a34b8ce7f12a1fd3d716a73430064d621f645212f931b2",
+    2: "bb1c500f13a08e940fe453b5231d0d284cf8a44fc2ad35f967e83b55c7050939",
+    3: "eb477479c3d6b0f611250936d2d0410a24ece74ef4d7bff55db101579ea83d69",
+    4: "2f513d29324815dd02db49e8c8fa7e49f3c441ce5a15e45997b63ccec81fec00",
+    5: "3d4e7583a503b4d9de46e6854cfea32dd2c5d85e9131e83cf475b8c19ee31d43",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_FITTING_SHA256))
+def test_fitting_output_is_pinned(tmp_path, capsys, seed):
+    p, rank, level, nv = _FITTING_PIN_SHAPES[seed]
+    data = _abelian_pin_config(random.Random(seed), p, rank, level, nv, 4)
+    path = write_config(tmp_path, data)
+    assert main(["fitting", "--config", path, "--level", str(level)]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == _FITTING_SHA256[seed]
