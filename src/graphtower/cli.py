@@ -350,35 +350,33 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = build_parser()
 
 
-def _write_reports(out_dir: Path, subcommand: str,
-                   texts: dict[str, str]) -> None:
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for fmt, text in texts.items():
-            (out_dir / f"{subcommand}.{fmt}").write_text(text + "\n")
-    except OSError as exc:
-        raise ConfigError(f"cannot write report: {exc}") from exc
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         _require(min(args.level or 0, args.max_level or 0) >= 0,
                  "--level and --max-level must be nonnegative")
         job = parse_config(args.config)
-        report = {"subcommand": args.subcommand,
-                  "config_hash": job.config_hash,
-                  "version": __version__,
-                  **_HANDLERS[args.subcommand](job, args)}
-        formats = _RENDERERS if args.out else (args.format,)
-        texts = {fmt: _RENDERERS[fmt](report) for fmt in formats}
-        if args.out:
-            _write_reports(Path(args.out), args.subcommand, texts)
+        body = _HANDLERS[args.subcommand](job, args)
     except tuple(_EXIT_CODES) as exc:
         code, label = next(entry for kind, entry in _EXIT_CODES.items()
                            if isinstance(exc, kind))
         print(f"{label}: {exc}", file=sys.stderr)
         return code
+    report = {"subcommand": args.subcommand,
+              "config_hash": job.config_hash,
+              "version": __version__,
+              **body}
+    formats = _RENDERERS if args.out else (args.format,)
+    texts = {fmt: _RENDERERS[fmt](report) for fmt in formats}
+    if args.out:
+        out_dir = Path(args.out)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            for fmt, text in texts.items():
+                (out_dir / f"{args.subcommand}.{fmt}").write_text(text + "\n")
+        except OSError as exc:
+            print(f"cannot write report: {exc}", file=sys.stderr)
+            return 1
     print(texts[args.format])
     return 0
 

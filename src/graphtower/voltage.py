@@ -7,6 +7,7 @@ edge backwards inverts its voltage.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -111,19 +112,15 @@ def voltage_adjacency(alpha: VoltageAssignment, n: int) -> GroupRingMatrix:
     base = alpha.base
     m = base.num_vertices
     index = {v: i for i, v in enumerate(base.vertices)}
-    zero = GroupRingElement.zero(spec, n)
-    a = [[zero for _ in range(m)] for _ in range(m)]
+    terms = [[Counter() for _ in range(m)] for _ in range(m)]
     for e, (v, w) in base.edges:
         g = alpha.voltage(e, n)
-        x = GroupRingElement.of_group_element(spec, g)
-        x_inv = GroupRingElement.of_group_element(spec, spec.inverse(g))
         i, j = index[v], index[w]
-        if i == j:
-            a[i][i] = a[i][i] + x + x_inv
-        else:
-            a[i][j] = a[i][j] + x
-            a[j][i] = a[j][i] + x_inv
-    return GroupRingMatrix(spec, n, tuple(map(tuple, a)))
+        terms[i][j][g] += 1
+        terms[j][i][spec.inverse(g)] += 1
+    return GroupRingMatrix(spec, n, tuple(
+        tuple(GroupRingElement.from_terms(spec, n, t) for t in row)
+        for row in terms))
 
 
 def voltage_laplacian(alpha: VoltageAssignment, n: int) -> GroupRingMatrix:

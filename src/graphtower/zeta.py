@@ -8,26 +8,25 @@ substitution.  Every identity check below is an exact equality — never a
 float comparison.
 
 The cover's adjacency is one ``GroupRingMatrix``, ``a_sigma_matrices``,
-built from the edges of X_n and equal to the voltage matrix A_α (a test
-checks this).  Characters reach it only through ``character_evaluate``, the
-one character twist in the package.
+the voltage matrix A_α; a test checks it against the edges of X_n.
+Characters reach it only through ``character_evaluate``, the one character
+twist in the package.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .cyclotomic import (CyclotomicInteger, det_cyclotomic,
                          det_cyclotomic_poly_matrix, euler_phi_prime_power,
                          root_power_matrix)
 from .graphs import Multigraph, graph_matrices
-from .grouprings import (Character, GroupRingElement, GroupRingMatrix,
-                         character_evaluate, characters, galois_orbits,
-                         nrd_abelian)
+from .grouprings import (Character, GroupRingMatrix, character_evaluate,
+                         characters, galois_orbits, nrd_abelian)
 from .linalg import det_int_poly_matrix
 from .polynomials import IntPolynomial
-from .voltage import DerivedGraph, VoltageAssignment, derive, voltage_laplacian
+from .voltage import (DerivedGraph, VoltageAssignment, derive,
+                      voltage_adjacency, voltage_laplacian)
 
 
 @dataclass(frozen=True)
@@ -64,32 +63,12 @@ def ihara_zeta_inverse(graph: Multigraph) -> ZetaData:
 
 def a_sigma_matrices(cover: DerivedGraph) -> GroupRingMatrix:
     """The cover's adjacency Σ_σ A(σ)·σ over Z[G^(n)], where A(σ)_ij counts
-    the edges between (v_i, 1) and (v_j, σ) in X_n.
+    the edges between (v_i, 1) and (v_j, σ) in X_n (a loop at (v_i, 1)
+    counts twice in A(1)).
 
-    Built literally from the derived graph (a loop at (v_i, 1) counts twice
-    in A(1)); it equals ``voltage_adjacency``, the matrix A_α built from the
-    voltages, which the tests check.
+    This is the voltage matrix A_α; a test reads it off the edges of X_n.
     """
-    spec, base, n = cover.spec, cover.alpha.base, cover.level
-    index = {v: i for i, v in enumerate(base.vertices)}
-    m = base.num_vertices
-    identity = spec.identity(n)
-    terms = [[Counter() for _ in range(m)] for _ in range(m)]
-    for _, ((v, g), (w, h)) in cover.graph.edges:
-        i, j = index[v], index[w]
-        if (v, g) == (w, h):
-            # loop in the derived graph: contributes 2 to A(1)[i][i]
-            if g == identity:
-                terms[i][i][identity] += 2
-            continue
-        # edge between (v_i, 1) and (v_j, σ) for both orderings
-        if g == identity:
-            terms[i][j][h] += 1
-        if h == identity:
-            terms[j][i][g] += 1
-    return GroupRingMatrix(spec, n, tuple(
-        tuple(GroupRingElement.from_terms(spec, n, t) for t in row)
-        for row in terms))
+    return voltage_adjacency(cover.alpha, cover.level)
 
 
 def artin_l_inverse(alpha: VoltageAssignment, n: int, chi: Character,
@@ -120,8 +99,8 @@ def artin_l_norm(alpha: VoltageAssignment, n: int, chi: Character,
     For χ of order p^j, I − χ(A)u + (D − I)u² is taken over Z[ζ_{p^j}]
     (in conductor p^n the norm would count each conjugate φ(p^n)/φ(p^j)
     times), and each entry becomes its φ(p^j)-square multiplication matrix
-    over Z[u], one ``root_power_matrix`` block per group-ring term.  These
-    blocks commute, so the determinant of the (m·φ(p^j))-square result is
+    over Z[u], one ``root_power_matrix`` block per group-ring term, built
+    once per distinct exponent.  These blocks commute, so the determinant of the (m·φ(p^j))-square result is
     the norm of the determinant.
     """
     p, j = alpha.spec.p, chi.order_level
@@ -129,10 +108,14 @@ def artin_l_norm(alpha: VoltageAssignment, n: int, chi: Character,
     step = p ** (n - j)
     size = adjacency.size * phi
     a_chi = [[0] * size for _ in range(size)]
+    blocks = {}
     for i, row in enumerate(adjacency.entries):
         for k, x in enumerate(row):
             for sigma, c in x.terms:
-                block = root_power_matrix(p, j, chi.exponent(sigma) // step)
+                e = chi.exponent(sigma) // step
+                if e not in blocks:
+                    blocks[e] = root_power_matrix(p, j, e)
+                block = blocks[e]
                 for r, block_row in enumerate(block):
                     out = a_chi[i * phi + r]
                     for t, b in enumerate(block_row):

@@ -524,8 +524,7 @@ def test_zeta_output_is_pinned(tmp_path, capsys, seed):
 _FITTING_PIN_SHAPES = {1: (2, 2, 2, 2), 2: (3, 1, 2, 3), 3: (5, 2, 1, 2),
                        4: (7, 1, 1, 3), 5: (3, 2, 2, 4)}
 
-# SHA-256 of the fitting stdout, recorded with χ applied to a group-ring
-# element as one CyclotomicInteger per term
+# SHA-256 of the fitting stdout, recorded at the parent commit
 _FITTING_SHA256 = {
     1: "6e3a2792da9a783202a34b8ce7f12a1fd3d716a73430064d621f645212f931b2",
     2: "bb1c500f13a08e940fe453b5231d0d284cf8a44fc2ad35f967e83b55c7050939",
