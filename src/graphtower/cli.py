@@ -111,6 +111,11 @@ def _parse_graph(node: object) -> Multigraph:
                  all(_is_id(v) for v in e["ends"]),
                  f"edge {i} needs a string or integer id and two ends")
         edges.append((e["id"], tuple(e["ends"])))
+    # ids are read and written as JSON keys, so 1 and "1" would be one id
+    for kind, ids in (("vertex", set(vertices)),
+                      ("edge", {eid for eid, _ in edges})):
+        _require(len({str(x) for x in ids}) == len(ids),
+                 f"two {kind} ids have the same string form")
     return Multigraph.build(vertices, edges)
 
 

@@ -5,8 +5,9 @@ polynomials in ζ = ζ_{p^k} modulo the cyclotomic polynomial
 Φ_{p^k}(x) = Σ_{i<p} x^{i·p^{k-1}}.  Conductor 1 (k = 0) degenerates to the
 ordinary integers, which keeps trivial characters on the same code path.
 
-Determinants over Z[ζ] are taken in one place, ``det_cyclotomic``; matrices
-over Z[ζ][u] reach it by Kronecker substitution.
+Determinants over Z[ζ] are taken in one place, ``det_cyclotomic``, by
+Bareiss elimination written on ``CyclotomicInteger``; matrices over Z[ζ][u]
+reach it by Kronecker substitution.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import _eval_poly, _unpack, det_in_ring
+from .linalg import _eval_poly, _unpack
 
 
 def euler_phi_prime_power(p: int, k: int) -> int:
@@ -243,43 +244,38 @@ def _inverse_mod_phi(coeffs: Sequence[int], p: int, k: int) -> list[Fraction]:
     return out
 
 
-class CyclotomicRing:
-    """Ring adapter over Z[ζ_{p^k}] for the generic determinant routine."""
-
-    def __init__(self, p: int, k: int) -> None:
-        self.p = p
-        self.k = k
-
-    def zero(self) -> CyclotomicInteger:
-        return CyclotomicInteger.from_int(self.p, self.k, 0)
-
-    def one(self) -> CyclotomicInteger:
-        return CyclotomicInteger.from_int(self.p, self.k, 1)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def is_zero(self, a) -> bool:
-        return a.is_zero()
-
-    def exact_div(self, a, b):
-        return a.exact_div(b)
-
-
 def det_cyclotomic(p: int, k: int,
                    matrix: Sequence[Sequence[CyclotomicInteger]]
                    ) -> CyclotomicInteger:
-    """Determinant over Z[ζ_{p^k}] by fraction-free (Bareiss) elimination."""
-    return det_in_ring(matrix, CyclotomicRing(p, k))
+    """Determinant over Z[ζ_{p^k}] by fraction-free (Bareiss) elimination:
+    step s pivots on the first nonzero entry of column s and sets each a_ij
+    below and right of it to (pivot·a_ij − a_is·a_sj) / pivot_{s−1}, an
+    exact division, since the result is a minor of the input."""
+    n = len(matrix)
+    m = [list(row) for row in matrix]
+    if any(len(row) != n for row in m):
+        raise ValueError("matrix is not square")
+    prev = CyclotomicInteger.from_int(p, k, 1)
+    if n == 0:
+        return prev
+    sign = 1
+    for s in range(n - 1):
+        pivot_row = next((r for r in range(s, n) if not m[r][s].is_zero()),
+                         None)
+        if pivot_row is None:
+            return CyclotomicInteger.from_int(p, k, 0)
+        if pivot_row != s:
+            m[s], m[pivot_row] = m[pivot_row], m[s]
+            sign = -sign
+        row_s = m[s]
+        pivot = row_s[s]
+        for row in m[s + 1:]:
+            head = row[s]
+            for j in range(s + 1, n):
+                row[j] = (pivot * row[j] - head * row_s[j]).exact_div(prev)
+        prev = pivot
+    last = m[n - 1][n - 1]
+    return last if sign == 1 else -last
 
 
 def det_cyclotomic_poly_matrix(

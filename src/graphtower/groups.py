@@ -169,11 +169,16 @@ class TowerGroupSpec:
                 result, self.power(self.generator(index, n), exponent))
         return result
 
-    def enumerate_group(self, n: int) -> list["GroupElement"]:
+    def check_enumerable(self, n: int) -> None:
+        """Raise BoundExceededError when |G^(n)| is past the enumeration
+        bound."""
         if self.order_exceeds(n, _ENUM_BOUND):
             raise BoundExceededError(
                 f"group order {self.p}^{n * self.dimension} exceeds "
                 f"enumeration bound {_ENUM_BOUND}")
+
+    def enumerate_group(self, n: int) -> list["GroupElement"]:
+        self.check_enumerable(n)
         mod = self.p ** n
         width = self.rank if self.kind == "abelian" else 2
         return [GroupElement(n, exps)

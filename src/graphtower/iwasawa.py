@@ -15,8 +15,9 @@ from .jacobian import level_jacobian
 from .linalg import det_int_poly_matrix
 from .polynomials import (IntPolynomial, LaurentElement,
                           laurent_substitute_gamma)
-from .voltage import (QuotientSpec, VoltageAssignment, connectivity_criterion,
-                      gamma_exponent, quotient_assignment, voltage_laplacian)
+from .voltage import (QuotientSpec, VoltageAssignment, check_derive_bounds,
+                      connectivity_criterion, gamma_exponent,
+                      quotient_assignment, voltage_laplacian)
 
 _LAMBDA1_DEGREE_BOUND = 1800  # Σ over Laplacian rows of the γ-exponent span
 _MU_PROBE_LEVEL = 1  # level of the content bound in mu_lower_bound
@@ -62,7 +63,12 @@ class MHGVerdict:
 
 
 def tower_en(alpha: VoltageAssignment, max_level: int) -> TowerReport:
-    """e_n = v_p(|J(X_n)|) for n = 0..max_level."""
+    """e_n = v_p(|J(X_n)|) for n = 0..max_level.
+
+    The bounds are checked at max_level before any level is derived, and
+    connectivity once, by the criterion, for every level.
+    """
+    check_derive_bounds(alpha, max_level)
     if not connectivity_criterion(alpha):
         raise DisconnectedError(
             "voltage does not satisfy the connectivity criterion")

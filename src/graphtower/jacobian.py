@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DisconnectedError
-from .graphs import Multigraph, graph_matrices, is_connected
+from .graphs import Multigraph, graph_matrices
 from .groups import p_valuation
 from .linalg import smith_invariant_factors
 from .voltage import VoltageAssignment, derive
@@ -57,21 +57,27 @@ def cokernel_structure(matrix: Sequence[Sequence[int]],
 
 
 def jacobian_structure(graph: Multigraph) -> AbelianGroupStructure:
-    """J(X): cokernel of the reduced Laplacian; order = spanning tree count."""
-    if not is_connected(graph):
-        raise DisconnectedError("Jacobian requires a connected graph")
+    """J(X): cokernel of the reduced Laplacian; order = spanning tree count.
+
+    By the matrix-tree theorem the reduced Laplacian is singular exactly
+    when the graph is disconnected, so a free part means disconnection.
+    """
     lap = graph_matrices(graph).laplacian()
     reduced = [row[1:] for row in lap[1:]]
     structure = cokernel_structure(reduced, graph.num_vertices - 1)
+    if structure.free_rank > 0:
+        raise DisconnectedError("Jacobian requires a connected graph")
     return AbelianGroupStructure(0, structure.torsion)
 
 
 def picard_structure(graph: Multigraph) -> AbelianGroupStructure:
-    """Pic(X): cokernel of the full Laplacian; Z ⊕ J(X) when connected."""
-    if not is_connected(graph):
-        raise DisconnectedError("Picard group requires a connected graph")
+    """Pic(X): cokernel of the full Laplacian; Z ⊕ J(X) when connected, and
+    of free rank the number of components in general."""
     lap = graph_matrices(graph).laplacian()
-    return cokernel_structure(lap, graph.num_vertices)
+    structure = cokernel_structure(lap, graph.num_vertices)
+    if structure.free_rank > 1:
+        raise DisconnectedError("Picard group requires a connected graph")
+    return structure
 
 
 def level_jacobian(alpha: VoltageAssignment,

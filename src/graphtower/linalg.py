@@ -8,9 +8,8 @@ rows have a zero head at most steps, and there a Bareiss step only scales
 the row by the ratio of two consecutive pivots.  `det_int` defers that
 scaling and applies the telescoped ratio once, when the row is next used;
 the division is exact because the scaled entry is a minor of the input.
-`det_in_ring` takes the ring through a tiny protocol: in the package it
-runs only over Z[ζ], inside `cyclotomic.det_cyclotomic`, and the tests use
-it over reference rings.
+The one determinant over Z[ζ] is `cyclotomic.det_cyclotomic`; nothing here
+is generic over the ring.
 
 Smith normal form runs in three phases.  Sparse elimination removes the ±1
 pivots, in approximate Markowitz order; on a graph Laplacian that leaves a
@@ -23,51 +22,7 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from math import gcd, isqrt
-from typing import Any, Protocol, Sequence
-
-
-class Ring(Protocol):
-    """Minimal integral-domain interface used by the determinant routine."""
-
-    def zero(self) -> Any: ...
-    def one(self) -> Any: ...
-    def add(self, a: Any, b: Any) -> Any: ...
-    def sub(self, a: Any, b: Any) -> Any: ...
-    def mul(self, a: Any, b: Any) -> Any: ...
-    def neg(self, a: Any) -> Any: ...
-    def is_zero(self, a: Any) -> bool: ...
-    def exact_div(self, a: Any, b: Any) -> Any: ...
-
-
-def det_in_ring(matrix: Sequence[Sequence[Any]], ring: Ring) -> Any:
-    """Determinant by fraction-free (Bareiss) elimination with row pivoting."""
-    n = len(matrix)
-    if n == 0:
-        return ring.one()
-    m = [list(row) for row in matrix]
-    if any(len(row) != n for row in m):
-        raise ValueError("matrix is not square")
-    sign = 1
-    prev = ring.one()
-    for k in range(n - 1):
-        pivot_row = next((r for r in range(k, n) if not ring.is_zero(m[r][k])), None)
-        if pivot_row is None:
-            return ring.zero()
-        if pivot_row != k:
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            row_k = m[k]
-            head = row_i[k]
-            for j in range(k + 1, n):
-                num = ring.sub(ring.mul(pivot, row_i[j]), ring.mul(head, row_k[j]))
-                row_i[j] = ring.exact_div(num, prev)
-            row_i[k] = ring.zero()
-        prev = pivot
-    result = m[n - 1][n - 1]
-    return result if sign == 1 else ring.neg(result)
+from typing import Any, Sequence
 
 
 def det_int(matrix: Sequence[Sequence[int]]) -> int:

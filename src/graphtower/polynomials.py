@@ -4,7 +4,7 @@ Elements are tuples of integer coefficients in ascending degree with no
 trailing zeros (the zero polynomial is the empty tuple).  Products and the
 γ = 1 + T substitution are single integer operations by Kronecker
 substitution; the schoolbook routines below serve the Z[u] and Z[γ, γ⁻¹]
-ring adapters.
+ring objects that the tests' reference Bareiss runs over.
 """
 
 from __future__ import annotations
@@ -77,10 +77,11 @@ def _exact_div(a: Coeffs, b: Coeffs) -> Coeffs:
 
 
 class PolynomialRing:
-    """Ring adapter over Z[u] for the generic determinant routine.
+    """Z[u] as a ring object for the tests' reference Bareiss
+    (``det_in_ring`` in tests/conftest.py).
 
-    It and :class:`LaurentRing` are the reference rings of the tests'
-    Bareiss oracles, and perfbench/layertrace.py wraps both by name.
+    It and :class:`LaurentRing` are the reference rings of those oracles,
+    and perfbench/layertrace.py wraps both by name.
     """
 
     def zero(self) -> Coeffs:
@@ -196,7 +197,7 @@ class LaurentElement:
 
 
 class LaurentRing:
-    """Ring adapter over Z[γ, γ⁻¹] for the generic determinant routine."""
+    """Z[γ, γ⁻¹] as a ring object for the tests' reference Bareiss."""
 
     def zero(self) -> LaurentElement:
         return LaurentElement(0, ())

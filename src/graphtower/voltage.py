@@ -82,8 +82,10 @@ class DerivedGraph:
         return (v, self.spec.multiply(h, g))
 
 
-def derive(alpha: VoltageAssignment, n: int) -> DerivedGraph:
-    """Materialize the derived graph X_n."""
+def check_derive_bounds(alpha: VoltageAssignment, n: int) -> None:
+    """Raise BoundExceededError when X_n would be past the vertex bound or
+    G^(n) past the enumeration bound.  Both grow with n, so passing at n
+    means passing at every level below it."""
     spec = alpha.spec
     base = alpha.base
     if base.num_vertices and spec.order_exceeds(
@@ -91,6 +93,14 @@ def derive(alpha: VoltageAssignment, n: int) -> DerivedGraph:
         raise BoundExceededError(
             f"derived graph would have {base.num_vertices}·"
             f"{spec.p}^{n * spec.dimension} vertices")
+    spec.check_enumerable(n)
+
+
+def derive(alpha: VoltageAssignment, n: int) -> DerivedGraph:
+    """Materialize the derived graph X_n."""
+    check_derive_bounds(alpha, n)
+    spec = alpha.spec
+    base = alpha.base
     group = spec.enumerate_group(n)
     vertices = [(v, g) for v in base.vertices for g in group]
     edges = []

@@ -57,3 +57,38 @@ def random_abelian_instance(rng: random.Random,
         voltages[eid] = word
     alpha = VoltageAssignment.build(graph, spec, voltages)
     return alpha, level
+
+
+def det_in_ring(matrix, ring):
+    """Reference Bareiss determinant over any ring object with zero, one,
+    add, sub, mul, neg, is_zero and exact_div: first nonzero pivot in the
+    column, row swaps, division by the previous pivot."""
+    n = len(matrix)
+    if n == 0:
+        return ring.one()
+    m = [list(row) for row in matrix]
+    if any(len(row) != n for row in m):
+        raise ValueError("matrix is not square")
+    sign = 1
+    prev = ring.one()
+    for k in range(n - 1):
+        pivot_row = next((r for r in range(k, n)
+                          if not ring.is_zero(m[r][k])), None)
+        if pivot_row is None:
+            return ring.zero()
+        if pivot_row != k:
+            m[k], m[pivot_row] = m[pivot_row], m[k]
+            sign = -sign
+        pivot = m[k][k]
+        for i in range(k + 1, n):
+            row_i = m[i]
+            row_k = m[k]
+            head = row_i[k]
+            for j in range(k + 1, n):
+                num = ring.sub(ring.mul(pivot, row_i[j]),
+                               ring.mul(head, row_k[j]))
+                row_i[j] = ring.exact_div(num, prev)
+            row_i[k] = ring.zero()
+        prev = pivot
+    result = m[n - 1][n - 1]
+    return result if sign == 1 else ring.neg(result)

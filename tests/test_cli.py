@@ -185,9 +185,14 @@ def _replace(path, value):
     (_replace(("max_level",), True), "max_level"),
     (_replace(("max_level",), -1), "max_level"),
     ([LOOP_CONFIG], "JSON object"),
+    # the voltage under key "1" would go to both edges
+    (dict(LOOP_CONFIG, graph={"vertices": ["v"], "edges": [
+        {"id": 1, "ends": ["v", "v"]}, {"id": "1", "ends": ["v", "v"]}]},
+          voltage={"1": [[0, 1]]}), "edge ids"),
 ], ids=["quotient-list", "rank-str", "rank-bool", "p-bool", "list-vertex",
         "no-vertices", "list-end", "word-int", "exponent-bool",
-        "quotient-bool", "max-level-bool", "max-level-negative", "list-root"])
+        "quotient-bool", "max-level-bool", "max-level-negative", "list-root",
+        "edge-id-collision"])
 def test_malformed_config_exits_1(tmp_path, capsys, data, message):
     path = write_config(tmp_path, data)
     assert main(["tower", "--config", path]) == 1
@@ -359,7 +364,7 @@ def test_check_factorization_derives_once(tmp_path, capsys, monkeypatch):
 
 def test_check_factorization_uses_no_cyclotomic_arithmetic(tmp_path, capsys,
                                                             monkeypatch):
-    bareiss = _count_calls(monkeypatch, graphtower.linalg.det_in_ring)
+    bareiss = _count_calls(monkeypatch, graphtower.cyclotomic.det_cyclotomic)
     products = []
     mul = CyclotomicInteger.__mul__
 
@@ -388,6 +393,9 @@ def test_lfun_derives_once(tmp_path, capsys, monkeypatch):
 _LEVEL_BOUNDED = ("derive", "jacobian", "zeta", "lfun", "fitting",
                   "check-interpolation", "check-factorization")
 _HUGE_LEVELS = (10 ** 4, 10 ** 9)
+# subcommands that take every level up to --max-level; level 7 is the first
+# past the order-729 bound on LOOP_CONFIG
+_MAX_LEVEL_BOUNDED = ("tower", "iwasawa-fit")
 
 
 @pytest.mark.parametrize("argv, voltage", [
@@ -399,10 +407,14 @@ _HUGE_LEVELS = (10 ** 4, 10 ** 9)
     (["mhg-check"], [[0, 10 ** 12]]),
     *[([cmd, "--level", str(level)], [[0, 1]])
       for cmd in _LEVEL_BOUNDED for level in _HUGE_LEVELS],
+    *[([cmd, "--max-level", str(level)], [[0, 1]])
+      for cmd in _MAX_LEVEL_BOUNDED for level in (7, *_HUGE_LEVELS)],
 ], ids=["fitting", "check-interpolation", "lfun", "check-factorization",
         "mhg-check", "mhg-check-huge",
         *[f"{cmd}-level-{level}" for cmd in _LEVEL_BOUNDED
-          for level in _HUGE_LEVELS]])
+          for level in _HUGE_LEVELS],
+        *[f"{cmd}-max-level-{level}" for cmd in _MAX_LEVEL_BOUNDED
+          for level in (7, *_HUGE_LEVELS)]])
 def test_bounds_stop_jobs_at_once(tmp_path, capsys, argv, voltage):
     path = write_config(tmp_path, dict(LOOP_CONFIG, voltage={"e": voltage}))
     started = time.monotonic()
@@ -411,12 +423,21 @@ def test_bounds_stop_jobs_at_once(tmp_path, capsys, argv, voltage):
     assert "bound" in capsys.readouterr().err
 
 
-def test_tower_checks_connectivity_once_per_level(tmp_path, capsys,
-                                                  monkeypatch):
+def test_tower_checks_connectivity_once_per_job(tmp_path, capsys,
+                                                monkeypatch):
     calls = _count_calls(monkeypatch, graphtower.graphs.is_connected)
     path = write_config(tmp_path, LOOP_CONFIG)
     assert main(["tower", "--config", path, "--max-level", "3"]) == 0
-    assert len(calls) == 3 + 2  # levels 0..3, and the base in the criterion
+    assert len(calls) == 1  # the base, in the criterion
+
+
+def test_tower_past_the_bound_derives_no_level(tmp_path, capsys,
+                                               monkeypatch):
+    calls = _count_calls(monkeypatch, graphtower.voltage.derive)
+    path = write_config(tmp_path, LOOP_CONFIG)
+    assert main(["tower", "--config", path, "--max-level", "7"]) == 3
+    assert "enumeration bound" in capsys.readouterr().err
+    assert len(calls) == 0
 
 
 @pytest.mark.parametrize("level", [3, *_HUGE_LEVELS])

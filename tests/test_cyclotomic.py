@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import pytest
 
-from graphtower.cyclotomic import (CyclotomicInteger, CyclotomicRing,
-                                   euler_phi_prime_power)
+from graphtower.cyclotomic import (CyclotomicInteger, _add_monomial,
+                                   det_cyclotomic, euler_phi_prime_power)
+from graphtower.linalg import det_int_poly_matrix
 
 
 def random_element(rng, p, k):
@@ -75,7 +77,66 @@ def test_lift_preserves_arithmetic():
         assert (a + b).lift(2) == a.lift(2) + b.lift(2)
 
 
-def test_ring_adapter():
-    ring = CyclotomicRing(3, 1)
-    assert ring.one() - ring.one() == ring.zero()
-    assert ring.is_zero(ring.zero())
+def _leibniz_det(p, k, m):
+    total = CyclotomicInteger.from_int(p, k, 0)
+    for perm in itertools.permutations(range(len(m))):
+        inversions = sum(perm[i] > perm[j] for i in range(len(perm))
+                         for j in range(i + 1, len(perm)))
+        term = CyclotomicInteger.from_int(p, k, (-1) ** inversions)
+        for i, j in enumerate(perm):
+            term = term * m[i][j]
+        total = total + term
+    return total
+
+
+def _lifted_det(p, k, m):
+    """det over Z[x] of the entries' coefficient vectors, reduced mod
+    Φ_{p^k}: x ↦ ζ is a ring map, so this is the determinant over Z[ζ]."""
+    coeffs = [0] * euler_phi_prime_power(p, k)
+    for e, c in enumerate(det_int_poly_matrix(
+            [[x.coeffs for x in row] for row in m])):
+        _add_monomial(coeffs, e, c, p, k)
+    return CyclotomicInteger(p, k, tuple(coeffs))
+
+
+def _random_square(rng, p, k, n):
+    """A random n×n matrix over Z[ζ_{p^k}] with some zero entries; one case
+    in four has a row that is a Z[ζ]-combination of two others, one in
+    eight a zero column."""
+    zero = CyclotomicInteger.from_int(p, k, 0)
+    m = [[random_element(rng, p, k) if rng.random() < 0.8 else zero
+          for _ in range(n)] for _ in range(n)]
+    roll = rng.random()
+    if n >= 3 and roll < 0.25:
+        a, b, c = rng.sample(range(n), 3)
+        x, y = random_element(rng, p, k), random_element(rng, p, k)
+        m[c] = [x * u + y * v for u, v in zip(m[a], m[b])]
+    elif n >= 1 and roll < 0.375:
+        j = rng.randrange(n)
+        for row in m:
+            row[j] = zero
+    return m
+
+
+def test_det_cyclotomic_matches_oracles(monkeypatch):
+    divisors = []
+    exact_div = CyclotomicInteger.exact_div
+
+    def counted(a, b):
+        divisors.append(b)
+        return exact_div(a, b)
+
+    monkeypatch.setattr(CyclotomicInteger, "exact_div", counted)
+    rng = random.Random(34)
+    singular = 0
+    for p, k in [(2, 1), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1), (13, 1)]:
+        for n in [0, 1, 2, 3, 4, 5, 6, 3, 4, 5]:
+            m = _random_square(rng, p, k, n)
+            det = det_cyclotomic(p, k, m)
+            assert det == _lifted_det(p, k, m)
+            if n <= 4:
+                assert det == _leibniz_det(p, k, m)
+            singular += det.is_zero()
+    assert singular >= 5
+    # non-rational pivots send exact_div through its Fraction inverse
+    assert sum(not d.is_rational() for d in divisors) >= 50

@@ -9,11 +9,11 @@ from graphtower import (IntPolynomial, Multigraph, QuotientSpec,
                         quotient_assignment, spanning_tree_count, tower_en)
 from graphtower.errors import DisconnectedError, PreconditionError
 from graphtower.jacobian import p_valuation
-from graphtower.linalg import det_in_ring
 from graphtower.polynomials import LAURENT, LaurentElement
 from graphtower.voltage import derive, gamma_exponent
 
-from conftest import random_abelian_instance, random_connected_multigraph
+from conftest import (det_in_ring, random_abelian_instance,
+                      random_connected_multigraph)
 
 
 def z3_loop():

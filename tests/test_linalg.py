@@ -3,8 +3,8 @@ import random
 from fractions import Fraction
 
 import graphtower.linalg
-from conftest import random_abelian_instance
-from graphtower.linalg import (det_in_ring, det_int, det_int_poly_matrix,
+from conftest import det_in_ring, random_abelian_instance
+from graphtower.linalg import (det_int, det_int_poly_matrix,
                                smith_invariant_factors)
 from graphtower.polynomials import PolynomialRing, _normalize
 from graphtower.voltage import derive

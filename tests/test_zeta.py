@@ -12,11 +12,11 @@ from graphtower.grouprings import (GroupRingElement, GroupRingMatrix,
                                    character_evaluate, characters,
                                    galois_orbits)
 from graphtower.graphs import graph_matrices
-from graphtower.linalg import det_in_ring
 from graphtower.polynomials import PolynomialRing, _normalize
 from graphtower.zeta import a_sigma_matrices, artin_l_norm
 
-from conftest import random_abelian_instance, random_connected_multigraph
+from conftest import (det_in_ring, random_abelian_instance,
+                      random_connected_multigraph)
 
 
 def loop_graph():
