@@ -9,8 +9,7 @@ tower module — all in exact integer, cyclotomic, and polynomial arithmetic.
 from .errors import (BoundExceededError, ConfigError, DisconnectedError,
                      GraphTowerError, LevelMismatchError, PreconditionError)
 from .graphs import (GraphMatrices, Multigraph, connected_components,
-                     enumerate_spanning_trees, graph_matrices, is_connected,
-                     spanning_tree_count)
+                     graph_matrices, is_connected, spanning_tree_count)
 from .groups import GroupElement, TowerGroupSpec
 from .grouprings import (Character, GroupRingElement, GroupRingMatrix,
                          character_evaluate, characters, nrd_abelian,

@@ -20,10 +20,11 @@ from .errors import BoundExceededError, ConfigError, GraphTowerError
 from .graphs import Multigraph, connected_components
 from .grouprings import Character, characters
 from .jacobian import jacobian_structure, level_jacobian, picard_structure
-from .voltage import QuotientSpec, VoltageAssignment, derive
+from .voltage import (QuotientSpec, VoltageAssignment, check_derive_bounds,
+                      derive, voltage_adjacency)
 from .groups import TowerGroupSpec
-from .zeta import (a_sigma_matrices, artin_l_inverse, factorization_check,
-                   ihara_zeta_inverse, interpolation_check)
+from .zeta import (artin_l_inverse, factorization_check, ihara_zeta_inverse,
+                   interpolation_check)
 from .iwasawa import fit_iwasawa, fitting_generators, mhg_check, tower_en
 
 _EDGE_LIST_LIMIT = 500
@@ -228,7 +229,8 @@ def _cmd_zeta(job: JobConfig, args) -> dict:
 def _cmd_lfun(job: JobConfig, args) -> dict:
     level = _level(args)
     chars = characters(job.alpha.spec, level)
-    adjacency = a_sigma_matrices(derive(job.alpha, level))
+    check_derive_bounds(job.alpha, level)  # the cover's, though it is not built
+    adjacency = voltage_adjacency(job.alpha, level)
     out = []
     for chi in chars:
         data = artin_l_inverse(job.alpha, level, chi, adjacency)

@@ -44,23 +44,9 @@ class CyclotomicInteger:
         phi = euler_phi_prime_power(p, k)
         return CyclotomicInteger(p, k, (value,) + (0,) * (phi - 1))
 
-    @staticmethod
-    def root_power(p: int, k: int, exponent: int) -> "CyclotomicInteger":
-        """ζ_{p^k}^exponent as a reduced element."""
-        phi = euler_phi_prime_power(p, k)
-        coeffs = [0] * phi
-        _add_monomial(coeffs, exponent, 1, p, k)
-        return CyclotomicInteger(p, k, tuple(coeffs))
-
     def _compat(self, other: "CyclotomicInteger") -> None:
         if (self.p, self.k) != (other.p, other.k):
             raise ValueError("conductor mismatch")
-
-    def __add__(self, other: "CyclotomicInteger") -> "CyclotomicInteger":
-        self._compat(other)
-        return CyclotomicInteger(
-            self.p, self.k,
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "CyclotomicInteger") -> "CyclotomicInteger":
         self._compat(other)
@@ -84,32 +70,11 @@ class CyclotomicInteger:
                     _add_monomial(reduced, i + j, a * b, self.p, self.k)
         return CyclotomicInteger(self.p, self.k, tuple(reduced))
 
-    def scale(self, c: int) -> "CyclotomicInteger":
-        return CyclotomicInteger(self.p, self.k,
-                                 tuple(c * a for a in self.coeffs))
-
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coeffs)
 
     def is_rational(self) -> bool:
         return all(a == 0 for a in self.coeffs[1:])
-
-    def as_int(self) -> int:
-        if not self.is_rational():
-            raise ValueError("element is not a rational integer")
-        return self.coeffs[0]
-
-    def lift(self, new_k: int) -> "CyclotomicInteger":
-        """Embed into Z[ζ_{p^new_k}] via ζ_{p^k} ↦ ζ^{p^{new_k - k}}."""
-        if new_k < self.k:
-            raise ValueError("cannot lift to a smaller conductor")
-        step = self.p ** (new_k - self.k)
-        phi = euler_phi_prime_power(self.p, new_k)
-        coeffs = [0] * phi
-        for i, a in enumerate(self.coeffs):
-            if a:
-                _add_monomial(coeffs, i * step, a, self.p, new_k)
-        return CyclotomicInteger(self.p, new_k, tuple(coeffs))
 
     def exact_div(self, other: "CyclotomicInteger") -> "CyclotomicInteger":
         """Quotient self/other, required to lie in Z[ζ]."""

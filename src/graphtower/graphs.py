@@ -7,19 +7,13 @@ identical output.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
-from .errors import BoundExceededError
 from .linalg import det_int
 
 Vertex = Hashable
 EdgeId = Hashable
-
-# guards for the exhaustive spanning-tree oracle
-_ENUM_MAX_VERTICES = 8
-_ENUM_MAX_EDGES = 16
 
 
 @dataclass(frozen=True)
@@ -56,12 +50,6 @@ class Multigraph:
     @property
     def num_edges(self) -> int:
         return len(self.edges)
-
-    def endpoints(self, eid: EdgeId) -> tuple[Vertex, Vertex]:
-        for e, ends in self.edges:
-            if e == eid:
-                return ends
-        raise KeyError(eid)
 
 
 @dataclass(frozen=True)
@@ -143,24 +131,3 @@ def spanning_tree_count(graph: Multigraph) -> int:
     lap = graph_matrices(graph).laplacian()
     minor = [row[1:] for row in lap[1:]]
     return det_int(minor)
-
-
-def enumerate_spanning_trees(graph: Multigraph) -> list[frozenset[EdgeId]]:
-    """All spanning trees as edge-id sets, by exhaustive subset check.
-
-    Guarded brute-force oracle for ``spanning_tree_count``; loops are never
-    part of a spanning tree.
-    """
-    n = graph.num_vertices
-    if n > _ENUM_MAX_VERTICES or graph.num_edges > _ENUM_MAX_EDGES:
-        raise BoundExceededError(
-            f"enumeration guard: |V|={n} |E|={graph.num_edges}")
-    if n == 0:
-        return []
-    non_loops = [(e, ends) for e, ends in graph.edges if ends[0] != ends[1]]
-    trees: list[frozenset[EdgeId]] = []
-    for subset in itertools.combinations(non_loops, n - 1):
-        sub = Multigraph(graph.vertices, tuple(subset))
-        if is_connected(sub):
-            trees.append(frozenset(e for e, _ in subset))
-    return trees

@@ -40,20 +40,6 @@ class GroupRingElement:
         return GroupRingElement(spec, level, ordered)
 
     @staticmethod
-    def zero(spec: TowerGroupSpec, level: int) -> "GroupRingElement":
-        return GroupRingElement(spec, level, ())
-
-    @staticmethod
-    def one(spec: TowerGroupSpec, level: int) -> "GroupRingElement":
-        return GroupRingElement.from_terms(spec, level,
-                                           {spec.identity(level): 1})
-
-    @staticmethod
-    def of_group_element(spec: TowerGroupSpec,
-                         g: GroupElement, coefficient: int = 1) -> "GroupRingElement":
-        return GroupRingElement.from_terms(spec, g.level, {g: coefficient})
-
-    @staticmethod
     def constant(spec: TowerGroupSpec, level: int, c: int) -> "GroupRingElement":
         return GroupRingElement.from_terms(spec, level,
                                            {spec.identity(level): c})
@@ -76,34 +62,6 @@ class GroupRingElement:
 
     def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
         return self + (-other)
-
-    def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
-        self._check(other)
-        acc: dict[GroupElement, int] = {}
-        for g, c in self.terms:
-            for h, d in other.terms:
-                gh = self.spec.multiply(g, h)
-                acc[gh] = acc.get(gh, 0) + c * d
-        return GroupRingElement.from_terms(self.spec, self.level, acc)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def augmentation(self) -> int:
-        return sum(c for _, c in self.terms)
-
-    def involution(self) -> "GroupRingElement":
-        """The anti-automorphism g ↦ g⁻¹ extended linearly."""
-        return GroupRingElement.from_terms(
-            self.spec, self.level,
-            {self.spec.inverse(g): c for g, c in self.terms})
-
-    def project(self, m: int) -> "GroupRingElement":
-        acc: dict[GroupElement, int] = {}
-        for g, c in self.terms:
-            h = self.spec.project(g, m)
-            acc[h] = acc.get(h, 0) + c
-        return GroupRingElement.from_terms(self.spec, m, acc)
 
     def content_p_valuation(self) -> int | None:
         """min_g v_p(coefficient), or None for the zero element."""
@@ -132,14 +90,6 @@ class GroupRingMatrix:
     @property
     def size(self) -> int:
         return len(self.entries)
-
-    def augmentation(self) -> list[list[int]]:
-        return [[x.augmentation() for x in row] for row in self.entries]
-
-    def project(self, m: int) -> "GroupRingMatrix":
-        return GroupRingMatrix(
-            self.spec, m,
-            tuple(tuple(x.project(m) for x in row) for row in self.entries))
 
 
 @dataclass(frozen=True)

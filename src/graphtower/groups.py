@@ -211,9 +211,6 @@ class GroupElement:
     level: int
     data: tuple[int, ...]
 
-    def is_identity(self) -> bool:
-        return all(x == 0 for x in self.data)
-
 
 def _fp_rank(vectors: list[list[int]], p: int) -> int:
     """Rank of a set of vectors over F_p (Gaussian elimination)."""

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from .cyclotomic import CyclotomicInteger
 from .errors import BoundExceededError, DisconnectedError, PreconditionError
 from .graphs import graph_matrices
-from .grouprings import (Character, characters, nrd_abelian, regular_det,
+from .grouprings import (Character, nrd_abelian, regular_det,
                          regular_det_fits)
 from .groups import p_valuation
 from .jacobian import level_jacobian
@@ -224,7 +224,7 @@ def fitting_generators(alpha: VoltageAssignment, n: int) -> FittingGenerators:
     spec = alpha.spec
     abelian = spec.kind == "abelian"
     if abelian:
-        characters(spec, n)  # raises past the character bound
+        spec.check_enumerable(n)  # the character bound, before level-n work
     regular_fits = regular_det_fits(spec, n, alpha.base.num_vertices)
     if not (abelian or regular_fits):
         return FittingGenerators(n, None, None)

@@ -1,10 +1,15 @@
 """Integer polynomials and Laurent polynomials.
 
 Elements are tuples of integer coefficients in ascending degree with no
-trailing zeros (the zero polynomial is the empty tuple).  Products and the
-γ = 1 + T substitution are single integer operations by Kronecker
-substitution; the schoolbook routines below serve the Z[u] and Z[γ, γ⁻¹]
-ring objects that the tests' reference Bareiss runs over.
+trailing zeros (the zero polynomial is the empty tuple).  The package uses
+``IntPolynomial`` products (the orbit norms of ``factorization_check``),
+``LaurentElement.make`` (the Λ₁-determinant) and ``laurent_substitute_gamma``
+(its γ = 1 + T substitution); the product and the substitution are single
+integer operations by Kronecker substitution.  The schoolbook ``_add``,
+``_sub``, ``_mul`` and ``_exact_div`` serve only ``PolynomialRing`` and
+``LaurentRing``, the Z[u] and Z[γ, γ⁻¹] ring objects that the tests'
+reference Bareiss runs over; the two classes stay here while
+perfbench/layertrace.py wraps them by name.
 """
 
 from __future__ import annotations
@@ -119,25 +124,8 @@ class IntPolynomial:
         if self.coeffs and self.coeffs[-1] == 0:
             object.__setattr__(self, "coeffs", _normalize(self.coeffs))
 
-    @staticmethod
-    def of(*coeffs: int) -> "IntPolynomial":
-        return IntPolynomial(tuple(coeffs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def coefficient(self, i: int) -> int:
-        return self.coeffs[i] if i < len(self.coeffs) else 0
-
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return IntPolynomial(_add(self.coeffs, other.coeffs))
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return IntPolynomial(_sub(self.coeffs, other.coeffs))
 
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         """One integer product by Kronecker substitution at u = 2^B: every
@@ -148,12 +136,6 @@ class IntPolynomial:
         u = 1 << bits
         return IntPolynomial(_unpack(_eval_poly(a, u) * _eval_poly(b, u),
                                      bits))
-
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(tuple(-c for c in self.coeffs))
-
-    def evaluate(self, x: int) -> int:
-        return _eval_poly(self.coeffs, x)
 
 
 @dataclass(frozen=True)
@@ -180,20 +162,8 @@ class LaurentElement:
             return LaurentElement(0, ())
         return LaurentElement(low + shift, tuple(cs))
 
-    @staticmethod
-    def constant(c: int) -> "LaurentElement":
-        return LaurentElement.make(0, [c])
-
-    @staticmethod
-    def gamma_power(exponent: int, coefficient: int = 1) -> "LaurentElement":
-        return LaurentElement.make(exponent, [coefficient])
-
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    @property
-    def high(self) -> int:
-        return self.low + len(self.coeffs) - 1
 
 
 class LaurentRing:

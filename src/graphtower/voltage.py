@@ -133,10 +133,17 @@ def voltage_adjacency(alpha: VoltageAssignment, n: int) -> GroupRingMatrix:
         for row in terms))
 
 
-def voltage_laplacian(alpha: VoltageAssignment, n: int) -> GroupRingMatrix:
-    """L = D − A_α^t over Z[G^(n)]."""
+def voltage_laplacian(alpha: VoltageAssignment, n: int,
+                      adjacency: GroupRingMatrix | None = None
+                      ) -> GroupRingMatrix:
+    """L = D − A_α^t over Z[G^(n)].
+
+    adjacency is ``voltage_adjacency(alpha, n)``, built here when not given.
+    """
+    if adjacency is None:
+        adjacency = voltage_adjacency(alpha, n)
     spec = alpha.spec
-    a_alpha = voltage_adjacency(alpha, n).entries
+    a_alpha = adjacency.entries
     m = len(a_alpha)
     degrees = graph_matrices(alpha.base).D
     entries = []
@@ -153,10 +160,11 @@ def beta_of_path(alpha: VoltageAssignment, n: int,
                  path: Sequence[tuple[EdgeId, bool]]) -> GroupElement:
     """Ordered product of voltages along a path of (edge id, forward?) steps."""
     spec = alpha.spec
+    ends = dict(alpha.base.edges)
     current: Vertex | None = None
     result = spec.identity(n)
     for eid, forward in path:
-        v, w = alpha.base.endpoints(eid)
+        v, w = ends[eid]
         start, end = (v, w) if forward else (w, v)
         if current is not None and start != current:
             raise ValueError(f"path breaks at edge {eid!r}")

@@ -7,10 +7,12 @@ L-functions that ``lfun`` prints are one Z[ζ] determinant each, by the same
 substitution.  Every identity check below is an exact equality — never a
 float comparison.
 
-The cover's adjacency is one ``GroupRingMatrix``, ``a_sigma_matrices``,
-the voltage matrix A_α; a test checks it against the edges of X_n.
-Characters reach it only through ``character_evaluate``, the one character
-twist in the package.
+The L-functions and the interpolation check never build the cover: its
+adjacency Σ_σ A(σ)·σ, where A(σ)_ij counts the edges between (v_i, 1) and
+(v_j, σ) in X_n, is the voltage matrix A_α of ``voltage_adjacency``, one
+``GroupRingMatrix`` over Z[G^(n)] per job (a test reads it off the edges of
+X_n).  Characters reach it only through ``character_evaluate``, the one
+character twist in the package.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ from .cyclotomic import (CyclotomicInteger, det_cyclotomic,
                          root_power_matrix)
 from .graphs import Multigraph, graph_matrices
 from .grouprings import (Character, GroupRingMatrix, character_evaluate,
-                         characters, galois_orbits, nrd_abelian)
+                         galois_orbits, nrd_abelian)
 from .linalg import det_int_poly_matrix
 from .polynomials import IntPolynomial
-from .voltage import (DerivedGraph, VoltageAssignment, derive,
+from .voltage import (VoltageAssignment, check_derive_bounds, derive,
                       voltage_adjacency, voltage_laplacian)
 
 
@@ -61,21 +63,11 @@ def ihara_zeta_inverse(graph: Multigraph) -> ZetaData:
     return ZetaData(mats.chi, IntPolynomial(det_int_poly_matrix(entries)))
 
 
-def a_sigma_matrices(cover: DerivedGraph) -> GroupRingMatrix:
-    """The cover's adjacency Σ_σ A(σ)·σ over Z[G^(n)], where A(σ)_ij counts
-    the edges between (v_i, 1) and (v_j, σ) in X_n (a loop at (v_i, 1)
-    counts twice in A(1)).
-
-    This is the voltage matrix A_α; a test reads it off the edges of X_n.
-    """
-    return voltage_adjacency(cover.alpha, cover.level)
-
-
 def artin_l_inverse(alpha: VoltageAssignment, n: int, chi: Character,
                     adjacency: GroupRingMatrix) -> ArtinLData:
     """Exact det part of the Artin-Ihara L-function for a character.
 
-    adjacency is ``a_sigma_matrices`` of the level-n cover.
+    adjacency is ``voltage_adjacency(alpha, n)``.
     """
     mats = graph_matrices(alpha.base)
     p = alpha.spec.p
@@ -153,18 +145,15 @@ def interpolation_check(alpha: VoltageAssignment, n: int) -> InterpolationReport
     """Check the L-value interpolation identity at every character.
 
     The transpose in D − A_α^t conjugates characters: the χ-component of the
-    reduced norm equals h(χ̄, 1).
+    reduced norm equals h(χ̄, 1).  A_α is built once, and the characters are
+    listed once, by ``nrd_abelian``.
     """
-    chars = characters(alpha.spec, n)  # the order bound, before level-n work
-    laplacian = voltage_laplacian(alpha, n)
-    components = {chi: value for chi, value in nrd_abelian(laplacian)}
-    adjacency = a_sigma_matrices(derive(alpha, n))
-    results = []
-    for chi in chars:
-        lhs = h_at_one(alpha, n, chi, adjacency)
-        rhs = components[chi.conjugate()]
-        results.append((chi, lhs == rhs))
-    return InterpolationReport(tuple(results))
+    check_derive_bounds(alpha, n)  # the bounds of X_n, before level-n work
+    adjacency = voltage_adjacency(alpha, n)
+    components = dict(nrd_abelian(voltage_laplacian(alpha, n, adjacency)))
+    return InterpolationReport(tuple(
+        (chi, h_at_one(alpha, n, chi, adjacency) ==
+         components[chi.conjugate()]) for chi in components))
 
 
 @dataclass(frozen=True)
@@ -185,7 +174,7 @@ def factorization_check(alpha: VoltageAssignment, n: int) -> FactorizationReport
     """
     orbits = galois_orbits(alpha.spec, n)
     cover = derive(alpha, n)
-    adjacency = a_sigma_matrices(cover)
+    adjacency = voltage_adjacency(alpha, n)
     product = IntPolynomial((1,))
     for chi, _ in orbits:
         product = product * artin_l_norm(alpha, n, chi, adjacency)

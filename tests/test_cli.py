@@ -15,23 +15,7 @@ from graphtower.errors import ConfigError
 from graphtower.graphs import spanning_tree_count
 from graphtower.voltage import derive
 
-LOOP_CONFIG = {
-    "graph": {"vertices": ["v"], "edges": [{"id": "e", "ends": ["v", "v"]}]},
-    "group": {"kind": "abelian", "p": 3, "rank": 1},
-    "voltage": {"e": [[0, 1]]},
-    "quotient": {"exponents": [1]},
-    "max_level": 3,
-}
-
-MU2_CONFIG = {
-    "graph": {"vertices": ["v", "w"],
-              "edges": [{"id": f"e{i}", "ends": ["v", "w"]} for i in range(9)]},
-    "group": {"kind": "metacyclic", "p": 3, "action_unit": "1+p"},
-    "voltage": {**{f"e{i}": [[0, 1]] for i in range(3)},
-                **{f"e{i}": [[1, 1]] for i in range(3, 6)},
-                **{f"e{i}": [] for i in range(6, 9)}},
-    "quotient": {"exponents": [0, 1]},
-}
+from conftest import LOOP_CONFIG, MU2_CONFIG, abelian_pin_config
 
 
 def write_config(tmp_path, data, name="job.json"):
@@ -380,10 +364,47 @@ def test_check_factorization_uses_no_cyclotomic_arithmetic(tmp_path, capsys,
     assert len(products) == 0
 
 
-def test_lfun_derives_once(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("subcommand", ["lfun", "check-interpolation"])
+def test_character_jobs_derive_no_cover(tmp_path, capsys, monkeypatch,
+                                        subcommand):
+    """A_α over Z[G^(n)] is all these jobs need of X_n."""
     calls = _count_calls(monkeypatch, graphtower.voltage.derive)
     path = write_config(tmp_path, LOOP_CONFIG)
-    assert main(["lfun", "--config", path, "--level", "2"]) == 0
+    assert main([subcommand, "--config", path, "--level", "2"]) == 0
+    assert len(calls) == 0
+
+
+@pytest.mark.parametrize("subcommand", ["lfun", "check-interpolation"])
+def test_character_jobs_keep_the_cover_bound(tmp_path, capsys, subcommand):
+    """A 7-cycle over Z/3^6: the 729 characters are within their bound, the
+    5103-vertex cover is not, and the job stops before building A_α."""
+    data = {"graph": {"vertices": list(range(7)),
+                      "edges": [{"id": f"e{i}", "ends": [i, (i + 1) % 7]}
+                                for i in range(7)]},
+            "group": {"kind": "abelian", "p": 3, "rank": 1},
+            "voltage": {f"e{i}": [[0, 1]] for i in range(7)}}
+    path = write_config(tmp_path, data)
+    started = time.monotonic()
+    assert main([subcommand, "--config", path, "--level", "6"]) == 3
+    assert time.monotonic() - started < 1
+    assert "derived graph would have 7·3^6" in capsys.readouterr().err
+
+
+def test_check_interpolation_builds_each_intermediate_once(tmp_path, capsys,
+                                                          monkeypatch):
+    characters = _count_calls(monkeypatch, graphtower.grouprings.characters)
+    adjacency = _count_calls(monkeypatch, graphtower.voltage.voltage_adjacency)
+    path = write_config(tmp_path, LOOP_CONFIG)
+    assert main(["check-interpolation", "--config", path, "--level", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["all_pass"] is True
+    assert len(characters) == 1
+    assert len(adjacency) == 1
+
+
+def test_fitting_lists_characters_once(tmp_path, capsys, monkeypatch):
+    calls = _count_calls(monkeypatch, graphtower.grouprings.characters)
+    path = write_config(tmp_path, LOOP_CONFIG)
+    assert main(["fitting", "--config", path, "--level", "2"]) == 0
     assert len(calls) == 1
 
 
@@ -471,28 +492,13 @@ def test_huge_rank_exits_3_at_once(tmp_path, capsys, argv):
     assert "rank 300000000 exceeds bound 729" in capsys.readouterr().err
 
 
-def _abelian_pin_config(rng, p, rank, level, nv, max_extra):
-    """A seeded abelian config on nv base vertices: a random spanning tree
-    plus 2..max_extra edges, parallel edges and loops allowed."""
-    ends = [[i, rng.randrange(i)] for i in range(1, nv)]
-    ends += [[rng.randrange(nv), rng.randrange(nv)]
-             for _ in range(rng.randint(2, max_extra))]
-    mod = p ** level
-    return {"graph": {"vertices": list(range(nv)),
-                      "edges": [{"id": f"e{i}", "ends": e}
-                                for i, e in enumerate(ends)]},
-            "group": {"kind": "abelian", "p": p, "rank": rank},
-            "voltage": {f"e{i}": [[g, rng.randrange(mod)] for g in range(rank)]
-                        for i in range(len(ends))}}
-
-
 def _lfun_pin_config(seed):
     """A seeded abelian config of 2-4 base vertices and the level to run
     lfun at."""
     rng = random.Random(seed)
     p, rank, level = [(2, 2, 2), (3, 1, 2), (3, 2, 1), (5, 1, 2),
                       (7, 1, 1)][seed % 5]
-    return _abelian_pin_config(rng, p, rank, level, rng.randint(2, 4), 6), level
+    return abelian_pin_config(rng, p, rank, level, rng.randint(2, 4), 6), level
 
 
 # SHA-256 of the lfun stdout, recorded with Bareiss over Z[ζ][u]
@@ -533,7 +539,7 @@ _ZETA_SHA256 = {
 @pytest.mark.parametrize("seed", sorted(_ZETA_SHA256))
 def test_zeta_output_is_pinned(tmp_path, capsys, seed):
     p, rank, level, nv = _ZETA_PIN_SHAPES[seed]
-    data = _abelian_pin_config(random.Random(seed), p, rank, level, nv, 4)
+    data = abelian_pin_config(random.Random(seed), p, rank, level, nv, 4)
     path = write_config(tmp_path, data)
     assert main(["zeta", "--config", path, "--level", str(level)]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
@@ -558,7 +564,7 @@ _FITTING_SHA256 = {
 @pytest.mark.parametrize("seed", sorted(_FITTING_SHA256))
 def test_fitting_output_is_pinned(tmp_path, capsys, seed):
     p, rank, level, nv = _FITTING_PIN_SHAPES[seed]
-    data = _abelian_pin_config(random.Random(seed), p, rank, level, nv, 4)
+    data = abelian_pin_config(random.Random(seed), p, rank, level, nv, 4)
     path = write_config(tmp_path, data)
     assert main(["fitting", "--config", path, "--level", str(level)]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
