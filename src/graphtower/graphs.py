@@ -8,7 +8,7 @@ identical output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 from .linalg import det_int
 
@@ -51,6 +51,11 @@ class Multigraph:
     def num_edges(self) -> int:
         return len(self.edges)
 
+    def index_pairs(self) -> list[tuple[int, int]]:
+        """The vertex indices (i, j) of each edge's ends, in edge order."""
+        index = {v: i for i, v in enumerate(self.vertices)}
+        return [(index[v], index[w]) for _, (v, w) in self.edges]
+
 
 @dataclass(frozen=True)
 class GraphMatrices:
@@ -64,18 +69,12 @@ class GraphMatrices:
     D: tuple[tuple[int, ...], ...]
     chi: int
 
-    def laplacian(self) -> list[list[int]]:
-        n = len(self.A)
-        return [[self.D[i][j] - self.A[i][j] for j in range(n)] for i in range(n)]
-
 
 def graph_matrices(graph: Multigraph) -> GraphMatrices:
     """Adjacency and degree matrices with loops counted twice on the diagonal."""
     n = graph.num_vertices
-    index = {v: i for i, v in enumerate(graph.vertices)}
     a = [[0] * n for _ in range(n)]
-    for _, (v, w) in graph.edges:
-        i, j = index[v], index[w]
+    for i, j in graph.index_pairs():
         if i == j:
             a[i][i] += 2
         else:
@@ -86,6 +85,26 @@ def graph_matrices(graph: Multigraph) -> GraphMatrices:
         d[i][i] = sum(a[i])
     chi = graph.num_vertices - graph.num_edges
     return GraphMatrices(tuple(map(tuple, a)), tuple(map(tuple, d)), chi)
+
+
+def laplacian_rows(num_vertices: int, pairs: Iterable[tuple[int, int]],
+                   reduced: bool = False) -> list[dict[int, int]]:
+    """The Laplacian D − A as sparse rows {column: value}, from the vertex
+    indices (i, j) of each edge's ends.  A loop adds nothing, since it
+    counts twice in both D and A.  With reduced, the row and column of
+    vertex 0 are dropped and vertex i is index i − 1.
+    """
+    drop = int(reduced)
+    rows: list[dict[int, int]] = [{} for _ in range(num_vertices - drop)]
+    for i, j in pairs:
+        if i != j:
+            for a, b in ((i - drop, j - drop), (j - drop, i - drop)):
+                if a >= 0:
+                    row = rows[a]
+                    row[a] = row.get(a, 0) + 1
+                    if b >= 0:
+                        row[b] = row.get(b, 0) - 1
+    return rows
 
 
 def connected_components(graph: Multigraph) -> list[set[Vertex]]:
@@ -126,8 +145,5 @@ def spanning_tree_count(graph: Multigraph) -> int:
     n = graph.num_vertices
     if n == 0:
         return 0
-    if n == 1:
-        return 1
-    lap = graph_matrices(graph).laplacian()
-    minor = [row[1:] for row in lap[1:]]
-    return det_int(minor)
+    rows = laplacian_rows(n, graph.index_pairs(), reduced=True)
+    return det_int([[row.get(j, 0) for j in range(n - 1)] for row in rows])

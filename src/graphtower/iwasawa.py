@@ -65,7 +65,7 @@ class MHGVerdict:
 def tower_en(alpha: VoltageAssignment, max_level: int) -> TowerReport:
     """e_n = v_p(|J(X_n)|) for n = 0..max_level.
 
-    The bounds are checked at max_level before any level is derived, and
+    The bounds are checked at max_level before any level is computed, and
     connectivity once, by the criterion, for every level.
     """
     check_derive_bounds(alpha, max_level)

@@ -1,15 +1,21 @@
-"""Jacobian (sandpile) and Picard groups of graphs via Smith normal form."""
+"""Jacobian (sandpile) and Picard groups of graphs via Smith normal form.
+
+Each group is the cokernel of a Laplacian built as sparse rows by
+`graphs.laplacian_rows` and fed to `linalg.smith_invariant_factors`.  The
+Jacobian of a cover X_n takes its rows straight from the voltage
+assignment's edge translations, so no level builds X_n or a dense matrix.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable
 
 from .errors import DisconnectedError
-from .graphs import Multigraph, graph_matrices
+from .graphs import Multigraph, laplacian_rows
 from .groups import p_valuation
 from .linalg import smith_invariant_factors
-from .voltage import VoltageAssignment, derive
+from .voltage import VoltageAssignment, edge_translations
 
 
 @dataclass(frozen=True)
@@ -42,48 +48,64 @@ class AbelianGroupStructure:
         return " + ".join(parts) if parts else "0"
 
 
-def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithNormalForm:
-    return SmithNormalForm(tuple(smith_invariant_factors(matrix)))
+def smith_normal_form(rows: list[dict[int, int]],
+                      cols: int) -> SmithNormalForm:
+    """The Smith normal form of sparse rows {column: value} with cols
+    columns, which are overwritten."""
+    return SmithNormalForm(tuple(smith_invariant_factors(rows, cols)))
 
 
-def cokernel_structure(matrix: Sequence[Sequence[int]],
-                       ambient_rank: int) -> AbelianGroupStructure:
-    """Structure of Z^ambient_rank / column span of the matrix."""
-    factors = smith_invariant_factors(matrix) if len(matrix) else []
-    nonzero = [d for d in factors if d != 0]
-    torsion = tuple(d for d in nonzero if d > 1)
-    free_rank = ambient_rank - len(nonzero)
-    return AbelianGroupStructure(free_rank, torsion)
+def _laplacian_cokernel(num_vertices: int, pairs: Iterable[tuple[int, int]],
+                        reduced: bool) -> AbelianGroupStructure:
+    """J(X), the cokernel of the reduced Laplacian, or with reduced false
+    Pic(X), of the full one, for a graph given by its vertex count and the
+    vertex indices of each edge's ends.
+
+    A disconnected graph raises DisconnectedError: the free rank of Pic(X)
+    is the number of components, and by the matrix-tree theorem the reduced
+    Laplacian is singular exactly when the graph is disconnected.
+    """
+    rows = laplacian_rows(num_vertices, pairs, reduced)
+    factors = [d for d in smith_invariant_factors(rows, len(rows)) if d != 0]
+    free_rank = len(rows) - len(factors)
+    if free_rank > (0 if reduced else 1):
+        group = "Jacobian" if reduced else "Picard group"
+        raise DisconnectedError(f"{group} requires a connected graph")
+    return AbelianGroupStructure(free_rank, tuple(d for d in factors if d > 1))
 
 
 def jacobian_structure(graph: Multigraph) -> AbelianGroupStructure:
-    """J(X): cokernel of the reduced Laplacian; order = spanning tree count.
-
-    By the matrix-tree theorem the reduced Laplacian is singular exactly
-    when the graph is disconnected, so a free part means disconnection.
-    """
-    lap = graph_matrices(graph).laplacian()
-    reduced = [row[1:] for row in lap[1:]]
-    structure = cokernel_structure(reduced, graph.num_vertices - 1)
-    if structure.free_rank > 0:
-        raise DisconnectedError("Jacobian requires a connected graph")
-    return AbelianGroupStructure(0, structure.torsion)
+    """J(X): order = spanning tree count; a disconnected graph raises
+    DisconnectedError."""
+    return _laplacian_cokernel(graph.num_vertices, graph.index_pairs(),
+                               reduced=True)
 
 
 def picard_structure(graph: Multigraph) -> AbelianGroupStructure:
-    """Pic(X): cokernel of the full Laplacian; Z ⊕ J(X) when connected, and
-    of free rank the number of components in general."""
-    lap = graph_matrices(graph).laplacian()
-    structure = cokernel_structure(lap, graph.num_vertices)
-    if structure.free_rank > 1:
-        raise DisconnectedError("Picard group requires a connected graph")
-    return structure
+    """Pic(X): Z ⊕ J(X) when connected; a disconnected graph raises
+    DisconnectedError."""
+    return _laplacian_cokernel(graph.num_vertices, graph.index_pairs(),
+                               reduced=False)
 
 
 def level_jacobian(alpha: VoltageAssignment,
                    n: int) -> tuple[AbelianGroupStructure, int]:
-    """Jacobian of the level-n derived graph and e_n = v_p(|J(X_n)|)."""
-    structure = jacobian_structure(derive(alpha, n).graph)
+    """Jacobian of the level-n derived graph and e_n = v_p(|J(X_n)|).
+
+    X_n is never built: vertex (v_i, g_k) is index i·|G^(n)| + k, as in
+    `derive`, and each base edge e from v_i to v_j joins index
+    i·|G^(n)| + k to j·|G^(n)| + t_e[k], where t_e is its translation from
+    `edge_translations`.  Those pairs give the reduced Laplacian's sparse
+    rows directly.
+    """
+    group, translations = edge_translations(alpha, n)
+    size = len(group)
+    base = alpha.base
+    pairs = [(i * size + k, j * size + h)
+             for (i, j), translation in zip(base.index_pairs(), translations)
+             for k, h in enumerate(translation)]
+    structure = _laplacian_cokernel(base.num_vertices * size, pairs,
+                                    reduced=True)
     p = alpha.spec.p
     e_n = sum(p_valuation(d, p) for d in structure.torsion)
     return structure, e_n

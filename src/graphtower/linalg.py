@@ -11,11 +11,12 @@ the division is exact because the scaled entry is a minor of the input.
 The one determinant over Z[ζ] is `cyclotomic.det_cyclotomic`; nothing here
 is generic over the ring.
 
-Smith normal form runs in three phases.  Sparse elimination removes the ±1
-pivots, in approximate Markowitz order; on a graph Laplacian that leaves a
-core of a few rows.  A min-pivot loop diagonalizes the core in exact
-arithmetic.  The diagonal is then normalized by pairwise gcd/lcm into a
-divisibility chain.
+Smith normal form takes the matrix as sparse rows {column: value}, the
+form a graph Laplacian is built in, and runs in three phases.  Sparse
+elimination removes the ±1 pivots, in approximate Markowitz order; on a
+graph Laplacian that leaves a core of a few rows.  A min-pivot loop
+diagonalizes the core in exact arithmetic.  The diagonal is then
+normalized by pairwise gcd/lcm into a divisibility chain.
 """
 
 from __future__ import annotations
@@ -159,8 +160,11 @@ def _unpack(value: int, bits: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
-def smith_invariant_factors(matrix: Sequence[Sequence[int]]) -> list[int]:
-    """Invariant factors d_1 | d_2 | ... of an integer matrix.
+def smith_invariant_factors(rows: list[dict[int, int]],
+                            cols: int) -> list[int]:
+    """Invariant factors d_1 | d_2 | ... of an integer matrix given as
+    sparse rows {column: value} with no zero values, and its column count.
+    The rows are overwritten.
 
     Three phases: the unit pivots are eliminated sparsely
     (`_eliminate_unit_pivots`), the small core left over is diagonalized
@@ -168,7 +172,7 @@ def smith_invariant_factors(matrix: Sequence[Sequence[int]]) -> list[int]:
     divisibility chain.  The returned list has length
     min(rows, cols); trailing zeros mark rank deficiency.
     """
-    units, core = _eliminate_unit_pivots(matrix)
+    units, core = _eliminate_unit_pivots(rows, cols)
     diag = _diagonalize_core(core)
     chain = [d for d in map(abs, diag) if d != 1]
     for i in range(len(chain)):
@@ -180,12 +184,13 @@ def smith_invariant_factors(matrix: Sequence[Sequence[int]]) -> list[int]:
 
 
 def _eliminate_unit_pivots(
-        matrix: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
+        rows: list[dict[int, int] | None],
+        cols: int) -> tuple[int, list[list[int]]]:
     """Sparse elimination of ±1 pivots: each is a unimodular step that
     contributes one invariant factor 1.  Returns the number of pivots and
     the dense core of the rows and columns left over.
 
-    Rows are {column: value} dicts, with the set of rows of each column.
+    The rows are updated in place, with the set of rows of each column.
     The next pivot is a ±1 entry popped from a heap keyed by Markowitz cost
     (row count − 1)·(column count − 1), so no step rescans the matrix.  The
     order is approximate: the updated rows are pushed again, and a key that
@@ -193,10 +198,7 @@ def _eliminate_unit_pivots(
     fell keeps its old, higher key.  Pushing those too made the elimination
     slower and left cores of about the same size.
     """
-    rows: list[dict[int, int] | None] = [
-        {j: v for j, v in enumerate(row) if v} for row in matrix]
-    col_rows: list[set[int] | None] = [
-        set() for _ in (matrix[0] if len(matrix) else ())]
+    col_rows: list[set[int] | None] = [set() for _ in range(cols)]
     for i, row in enumerate(rows):
         for j in row:
             col_rows[j].add(i)

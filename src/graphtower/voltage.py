@@ -96,19 +96,55 @@ def check_derive_bounds(alpha: VoltageAssignment, n: int) -> None:
     spec.check_enumerable(n)
 
 
-def derive(alpha: VoltageAssignment, n: int) -> DerivedGraph:
-    """Materialize the derived graph X_n."""
+def edge_translations(
+        alpha: VoltageAssignment,
+        n: int) -> tuple[list[GroupElement], list[list[int]]]:
+    """G^(n) as `enumerate_group` lists it, and for each base edge e, in
+    edge order, the right translation g ↦ g·α(e) as a list of indices into
+    it.
+
+    The generators' translations take |G^(n)| products each; an edge's is
+    composed from them, with each word exponent reduced mod p^n (every
+    generator's order divides it) and powers taken by squaring.  The
+    bounds of `check_derive_bounds` are checked first.
+    """
     check_derive_bounds(alpha, n)
     spec = alpha.spec
-    base = alpha.base
     group = spec.enumerate_group(n)
-    vertices = [(v, g) for v in base.vertices for g in group]
-    edges = []
-    for e, (v, w) in base.edges:
-        a = alpha.voltage(e, n)
-        for g in group:
-            edges.append(((e, g), ((v, g), (w, spec.multiply(g, a)))))
-    return DerivedGraph(n, alpha, Multigraph(tuple(vertices), tuple(edges)))
+    index = {g: k for k, g in enumerate(group)}
+    generators = []
+    for i in range(spec.num_generators):
+        x = spec.generator(i, n)
+        generators.append([index[spec.multiply(g, x)] for g in group])
+    mod = spec.p ** n
+    words = dict(alpha.voltages)
+    translations = []
+    for e, _ in alpha.base.edges:
+        translation = list(range(len(group)))
+        for i, exponent in words[e]:
+            power = generators[i]
+            exponent %= mod
+            while exponent:
+                if exponent & 1:
+                    translation = [power[k] for k in translation]
+                exponent >>= 1
+                if exponent:
+                    power = [power[k] for k in power]
+        translations.append(translation)
+    return group, translations
+
+
+def derive(alpha: VoltageAssignment, n: int) -> DerivedGraph:
+    """Materialize the derived graph X_n: vertices (v, g) in base-vertex
+    then `enumerate_group` order, and edges (e, g) in base-edge then group
+    order, each read from `edge_translations`."""
+    group, translations = edge_translations(alpha, n)
+    base = alpha.base
+    vertices = tuple((v, g) for v in base.vertices for g in group)
+    edges = tuple(((e, g), ((v, g), (w, group[h])))
+                  for (e, (v, w)), translation in zip(base.edges, translations)
+                  for g, h in zip(group, translation))
+    return DerivedGraph(n, alpha, Multigraph(vertices, edges))
 
 
 def voltage_adjacency(alpha: VoltageAssignment, n: int) -> GroupRingMatrix:

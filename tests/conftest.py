@@ -7,7 +7,7 @@ import itertools
 import random
 
 from graphtower import (Multigraph, TowerGroupSpec, VoltageAssignment,
-                        is_connected)
+                        graph_matrices, is_connected)
 from graphtower.cyclotomic import (CyclotomicInteger, _add_monomial,
                                    euler_phi_prime_power)
 from graphtower.grouprings import GroupRingElement, GroupRingMatrix
@@ -99,6 +99,20 @@ def abelian_pin_config(rng, p, rank, level, nv, max_extra):
             "group": {"kind": "abelian", "p": p, "rank": rank},
             "voltage": {f"e{i}": [[g, rng.randrange(mod)] for g in range(rank)]
                         for i in range(len(ends))}}
+
+
+def sparse(matrix):
+    """A dense integer matrix as `smith_invariant_factors` takes it: sparse
+    rows {column: value} and the column count."""
+    return ([{j: v for j, v in enumerate(row) if v} for row in matrix],
+            len(matrix[0]) if matrix else 0)
+
+
+def dense_laplacian(graph):
+    """D − A from `graph_matrices`: the dense reference Laplacian."""
+    m = graph_matrices(graph)
+    n = graph.num_vertices
+    return [[m.D[i][j] - m.A[i][j] for j in range(n)] for i in range(n)]
 
 
 def det_in_ring(matrix, ring):

@@ -4,6 +4,7 @@ import json
 import random
 import sys
 import time
+import tracemalloc
 from math import prod
 
 import pytest
@@ -306,7 +307,7 @@ def test_iwasawa_fit_needs_three_levels(tmp_path, capsys):
 
 
 def test_arithmetic_error_is_an_internal_error(tmp_path, capsys, monkeypatch):
-    def broken(matrix):
+    def broken(rows, cols):
         raise ArithmeticError("inexact division 7 / 2")
 
     monkeypatch.setattr(graphtower.jacobian, "smith_invariant_factors", broken)
@@ -344,6 +345,54 @@ def test_check_factorization_derives_once(tmp_path, capsys, monkeypatch):
     path = write_config(tmp_path, LOOP_CONFIG)
     assert main(["check-factorization", "--config", path, "--level", "2"]) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", [["tower", "--max-level", "2"],
+                                  ["iwasawa-fit", "--max-level", "2"],
+                                  ["jacobian", "--level", "2"]])
+def test_level_jacobians_build_no_cover(tmp_path, capsys, monkeypatch, argv):
+    """Each level's Laplacian comes from the voltage translations: no
+    derived graph, and no dense matrices of a cover."""
+    derived = _count_calls(monkeypatch, graphtower.voltage.derive)
+    matrices = _count_calls(monkeypatch, graphtower.graphs.graph_matrices)
+    path = write_config(tmp_path, MU2_CONFIG)
+    assert main([*argv, "--config", path]) == 0
+    assert len(derived) == 0
+    base_size = len(MU2_CONFIG["graph"]["vertices"])
+    assert all(graph.num_vertices == base_size for graph, in matrices)
+
+
+# a 6-cycle with one edge of voltage 1 over Z/3^6: X_6 is a 4374-cycle
+CYCLE_4374_CONFIG = {
+    "graph": {"vertices": list(range(6)),
+              "edges": [{"id": f"e{i}", "ends": [i, (i + 1) % 6]}
+                        for i in range(6)]},
+    "group": {"kind": "abelian", "p": 3, "rank": 1},
+    "voltage": {f"e{i}": [[0, 1]] if i == 0 else [] for i in range(6)},
+}
+
+
+@pytest.mark.parametrize("argv", [["jacobian", "--level", "6"],
+                                  ["tower", "--max-level", "6"]])
+def test_4374_vertex_jacobian_is_cheap(tmp_path, capsys, argv):
+    """At the vertex bound the Jacobian costs well under a second and
+    50 MB, measured untraced for time and under tracemalloc for memory."""
+    path = write_config(tmp_path, CYCLE_4374_CONFIG)
+    started = time.perf_counter()
+    assert main([*argv, "--config", path]) == 0
+    assert time.perf_counter() - started < 1
+    report = json.loads(capsys.readouterr().out)
+    tracemalloc.start()
+    try:
+        assert main([*argv, "--config", path]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2 ** 20
+    torsion = (report["jacobian"]["torsion"] if argv[0] == "jacobian"
+               else report["jacobians"][-1])
+    assert torsion == [4374]
+    assert json.loads(capsys.readouterr().out) == report
 
 
 def test_check_factorization_uses_no_cyclotomic_arithmetic(tmp_path, capsys,
@@ -569,3 +618,62 @@ def test_fitting_output_is_pinned(tmp_path, capsys, seed):
     assert main(["fitting", "--config", path, "--level", str(level)]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == _FITTING_SHA256[seed]
+
+
+# (kind, p, rank, level, base vertices): covers of 24, 81, 50, 32 and 32
+# vertices at the top level; seed 6 is MU2_CONFIG at level 2 (162 vertices)
+_TOWER_PIN_SHAPES = {1: ("abelian", 2, 1, 4, 3), 2: ("abelian", 3, 1, 3, 3),
+                     3: ("abelian", 5, 1, 2, 2), 4: ("abelian", 2, 2, 2, 2),
+                     5: ("metacyclic", 2, 2, 2, 2)}
+
+
+def _tower_pin_config(seed):
+    """A seeded config and the level to run iwasawa-fit and jacobian at."""
+    if seed not in _TOWER_PIN_SHAPES:
+        return MU2_CONFIG, 2
+    kind, p, rank, level, nv = _TOWER_PIN_SHAPES[seed]
+    data = abelian_pin_config(random.Random(seed), p, rank, level, nv, 4)
+    if kind == "metacyclic":
+        data["group"] = {"kind": "metacyclic", "p": p, "action_unit": "1+p"}
+    return data, level
+
+
+# SHA-256 of the iwasawa-fit stdout, recorded with each level's Jacobian
+# taken from the dense Laplacian of the derived graph
+_TOWER_SHA256 = {
+    1: "0dcaf9b2e004ea4be70a1c386ddb4bc19a53ecf9f5fcc391012bb20e15648013",
+    2: "2fda5887145a3bfc3910860d9f1dde136b76d4f03b6f1165823db26ef42eedd6",
+    3: "a64ebf08255814e57bfc056b46f194bd87d570983505de9694dc4202b03e11ae",
+    4: "94a716e80b6db111f17c3e5c6ea5cb540c9bbcbfc56cf22b9690a980e65e66ba",
+    5: "abad842c7ac7178cf310d1a6bd0d279c6daee73253dee805b2ee22d01099a34f",
+    6: "9dce5a2e2f0370d85b16da9fb2183e46f27cc047851136055df97f512485bf7b",
+}
+
+# SHA-256 of the jacobian stdout at the same levels, recorded likewise
+_JACOBIAN_SHA256 = {
+    1: "2186b932c6d2a6c49080834c0658d63cedf593291af3feb9c4c853e392416d51",
+    2: "5fc9404562b1208053270cc8538a42481bc4b21ddafed8306743531eca9874dc",
+    3: "43e5d9945a8a0408c6fd5daa0b307ccc0fa2e3d99c2cf328e3c362db4078b0fd",
+    4: "4a83d398a1fe250c25c0f93ca5252f35f37402d13464c82e4622104c77c8f7ae",
+    5: "4cfd0b15586daf8fbd69fd9e61fab151da165bdd1567c0fe0a2df97caa906284",
+    6: "a13c6ecc59bae0fd1a0fa2a03375851be70b1539c360edf211432efddcc787a3",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_TOWER_SHA256))
+def test_tower_output_is_pinned(tmp_path, capsys, seed):
+    data, level = _tower_pin_config(seed)
+    path = write_config(tmp_path, data)
+    assert main(["iwasawa-fit", "--config", path,
+                 "--max-level", str(level)]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == _TOWER_SHA256[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(_JACOBIAN_SHA256))
+def test_jacobian_output_is_pinned(tmp_path, capsys, seed):
+    data, level = _tower_pin_config(seed)
+    path = write_config(tmp_path, data)
+    assert main(["jacobian", "--config", path, "--level", str(level)]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == _JACOBIAN_SHA256[seed]

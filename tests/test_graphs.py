@@ -4,9 +4,17 @@ import pytest
 
 from graphtower import (Multigraph, connected_components, graph_matrices,
                         is_connected, spanning_tree_count)
+from graphtower.graphs import laplacian_rows
 from graphtower.linalg import det_int
 
-from conftest import enumerate_spanning_trees, random_connected_multigraph
+from conftest import (dense_laplacian, enumerate_spanning_trees,
+                      random_connected_multigraph)
+
+
+def laplacian(g):
+    """The Laplacian of g, densified from its sparse rows."""
+    rows = laplacian_rows(g.num_vertices, g.index_pairs())
+    return [[row.get(j, 0) for j in range(g.num_vertices)] for row in rows]
 
 
 def triangle():
@@ -41,7 +49,7 @@ def test_laplacian_row_sums_zero():
     rng = random.Random(11)
     for _ in range(20):
         g = random_connected_multigraph(rng)
-        lap = graph_matrices(g).laplacian()
+        lap = laplacian(g)
         assert all(sum(row) == 0 for row in lap)
 
 
@@ -85,7 +93,7 @@ def test_all_principal_minors_agree():
     rng = random.Random(7)
     for _ in range(10):
         g = random_connected_multigraph(rng, max_vertices=6)
-        lap = graph_matrices(g).laplacian()
+        lap = laplacian(g)
         n = len(lap)
         minors = set()
         for k in range(n):
@@ -99,5 +107,20 @@ def test_adding_loop_changes_nothing():
     g = triangle()
     with_loop = Multigraph.build(g.vertices, list(g.edges) + [(9, ("a", "a"))])
     assert spanning_tree_count(g) == spanning_tree_count(with_loop)
-    assert (graph_matrices(g).laplacian() ==
-            graph_matrices(with_loop).laplacian())
+    assert laplacian(g) == laplacian(with_loop)
+
+
+def test_laplacian_rows_match_the_dense_laplacian():
+    """Sparse rows equal D − A with its zeros left out, and the reduced
+    rows equal it with the row and column of vertex 0 dropped."""
+    rng = random.Random(13)
+    for _ in range(30):
+        g = random_connected_multigraph(rng, max_vertices=7)
+        dense = dense_laplacian(g)
+        full = laplacian_rows(g.num_vertices, g.index_pairs())
+        assert full == [{j: v for j, v in enumerate(row) if v}
+                        for row in dense]
+        reduced = laplacian_rows(g.num_vertices, g.index_pairs(),
+                                 reduced=True)
+        assert reduced == [{j - 1: v for j, v in enumerate(row) if v and j}
+                           for row in dense[1:]]

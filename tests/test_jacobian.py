@@ -8,7 +8,7 @@ from graphtower import (Multigraph, TowerGroupSpec, VoltageAssignment,
 from graphtower.errors import DisconnectedError
 from graphtower.linalg import det_int
 
-from conftest import random_connected_multigraph
+from conftest import dense_laplacian, random_connected_multigraph, sparse
 
 
 def cycle(n):
@@ -16,7 +16,7 @@ def cycle(n):
 
 
 def test_snf_wrapper():
-    snf = smith_normal_form([[2, 0], [0, 3]])
+    snf = smith_normal_form(*sparse([[2, 0], [0, 3]]))
     assert snf.invariant_factors == (1, 6)
     assert snf.rank == 2
 
@@ -67,14 +67,13 @@ def test_picard_is_z_plus_jacobian():
 def test_group_order_annihilates_jacobian():
     # the determinant of the reduced Laplacian kills the cokernel
     rng = random.Random(63)
-    from graphtower.graphs import graph_matrices
     from graphtower.linalg import smith_invariant_factors
     for _ in range(15):
         g = random_connected_multigraph(rng, max_vertices=6)
-        lap = graph_matrices(g).laplacian()
+        lap = dense_laplacian(g)
         reduced = [row[1:] for row in lap[1:]]
         order = abs(det_int(reduced))
-        for d in smith_invariant_factors(reduced):
+        for d in smith_invariant_factors(*sparse(reduced)):
             assert d == 0 or order % d == 0
 
 

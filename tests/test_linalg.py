@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import graphtower.linalg
-from conftest import det_in_ring, random_abelian_instance
+from conftest import det_in_ring, random_abelian_instance, sparse
 from graphtower.linalg import (det_int, det_int_poly_matrix,
                                smith_invariant_factors)
 from graphtower.polynomials import PolynomialRing, _normalize
@@ -178,9 +178,9 @@ def _trim(coeffs):
 
 
 def test_snf_known_cases():
-    assert smith_invariant_factors([[2, 0], [0, 3]]) == [1, 6]
-    assert smith_invariant_factors([[0, 0], [0, 0]]) == [0, 0]
-    assert smith_invariant_factors([[2, -1], [-1, 2]]) == [1, 3]
+    assert smith_invariant_factors(*sparse([[2, 0], [0, 3]])) == [1, 6]
+    assert smith_invariant_factors(*sparse([[0, 0], [0, 0]])) == [0, 0]
+    assert smith_invariant_factors(*sparse([[2, -1], [-1, 2]])) == [1, 3]
 
 
 def test_snf_divisibility_and_determinant():
@@ -188,7 +188,7 @@ def test_snf_divisibility_and_determinant():
     for _ in range(30):
         n = rng.randint(1, 5)
         m = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
-        factors = smith_invariant_factors(m)
+        factors = smith_invariant_factors(*sparse(m))
         nonzero = [d for d in factors if d]
         for a, b in zip(nonzero, nonzero[1:]):
             assert b % a == 0
@@ -203,5 +203,5 @@ def test_snf_divisibility_and_determinant():
 
 
 def test_snf_rectangular():
-    assert smith_invariant_factors([[2, 4, 6]]) == [2]
-    assert smith_invariant_factors([[2], [4], [6]]) == [2]
+    assert smith_invariant_factors(*sparse([[2, 4, 6]])) == [2]
+    assert smith_invariant_factors(*sparse([[2], [4], [6]])) == [2]

@@ -6,11 +6,11 @@ from itertools import combinations
 from math import gcd
 
 from graphtower import TowerGroupSpec, VoltageAssignment
-from graphtower.graphs import graph_matrices, is_connected
+from graphtower.graphs import is_connected
 from graphtower.linalg import det_int, smith_invariant_factors
 from graphtower.voltage import derive
 
-from conftest import random_connected_multigraph
+from conftest import dense_laplacian, random_connected_multigraph, sparse
 
 
 def dense_smith_reference(matrix):
@@ -113,7 +113,7 @@ def _cover_laplacian(rng):
                     for eid, _ in base.edges}
         cover = derive(VoltageAssignment.build(base, spec, voltages), level)
         if is_connected(cover.graph):
-            return graph_matrices(cover.graph).laplacian()
+            return dense_laplacian(cover.graph)
 
 
 def test_snf_matches_dense_reference_on_cover_laplacians():
@@ -126,7 +126,8 @@ def test_snf_matches_dense_reference_on_cover_laplacians():
         scaled += scale > 1
         for m in (lap, [row[1:] for row in lap[1:]]):
             m = [[scale * v for v in row] for row in m]
-            assert smith_invariant_factors(m) == dense_smith_reference(m)
+            assert (smith_invariant_factors(*sparse(m)) ==
+                    dense_smith_reference(m))
     assert scaled >= 15
 
 
@@ -138,7 +139,7 @@ def test_snf_matches_dense_reference_on_random_matrices():
         density = rng.random()
         m = [[scale * rng.randint(-9, 9) if rng.random() < density else 0
               for _ in range(cols)] for _ in range(rows)]
-        assert smith_invariant_factors(m) == dense_smith_reference(m)
+        assert smith_invariant_factors(*sparse(m)) == dense_smith_reference(m)
 
 
 def _random_small_matrix(rng, kind):
@@ -160,17 +161,19 @@ def test_snf_matches_determinantal_divisors():
     kinds = ["rectangular", "square", "singular", "unit-free"]
     for case in range(320):
         m = _random_small_matrix(rng, kinds[case % 4])
-        assert smith_invariant_factors(m) == determinantal_smith(m), m
+        assert (smith_invariant_factors(*sparse(m)) ==
+                determinantal_smith(m)), m
 
 
 def test_snf_edge_shapes():
-    assert smith_invariant_factors([]) == []
-    assert smith_invariant_factors([[]]) == []
-    assert smith_invariant_factors([[0]]) == [0]
-    assert smith_invariant_factors([[-5]]) == [5]
-    assert smith_invariant_factors([[4, 0], [0, 6]]) == [2, 12]
-    assert smith_invariant_factors([[2, 0, 0], [0, 0, 0]]) == [2, 0]
+    assert smith_invariant_factors(*sparse([])) == []
+    assert smith_invariant_factors(*sparse([[]])) == []
+    assert smith_invariant_factors(*sparse([[0]])) == [0]
+    assert smith_invariant_factors(*sparse([[-5]])) == [5]
+    assert smith_invariant_factors(*sparse([[4, 0], [0, 6]])) == [2, 12]
+    assert smith_invariant_factors(*sparse([[2, 0, 0], [0, 0, 0]])) == [2, 0]
     # a unit pivot with a core left over, singular and regular
-    assert smith_invariant_factors([[1, 2, 0], [3, 4, 0], [0, 0, 0]]) == [1, 2, 0]
-    assert smith_invariant_factors([[1, 2], [3, 4]]) == [1, 2]
-    assert smith_invariant_factors([[6, 4], [4, 6]]) == [2, 10]
+    assert smith_invariant_factors(
+        *sparse([[1, 2, 0], [3, 4, 0], [0, 0, 0]])) == [1, 2, 0]
+    assert smith_invariant_factors(*sparse([[1, 2], [3, 4]])) == [1, 2]
+    assert smith_invariant_factors(*sparse([[6, 4], [4, 6]])) == [2, 10]

@@ -3,15 +3,17 @@ from collections import Counter
 
 import pytest
 
+import graphtower.jacobian
 from graphtower import (Multigraph, QuotientSpec, TowerGroupSpec,
                         VoltageAssignment, beta_of_path, connected_components,
                         connectivity_criterion, derive, graph_matrices,
-                        is_connected, quotient_assignment, voltage_adjacency,
-                        voltage_laplacian)
+                        is_connected, level_jacobian, quotient_assignment,
+                        voltage_adjacency, voltage_laplacian)
 from graphtower.errors import BoundExceededError, DisconnectedError
 from graphtower.grouprings import GroupRingElement
+from graphtower.voltage import edge_translations
 
-from conftest import augmentation, random_abelian_instance
+from conftest import augmentation, dense_laplacian, random_abelian_instance
 
 
 def loop_graph():
@@ -50,6 +52,73 @@ def test_counts_and_size_guard():
     assert cover.graph.num_edges == order * alpha.base.num_edges
     with pytest.raises(BoundExceededError):
         derive(z3_loop(), 9)
+
+
+# (kind, p, rank, top level): covers of at most 375 vertices
+_ORACLE_SHAPES = [("abelian", 2, 1, 3), ("abelian", 2, 2, 3),
+                  ("abelian", 3, 1, 3), ("abelian", 3, 2, 2),
+                  ("abelian", 5, 1, 3), ("abelian", 5, 2, 1),
+                  ("metacyclic", 2, 2, 3), ("metacyclic", 3, 2, 2)]
+_ORACLE_EXPONENTS = (1, -1, 2, -7, 10 ** 12, -10 ** 12 - 1)
+
+
+def _oracle_instance(rng, kind, p, rank):
+    """A random voltage assignment on 1-3 base vertices with a loop, a
+    parallel edge, and words of 0-3 letters whose exponents include
+    negative ones and ±10^12."""
+    spec = (TowerGroupSpec("abelian", p, rank=rank) if kind == "abelian"
+            else TowerGroupSpec("metacyclic", p))
+    nv = rng.randint(1, 3)
+    ends = [(v, rng.randrange(v)) for v in range(1, nv)]
+    ends.append((rng.randrange(nv), rng.randrange(nv)))
+    ends.append(ends[rng.randrange(len(ends))])
+    v = rng.randrange(nv)
+    ends.append((v, v))
+    voltages = {
+        i: [[rng.randrange(spec.num_generators),
+             rng.choice(_ORACLE_EXPONENTS + (rng.randint(-99, 99),))]
+            for _ in range(rng.randint(0, 3))]
+        for i in range(len(ends))}
+    base = Multigraph.build(range(nv), list(enumerate(ends)))
+    return VoltageAssignment.build(base, spec, voltages)
+
+
+def test_edge_translations_and_cover_rows_match_the_derived_graph(
+        monkeypatch):
+    """Each translation equals g ↦ g·α(e) by `multiply`, element by
+    element, and the rows `level_jacobian` hands to the Smith form equal
+    the reduced dense Laplacian of derive(alpha, n)."""
+    captured = []
+    smith = graphtower.jacobian.smith_invariant_factors
+
+    def capture(rows, cols):
+        captured.append(([dict(row) for row in rows], cols))
+        return smith(rows, cols)
+
+    monkeypatch.setattr(graphtower.jacobian, "smith_invariant_factors",
+                        capture)
+    rng = random.Random(58)
+    for kind, p, rank, top in _ORACLE_SHAPES:
+        for _ in range(2):
+            alpha = _oracle_instance(rng, kind, p, rank)
+            spec = alpha.spec
+            for n in range(top + 1):
+                group, translations = edge_translations(alpha, n)
+                assert group == spec.enumerate_group(n)
+                for (e, _), translation in zip(alpha.base.edges,
+                                               translations):
+                    a = alpha.voltage(e, n)
+                    assert [group[k] for k in translation] == [
+                        spec.multiply(g, a) for g in group]
+                captured.clear()
+                try:
+                    level_jacobian(alpha, n)
+                except DisconnectedError:
+                    pass
+                dense = dense_laplacian(derive(alpha, n).graph)
+                assert captured == [(
+                    [{j - 1: v for j, v in enumerate(row) if v and j}
+                     for row in dense[1:]], len(dense) - 1)]
 
 
 def test_galois_action_is_automorphism():
@@ -111,8 +180,7 @@ def test_laplacian_augmentation_is_integer_laplacian():
     for _ in range(10):
         alpha, level = random_abelian_instance(rng)
         lap = voltage_laplacian(alpha, level)
-        mats = graph_matrices(alpha.base)
-        assert augmentation(lap) == mats.laplacian()
+        assert augmentation(lap) == dense_laplacian(alpha.base)
 
 
 def _involution(x):
