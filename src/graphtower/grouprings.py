@@ -63,12 +63,6 @@ class GroupRingElement:
     def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
         return self + (-other)
 
-    def content_p_valuation(self) -> int | None:
-        """min_g v_p(coefficient), or None for the zero element."""
-        if not self.terms:
-            return None
-        return min(p_valuation(c, self.spec.p) for _, c in self.terms)
-
 
 @dataclass(frozen=True)
 class GroupRingMatrix:

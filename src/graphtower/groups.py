@@ -7,13 +7,17 @@ which is all the level computations need.  Two kinds are supported:
 * ``abelian`` — ``G^(n) = (Z/p^n)^l``;
 * ``metacyclic`` — ``G^(n) = Z/p^n ⋊ Z/p^n`` with relation ``τστ⁻¹ = σ^u``
   for a unit ``u ≡ 1 (mod p)``.
+
+An element is stored as its integer normal form, the exponent vector or the
+pair (i, j) of ``σ^i τ^j``; this module is the only one that encodes normal
+forms as indices (`TowerGroupSpec.right_translation`).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import BoundExceededError
 
@@ -104,17 +108,6 @@ class TowerGroupSpec:
             return GroupElement(n, (0,) * self.rank)
         return GroupElement(n, (0, 0))
 
-    def generator(self, index: int, n: int) -> "GroupElement":
-        if not 0 <= index < self.num_generators:
-            raise ValueError(f"invalid generator index {index}")
-        if n == 0:
-            return self.identity(0)
-        if self.kind == "abelian":
-            exps = [0] * self.rank
-            exps[index] = 1
-            return GroupElement(n, tuple(exps))
-        return GroupElement(n, (1, 0) if index == 0 else (0, 1))
-
     def multiply(self, a: "GroupElement", b: "GroupElement") -> "GroupElement":
         self._check_same_level(a, b)
         mod = self.p ** a.level
@@ -142,32 +135,70 @@ class TowerGroupSpec:
         u_inv = pow(u, -1, mod)
         return GroupElement(a.level, ((-i * pow(u_inv, j, mod)) % mod, (-j) % mod))
 
-    def power(self, a: "GroupElement", k: int) -> "GroupElement":
-        if k < 0:
-            return self.power(self.inverse(a), -k)
-        result = self.identity(a.level)
-        base = a
-        while k:
-            if k & 1:
-                result = self.multiply(result, base)
-            base = self.multiply(base, base)
-            k >>= 1
-        return result
-
     def project(self, a: "GroupElement", m: int) -> "GroupElement":
         if m > a.level:
             raise ValueError(f"cannot project level {a.level} up to level {m}")
         mod = self.p ** m
         return GroupElement(m, tuple(x % mod for x in a.data))
 
+    def normal_form(self, n: int,
+                    word: Sequence[tuple[int, int]]) -> tuple[int, ...]:
+        """The normal form in G^(n) of a generator word ``[(gen index,
+        exponent), ...]``, in integers: the exponent vector mod p^n, or the
+        pair (i, j) of σ^i τ^j, where (σ^i τ^j)·σ^x = σ^(i + x·u^j) τ^j.
+
+        u^j mod p^n depends on j mod p^n only, since u ≡ 1 mod p has order
+        dividing p^(n−1).  At level 1 both kinds give the exponent sums
+        mod p, since there u ≡ 1.
+        """
+        count = self.num_generators
+        if not all(0 <= index < count for index, _ in word):
+            raise ValueError(f"invalid generator index in {list(word)}")
+        mod = self.p ** n
+        if self.kind == "abelian":
+            exps = [0] * self.rank
+            for index, exponent in word:
+                exps[index] += exponent
+            return tuple(x % mod for x in exps)
+        i = j = 0
+        for index, exponent in word:
+            if index == 0:
+                i = (i + exponent * pow(self.unit, j, mod)) % mod
+            else:
+                j = (j + exponent) % mod
+        return (i, j)
+
     def word_evaluate(self, n: int,
                       word: Sequence[tuple[int, int]]) -> "GroupElement":
         """Evaluate a generator word ``[(gen index, exponent), ...]``."""
-        result = self.identity(n)
-        for index, exponent in word:
-            result = self.multiply(
-                result, self.power(self.generator(index, n), exponent))
-        return result
+        return GroupElement(n, self.normal_form(n, word))
+
+    def right_translation(self, n: int, a: tuple[int, ...]) -> list[int]:
+        """g ↦ g·a on G^(n), for a given by its normal form, as an index list.
+
+        Entry k is the index of g_k·a, where g_k is element k of
+        `enumerate_group(n)`.  That order is the mixed-radix order of the
+        normal forms with radix p^n and the first coordinate most
+        significant, so (x_1, ..., x_l) has index Σ x_t·p^(n·(l−t)).  The
+        abelian translation adds a coordinatewise mod p^n; the metacyclic
+        one takes (i, j) to (i + a_1·u^j, j + a_2) mod p^n.
+        """
+        mod = self.p ** n
+        if self.kind == "abelian":
+            translation = [0]
+            for x in a:
+                shifted = [(y + x) % mod for y in range(mod)]
+                translation = [k * mod + y for k in translation
+                               for y in shifted]
+            return translation
+        u = self.unit % mod
+        column, power = [], 1
+        for j in range(mod):
+            column.append(a[0] * power % mod)
+            power = power * u % mod
+        row = [(j + a[1]) % mod for j in range(mod)]
+        return [(i + c) % mod * mod + t for i in range(mod)
+                for c, t in zip(column, row)]
 
     def check_enumerable(self, n: int) -> None:
         """Raise BoundExceededError when |G^(n)| is past the enumeration
@@ -183,20 +214,6 @@ class TowerGroupSpec:
         width = self.rank if self.kind == "abelian" else 2
         return [GroupElement(n, exps)
                 for exps in itertools.product(range(mod), repeat=width)]
-
-    def is_generating_set(self, elements: Iterable["GroupElement"]) -> bool:
-        """Whether level-1 elements generate ``G^(1) = G/G^p``.
-
-        For a powerful tower group the Frattini quotient is ``G/G^p``, so
-        spanning ``G^(1)`` as an F_p vector space is equivalent to
-        topological generation of the whole tower.
-        """
-        vectors = []
-        for g in elements:
-            if g.level != 1:
-                raise ValueError("generation test requires level-1 elements")
-            vectors.append([x % self.p for x in g.data])
-        return _fp_rank(vectors, self.p) == self.dimension
 
     def _check_same_level(self, a: "GroupElement", b: "GroupElement") -> None:
         if a.level != b.level:

@@ -3,6 +3,7 @@ finite-level Fitting generators, and the 𝔐_H(G) decision procedure."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .cyclotomic import CyclotomicInteger
@@ -20,7 +21,6 @@ from .voltage import (QuotientSpec, VoltageAssignment, check_derive_bounds,
                       quotient_assignment, voltage_laplacian)
 
 _LAMBDA1_DEGREE_BOUND = 1800  # Σ over Laplacian rows of the γ-exponent span
-_MU_PROBE_LEVEL = 1  # level of the content bound in mu_lower_bound
 
 
 @dataclass(frozen=True)
@@ -62,6 +62,12 @@ class MHGVerdict:
     det: Lambda1Det  # the Λ₁-determinant μ₁ and λ₁ were read from
 
 
+def _require_criterion(alpha: VoltageAssignment) -> None:
+    if not connectivity_criterion(alpha):
+        raise DisconnectedError(
+            "voltage does not satisfy the connectivity criterion")
+
+
 def tower_en(alpha: VoltageAssignment, max_level: int) -> TowerReport:
     """e_n = v_p(|J(X_n)|) for n = 0..max_level.
 
@@ -69,9 +75,7 @@ def tower_en(alpha: VoltageAssignment, max_level: int) -> TowerReport:
     connectivity once, by the criterion, for every level.
     """
     check_derive_bounds(alpha, max_level)
-    if not connectivity_criterion(alpha):
-        raise DisconnectedError(
-            "voltage does not satisfy the connectivity criterion")
+    _require_criterion(alpha)
     spec = alpha.spec
     levels, e_values, orders, jacobians = [], [], [], []
     for n in range(max_level + 1):
@@ -168,20 +172,25 @@ def mu_lambda_from_poly(f: IntPolynomial, p: int) -> tuple[int, int]:
 
 
 def mu_lower_bound(alpha: VoltageAssignment) -> int:
-    """k·|V| where p^k divides every entry of D − A_α^t at the probe level.
+    """k·|V| where p^k divides every entry of L = D − A_α^t over Z[G^(1)].
 
-    Justified by the surjection of Pic onto (Λ/p^k)^{|V|}.
+    Justified by the surjection of Pic onto (Λ/p^k)^{|V|}.  G^(1) = G/G^p
+    is (Z/p)^d for both kinds, with the level-1 normal forms as elements
+    and −a as the inverse of a.  An edge from v_i to v_j of level-1
+    voltage a puts −a at (j, i) and −(−a) at (i, j) of L, and adds one to
+    the identity's coefficient at (i, i) and at (j, j); k is the least
+    valuation of the nonzero coefficients so counted.
     """
-    laplacian = voltage_laplacian(alpha, _MU_PROBE_LEVEL)
-    k: int | None = None
-    for row in laplacian.entries:
-        for x in row:
-            v = x.content_p_valuation()
-            if v is not None:
-                k = v if k is None else min(k, v)
-                if k == 0:
-                    return 0
-    return (k or 0) * alpha.base.num_vertices
+    p = alpha.spec.p
+    identity = (0,) * alpha.spec.dimension
+    counts: Counter[tuple[int, int, tuple[int, ...]]] = Counter()
+    for (i, j), a in zip(alpha.base.index_pairs(), alpha.normal_forms(1)):
+        counts[i, i, identity] += 1
+        counts[j, j, identity] += 1
+        counts[j, i, a] -= 1
+        counts[i, j, tuple(-x % p for x in a)] -= 1
+    k = min((p_valuation(c, p) for c in counts.values() if c), default=0)
+    return k * alpha.base.num_vertices
 
 
 def mhg_check(alpha: VoltageAssignment, quotient: QuotientSpec) -> MHGVerdict:
@@ -190,8 +199,10 @@ def mhg_check(alpha: VoltageAssignment, quotient: QuotientSpec) -> MHGVerdict:
     HOLDS when μ₁ = 0 (control theorem), or when the tower is
     two-dimensional and the content lower bound on μ_Λ meets μ₁ (the two
     bounds pinch, and μ_Λ = μ₁).  Otherwise INCONCLUSIVE; both bounds are
-    reported.
+    reported.  A voltage outside the connectivity criterion raises
+    DisconnectedError first, as in `tower_en`.
     """
+    _require_criterion(alpha)
     det = lambda1_determinant(quotient_assignment(alpha, quotient))
     mu1, lambda1 = mu_lambda_from_poly(det.f, alpha.spec.p)
     lower = mu_lower_bound(alpha)

@@ -98,8 +98,8 @@ def level_jacobian(alpha: VoltageAssignment,
     `edge_translations`.  Those pairs give the reduced Laplacian's sparse
     rows directly.
     """
-    group, translations = edge_translations(alpha, n)
-    size = len(group)
+    translations = edge_translations(alpha, n)
+    size = alpha.spec.order(n)
     base = alpha.base
     pairs = [(i * size + k, j * size + h)
              for (i, j), translation in zip(base.index_pairs(), translations)

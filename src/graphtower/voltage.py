@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 from .errors import BoundExceededError, DisconnectedError
 from .graphs import EdgeId, Multigraph, Vertex, graph_matrices, is_connected
-from .groups import GroupElement, TowerGroupSpec
+from .groups import GroupElement, TowerGroupSpec, _fp_rank
 from .grouprings import GroupRingElement, GroupRingMatrix
 
 Word = tuple[tuple[int, int], ...]  # ((generator index, exponent), ...)
@@ -60,6 +60,11 @@ class VoltageAssignment:
     def voltage(self, e: EdgeId, n: int) -> GroupElement:
         return self.spec.word_evaluate(n, self.word(e))
 
+    def normal_forms(self, n: int) -> list[tuple[int, ...]]:
+        """Each edge's voltage in G^(n) as a normal form, in edge order."""
+        words = dict(self.voltages)
+        return [self.spec.normal_form(n, words[e]) for e, _ in self.base.edges]
+
 
 @dataclass(frozen=True)
 class DerivedGraph:
@@ -96,49 +101,25 @@ def check_derive_bounds(alpha: VoltageAssignment, n: int) -> None:
     spec.check_enumerable(n)
 
 
-def edge_translations(
-        alpha: VoltageAssignment,
-        n: int) -> tuple[list[GroupElement], list[list[int]]]:
-    """G^(n) as `enumerate_group` lists it, and for each base edge e, in
-    edge order, the right translation g ↦ g·α(e) as a list of indices into
-    it.
+def edge_translations(alpha: VoltageAssignment, n: int) -> list[list[int]]:
+    """For each base edge e, in edge order, the right translation
+    g ↦ g·α(e) of G^(n) as an index list into `enumerate_group(n)`.
 
-    The generators' translations take |G^(n)| products each; an edge's is
-    composed from them, with each word exponent reduced mod p^n (every
-    generator's order divides it) and powers taken by squaring.  The
-    bounds of `check_derive_bounds` are checked first.
+    Each voltage is read once as its normal form, and the translation is
+    integer arithmetic on normal forms (`TowerGroupSpec.right_translation`).
+    The bounds of `check_derive_bounds` are checked first.
     """
     check_derive_bounds(alpha, n)
     spec = alpha.spec
-    group = spec.enumerate_group(n)
-    index = {g: k for k, g in enumerate(group)}
-    generators = []
-    for i in range(spec.num_generators):
-        x = spec.generator(i, n)
-        generators.append([index[spec.multiply(g, x)] for g in group])
-    mod = spec.p ** n
-    words = dict(alpha.voltages)
-    translations = []
-    for e, _ in alpha.base.edges:
-        translation = list(range(len(group)))
-        for i, exponent in words[e]:
-            power = generators[i]
-            exponent %= mod
-            while exponent:
-                if exponent & 1:
-                    translation = [power[k] for k in translation]
-                exponent >>= 1
-                if exponent:
-                    power = [power[k] for k in power]
-        translations.append(translation)
-    return group, translations
+    return [spec.right_translation(n, a) for a in alpha.normal_forms(n)]
 
 
 def derive(alpha: VoltageAssignment, n: int) -> DerivedGraph:
     """Materialize the derived graph X_n: vertices (v, g) in base-vertex
     then `enumerate_group` order, and edges (e, g) in base-edge then group
     order, each read from `edge_translations`."""
-    group, translations = edge_translations(alpha, n)
+    translations = edge_translations(alpha, n)
+    group = alpha.spec.enumerate_group(n)
     base = alpha.base
     vertices = tuple((v, g) for v in base.vertices for g in group)
     edges = tuple(((e, g), ((v, g), (w, group[h])))
@@ -210,62 +191,42 @@ def beta_of_path(alpha: VoltageAssignment, n: int,
     return result
 
 
-def fundamental_cycle_betas(alpha: VoltageAssignment, n: int) -> list[GroupElement]:
-    """β-values of the fundamental cycles of a spanning tree through the root.
+def connectivity_criterion(alpha: VoltageAssignment) -> bool:
+    """Whether every derived graph X_n is connected.
 
-    The root is the first-listed vertex; tree paths are found by BFS over the
-    edge list in insertion order (deterministic).
+    True iff the β-values of a spanning tree's fundamental cycles generate
+    G^(1) = G/G^p, which for a powerful tower group implies topological
+    generation and hence connectivity at every level.  G^(1) is (Z/p)^d
+    for both kinds, so the β-values are F_p-vectors: with φ(v) the image
+    of the tree path from the first vertex to v, an edge from v to w of
+    level-1 voltage a has β = φ(v) + a − φ(w), which is 0 on tree edges.
+    The criterion compares their F_p-rank with d.  A disconnected base
+    raises DisconnectedError.
     """
     base = alpha.base
     if not is_connected(base):
         raise DisconnectedError("base graph is disconnected")
     spec = alpha.spec
-    root = base.vertices[0]
-    # BFS spanning tree: for each vertex, the β of the root→vertex tree path
-    beta_to: dict[Vertex, GroupElement] = {root: spec.identity(n)}
-    tree_edges: set[EdgeId] = set()
-    frontier = [root]
-    while frontier:
-        next_frontier = []
-        for e, (v, w) in base.edges:
-            if e in tree_edges:
-                continue
-            g = None
-            if v in beta_to and w not in beta_to:
-                g = spec.multiply(beta_to[v], alpha.voltage(e, n))
-                beta_to[w] = g
-                tree_edges.add(e)
-                next_frontier.append(w)
-            elif w in beta_to and v not in beta_to:
-                g = spec.multiply(beta_to[w], spec.inverse(alpha.voltage(e, n)))
-                beta_to[v] = g
-                tree_edges.add(e)
-                next_frontier.append(v)
-        if not next_frontier:
-            break
-        frontier = next_frontier
-    betas = []
-    for e, (v, w) in base.edges:
-        if e in tree_edges:
-            continue
-        # cycle root → v, across e, back w → root
-        g = spec.multiply(beta_to[v], alpha.voltage(e, n))
-        g = spec.multiply(g, spec.inverse(beta_to[w]))
-        betas.append(g)
-    return betas
-
-
-def connectivity_criterion(alpha: VoltageAssignment) -> bool:
-    """Whether every derived graph X_n is connected.
-
-    True iff the β-values of a fundamental cycle basis generate
-    G^(1) = G/G^p, which for a powerful tower group implies topological
-    generation and hence connectivity at every level.
-    """
-    betas = fundamental_cycle_betas(alpha, 1)
-    if not betas:
-        return alpha.spec.order(1) == 1
-    return alpha.spec.is_generating_set(betas)
+    p = spec.p
+    pairs = base.index_pairs()
+    images = alpha.normal_forms(1)
+    steps: list[list[tuple[int, tuple[int, ...]]]] = [
+        [] for _ in base.vertices]
+    for (i, j), a in zip(pairs, images):
+        steps[i].append((j, a))
+        steps[j].append((i, tuple(-x for x in a)))
+    phi: list[tuple[int, ...] | None] = [None] * base.num_vertices
+    phi[0] = (0,) * spec.dimension
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        for j, a in steps[i]:
+            if phi[j] is None:
+                phi[j] = tuple((x + y) % p for x, y in zip(phi[i], a))
+                stack.append(j)
+    betas = [[(x + y - z) % p for x, y, z in zip(phi[i], a, phi[j])]
+             for (i, j), a in zip(pairs, images)]
+    return _fp_rank(betas, p) == spec.dimension
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,8 @@ from graphtower import (Multigraph, TowerGroupSpec, VoltageAssignment,
                         graph_matrices, is_connected)
 from graphtower.cyclotomic import (CyclotomicInteger, _add_monomial,
                                    euler_phi_prime_power)
+from graphtower.errors import DisconnectedError
+from graphtower.groups import GroupElement, _fp_rank, p_valuation
 from graphtower.grouprings import GroupRingElement, GroupRingMatrix
 
 
@@ -226,3 +228,167 @@ def lift(x, new_k):
         if a:
             _add_monomial(coeffs, i * step, a, x.p, new_k)
     return CyclotomicInteger(x.p, new_k, tuple(coeffs))
+
+
+# -- the GroupElement routes that integer normal forms replaced in the
+# package: word values, level-1 generation, fundamental-cycle β-values and
+# the content valuation of a group-ring element
+
+def generator(spec, index, n):
+    """Generator `index` of G^(n): σ or τ, or a unit vector."""
+    if not 0 <= index < spec.num_generators:
+        raise ValueError(f"invalid generator index {index}")
+    if n == 0:
+        return spec.identity(0)
+    if spec.kind == "abelian":
+        exps = [0] * spec.rank
+        exps[index] = 1
+        return GroupElement(n, tuple(exps))
+    return GroupElement(n, (1, 0) if index == 0 else (0, 1))
+
+
+def power(spec, a, k):
+    """a^k by squaring with `multiply`."""
+    if k < 0:
+        return power(spec, spec.inverse(a), -k)
+    result = spec.identity(a.level)
+    base = a
+    while k:
+        if k & 1:
+            result = spec.multiply(result, base)
+        base = spec.multiply(base, base)
+        k >>= 1
+    return result
+
+
+def evaluate_word(spec, n, word):
+    """A generator word's value in G^(n) as the product of its generator
+    powers: the reference for `TowerGroupSpec.normal_form`."""
+    result = spec.identity(n)
+    for index, exponent in word:
+        result = spec.multiply(result, power(spec, generator(spec, index, n),
+                                             exponent))
+    return result
+
+
+def is_generating_set(spec, elements):
+    """Whether level-1 elements generate ``G^(1) = G/G^p``.
+
+    For a powerful tower group the Frattini quotient is ``G/G^p``, so
+    spanning ``G^(1)`` as an F_p vector space is equivalent to
+    topological generation of the whole tower.
+    """
+    vectors = []
+    for g in elements:
+        if g.level != 1:
+            raise ValueError("generation test requires level-1 elements")
+        vectors.append([x % spec.p for x in g.data])
+    return _fp_rank(vectors, spec.p) == spec.dimension
+
+
+def fundamental_cycle_betas(alpha, n):
+    """β-values of the fundamental cycles of a spanning tree through the root.
+
+    The root is the first-listed vertex; tree paths are found by BFS over the
+    edge list in insertion order (deterministic).
+    """
+    base = alpha.base
+    if not is_connected(base):
+        raise DisconnectedError("base graph is disconnected")
+    spec = alpha.spec
+
+    def voltage(e):
+        return evaluate_word(spec, n, alpha.word(e))
+
+    root = base.vertices[0]
+    # BFS spanning tree: for each vertex, the β of the root→vertex tree path
+    beta_to = {root: spec.identity(n)}
+    tree_edges = set()
+    frontier = [root]
+    while frontier:
+        next_frontier = []
+        for e, (v, w) in base.edges:
+            if e in tree_edges:
+                continue
+            if v in beta_to and w not in beta_to:
+                beta_to[w] = spec.multiply(beta_to[v], voltage(e))
+                tree_edges.add(e)
+                next_frontier.append(w)
+            elif w in beta_to and v not in beta_to:
+                beta_to[v] = spec.multiply(beta_to[w],
+                                           spec.inverse(voltage(e)))
+                tree_edges.add(e)
+                next_frontier.append(v)
+        frontier = next_frontier
+    betas = []
+    for e, (v, w) in base.edges:
+        if e in tree_edges:
+            continue
+        # cycle root → v, across e, back w → root
+        g = spec.multiply(beta_to[v], voltage(e))
+        betas.append(spec.multiply(g, spec.inverse(beta_to[w])))
+    return betas
+
+
+def criterion_by_betas(alpha):
+    """The connectivity criterion on GroupElements: the fundamental-cycle
+    β-values generate G^(1)."""
+    betas = fundamental_cycle_betas(alpha, 1)
+    if not betas:
+        return alpha.spec.order(1) == 1
+    return is_generating_set(alpha.spec, betas)
+
+
+def content_p_valuation(x):
+    """min_g v_p(coefficient) of a group-ring element, or None for 0."""
+    if not x.terms:
+        return None
+    return min(p_valuation(c, x.spec.p) for _, c in x.terms)
+
+
+# -- seeded voltage assignments for the oracle tests
+
+ORACLE_EXPONENTS = (1, -1, 2, -7, 10 ** 12, -10 ** 12 - 1)
+
+# (kind, p, rank): abelian p = 2, 3, 5 at rank 1-3, and metacyclic p = 2
+# (u = 3) and p = 3
+ORACLE_SHAPES = [*(("abelian", p, rank) for p in (2, 3, 5)
+                   for rank in (1, 2, 3)),
+                 ("metacyclic", 2, 2), ("metacyclic", 3, 2)]
+
+
+def oracle_spec(kind, p, rank):
+    """An abelian spec of the given rank, or the metacyclic one with its
+    default unit 1 + p (3 for p = 2)."""
+    return (TowerGroupSpec("abelian", p, rank=rank) if kind == "abelian"
+            else TowerGroupSpec("metacyclic", p))
+
+
+def oracle_instance(rng, kind, p, rank):
+    """A random voltage assignment on 1-3 base vertices with a loop, a
+    parallel edge, and words of 0-3 letters whose exponents include
+    negative ones and ±10^12."""
+    spec = oracle_spec(kind, p, rank)
+    nv = rng.randint(1, 3)
+    ends = [(v, rng.randrange(v)) for v in range(1, nv)]
+    ends.append((rng.randrange(nv), rng.randrange(nv)))
+    ends.append(ends[rng.randrange(len(ends))])
+    v = rng.randrange(nv)
+    ends.append((v, v))
+    voltages = {
+        i: [[rng.randrange(spec.num_generators),
+             rng.choice(ORACLE_EXPONENTS + (rng.randint(-99, 99),))]
+            for _ in range(rng.randint(0, 3))]
+        for i in range(len(ends))}
+    base = Multigraph.build(range(nv), list(enumerate(ends)))
+    return VoltageAssignment.build(base, spec, voltages)
+
+
+def doubled(alpha):
+    """alpha with every edge doubled, the copy carrying the same word."""
+    base = alpha.base
+    edges = [*base.edges, *(((e, "copy"), ends) for e, ends in base.edges)]
+    words = dict(alpha.voltages)
+    voltages = {**words, **{(e, "copy"): words[e] for e, _ in base.edges}}
+    return VoltageAssignment.build(Multigraph.build(base.vertices, edges),
+                                   alpha.spec, voltages)

@@ -677,3 +677,98 @@ def test_jacobian_output_is_pinned(tmp_path, capsys, seed):
     assert main(["jacobian", "--config", path, "--level", str(level)]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == _JACOBIAN_SHA256[seed]
+
+
+def _mhg_pin_config(seed):
+    """The tower pin config of a seed with a quotient map onto Z_p: the
+    first generator's exponent for abelian towers, τ's for metacyclic ones.
+    Seed 7 is seed 1 with every edge doubled, so that every coefficient of
+    its level-1 Laplacian is even and the content bound is positive."""
+    if seed == 7:
+        data = copy.deepcopy(_mhg_pin_config(1))
+        edges = data["graph"]["edges"]
+        data["graph"]["edges"] = edges + [
+            {"id": e["id"] + "'", "ends": e["ends"]} for e in edges]
+        data["voltage"].update(
+            {name + "'": word for name, word in list(data["voltage"].items())})
+        return data
+    data, _ = _tower_pin_config(seed)
+    if seed in _TOWER_PIN_SHAPES:
+        rank = _TOWER_PIN_SHAPES[seed][2]
+        data["quotient"] = {"exponents": ([0, 1] if data["group"]["kind"] ==
+                                          "metacyclic" else
+                                          [1] + [0] * (rank - 1))}
+    return data
+
+
+# SHA-256 of the mhg-check stdout, recorded with the content bound read off
+# voltage_laplacian(alpha, 1) and the criterion on GroupElements
+_MHG_SHA256 = {
+    1: "e617601b05e1d79730ab9ec194b248e3ee24ec6dd0756fe82885c3f3ff5acd5d",
+    2: "133048b6c739ed817d32438c6b7193bfeda98aeff025083fba6df591e7629c1a",
+    3: "066992789b5eea0192f7e1f8df59917e799a0b7b4c0192ecf9a85bafc03dadd2",
+    4: "ce1aca53249d1b52fdfad2727fa434ab22ae72d09ce664ebbfb9d0731ed7e91e",
+    5: "335cec27ef461a5ae067794b3d9ce21a643b5c39df20ce2efbfd9bb830148832",
+    6: "3b3b5e88107a530e50b4cda302532e32bd09da3cccdadea2aad10fa376116598",
+    7: "4f9f838b4d32c668acb2741522ac97c3526ce741f4c923da649c61797a4dabfb",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_MHG_SHA256))
+def test_mhg_output_is_pinned(tmp_path, capsys, seed):
+    path = write_config(tmp_path, _mhg_pin_config(seed))
+    assert main(["mhg-check", "--config", path]) == 0
+    out = capsys.readouterr().out
+    if seed == 7:
+        assert json.loads(out)["mu_lower_bound"] > 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _MHG_SHA256[seed]
+
+
+# two parallel edges with voltages 1 and σ² over Z_2: both have image 0 in
+# G/G^2, so X_1 is two copies of the base and no level is connected
+_CRITERION_FAILING_CONFIG = {
+    "graph": {"vertices": ["v", "w"],
+              "edges": [{"id": "a", "ends": ["v", "w"]},
+                        {"id": "b", "ends": ["v", "w"]}]},
+    "group": {"kind": "abelian", "p": 2, "rank": 1},
+    "voltage": {"a": [], "b": [[0, 2]]},
+    "quotient": {"exponents": [1]},
+}
+
+
+@pytest.mark.parametrize("argv", [["tower", "--max-level", "2"],
+                                  ["iwasawa-fit", "--max-level", "2"],
+                                  ["mhg-check"]])
+def test_every_tower_subcommand_enforces_the_criterion(tmp_path, capsys,
+                                                       argv):
+    path = write_config(tmp_path, _CRITERION_FAILING_CONFIG)
+    assert main([*argv, "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "connectivity criterion" in captured.err
+
+
+@pytest.mark.parametrize("seed, max_level", [(4, 3), (6, 2)])
+def test_tower_job_builds_no_group_element_arithmetic(tmp_path, capsys,
+                                                      monkeypatch, seed,
+                                                      max_level):
+    """iwasawa-fit then mhg-check, an abelian rank-2 tower and MU2_CONFIG:
+    the levels and the level-1 data come from integer normal forms, so no
+    `multiply` call, and mhg-check builds no group-ring matrix."""
+    products = []
+    multiply = graphtower.TowerGroupSpec.multiply
+
+    def counted(spec, a, b):
+        products.append((a, b))
+        return multiply(spec, a, b)
+
+    monkeypatch.setattr(graphtower.TowerGroupSpec, "multiply", counted)
+    path = write_config(tmp_path, _mhg_pin_config(seed))
+    assert main(["iwasawa-fit", "--config", path,
+                 "--max-level", str(max_level)]) == 0
+    laplacians = _count_calls(monkeypatch, graphtower.voltage.voltage_laplacian)
+    adjacencies = _count_calls(monkeypatch,
+                               graphtower.voltage.voltage_adjacency)
+    assert main(["mhg-check", "--config", path]) == 0
+    assert len(products) == 0
+    assert len(laplacians) == 0 and len(adjacencies) == 0

@@ -10,7 +10,7 @@ from graphtower.grouprings import (Character, GroupRingElement,
                                    characters, galois_orbits, nrd_abelian,
                                    regular_det)
 
-from conftest import (as_int, augmentation, cyclotomic_sum,
+from conftest import (as_int, augmentation, cyclotomic_sum, generator,
                       group_ring_element, group_ring_zero, lift, project,
                       root_power)
 
@@ -31,7 +31,7 @@ def group_ring_product(x, y):
 
 
 def sigma_element(spec, n, index=0, coeff=1):
-    return group_ring_element(spec, spec.generator(index, n), coeff)
+    return group_ring_element(spec, generator(spec, index, n), coeff)
 
 
 def random_ring_element(rng, spec, n, size=3):

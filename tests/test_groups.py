@@ -6,6 +6,9 @@ from graphtower import TowerGroupSpec
 from graphtower.errors import BoundExceededError
 from graphtower.groups import p_valuation
 
+from conftest import (ORACLE_EXPONENTS, ORACLE_SHAPES, evaluate_word,
+                      generator, is_generating_set, oracle_spec)
+
 
 def test_word_evaluate_abelian():
     spec = TowerGroupSpec("abelian", 3, rank=1)
@@ -79,13 +82,40 @@ def test_filtration_index():
 
 def test_generating_sets():
     spec = TowerGroupSpec("abelian", 3, rank=1)
-    assert spec.is_generating_set([spec.generator(0, 1)])
+    assert is_generating_set(spec, [generator(spec, 0, 1)])
     # σ^p at level 1 projects to the identity
     deep = spec.word_evaluate(2, [(0, 3)])
-    assert not spec.is_generating_set([spec.project(deep, 1)])
+    assert not is_generating_set(spec, [spec.project(deep, 1)])
     meta = TowerGroupSpec("metacyclic", 3)
-    assert meta.is_generating_set([meta.generator(0, 1), meta.generator(1, 1)])
-    assert not meta.is_generating_set([meta.generator(0, 1)])
+    assert is_generating_set(meta, [generator(meta, 0, 1),
+                                    generator(meta, 1, 1)])
+    assert not is_generating_set(meta, [generator(meta, 0, 1)])
+
+
+@pytest.mark.parametrize("kind, p, rank", ORACLE_SHAPES)
+def test_normal_forms_and_translations_match_multiply(kind, p, rank):
+    """At levels 0-4, a word's normal form is the product of its generator
+    powers, `enumerate_group` lists the normal forms in mixed-radix order,
+    and a right translation is g ↦ g·a by `multiply`, element by element,
+    wherever G^(n) is within the enumeration bound."""
+    rng = random.Random(f"{kind}{p}{rank}")
+    spec = oracle_spec(kind, p, rank)
+    for n in range(5):
+        for _ in range(20):
+            word = [(rng.randrange(spec.num_generators),
+                     rng.choice(ORACLE_EXPONENTS + (rng.randint(-99, 99),)))
+                    for _ in range(rng.randint(0, 4))]
+            assert (spec.normal_form(n, word) ==
+                    evaluate_word(spec, n, word).data)
+        if spec.order_exceeds(n, 729):
+            continue
+        group = spec.enumerate_group(n)
+        mod = p ** n
+        assert [sum(x * mod ** t for t, x in enumerate(reversed(g.data)))
+                for g in group] == list(range(len(group)))
+        for a in [group[0], group[-1], *rng.sample(group, min(3, len(group)))]:
+            assert [group[k] for k in spec.right_translation(n, a.data)] == [
+                spec.multiply(g, a) for g in group]
 
 
 def test_invalid_specs():
@@ -103,3 +133,11 @@ def test_p_valuation():
     assert p_valuation(7, 2) == 0
     with pytest.raises(ValueError):
         p_valuation(0, 5)
+
+
+def test_word_with_an_invalid_generator_index():
+    for spec in (TowerGroupSpec("abelian", 3, rank=2),
+                 TowerGroupSpec("metacyclic", 3)):
+        for index in (-1, 2):
+            with pytest.raises(ValueError, match="generator index"):
+                spec.word_evaluate(1, [(0, 1), (index, 1)])

@@ -6,14 +6,16 @@ from graphtower import (IntPolynomial, Multigraph, QuotientSpec,
                         TowerGroupSpec, VoltageAssignment, fit_iwasawa,
                         fitting_generators, lambda1_determinant, mhg_check,
                         mu_lambda_from_poly, mu_lower_bound,
-                        quotient_assignment, spanning_tree_count, tower_en)
+                        quotient_assignment, spanning_tree_count, tower_en,
+                        voltage_laplacian)
 from graphtower.errors import DisconnectedError, PreconditionError
 from graphtower.jacobian import p_valuation
 from graphtower.polynomials import LAURENT, LaurentElement
 from graphtower.voltage import derive, gamma_exponent
 
-from conftest import (as_int, det_in_ring, lift, random_abelian_instance,
-                      random_connected_multigraph)
+from conftest import (ORACLE_SHAPES, as_int, content_p_valuation,
+                      det_in_ring, doubled, lift, oracle_instance,
+                      random_abelian_instance, random_connected_multigraph)
 
 
 def z3_loop():
@@ -147,6 +149,30 @@ def test_mu_lambda_from_poly():
 def test_mu_lower_bound():
     assert mu_lower_bound(two_vertex_nine_edge()) == 2
     assert mu_lower_bound(z3_loop()) == 0
+
+
+def test_mu_lower_bound_is_the_level_1_laplacian_content():
+    """The counted bound equals |V| times the least content valuation of
+    the entries of voltage_laplacian(alpha, 1), on seeded bases with loops,
+    parallel edges, empty words and exponents of ±10^12, each also with
+    every edge doubled and with an isolated vertex added."""
+    rng = random.Random(60)
+    positive = 0
+    for kind, p, rank in ORACLE_SHAPES:
+        for _ in range(6):
+            alpha = oracle_instance(rng, kind, p, rank)
+            base = alpha.base
+            isolated = VoltageAssignment(
+                Multigraph(base.vertices + ("isolated",), base.edges),
+                alpha.spec, alpha.voltages)
+            for case in (alpha, doubled(alpha), isolated):
+                valuations = [content_p_valuation(x)
+                              for row in voltage_laplacian(case, 1).entries
+                              for x in row]
+                k = min((v for v in valuations if v is not None), default=0)
+                assert mu_lower_bound(case) == k * case.base.num_vertices
+                positive += k > 0
+    assert positive >= 10
 
 
 def test_mhg_pinched():

@@ -13,7 +13,9 @@ from graphtower.errors import BoundExceededError, DisconnectedError
 from graphtower.grouprings import GroupRingElement
 from graphtower.voltage import edge_translations
 
-from conftest import augmentation, dense_laplacian, random_abelian_instance
+from conftest import (ORACLE_SHAPES, augmentation, criterion_by_betas,
+                      dense_laplacian, evaluate_word, oracle_instance,
+                      random_abelian_instance)
 
 
 def loop_graph():
@@ -59,35 +61,14 @@ _ORACLE_SHAPES = [("abelian", 2, 1, 3), ("abelian", 2, 2, 3),
                   ("abelian", 3, 1, 3), ("abelian", 3, 2, 2),
                   ("abelian", 5, 1, 3), ("abelian", 5, 2, 1),
                   ("metacyclic", 2, 2, 3), ("metacyclic", 3, 2, 2)]
-_ORACLE_EXPONENTS = (1, -1, 2, -7, 10 ** 12, -10 ** 12 - 1)
-
-
-def _oracle_instance(rng, kind, p, rank):
-    """A random voltage assignment on 1-3 base vertices with a loop, a
-    parallel edge, and words of 0-3 letters whose exponents include
-    negative ones and ±10^12."""
-    spec = (TowerGroupSpec("abelian", p, rank=rank) if kind == "abelian"
-            else TowerGroupSpec("metacyclic", p))
-    nv = rng.randint(1, 3)
-    ends = [(v, rng.randrange(v)) for v in range(1, nv)]
-    ends.append((rng.randrange(nv), rng.randrange(nv)))
-    ends.append(ends[rng.randrange(len(ends))])
-    v = rng.randrange(nv)
-    ends.append((v, v))
-    voltages = {
-        i: [[rng.randrange(spec.num_generators),
-             rng.choice(_ORACLE_EXPONENTS + (rng.randint(-99, 99),))]
-            for _ in range(rng.randint(0, 3))]
-        for i in range(len(ends))}
-    base = Multigraph.build(range(nv), list(enumerate(ends)))
-    return VoltageAssignment.build(base, spec, voltages)
 
 
 def test_edge_translations_and_cover_rows_match_the_derived_graph(
         monkeypatch):
     """Each translation equals g ↦ g·α(e) by `multiply`, element by
-    element, and the rows `level_jacobian` hands to the Smith form equal
-    the reduced dense Laplacian of derive(alpha, n)."""
+    element, with α(e) the product of its generator powers, and the rows
+    `level_jacobian` hands to the Smith form equal the reduced dense
+    Laplacian of derive(alpha, n)."""
     captured = []
     smith = graphtower.jacobian.smith_invariant_factors
 
@@ -100,14 +81,15 @@ def test_edge_translations_and_cover_rows_match_the_derived_graph(
     rng = random.Random(58)
     for kind, p, rank, top in _ORACLE_SHAPES:
         for _ in range(2):
-            alpha = _oracle_instance(rng, kind, p, rank)
+            alpha = oracle_instance(rng, kind, p, rank)
             spec = alpha.spec
             for n in range(top + 1):
-                group, translations = edge_translations(alpha, n)
-                assert group == spec.enumerate_group(n)
+                group = spec.enumerate_group(n)
+                translations = edge_translations(alpha, n)
                 for (e, _), translation in zip(alpha.base.edges,
                                                translations):
-                    a = alpha.voltage(e, n)
+                    a = evaluate_word(spec, n, alpha.word(e))
+                    assert alpha.voltage(e, n) == a
                     assert [group[k] for k in translation] == [
                         spec.multiply(g, a) for g in group]
                 captured.clear()
@@ -225,6 +207,30 @@ def test_connectivity_criterion_cases():
     with pytest.raises(DisconnectedError):
         connectivity_criterion(
             VoltageAssignment.build(disconnected, spec, {}))
+
+
+def test_criterion_matches_the_beta_route():
+    """The criterion on level-1 normal forms agrees with the fundamental
+    cycles' β-values as GroupElements, on seeded bases with loops, parallel
+    edges, empty words and exponents of ±10^12; a base with an isolated
+    vertex raises DisconnectedError on both routes.  The criterion and the
+    classes come from `graphtower`, where perfbench/configs.py imports
+    them."""
+    rng = random.Random(59)
+    verdicts = Counter()
+    for kind, p, rank in ORACLE_SHAPES:
+        for _ in range(12):
+            alpha = oracle_instance(rng, kind, p, rank)
+            expected = criterion_by_betas(alpha)
+            assert connectivity_criterion(alpha) == expected
+            verdicts[expected] += 1
+            base = alpha.base
+            isolated = Multigraph(base.vertices + ("isolated",), base.edges)
+            split = VoltageAssignment(isolated, alpha.spec, alpha.voltages)
+            for criterion in (connectivity_criterion, criterion_by_betas):
+                with pytest.raises(DisconnectedError):
+                    criterion(split)
+    assert verdicts[True] > 10 and verdicts[False] > 10
 
 
 def test_criterion_predicts_connectedness():
