@@ -8,9 +8,8 @@ tower module — all in exact integer, cyclotomic, and polynomial arithmetic.
 
 from .errors import (BoundExceededError, ConfigError, DisconnectedError,
                      GraphTowerError, LevelMismatchError, PreconditionError)
-from .graphs import (GraphMatrices, Multigraph, connected_components,
-                     graph_matrices, is_connected, laplacian_rows,
-                     spanning_tree_count)
+from .graphs import (Multigraph, connected_components, is_connected,
+                     laplacian_rows, spanning_tree_count)
 from .groups import GroupElement, TowerGroupSpec
 from .grouprings import (Character, GroupRingElement, GroupRingMatrix,
                          character_evaluate, characters, nrd_abelian,
@@ -21,9 +20,10 @@ from .jacobian import (AbelianGroupStructure, SmithNormalForm,
                        smith_normal_form)
 from .polynomials import IntPolynomial, LaurentElement
 from .voltage import (DerivedGraph, QuotientSpec, VoltageAssignment,
-                      beta_of_path, connectivity_criterion, derive,
-                      edge_translations, quotient_assignment,
-                      voltage_adjacency, voltage_laplacian)
+                      beta_of_path, connectivity_criterion,
+                      cover_index_pairs, derive, edge_translations,
+                      quotient_assignment, voltage_adjacency,
+                      voltage_laplacian)
 from .zeta import (ArtinLData, ZetaData, artin_l_inverse, factorization_check,
                    h_at_one, ihara_zeta_inverse, interpolation_check)
 from .iwasawa import (FittingGenerators, IwasawaFit, Lambda1Det, MHGVerdict,

@@ -21,7 +21,7 @@ from .graphs import Multigraph, connected_components
 from .grouprings import Character, characters
 from .jacobian import jacobian_structure, level_jacobian, picard_structure
 from .voltage import (QuotientSpec, VoltageAssignment, check_derive_bounds,
-                      derive, voltage_adjacency)
+                      cover_index_pairs, derive, voltage_adjacency)
 from .groups import TowerGroupSpec
 from .zeta import (artin_l_inverse, factorization_check, ihara_zeta_inverse,
                    interpolation_check)
@@ -220,8 +220,12 @@ def _cmd_jacobian(job: JobConfig, args) -> dict:
 
 def _cmd_zeta(job: JobConfig, args) -> dict:
     level = _level(args, 0)
-    graph = derive(job.alpha, level).graph if level else job.alpha.base
-    data = ihara_zeta_inverse(graph)
+    base = job.alpha.base
+    if level:
+        num_vertices, pairs = cover_index_pairs(job.alpha, level)
+    else:
+        num_vertices, pairs = base.num_vertices, base.index_pairs()
+    data = ihara_zeta_inverse(num_vertices, pairs)
     return {"level": level, "chi": data.chi,
             "det_part": list(data.det_part.coeffs)}
 

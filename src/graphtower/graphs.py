@@ -1,4 +1,4 @@
-"""Finite undirected multigraphs, their matrices and spanning-tree counts.
+"""Finite undirected multigraphs, their Laplacians and spanning-tree counts.
 
 Loops and parallel edges are allowed everywhere.  Vertex and edge order is
 insertion order and all matrices are indexed by it, so repeated runs produce
@@ -56,35 +56,13 @@ class Multigraph:
         index = {v: i for i, v in enumerate(self.vertices)}
         return [(index[v], index[w]) for _, (v, w) in self.edges]
 
-
-@dataclass(frozen=True)
-class GraphMatrices:
-    """Adjacency matrix A, degree matrix D and Euler characteristic.
-
-    A[i][i] is twice the loop count at vertex i, so the Laplacian D - A has
-    zero row sums.
-    """
-
-    A: tuple[tuple[int, ...], ...]
-    D: tuple[tuple[int, ...], ...]
-    chi: int
-
-
-def graph_matrices(graph: Multigraph) -> GraphMatrices:
-    """Adjacency and degree matrices with loops counted twice on the diagonal."""
-    n = graph.num_vertices
-    a = [[0] * n for _ in range(n)]
-    for i, j in graph.index_pairs():
-        if i == j:
-            a[i][i] += 2
-        else:
-            a[i][j] += 1
-            a[j][i] += 1
-    d = [[0] * n for _ in range(n)]
-    for i in range(n):
-        d[i][i] = sum(a[i])
-    chi = graph.num_vertices - graph.num_edges
-    return GraphMatrices(tuple(map(tuple, a)), tuple(map(tuple, d)), chi)
+    def degrees(self) -> list[int]:
+        """Each vertex's degree, in vertex order, a loop counted twice."""
+        degrees = [0] * self.num_vertices
+        for i, j in self.index_pairs():
+            degrees[i] += 1
+            degrees[j] += 1
+        return degrees
 
 
 def laplacian_rows(num_vertices: int, pairs: Iterable[tuple[int, int]],

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 
 from .cyclotomic import CyclotomicInteger
 from .errors import BoundExceededError, DisconnectedError, PreconditionError
-from .graphs import graph_matrices
 from .grouprings import (Character, nrd_abelian, regular_det,
                          regular_det_fits)
 from .groups import p_valuation
@@ -128,9 +127,8 @@ def lambda1_determinant(alpha_quotient: VoltageAssignment) -> Lambda1Det:
         raise ValueError("quotient assignment must live on the rank-1 tower")
     base = alpha_quotient.base
     m = base.num_vertices
-    index = {v: i for i, v in enumerate(base.vertices)}
-    exponents = [(index[v], index[w], gamma_exponent(alpha_quotient, e))
-                 for e, (v, w) in base.edges]
+    exponents = [(i, j, gamma_exponent(alpha_quotient, e))
+                 for (i, j), (e, _) in zip(base.index_pairs(), base.edges)]
     # row i of the Laplacian holds γ^0 and γ^−b (γ^b) for each edge leaving
     # (entering) vertex i; γ^−low[i] clears the row, and the row spans
     # bound the degree of the cleared determinant
@@ -143,17 +141,18 @@ def lambda1_determinant(alpha_quotient: VoltageAssignment) -> Lambda1Det:
         raise BoundExceededError(
             f"Λ₁-determinant degree bound {degree} exceeds "
             f"{_LAMBDA1_DEGREE_BOUND}")
-    # cleared[i][j]: coefficients of γ^low[i]..γ^high[i] in (D − A^t)[i][j];
+    # rows[i][j]: coefficients of γ^low[i]..γ^high[i] in (D − A^t)[i][j];
     # an edge i → j puts −γ^−b at (i, j) and −γ^b at (j, i)
-    degrees = graph_matrices(base).D
-    cleared = [[[0] * (high[i] - low[i] + 1) for _ in range(m)]
-               for i in range(m)]
-    for i in range(m):
-        cleared[i][i][-low[i]] = degrees[i][i]
+    rows: list[dict[int, list[int]]] = []
+    for i, d in enumerate(base.degrees()):
+        diagonal = [0] * (high[i] - low[i] + 1)
+        diagonal[-low[i]] = d
+        rows.append({i: diagonal})
     for i, j, b in exponents:
-        cleared[i][j][-b - low[i]] -= 1
-        cleared[j][i][b - low[j]] -= 1
-    det = LaurentElement.make(sum(low), det_int_poly_matrix(cleared))
+        for row, col, power in ((i, j, -b), (j, i, b)):
+            rows[row].setdefault(col, [0] * (high[row] - low[row] + 1))[
+                power - low[row]] -= 1
+    det = LaurentElement.make(sum(low), det_int_poly_matrix(rows))
     if det.is_zero():
         raise DisconnectedError(
             "Λ₁-determinant vanishes: the Z_p-cover is disconnected")

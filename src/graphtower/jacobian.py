@@ -2,8 +2,8 @@
 
 Each group is the cokernel of a Laplacian built as sparse rows by
 `graphs.laplacian_rows` and fed to `linalg.smith_invariant_factors`.  The
-Jacobian of a cover X_n takes its rows straight from the voltage
-assignment's edge translations, so no level builds X_n or a dense matrix.
+Jacobian of a cover X_n takes its rows straight from the index pairs of
+`voltage.cover_index_pairs`, so no level builds X_n or a dense matrix.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from .errors import DisconnectedError
 from .graphs import Multigraph, laplacian_rows
 from .groups import p_valuation
 from .linalg import smith_invariant_factors
-from .voltage import VoltageAssignment, edge_translations
+from .voltage import VoltageAssignment, cover_index_pairs
 
 
 @dataclass(frozen=True)
@@ -92,19 +92,11 @@ def level_jacobian(alpha: VoltageAssignment,
                    n: int) -> tuple[AbelianGroupStructure, int]:
     """Jacobian of the level-n derived graph and e_n = v_p(|J(X_n)|).
 
-    X_n is never built: vertex (v_i, g_k) is index i·|G^(n)| + k, as in
-    `derive`, and each base edge e from v_i to v_j joins index
-    i·|G^(n)| + k to j·|G^(n)| + t_e[k], where t_e is its translation from
-    `edge_translations`.  Those pairs give the reduced Laplacian's sparse
-    rows directly.
+    X_n is never built: the reduced Laplacian's sparse rows come straight
+    from `voltage.cover_index_pairs`, the index pairs of the cover's edges
+    read off the voltage translations.
     """
-    translations = edge_translations(alpha, n)
-    size = alpha.spec.order(n)
-    base = alpha.base
-    pairs = [(i * size + k, j * size + h)
-             for (i, j), translation in zip(base.index_pairs(), translations)
-             for k, h in enumerate(translation)]
-    structure = _laplacian_cokernel(base.num_vertices * size, pairs,
+    structure = _laplacian_cokernel(*cover_index_pairs(alpha, n),
                                     reduced=True)
     p = alpha.spec.p
     e_n = sum(p_valuation(d, p) for d in structure.torsion)

@@ -2,12 +2,13 @@
 
 Determinants use the Bareiss algorithm, whose divisions are exact over any
 integral domain.  `det_int` is the integer kernel; integer polynomial
-matrices reach it by Kronecker substitution, which packs each one into a
-single `det_int` call.  On the sparse matrices that packing yields, most
-rows have a zero head at most steps, and there a Bareiss step only scales
-the row by the ratio of two consecutive pivots.  `det_int` defers that
-scaling and applies the telescoped ratio once, when the row is next used;
-the division is exact because the scaled entry is a minor of the input.
+matrices, given as sparse rows {column: coefficients}, reach it by
+Kronecker substitution, which packs each one into a single `det_int`
+call.  On the sparse matrices that packing yields, most rows have a zero
+head at most steps, and there a Bareiss step only scales the row by the
+ratio of two consecutive pivots.  `det_int` defers that scaling and
+applies the telescoped ratio once, when the row is next used; the
+division is exact because the scaled entry is a minor of the input.
 The one determinant over Z[ζ] is `cyclotomic.det_cyclotomic`; nothing here
 is generic over the ring.
 
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from math import gcd, isqrt
-from typing import Any, Sequence
+from typing import Iterable, Mapping, Sequence
 
 
 def det_int(matrix: Sequence[Sequence[int]]) -> int:
@@ -91,49 +92,46 @@ def _catch_up(row: list[int], k: int, pivots: list[int], seen: int) -> None:
 
 
 def det_int_poly_matrix(
-        matrix: Sequence[Sequence[Sequence[int]]]) -> tuple[int, ...]:
-    """Determinant of a matrix of integer polynomials (coefficient tuples).
+        rows: Sequence[Mapping[int, Sequence[int]]]) -> tuple[int, ...]:
+    """Determinant of a square matrix of integer polynomials, given as
+    sparse rows {column: ascending coefficients}; a missing entry is 0.
 
     Kronecker substitution: every entry is evaluated at u = 2^B, one integer
     determinant is taken, and its signed base-2^B digits are the
     coefficients.  Returns ascending coefficients with no trailing zeros.
     """
-    # one pass over the n² entries; the bound, the order and the packing
-    # read only the nonzero ones
-    nonzero = [[(j, entry) for j, entry in enumerate(row) if any(entry)]
-               for row in matrix]
     # Goldstein-Graham: for every θ, |det A(e^{iθ})| ≤ ∏_i ‖row_i‖₂ ≤ √S with
     # S = ∏_i Σ_j ‖a_ij‖₁², so every coefficient is at most ‖det‖₂ ≤ √S and
     # fits in a signed digit of B bits.
     bound = 1
-    for row in nonzero:
-        bound *= sum(sum(map(abs, entry)) ** 2 for _, entry in row)
+    for row in rows:
+        bound *= sum(sum(map(abs, entry)) ** 2 for entry in row.values())
     bits = isqrt(bound).bit_length() + 1
     x = 1 << bits
-    order = _band_order(nonzero)
+    order = _band_order(rows)
     position = {j: pos for pos, j in enumerate(order)}
     packed = []
     for i in order:
         row = [0] * len(order)
-        for j, entry in nonzero[i]:
+        for j, entry in rows[i].items():
             row[position[j]] = _eval_poly(entry, x)
         packed.append(row)
     return _unpack(det_int(packed), bits)
 
 
-def _band_order(nonzero: Sequence[Sequence[tuple[int, Any]]]) -> list[int]:
+def _band_order(rows: Sequence[Iterable[int]]) -> list[int]:
     """Breadth-first order over the nonzero pattern, given as each row's
-    (column, entry) pairs.  The same permutation of rows and columns keeps
-    the determinant, and on a sparse matrix keeps the Bareiss fill-in of
+    columns.  The same permutation of rows and columns keeps the
+    determinant, and on a sparse matrix keeps the Bareiss fill-in of
     packed entries near the diagonal."""
     order: list[int] = []
     seen: set[int] = set()
-    for start in range(len(nonzero)):
+    for start in range(len(rows)):
         if start not in seen:
             seen.add(start)
             queue = [start]
             for i in queue:
-                for j, _ in nonzero[i]:
+                for j in rows[i]:
                     if j not in seen:
                         seen.add(j)
                         queue.append(j)

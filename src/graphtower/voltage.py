@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import BoundExceededError, DisconnectedError
-from .graphs import EdgeId, Multigraph, Vertex, graph_matrices, is_connected
+from .graphs import EdgeId, Multigraph, Vertex, is_connected
 from .groups import GroupElement, TowerGroupSpec, _fp_rank
 from .grouprings import GroupRingElement, GroupRingMatrix
 
@@ -114,6 +114,22 @@ def edge_translations(alpha: VoltageAssignment, n: int) -> list[list[int]]:
     return [spec.right_translation(n, a) for a in alpha.normal_forms(n)]
 
 
+def cover_index_pairs(alpha: VoltageAssignment,
+                      n: int) -> tuple[int, list[tuple[int, int]]]:
+    """The vertex count of X_n and the vertex indices of each cover edge's
+    ends, in `derive`'s order, without building X_n: vertex (v_i, g_k) is
+    i·|G^(n)| + k, and edge (e, g_k), for e from v_i to v_j, joins it to
+    j·|G^(n)| + t_e[k], with t_e the translation of e from
+    `edge_translations`."""
+    translations = edge_translations(alpha, n)
+    size = alpha.spec.order(n)
+    base = alpha.base
+    pairs = [(i * size + k, j * size + h)
+             for (i, j), translation in zip(base.index_pairs(), translations)
+             for k, h in enumerate(translation)]
+    return base.num_vertices * size, pairs
+
+
 def derive(alpha: VoltageAssignment, n: int) -> DerivedGraph:
     """Materialize the derived graph X_n: vertices (v, g) in base-vertex
     then `enumerate_group` order, and edges (e, g) in base-edge then group
@@ -159,18 +175,12 @@ def voltage_laplacian(alpha: VoltageAssignment, n: int,
     """
     if adjacency is None:
         adjacency = voltage_adjacency(alpha, n)
-    spec = alpha.spec
-    a_alpha = adjacency.entries
-    m = len(a_alpha)
-    degrees = graph_matrices(alpha.base).D
-    entries = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            d_ij = GroupRingElement.constant(spec, n, degrees[i][j])
-            row.append(d_ij - a_alpha[j][i])
-        entries.append(tuple(row))
-    return GroupRingMatrix(spec, n, tuple(entries))
+    spec, a_alpha = alpha.spec, adjacency.entries
+    degrees = alpha.base.degrees()
+    return GroupRingMatrix(spec, n, tuple(
+        tuple(GroupRingElement.constant(spec, n, d if i == j else 0) -
+              a_alpha[j][i] for j in range(len(degrees)))
+        for i, d in enumerate(degrees)))
 
 
 def beta_of_path(alpha: VoltageAssignment, n: int,

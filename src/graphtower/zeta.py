@@ -1,15 +1,17 @@
 """Ihara zeta functions, Artin-Ihara L-functions, and their identities.
 
-ζ_X(u)⁻¹ is one integer determinant by Kronecker substitution.  The
+ζ_X(u)⁻¹ is one integer determinant by Kronecker substitution, of sparse
+rows built from the ends of the graph's edges; a cover X_n gives them
+through ``voltage.cover_index_pairs`` and is never built.  The
 factorization check takes one more integer determinant per Galois orbit of
-characters, the norm of the orbit's L-function.  The per-character
-L-functions that ``lfun`` prints are one Z[ζ] determinant each, by the same
-substitution.  Every identity check below is an exact equality — never a
-float comparison.
+characters, the norm of the orbit's L-function, from the base edges'
+level-n normal forms.  The per-character L-functions that ``lfun`` prints
+are one Z[ζ] determinant each, by the same substitution.  Every identity
+check below is an exact equality — never a float comparison.
 
-The L-functions and the interpolation check never build the cover: its
-adjacency Σ_σ A(σ)·σ, where A(σ)_ij counts the edges between (v_i, 1) and
-(v_j, σ) in X_n, is the voltage matrix A_α of ``voltage_adjacency``, one
+The L-functions and the interpolation check take the cover's adjacency
+Σ_σ A(σ)·σ, where A(σ)_ij counts the edges between (v_i, 1) and (v_j, σ)
+in X_n, as the voltage matrix A_α of ``voltage_adjacency``, one
 ``GroupRingMatrix`` over Z[G^(n)] per job (a test reads it off the edges of
 X_n).  Characters reach it only through ``character_evaluate``, the one
 character twist in the package.
@@ -18,17 +20,17 @@ character twist in the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .cyclotomic import (CyclotomicInteger, det_cyclotomic,
                          det_cyclotomic_poly_matrix, euler_phi_prime_power,
                          root_power_matrix)
-from .graphs import Multigraph, graph_matrices
 from .grouprings import (Character, GroupRingMatrix, character_evaluate,
                          galois_orbits, nrd_abelian)
 from .linalg import det_int_poly_matrix
 from .polynomials import IntPolynomial
-from .voltage import (VoltageAssignment, check_derive_bounds, derive,
-                      voltage_adjacency, voltage_laplacian)
+from .voltage import (VoltageAssignment, check_derive_bounds,
+                      cover_index_pairs, voltage_adjacency, voltage_laplacian)
 
 
 @dataclass(frozen=True)
@@ -48,19 +50,25 @@ class ArtinLData:
     det_part: tuple[CyclotomicInteger, ...]  # ascending coefficients
 
 
-def ihara_zeta_inverse(graph: Multigraph) -> ZetaData:
-    """Exact determinant of I − Au + (D−I)u² and the Euler characteristic."""
-    mats = graph_matrices(graph)
-    n = graph.num_vertices
-    entries = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            delta = 1 if i == j else 0
-            # constant, u, u² coefficients
-            row.append((delta, -mats.A[i][j], mats.D[i][j] - delta))
-        entries.append(row)
-    return ZetaData(mats.chi, IntPolynomial(det_int_poly_matrix(entries)))
+def ihara_zeta_inverse(num_vertices: int,
+                       pairs: Sequence[tuple[int, int]]) -> ZetaData:
+    """ζ_X(u)⁻¹ of the graph with vertices 0..num_vertices − 1 and one edge
+    per pair (i, j) of end indices: the exact determinant of
+    I − Au + (D−I)u², and χ = V − E.
+
+    The matrix is built as sparse rows {column: [1, u, u² coefficients]},
+    as `graphs.laplacian_rows` builds the Laplacian: each end of an edge
+    adds 1 to its degree and −1 to the u-coefficient towards the other end,
+    so a loop adds 2 to the degree and −2 to the u-coefficient on the
+    diagonal.
+    """
+    rows = [{i: [1, 0, -1]} for i in range(num_vertices)]
+    for i, j in pairs:
+        for a, b in ((i, j), (j, i)):
+            rows[a][a][2] += 1
+            rows[a].setdefault(b, [0, 0])[1] -= 1
+    return ZetaData(num_vertices - len(pairs),
+                    IntPolynomial(det_int_poly_matrix(rows)))
 
 
 def artin_l_inverse(alpha: VoltageAssignment, n: int, chi: Character,
@@ -69,7 +77,8 @@ def artin_l_inverse(alpha: VoltageAssignment, n: int, chi: Character,
 
     adjacency is ``voltage_adjacency(alpha, n)``.
     """
-    mats = graph_matrices(alpha.base)
+    base = alpha.base
+    degrees = base.degrees()
     p = alpha.spec.p
 
     def const(c: int) -> CyclotomicInteger:
@@ -77,54 +86,55 @@ def artin_l_inverse(alpha: VoltageAssignment, n: int, chi: Character,
 
     # I − χ(A)u + (D − I)u², as u-coefficient triples
     entries = [[(const(int(i == j)), -character_evaluate(chi, x),
-                 const(mats.D[i][j] - int(i == j)))
+                 const(degrees[i] - 1 if i == j else 0))
                 for j, x in enumerate(row)]
                for i, row in enumerate(adjacency.entries)]
-    return ArtinLData(chi, mats.chi, det_cyclotomic_poly_matrix(p, n, entries))
+    return ArtinLData(chi, base.num_vertices - base.num_edges,
+                      det_cyclotomic_poly_matrix(p, n, entries))
 
 
-def artin_l_norm(alpha: VoltageAssignment, n: int, chi: Character,
-                 adjacency: GroupRingMatrix) -> IntPolynomial:
+def artin_l_norm(chi: Character,
+                 edges: Sequence[tuple[int, int, tuple[int, ...]]],
+                 degrees: Sequence[int]) -> IntPolynomial:
     """Norm of the det part of L(χ,u)⁻¹: the product of the det parts of
     L(χ^a,u)⁻¹ over the Galois orbit of χ, as one integer determinant.
 
-    For χ of order p^j, I − χ(A)u + (D − I)u² is taken over Z[ζ_{p^j}]
-    (in conductor p^n the norm would count each conjugate φ(p^n)/φ(p^j)
+    The base is given by its degrees and, per edge, the indices (i, j) of
+    its ends and the normal form a of its voltage at χ's level n.  For χ
+    of order p^j, I − χ(A)u + (D − I)u² is taken over Z[ζ_{p^j}] (in
+    conductor p^n the norm would count each conjugate φ(p^n)/φ(p^j)
     times), and each entry becomes its φ(p^j)-square multiplication matrix
-    over Z[u], one ``root_power_matrix`` block per group-ring term, built
-    once per distinct exponent.  These blocks commute, so the determinant of the (m·φ(p^j))-square result is
-    the norm of the determinant.
+    over Z[u]: an edge adds the ``root_power_matrix`` block of ζ^e at
+    (i, j) and of ζ^−e at (j, i), e = (χ·a mod p^n) / p^(n−j).  The blocks
+    commute, so the determinant of the result is the norm.
     """
-    p, j = alpha.spec.p, chi.order_level
+    p, n, j = chi.spec.p, chi.level, chi.order_level
     phi = euler_phi_prime_power(p, j)
-    step = p ** (n - j)
-    size = adjacency.size * phi
-    a_chi = [[0] * size for _ in range(size)]
-    blocks = {}
-    for i, row in enumerate(adjacency.entries):
-        for k, x in enumerate(row):
-            for sigma, c in x.terms:
-                e = chi.exponent(sigma) // step
-                if e not in blocks:
-                    blocks[e] = root_power_matrix(p, j, e)
-                block = blocks[e]
-                for r, block_row in enumerate(block):
-                    out = a_chi[i * phi + r]
-                    for t, b in enumerate(block_row):
-                        out[k * phi + t] += c * b
-    degrees = graph_matrices(alpha.base).D
-    entries = [[(1, -a, degrees[x // phi][x // phi] - 1) if x == y else
-                (0, -a, 0) for y, a in enumerate(a_chi[x])]
-               for x in range(size)]
-    return IntPolynomial(det_int_poly_matrix(entries))
+    mod, step = p ** n, p ** (n - j)
+    rows = [{x: [1, 0, degrees[x // phi] - 1]}
+            for x in range(len(degrees) * phi)]
+    blocks: dict[int, list[tuple[int, int, int]]] = {}
+    for i, k, a in edges:
+        e = sum(c * x for c, x in zip(chi.exponents, a)) % mod // step
+        for first, second, power in ((i, k, e), (k, i, -e % p ** j)):
+            block = blocks.get(power)
+            if block is None:
+                block = blocks[power] = [
+                    (r, t, b) for r, block_row in
+                    enumerate(root_power_matrix(p, j, power))
+                    for t, b in enumerate(block_row) if b]
+            for r, t, b in block:
+                rows[first * phi + r].setdefault(
+                    second * phi + t, [0, 0])[1] -= b
+    return IntPolynomial(det_int_poly_matrix(rows))
 
 
 def h_at_one(alpha: VoltageAssignment, n: int, chi: Character,
              adjacency: GroupRingMatrix) -> CyclotomicInteger:
     """h(χ, 1) = det(D − χ(A)), exact."""
-    degrees = graph_matrices(alpha.base).D
+    degrees = alpha.base.degrees()
     p = alpha.spec.p
-    matrix = [[CyclotomicInteger.from_int(p, n, degrees[i][j]) -
+    matrix = [[CyclotomicInteger.from_int(p, n, degrees[i] if i == j else 0) -
                character_evaluate(chi, x) for j, x in enumerate(row)]
               for i, row in enumerate(adjacency.entries)]
     return det_cyclotomic(p, n, matrix)
@@ -170,16 +180,22 @@ def factorization_check(alpha: VoltageAssignment, n: int) -> FactorizationReport
     """∏_χ L(χ)^{-1} = ζ_{X_n}^{-1}, with Euler-characteristic bookkeeping.
 
     The product over all characters is taken as the product over Galois
-    orbits of ``artin_l_norm``, all in Z[u].
+    orbits of ``artin_l_norm``, all in Z[u], from the base edges' level-n
+    normal forms.  The cover side is ``ihara_zeta_inverse`` of the index
+    pairs of ``cover_index_pairs``.  Neither side builds X_n or a
+    group-ring matrix.
     """
     orbits = galois_orbits(alpha.spec, n)
-    cover = derive(alpha, n)
-    adjacency = voltage_adjacency(alpha, n)
+    num_vertices, pairs = cover_index_pairs(alpha, n)
+    base = alpha.base
+    edges = [(i, j, a) for (i, j), a in
+             zip(base.index_pairs(), alpha.normal_forms(n))]
+    degrees = base.degrees()
     product = IntPolynomial((1,))
     for chi, _ in orbits:
-        product = product * artin_l_norm(alpha, n, chi, adjacency)
-    zeta = ihara_zeta_inverse(cover.graph)
+        product = product * artin_l_norm(chi, edges, degrees)
+    zeta = ihara_zeta_inverse(num_vertices, pairs)
     total_exponent = (sum(size for _, size in orbits) *
-                      graph_matrices(alpha.base).chi)
+                      (base.num_vertices - base.num_edges))
     return FactorizationReport(product == zeta.det_part,
                                total_exponent == zeta.chi)

@@ -5,9 +5,10 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
 
 from graphtower import (Multigraph, TowerGroupSpec, VoltageAssignment,
-                        graph_matrices, is_connected)
+                        ihara_zeta_inverse, is_connected)
 from graphtower.cyclotomic import (CyclotomicInteger, _add_monomial,
                                    euler_phi_prime_power)
 from graphtower.errors import DisconnectedError
@@ -108,6 +109,43 @@ def sparse(matrix):
     rows {column: value} and the column count."""
     return ([{j: v for j, v in enumerate(row) if v} for row in matrix],
             len(matrix[0]) if matrix else 0)
+
+
+@dataclass(frozen=True)
+class GraphMatrices:
+    """Adjacency matrix A, degree matrix D and Euler characteristic.
+
+    A[i][i] is twice the loop count at vertex i, so the Laplacian D - A has
+    zero row sums.
+    """
+
+    A: tuple[tuple[int, ...], ...]
+    D: tuple[tuple[int, ...], ...]
+    chi: int
+
+
+def graph_matrices(graph: Multigraph) -> GraphMatrices:
+    """Dense adjacency and degree matrices, loops counted twice on the
+    diagonal: the reference the package's sparse builders are checked
+    against."""
+    n = graph.num_vertices
+    a = [[0] * n for _ in range(n)]
+    for i, j in graph.index_pairs():
+        if i == j:
+            a[i][i] += 2
+        else:
+            a[i][j] += 1
+            a[j][i] += 1
+    d = [[0] * n for _ in range(n)]
+    for i in range(n):
+        d[i][i] = sum(a[i])
+    chi = graph.num_vertices - graph.num_edges
+    return GraphMatrices(tuple(map(tuple, a)), tuple(map(tuple, d)), chi)
+
+
+def graph_zeta(graph: Multigraph):
+    """`ihara_zeta_inverse` of a Multigraph, by its end-index pairs."""
+    return ihara_zeta_inverse(graph.num_vertices, graph.index_pairs())
 
 
 def dense_laplacian(graph):

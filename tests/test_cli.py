@@ -14,6 +14,7 @@ from graphtower.cli import _HANDLERS, main, parse_config
 from graphtower.cyclotomic import CyclotomicInteger
 from graphtower.errors import ConfigError
 from graphtower.graphs import spanning_tree_count
+from graphtower.polynomials import IntPolynomial
 from graphtower.voltage import derive
 
 from conftest import LOOP_CONFIG, MU2_CONFIG, abelian_pin_config
@@ -340,11 +341,37 @@ def test_mhg_check_computes_lambda1_determinant_once(tmp_path, capsys,
     assert len(calls) == 1
 
 
-def test_check_factorization_derives_once(tmp_path, capsys, monkeypatch):
-    calls = _count_calls(monkeypatch, graphtower.voltage.derive)
+def _count_multigraphs(monkeypatch):
+    """Record the vertex count of every Multigraph built; returns the log."""
+    sizes = []
+    check = graphtower.graphs.Multigraph.__post_init__
+
+    def counted(graph):
+        sizes.append(graph.num_vertices)
+        check(graph)
+
+    monkeypatch.setattr(graphtower.graphs.Multigraph, "__post_init__",
+                        counted)
+    return sizes
+
+
+def test_check_factorization_and_zeta_build_no_cover(tmp_path, capsys,
+                                                     monkeypatch):
+    """Both sides of check-factorization, and zeta of a cover, come from
+    one set of voltage translations: no derived graph, no group-ring
+    adjacency, and no Multigraph larger than the base."""
     path = write_config(tmp_path, LOOP_CONFIG)
-    assert main(["check-factorization", "--config", path, "--level", "2"]) == 0
-    assert len(calls) == 1
+    for subcommand in ("check-factorization", "zeta"):
+        with monkeypatch.context() as patch:
+            derived = _count_calls(patch, graphtower.voltage.derive)
+            adjacency = _count_calls(patch,
+                                     graphtower.voltage.voltage_adjacency)
+            translations = _count_calls(patch,
+                                        graphtower.voltage.edge_translations)
+            graphs = _count_multigraphs(patch)
+            assert main([subcommand, "--config", path, "--level", "2"]) == 0
+        assert (len(derived), len(adjacency), len(translations)) == (0, 0, 1)
+        assert graphs == [len(LOOP_CONFIG["graph"]["vertices"])]
 
 
 @pytest.mark.parametrize("argv", [["tower", "--max-level", "2"],
@@ -352,14 +379,59 @@ def test_check_factorization_derives_once(tmp_path, capsys, monkeypatch):
                                   ["jacobian", "--level", "2"]])
 def test_level_jacobians_build_no_cover(tmp_path, capsys, monkeypatch, argv):
     """Each level's Laplacian comes from the voltage translations: no
-    derived graph, and no dense matrices of a cover."""
+    derived graph, and no Multigraph larger than the base."""
     derived = _count_calls(monkeypatch, graphtower.voltage.derive)
-    matrices = _count_calls(monkeypatch, graphtower.graphs.graph_matrices)
+    graphs = _count_multigraphs(monkeypatch)
     path = write_config(tmp_path, MU2_CONFIG)
     assert main([*argv, "--config", path]) == 0
     assert len(derived) == 0
     base_size = len(MU2_CONFIG["graph"]["vertices"])
-    assert all(graph.num_vertices == base_size for graph, in matrices)
+    assert graphs and all(size == base_size for size in graphs)
+
+
+def _factorization_report(tmp_path, capsys):
+    path = write_config(tmp_path, abelian_pin_config(
+        random.Random(3), 2, 2, 1, 3, 4))
+    assert main(["check-factorization", "--config", path,
+                 "--level", "1"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_check_factorization_fails_on_a_wrong_orbit_norm(tmp_path, capsys,
+                                                         monkeypatch):
+    """One orbit norm times (1 + u) breaks the check, which still exits 0
+    and says so."""
+    assert _factorization_report(tmp_path, capsys)["pass"] is True
+    norm = graphtower.zeta.artin_l_norm
+    calls = []
+
+    def wrong(*args):
+        calls.append(args)
+        value = norm(*args)
+        return value * IntPolynomial((1, 1)) if len(calls) == 1 else value
+
+    monkeypatch.setattr(graphtower.zeta, "artin_l_norm", wrong)
+    report = _factorization_report(tmp_path, capsys)
+    assert len(calls) > 1
+    assert report["pass"] is False
+    assert report["polynomial_match"] is False
+
+
+def test_check_factorization_fails_on_a_dropped_cover_edge(tmp_path, capsys,
+                                                           monkeypatch):
+    """A cover side missing one edge breaks the check, which still exits 0
+    and says so."""
+    pairs = graphtower.zeta.cover_index_pairs
+
+    def dropped(alpha, n):
+        num_vertices, edges = pairs(alpha, n)
+        return num_vertices, edges[1:]
+
+    monkeypatch.setattr(graphtower.zeta, "cover_index_pairs", dropped)
+    report = _factorization_report(tmp_path, capsys)
+    assert report["pass"] is False
+    assert report["polynomial_match"] is False
+    assert report["exponent_match"] is False
 
 
 # a 6-cycle with one edge of voltage 1 over Z/3^6: X_6 is a 4374-cycle

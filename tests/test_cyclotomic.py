@@ -98,7 +98,7 @@ def _lifted_det(p, k, m):
     Φ_{p^k}: x ↦ ζ is a ring map, so this is the determinant over Z[ζ]."""
     coeffs = [0] * euler_phi_prime_power(p, k)
     for e, c in enumerate(det_int_poly_matrix(
-            [[x.coeffs for x in row] for row in m])):
+            [{j: x.coeffs for j, x in enumerate(row)} for row in m])):
         _add_monomial(coeffs, e, c, p, k)
     return CyclotomicInteger(p, k, tuple(coeffs))
 

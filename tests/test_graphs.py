@@ -2,13 +2,13 @@ import random
 
 import pytest
 
-from graphtower import (Multigraph, connected_components, graph_matrices,
-                        is_connected, spanning_tree_count)
+from graphtower import (Multigraph, connected_components, is_connected,
+                        spanning_tree_count)
 from graphtower.graphs import laplacian_rows
 from graphtower.linalg import det_int
 
 from conftest import (dense_laplacian, enumerate_spanning_trees,
-                      random_connected_multigraph)
+                      graph_matrices, random_connected_multigraph)
 
 
 def laplacian(g):
@@ -43,6 +43,18 @@ def test_matrices_parallel_edges():
     assert m.A == ((0, 3), (3, 0))
     assert m.D == ((3, 0), (0, 3))
     assert m.chi == -1
+
+
+def test_degrees_match_the_dense_degree_matrix():
+    rng = random.Random(12)
+    graphs = [Multigraph.build([0, 1, 2], []),
+              Multigraph.build([0, 1], [(0, (0, 0)), (1, (0, 0))])]
+    for _ in range(30):
+        g = random_connected_multigraph(rng)
+        graphs.append(Multigraph.build((*g.vertices, "isolated"), g.edges))
+    for g in graphs:
+        d = graph_matrices(g).D
+        assert g.degrees() == [d[i][i] for i in range(g.num_vertices)]
 
 
 def test_laplacian_row_sums_zero():

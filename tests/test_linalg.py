@@ -134,7 +134,8 @@ def test_det_int_on_packed_cover_matrices(monkeypatch):
         alpha, level = random_abelian_instance(rng, max_vertices=4)
         cover = derive(alpha, level)
         if cover.graph.num_vertices <= 32:
-            ihara_zeta_inverse(cover.graph)
+            ihara_zeta_inverse(cover.graph.num_vertices,
+                               cover.graph.index_pairs())
     for m in packed:
         assert kernel(m) == fraction_det(m)
 
@@ -150,6 +151,18 @@ def test_det_in_ring_matches_det_int():
                 _normalize((det_int(m),)))
 
 
+def _sparse_rows(rng, m):
+    """A dense polynomial matrix as sparse rows {column: coefficients} in a
+    shuffled column order, keeping some zero entries."""
+    rows = []
+    for row in m:
+        columns = [j for j, entry in enumerate(row)
+                   if entry or rng.random() < 0.3]
+        rng.shuffle(columns)
+        rows.append({j: row[j] for j in columns})
+    return rows
+
+
 def test_poly_matrix_det_interpolation_matches_bareiss():
     rng = random.Random(9)
     ring = PolynomialRing()
@@ -162,12 +175,17 @@ def test_poly_matrix_det_interpolation_matches_bareiss():
                           for _ in range(rng.randint(0, 5))))
               if rng.random() < density else ()
               for _ in range(n)] for _ in range(n)]
-        assert det_int_poly_matrix(m) == tuple(det_in_ring(m, ring))
+        assert (det_int_poly_matrix(_sparse_rows(rng, m)) ==
+                tuple(det_in_ring(m, ring)))
     assert det_int_poly_matrix([]) == (1,)
-    assert det_int_poly_matrix([[(0, 3, -2)]]) == (0, 3, -2)
-    assert det_int_poly_matrix([[(-10 ** 40,)]]) == (-10 ** 40,)
-    assert det_int_poly_matrix([[(1, 2), (3,)], [(), ()]]) == ()
-    assert det_int_poly_matrix([[(1, 1), (1, 1)], [(2, 2), (2, 2)]]) == ()
+    assert det_int_poly_matrix([{0: (0, 3, -2)}]) == (0, 3, -2)
+    assert det_int_poly_matrix([{0: [-10 ** 40]}]) == (-10 ** 40,)
+    # a zero row, given empty and with explicit zero entries
+    assert det_int_poly_matrix([{0: (1, 2), 1: (3,)}, {}]) == ()
+    assert det_int_poly_matrix([{1: (3,), 0: (1, 2)}, {0: (), 1: (0, 0)}]) == ()
+    # singular: the second row is twice the first
+    assert det_int_poly_matrix([{0: (1, 1), 1: (1, 1)},
+                                {1: (2, 2), 0: (2, 2)}]) == ()
 
 
 def _trim(coeffs):

@@ -6,7 +6,7 @@ import pytest
 import graphtower.jacobian
 from graphtower import (Multigraph, QuotientSpec, TowerGroupSpec,
                         VoltageAssignment, beta_of_path, connected_components,
-                        connectivity_criterion, derive, graph_matrices,
+                        connectivity_criterion, cover_index_pairs, derive,
                         is_connected, level_jacobian, quotient_assignment,
                         voltage_adjacency, voltage_laplacian)
 from graphtower.errors import BoundExceededError, DisconnectedError
@@ -42,8 +42,7 @@ def test_loop_voltage_generator_gives_cycle():
         assert g.num_vertices == 3 ** n
         assert g.num_edges == 3 ** n
         assert is_connected(g)
-        degrees = graph_matrices(g).D
-        assert all(degrees[i][i] == 2 for i in range(g.num_vertices))
+        assert g.degrees() == [2] * g.num_vertices
 
 
 def test_counts_and_size_guard():
@@ -101,6 +100,19 @@ def test_edge_translations_and_cover_rows_match_the_derived_graph(
                 assert captured == [(
                     [{j - 1: v for j, v in enumerate(row) if v and j}
                      for row in dense[1:]], len(dense) - 1)]
+
+
+def test_cover_index_pairs_match_the_derived_graph():
+    """X_n's vertex count and the end indices of its edges, in `derive`'s
+    order, for abelian and metacyclic groups at levels 0-3."""
+    rng = random.Random(59)
+    for kind, p, rank, top in _ORACLE_SHAPES:
+        for _ in range(2):
+            alpha = oracle_instance(rng, kind, p, rank)
+            for n in range(top + 1):
+                graph = derive(alpha, n).graph
+                assert cover_index_pairs(alpha, n) == (
+                    graph.num_vertices, graph.index_pairs())
 
 
 def test_galois_action_is_automorphism():

@@ -11,12 +11,11 @@ from graphtower.cyclotomic import CyclotomicInteger, euler_phi_prime_power
 from graphtower.grouprings import (GroupRingElement, GroupRingMatrix,
                                    character_evaluate, characters,
                                    galois_orbits)
-from graphtower.graphs import graph_matrices
 from graphtower.polynomials import PolynomialRing, _normalize
 from graphtower.zeta import artin_l_norm
 
-from conftest import (as_int, cyclotomic_sum, det_in_ring,
-                      group_ring_element, random_abelian_instance,
+from conftest import (as_int, cyclotomic_sum, det_in_ring, graph_matrices,
+                      graph_zeta, random_abelian_instance,
                       random_connected_multigraph)
 
 
@@ -25,21 +24,20 @@ def loop_graph():
 
 
 def test_zeta_triangle():
-    data = ihara_zeta_inverse(Multigraph.build(
-        [0, 1, 2], [(0, (0, 1)), (1, (1, 2)), (2, (2, 0))]))
+    data = ihara_zeta_inverse(3, [(0, 1), (1, 2), (2, 0)])
     # (1 − u³)²
     assert data.chi == 0
     assert data.det_part.coeffs == (1, 0, 0, -2, 0, 0, 1)
 
 
 def test_zeta_single_loop():
-    data = ihara_zeta_inverse(loop_graph())
+    data = graph_zeta(loop_graph())
     assert data.chi == 0
     assert data.det_part.coeffs == (1, -2, 1)
 
 
 def test_zeta_tree_is_trivial():
-    data = ihara_zeta_inverse(Multigraph.build([0, 1], [(0, (0, 1))]))
+    data = graph_zeta(Multigraph.build([0, 1], [(0, (0, 1))]))
     assert data.chi == 1
     assert data.det_part.coeffs == (1, 0, -1)  # 1 − u² cancels (1−u²)^1
 
@@ -48,26 +46,37 @@ def test_zeta_constant_term_is_one():
     rng = random.Random(71)
     for _ in range(10):
         alpha, _ = random_abelian_instance(rng)
-        data = ihara_zeta_inverse(alpha.base)
+        data = graph_zeta(alpha.base)
         assert data.det_part.coeffs[0] == 1
 
 
 def test_zeta_matches_bareiss_on_small_graphs():
+    """The sparse rows of ihara_zeta_inverse against the dense matrices of
+    graph_matrices and the reference Bareiss, on random multigraphs with
+    loops and parallel edges, some with a second component or an isolated
+    vertex, and on edgeless graphs."""
     rng = random.Random(76)
     ring = PolynomialRing()
+    graphs = [Multigraph.build(range(n), []) for n in range(4)]
     for _ in range(40):
         graph = random_connected_multigraph(rng, max_vertices=7,
                                             max_extra_edges=8)
         if rng.random() < 0.3:  # a second component
             graph = Multigraph.build((*graph.vertices, "x"),
                                      (*graph.edges, ("y", ("x", "x"))))
+        if rng.random() < 0.3:
+            graph = Multigraph.build((*graph.vertices, "isolated"),
+                                     graph.edges)
+        graphs.append(graph)
+    for graph in graphs:
         mats = graph_matrices(graph)
         n = graph.num_vertices
         entries = [[_normalize((int(i == j), -mats.A[i][j],
                                 mats.D[i][j] - int(i == j)))
                     for j in range(n)] for i in range(n)]
-        assert (ihara_zeta_inverse(graph).det_part.coeffs ==
-                tuple(det_in_ring(entries, ring)))
+        data = graph_zeta(graph)
+        assert data.det_part.coeffs == tuple(det_in_ring(entries, ring))
+        assert data.chi == mats.chi
 
 
 def test_trivial_character_recovers_zeta():
@@ -77,7 +86,7 @@ def test_trivial_character_recovers_zeta():
         trivial = Character(alpha.spec, level, (0,) * alpha.spec.rank)
         data = artin_l_inverse(alpha, level, trivial,
                                voltage_adjacency(alpha, level))
-        expected = ihara_zeta_inverse(alpha.base).det_part
+        expected = graph_zeta(alpha.base).det_part
         assert [as_int(c) for c in data.det_part] == list(expected.coeffs)
 
 
@@ -155,7 +164,7 @@ def test_factorization_loop_over_z3():
     assert report.passed
     # and the cover really is the 3-cycle with det part (1 − u³)²
     cover = derive(alpha, 1)
-    assert ihara_zeta_inverse(cover.graph).det_part.coeffs == (1, 0, 0, -2, 0, 0, 1)
+    assert graph_zeta(cover.graph).det_part.coeffs == (1, 0, 0, -2, 0, 0, 1)
 
 
 def test_factorization_trivial_group_tautology():
@@ -240,10 +249,11 @@ _ORBIT_SHAPES = [
 ]
 
 
-def _random_orbit_instance(rng):
+def _random_orbit_instance(rng, shape=None):
     """A random abelian voltage assignment on a base of 1-4 vertices, with
-    at most 36 rows in the largest orbit determinant."""
-    p, rank, level = rng.choice(_ORBIT_SHAPES)
+    at most 36 rows in the largest orbit determinant, of a random shape
+    unless one is given."""
+    p, rank, level = shape or rng.choice(_ORBIT_SHAPES)
     spec = TowerGroupSpec("abelian", p, rank=rank)
     nv = rng.randint(1, min(4, 36 // euler_phi_prime_power(p, level)))
     edges = [(v, rng.randrange(v)) for v in range(1, nv)]
@@ -257,10 +267,22 @@ def _random_orbit_instance(rng):
     return VoltageAssignment.build(graph, spec, voltages), level
 
 
+def _norm_inputs(alpha, level):
+    """artin_l_norm's base data: each edge's end indices and level-n normal
+    form, and the degrees."""
+    base = alpha.base
+    edges = [(i, j, a) for (i, j), a in
+             zip(base.index_pairs(), alpha.normal_forms(level))]
+    return edges, base.degrees()
+
+
 def test_artin_l_norm_is_the_orbit_product_of_l_functions():
     rng = random.Random(77)
-    for _ in range(40):
-        alpha, level = _random_orbit_instance(rng)
+    instances = [_random_orbit_instance(rng) for _ in range(40)]
+    # p = 7 (φ = 6) and rank 3, whatever the random shapes
+    instances += [_random_orbit_instance(rng, shape) for shape in
+                  [(7, 1, 1), (7, 2, 1), (2, 3, 1), (2, 3, 2), (3, 3, 1)]]
+    for alpha, level in instances:
         p, mod = alpha.spec.p, alpha.spec.p ** level
         adjacency = voltage_adjacency(alpha, level)
         for chi, size in galois_orbits(alpha.spec, level):
@@ -272,7 +294,7 @@ def test_artin_l_norm_is_the_orbit_product_of_l_functions():
                                 Character(alpha.spec, level, exponents),
                                 adjacency).det_part
                 for exponents in sorted(orbit)])
-            norm = artin_l_norm(alpha, level, chi, adjacency)
+            norm = artin_l_norm(chi, *_norm_inputs(alpha, level))
             assert product == tuple(CyclotomicInteger.from_int(p, level, c)
                                     for c in norm.coeffs)
 
@@ -288,30 +310,27 @@ def test_every_character_l_function_multiplies_to_cover_zeta():
             factors.append(data.det_part)
             exponent += data.chi
         product = _poly_product(alpha.spec.p, level, factors)
-        zeta = ihara_zeta_inverse(derive(alpha, level).graph)
+        zeta = graph_zeta(derive(alpha, level).graph)
         assert [as_int(c) for c in product] == list(zeta.det_part.coeffs)
         assert exponent == zeta.chi
 
 
 def test_factorization_check_catches_a_corrupted_sigma_matrix(monkeypatch):
+    """One extra edge of voltage σ ≠ 1 on the orbit-norm side alone, which
+    adds σ at (i, j) and σ⁻¹ at (j, i) of A_α, breaks the match."""
     rng = random.Random(79)
-    original = graphtower.zeta.voltage_adjacency
-
-    def corrupted(alpha, n):
-        matrix = original(alpha, n)
-        spec = alpha.spec
-        sigma = rng.choice(sorted((s for s in spec.enumerate_group(n)
-                                   if s != spec.identity(n)),
-                                  key=lambda s: s.data))
-        entries = [list(row) for row in matrix.entries]
-        i, j = rng.randrange(matrix.size), rng.randrange(matrix.size)
-        entries[i][j] = entries[i][j] + group_ring_element(spec, sigma)
-        return GroupRingMatrix(matrix.spec, matrix.level,
-                               tuple(map(tuple, entries)))
-
+    original = graphtower.zeta.artin_l_norm
     for _ in range(12):
         alpha, level = random_abelian_instance(rng)
         assert factorization_check(alpha, level).passed
-        monkeypatch.setattr(graphtower.zeta, "voltage_adjacency", corrupted)
+        spec, m = alpha.spec, alpha.base.num_vertices
+        sigma = rng.choice(sorted(s.data for s in spec.enumerate_group(level)
+                                  if s != spec.identity(level)))
+        extra = (rng.randrange(m), rng.randrange(m), sigma)
+
+        def corrupted(chi, edges, degrees):
+            return original(chi, [*edges, extra], degrees)
+
+        monkeypatch.setattr(graphtower.zeta, "artin_l_norm", corrupted)
         assert not factorization_check(alpha, level).polynomial_match
-        monkeypatch.setattr(graphtower.zeta, "voltage_adjacency", original)
+        monkeypatch.setattr(graphtower.zeta, "artin_l_norm", original)
