@@ -2,8 +2,13 @@
 
 ζ_X(u)⁻¹ is one integer determinant by Kronecker substitution, of sparse
 rows built from the ends of the graph's edges; a cover X_n gives them
-through ``voltage.cover_index_pairs`` and is never built.  The
-factorization check takes one more integer determinant per Galois orbit of
+through ``voltage.cover_index_pairs`` and is never built.  Before packing,
+one exact Schur complement takes out a set S of pairwise non-adjacent
+loop-free vertices of one degree, found greedily, when S holds at least
+half the vertices, as the fibre over a loop-free base vertex does over a
+2-vertex base.  The orbit norms below do not take that step, so a fault
+in it cannot pass the factorization check on both sides.  That check
+takes one more integer determinant per Galois orbit of
 characters, the norm of the orbit's L-function, from the base edges'
 level-n normal forms.  The per-character L-functions that ``lfun`` prints
 are one Z[ζ] determinant each, by the same substitution.  Every identity
@@ -19,6 +24,7 @@ character twist in the package.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -54,21 +60,68 @@ def ihara_zeta_inverse(num_vertices: int,
                        pairs: Sequence[tuple[int, int]]) -> ZetaData:
     """ζ_X(u)⁻¹ of the graph with vertices 0..num_vertices − 1 and one edge
     per pair (i, j) of end indices: the exact determinant of
-    I − Au + (D−I)u², and χ = V − E.
+    M = I − Au + (D−I)u², and χ = V − E.
 
-    The matrix is built as sparse rows {column: [1, u, u² coefficients]},
-    as `graphs.laplacian_rows` builds the Laplacian: each end of an edge
-    adds 1 to its degree and −1 to the u-coefficient towards the other end,
-    so a loop adds 2 to the degree and −2 to the u-coefficient on the
-    diagonal.
+    Before the determinant, M shrinks by one exact Schur complement.  S is
+    a set of pairwise non-adjacent loop-free vertices of one degree d: the
+    vertices of each degree are taken in order, each kept unless adjacent
+    to one already kept, and S (``fibre`` below) is the largest set so
+    found.  Then
+    M_SS = c·I with c = 1 + (d−1)u², and when |S| ≥ |T|, T the other
+    vertices,
+
+        det M = c^(|S|−|T|) · det(c·M_TT − u²·A_TS·A_ST),
+
+    with no division: entry (t, t′) of A_TS·A_ST counts the 2-paths
+    t–s–t′ through S, with edge multiplicity.  On a cover X_n this fires
+    when the fibre over a loop-free base vertex covers half the vertices,
+    as over any 2-vertex base with one loop-free vertex.  When |S| < |T|,
+    S is taken empty and c = 1, and the rows below are those of M itself.
+
+    The rows are sparse, {column: [u⁰..u⁴ coefficients]}, built straight
+    from the pairs as `graphs.laplacian_rows` builds the Laplacian: each
+    end of an edge adds 1 to its degree and −1 to the u-coefficient towards
+    the other end, so a loop adds 2 to the degree and −2 to the
+    u-coefficient on the diagonal.
     """
-    rows = [{i: [1, 0, -1]} for i in range(num_vertices)]
+    neighbours = [Counter() for _ in range(num_vertices)]
     for i, j in pairs:
-        for a, b in ((i, j), (j, i)):
-            rows[a][a][2] += 1
-            rows[a].setdefault(b, [0, 0])[1] -= 1
-    return ZetaData(num_vertices - len(pairs),
-                    IntPolynomial(det_int_poly_matrix(rows)))
+        neighbours[i][j] += 1
+        neighbours[j][i] += 1
+    degrees = [sum(counts.values()) for counts in neighbours]
+    classes: dict[int, set[int]] = {}
+    for v, counts in enumerate(neighbours):
+        if v not in counts:
+            kept = classes.setdefault(degrees[v], set())
+            if kept.isdisjoint(counts):
+                kept.add(v)
+    degree, fibre = max(classes.items(), key=lambda item: len(item[1]),
+                        default=(1, set()))
+    if 2 * len(fibre) < num_vertices:
+        degree, fibre = 1, set()
+    e = degree - 1  # c = 1 + e·u²
+    rest = [t for t in range(num_vertices) if t not in fibre]
+    position = {t: k for k, t in enumerate(rest)}
+    rows = []
+    for t in rest:
+        f = degrees[t] - 1
+        row = {position[t]: [1, 0, f + e, 0, f * e]}
+        for w, a in neighbours[t].items():
+            if w in fibre:
+                for x, b in neighbours[w].items():
+                    row.setdefault(position[x], [0] * 5)[2] -= a * b
+            else:
+                entry = row.setdefault(position[w], [0] * 5)
+                entry[1] -= a
+                entry[3] -= a * e
+        rows.append(row)
+    coeffs = list(det_int_poly_matrix(rows))
+    if e:
+        for _ in range(len(fibre) - len(rest)):  # times c
+            coeffs += (0, 0)
+            for k in range(len(coeffs) - 1, 1, -1):
+                coeffs[k] += e * coeffs[k - 2]
+    return ZetaData(num_vertices - len(pairs), IntPolynomial(tuple(coeffs)))
 
 
 def artin_l_inverse(alpha: VoltageAssignment, n: int, chi: Character,

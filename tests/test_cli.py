@@ -434,6 +434,62 @@ def test_check_factorization_fails_on_a_dropped_cover_edge(tmp_path, capsys,
     assert report["exponent_match"] is False
 
 
+def _loop_free_fibre_config(rng):
+    """A 2-vertex (Z/4)² config whose vertex v0 has no loop: 1-3 edges
+    v0–v1 and 1-2 loops at v1, with random voltages.  At level 2 the fibre
+    over v0 is 16 of the cover's 32 vertices, pairwise non-adjacent."""
+    ends = [[0, 1]] * rng.randint(1, 3) + [[1, 1]] * rng.randint(1, 2)
+    return {"graph": {"vertices": [0, 1],
+                      "edges": [{"id": f"e{i}", "ends": e}
+                                for i, e in enumerate(ends)]},
+            "group": {"kind": "abelian", "p": 2, "rank": 2},
+            "voltage": {f"e{i}": [[g, rng.randrange(4)] for g in range(2)]
+                        for i in range(len(ends))}}
+
+
+@pytest.mark.parametrize("subcommand", ["zeta", "check-factorization"])
+def test_cover_determinant_takes_one_fibre_out(tmp_path, capsys, monkeypatch,
+                                               subcommand):
+    """The Schur complement over the fibre of v0 leaves the cover a
+    16-row matrix, not 32; the orbit norms have at most 4 rows."""
+    calls = _count_calls(monkeypatch, graphtower.linalg.det_int_poly_matrix)
+    path = write_config(tmp_path, _loop_free_fibre_config(random.Random(6)))
+    assert main([subcommand, "--config", path, "--level", "2"]) == 0
+    assert max(len(rows) for rows, in calls) == 16
+    if subcommand == "check-factorization":
+        assert json.loads(capsys.readouterr().out)["pass"] is True
+
+
+def test_check_factorization_fails_on_a_corrupted_reduced_entry(
+        tmp_path, capsys, monkeypatch):
+    """One coefficient of a diagonal entry of the reduced cover matrix off
+    by one changes its determinant by a power of u times a principal minor
+    with constant term 1, so the check fails, exits 0 and says so."""
+    kernel = graphtower.zeta.det_int_poly_matrix
+    rng = random.Random(84)
+    for seed in range(6):
+        path = write_config(tmp_path,
+                            _loop_free_fibre_config(random.Random(seed)))
+        corrupted = []
+
+        def corrupting(rows):
+            if len(rows) == 16:  # the cover's reduced matrix
+                t = rng.randrange(16)
+                rows[t][t][rng.randrange(1, 5)] += 1
+                corrupted.append(t)
+            return kernel(rows)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(graphtower.zeta, "det_int_poly_matrix", corrupting)
+            assert main(["check-factorization", "--config", path,
+                         "--level", "2"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert len(corrupted) == 1
+        assert report["pass"] is False
+        assert report["polynomial_match"] is False
+        assert report["exponent_match"] is True
+
+
 # a 6-cycle with one edge of voltage 1 over Z/3^6: X_6 is a 4374-cycle
 CYCLE_4374_CONFIG = {
     "graph": {"vertices": list(range(6)),
@@ -657,14 +713,42 @@ _ZETA_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("seed", sorted(_ZETA_SHA256))
-def test_zeta_output_is_pinned(tmp_path, capsys, seed):
-    p, rank, level, nv = _ZETA_PIN_SHAPES[seed]
+# (p, rank, level, base vertices) by seed, and the rows of the cover's
+# packed matrix after the Schur complement over a loop-free fibre: 32
+# vertices with |S| = |T| and c = 1 + 4u², 27 with |S| = 2|T| and 45 with
+# |S| = 3|T|/2, both with c = 1 + u²
+_REDUCED_ZETA_PIN_SHAPES = {3: ((2, 1, 4, 2), 16), 4: ((3, 1, 2, 3), 9),
+                            13: ((3, 2, 1, 5), 18)}
+
+# SHA-256 of the zeta stdout, recorded with the whole cover matrix packed
+_REDUCED_ZETA_SHA256 = {
+    3: "3f4501e0bcbd7bbcabcf854a9ecba3b2bc86f8a6bc999c98e049286b4978ede3",
+    4: "7f5d46150ebd9e55f502f2fba54fa6f74b2c7f27cb41bd03d662f39fa37b5c73",
+    13: "50e975f94a93fe49281752feceacb7df3b7711aed06dd31fd832ec73d3adbd6b",
+}
+
+
+def _zeta_digest(tmp_path, capsys, seed, shape):
+    p, rank, level, nv = shape
     data = abelian_pin_config(random.Random(seed), p, rank, level, nv, 4)
     path = write_config(tmp_path, data)
     assert main(["zeta", "--config", path, "--level", str(level)]) == 0
-    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == _ZETA_SHA256[seed]
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("seed", sorted(_ZETA_SHA256))
+def test_zeta_output_is_pinned(tmp_path, capsys, seed):
+    assert (_zeta_digest(tmp_path, capsys, seed, _ZETA_PIN_SHAPES[seed]) ==
+            _ZETA_SHA256[seed])
+
+
+@pytest.mark.parametrize("seed", sorted(_REDUCED_ZETA_SHA256))
+def test_reduced_zeta_output_is_pinned(tmp_path, capsys, monkeypatch, seed):
+    shape, rows = _REDUCED_ZETA_PIN_SHAPES[seed]
+    calls = _count_calls(monkeypatch, graphtower.linalg.det_int_poly_matrix)
+    assert (_zeta_digest(tmp_path, capsys, seed, shape) ==
+            _REDUCED_ZETA_SHA256[seed])
+    assert [len(args[0]) for args in calls] == [rows]
 
 
 # (p, rank, level, base vertices): groups of order 16, 9, 25, 7 and 81; on

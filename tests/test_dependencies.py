@@ -3,14 +3,17 @@
 The package and its tests import only the standard library and pytest:
 numpy, sympy or hypothesis may be installed where the tests run, so an
 accidental import of one would pass there, and the first test reads the
-imports instead of running them.  Every public function and method of the
+imports instead of running them.  The package runs from src/ alone, with
+nothing of tests/ on the path.  Every public function and method of the
 package is run by some subcommand, unless it is kept for a stated reason:
 code that only tests use lives in tests/.
 """
 
 import ast
 import json
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -40,6 +43,20 @@ def test_only_stdlib_and_pytest_are_imported():
     outside = [f"{path.relative_to(ROOT)}: {module}" for path in files
                for module in sorted(set(_top_level_imports(path)) - ALLOWED)]
     assert not outside
+
+
+def test_package_runs_from_src_alone(tmp_path):
+    """The CI packaging step's check, offline: outside the checkout, with
+    only src/ on the path, the CLI starts and runs a zeta job, so no
+    package module imports a helper kept under tests/."""
+    (tmp_path / "job.json").write_text(json.dumps(LOOP_CONFIG))
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    for argv in (["--help"], ["zeta", "--config", "job.json", "--level", "1"]):
+        run = subprocess.run([sys.executable, "-m", "graphtower.cli", *argv],
+                             cwd=tmp_path, env=env, capture_output=True,
+                             text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout)["det_part"] == [1, 0, 0, -2, 0, 0, 1]
 
 
 # Public callables that no subcommand enters, each with what keeps it.  A

@@ -11,7 +11,9 @@ from graphtower.cyclotomic import CyclotomicInteger, euler_phi_prime_power
 from graphtower.grouprings import (GroupRingElement, GroupRingMatrix,
                                    character_evaluate, characters,
                                    galois_orbits)
+from graphtower.linalg import det_int_poly_matrix
 from graphtower.polynomials import PolynomialRing, _normalize
+from graphtower.voltage import cover_index_pairs
 from graphtower.zeta import artin_l_norm
 
 from conftest import (as_int, cyclotomic_sum, det_in_ring, graph_matrices,
@@ -50,13 +52,36 @@ def test_zeta_constant_term_is_one():
         assert data.det_part.coeffs[0] == 1
 
 
+def _unreduced_rows(num_vertices, pairs):
+    """The whole matrix I − Au + (D−I)u² as sparse rows, with no Schur
+    complement."""
+    rows = [{i: [1, 0, -1]} for i in range(num_vertices)]
+    for i, j in pairs:
+        for a, b in ((i, j), (j, i)):
+            rows[a][a][2] += 1
+            rows[a].setdefault(b, [0, 0])[1] -= 1
+    return rows
+
+
+def _dense_zeta_det(graph):
+    """det(I − Au + (D−I)u²) by the reference Bareiss over Z[u], on the
+    dense matrices of graph_matrices."""
+    mats = graph_matrices(graph)
+    n = graph.num_vertices
+    entries = [[_normalize((int(i == j), -mats.A[i][j],
+                            mats.D[i][j] - int(i == j)))
+                for j in range(n)] for i in range(n)]
+    return tuple(det_in_ring(entries, PolynomialRing()))
+
+
 def test_zeta_matches_bareiss_on_small_graphs():
-    """The sparse rows of ihara_zeta_inverse against the dense matrices of
-    graph_matrices and the reference Bareiss, on random multigraphs with
-    loops and parallel edges, some with a second component or an isolated
-    vertex, and on edgeless graphs."""
+    """ihara_zeta_inverse, with or without its Schur complement, against
+    the dense matrices of graph_matrices and the reference Bareiss, and
+    against the whole matrix's sparse rows, on random multigraphs with
+    loops, parallel edges and leaves, some with a second component or an
+    isolated vertex, on random edge lists of any shape, and on edgeless
+    graphs."""
     rng = random.Random(76)
-    ring = PolynomialRing()
     graphs = [Multigraph.build(range(n), []) for n in range(4)]
     for _ in range(40):
         graph = random_connected_multigraph(rng, max_vertices=7,
@@ -68,15 +93,17 @@ def test_zeta_matches_bareiss_on_small_graphs():
             graph = Multigraph.build((*graph.vertices, "isolated"),
                                      graph.edges)
         graphs.append(graph)
+    for _ in range(80):
+        n = rng.randint(1, 9)
+        graphs.append(Multigraph.build(range(n), list(enumerate(
+            (rng.randrange(n), rng.randrange(n))
+            for _ in range(rng.randint(0, 2 * n))))))
     for graph in graphs:
-        mats = graph_matrices(graph)
-        n = graph.num_vertices
-        entries = [[_normalize((int(i == j), -mats.A[i][j],
-                                mats.D[i][j] - int(i == j)))
-                    for j in range(n)] for i in range(n)]
         data = graph_zeta(graph)
-        assert data.det_part.coeffs == tuple(det_in_ring(entries, ring))
-        assert data.chi == mats.chi
+        assert data.det_part.coeffs == _dense_zeta_det(graph)
+        assert data.det_part.coeffs == det_int_poly_matrix(
+            _unreduced_rows(graph.num_vertices, graph.index_pairs()))
+        assert data.chi == graph_matrices(graph).chi
 
 
 def test_trivial_character_recovers_zeta():
@@ -334,3 +361,91 @@ def test_factorization_check_catches_a_corrupted_sigma_matrix(monkeypatch):
         monkeypatch.setattr(graphtower.zeta, "artin_l_norm", corrupted)
         assert not factorization_check(alpha, level).polynomial_match
         monkeypatch.setattr(graphtower.zeta, "artin_l_norm", original)
+
+
+def _record_sizes(monkeypatch):
+    """Record the row count of every matrix ihara_zeta_inverse packs."""
+    sizes = []
+    kernel = graphtower.zeta.det_int_poly_matrix
+
+    def counted(rows):
+        sizes.append(len(rows))
+        return kernel(rows)
+
+    monkeypatch.setattr(graphtower.zeta, "det_int_poly_matrix", counted)
+    return sizes
+
+
+def _biregular_pairs(rng, left, right, degree):
+    """A random bipartite multigraph with parts 0..left − 1 and
+    left..left + right − 1, every left vertex of the given degree and every
+    right vertex of degree left·degree/right."""
+    stubs = [v for v in range(left, left + right)
+             for _ in range(left * degree // right)]
+    rng.shuffle(stubs)
+    return [(i, stubs[i * degree + k]) for i in range(left)
+            for k in range(degree)]
+
+
+def _schur_cases(rng):
+    """(vertex count, pairs, rows packed) on the shapes the reduction has to
+    get right, and on shapes where it declines."""
+    cases = [(n, [], 0) for n in range(4)]  # edgeless: T is empty
+    for left, right, degree in [(2, 2, 1), (3, 3, 2), (4, 4, 3), (5, 5, 2),
+                                (4, 2, 1), (6, 3, 2), (6, 4, 2), (8, 2, 1)]:
+        # biregular: the larger part, of the smaller degree, is S
+        cases.append((left + right, _biregular_pairs(rng, left, right, degree),
+                      min(left, right)))
+    for k in range(3, 8):  # K_{2,k}: |S| = k > |T| = 2, c = 1 + u²
+        cases.append((k + 2, [(i, j) for i in range(2)
+                              for j in range(2, k + 2)], 2))
+    for n in range(3, 7):  # K_n, and a loop at every vertex: declines
+        cases.append((n, list(itertools.combinations(range(n), 2)), n))
+        cases.append((n, [(i, i) for i in range(n)] + [(0, 1)], n))
+    return cases
+
+
+def test_schur_complement_matches_the_whole_matrix(monkeypatch):
+    sizes = _record_sizes(monkeypatch)
+    rng = random.Random(80)
+    for num_vertices, pairs, rows in _schur_cases(rng):
+        sizes.clear()
+        data = ihara_zeta_inverse(num_vertices, pairs)
+        assert sizes == [rows]
+        assert data.chi == num_vertices - len(pairs)
+        assert data.det_part.coeffs == _dense_zeta_det(
+            Multigraph.build(range(num_vertices), list(enumerate(pairs))))
+        assert data.det_part.coeffs == det_int_poly_matrix(
+            _unreduced_rows(num_vertices, pairs))
+
+
+def test_schur_complement_on_covers_of_two_vertex_bases(monkeypatch):
+    """Over a 2-vertex base whose vertex 0 has no loop the fibre over it is
+    S, and the packed matrix has |G| rows.  With one loop at vertex 0 and
+    two at vertex 1 the fibres differ in degree and each holds at most
+    |G|/2 independent loop-free vertices, so the reduction declines."""
+    sizes = _record_sizes(monkeypatch)
+    rng = random.Random(82)
+    for p, rank, level in [(2, 1, 1), (2, 1, 2), (2, 1, 3), (2, 2, 1),
+                           (2, 2, 2), (3, 1, 1), (3, 1, 2), (3, 2, 1),
+                           (5, 1, 1)]:
+        spec = TowerGroupSpec("abelian", p, rank=rank)
+        size = spec.order(level)
+        for loops in ((0, rng.randint(1, 2)), (1, 2)):
+            edges = [(0, 1)] * rng.randint(1, 3)
+            edges += [(v, v) for v in range(2) for _ in range(loops[v])]
+            graph = Multigraph.build(range(2), list(enumerate(edges)))
+            voltages = {eid: [[g, rng.randrange(p ** level)]
+                              for g in range(rank)]
+                        for eid, _ in graph.edges}
+            alpha = VoltageAssignment.build(graph, spec, voltages)
+            num_vertices, pairs = cover_index_pairs(alpha, level)
+            sizes.clear()
+            data = ihara_zeta_inverse(num_vertices, pairs)
+            assert sizes == [size if loops[0] == 0 else 2 * size]
+            assert data.det_part.coeffs == det_int_poly_matrix(
+                _unreduced_rows(num_vertices, pairs))
+            if num_vertices <= 16:
+                assert data.det_part.coeffs == _dense_zeta_det(
+                    Multigraph.build(range(num_vertices),
+                                     list(enumerate(pairs))))
