@@ -6,9 +6,12 @@ through ``voltage.cover_index_pairs`` and is never built.  Before packing,
 one exact Schur complement takes out a set S of pairwise non-adjacent
 loop-free vertices of one degree, found greedily, when S holds at least
 half the vertices, as the fibre over a loop-free base vertex does over a
-2-vertex base.  The orbit norms below do not take that step, so a fault
-in it cannot pass the factorization check on both sides.  That check
-takes one more integer determinant per Galois orbit of
+2-vertex base.  On a bipartite graph every closed walk has even length,
+so the determinant is even in u; there the rows are conjugated by
+diag(u^colour(v)), a similarity, and packed as polynomials in w = u², with
+about half the base-2^B digits.  The orbit norms below take neither step,
+so a fault in either cannot pass the factorization check on both sides.
+That check takes one more integer determinant per Galois orbit of
 characters, the norm of the orbit's L-function, from the base edges'
 level-n normal forms.  The per-character L-functions that ``lfun`` prints
 are one Z[ζ] determinant each, by the same substitution.  Every identity
@@ -83,11 +86,26 @@ def ihara_zeta_inverse(num_vertices: int,
     end of an edge adds 1 to its degree and −1 to the u-coefficient towards
     the other end, so a loop adds 2 to the degree and −2 to the
     u-coefficient on the diagonal.
+
+    When the graph is 2-coloured by `_two_colouring` (no loop, no odd
+    cycle), entry (t, x) is multiplied by u^(colour(t) − colour(x)).  That
+    is P·M·P⁻¹ with P = diag(u^colour(v)), which keeps the determinant and
+    commutes with the Schur step (M_SS = c·I is diagonal).  An edge joins
+    two colours and a 2-path one colour, so with w = u² every entry
+    becomes a polynomial in w: c·(1 + (d_t − 1)w) on the diagonal, −a·c
+    for a edges from a colour-0 row, −a·c·w for a edges from a colour-1
+    row, and −w times the 2-paths through S.  So the determinant is even in
+    u, as the zeta function of a bipartite graph, whose closed walks all
+    have even length, must be.  The w-coefficients are packed, which
+    halves the degree of the packed entries and of the determinant, and
+    the result is spread back onto the even powers of u.  The orbit norms
+    of ``artin_l_norm`` do not take this step.
     """
     neighbours = [Counter() for _ in range(num_vertices)]
     for i, j in pairs:
         neighbours[i][j] += 1
         neighbours[j][i] += 1
+    colour = _two_colouring(neighbours)
     degrees = [sum(counts.values()) for counts in neighbours]
     classes: dict[int, set[int]] = {}
     for v, counts in enumerate(neighbours):
@@ -115,13 +133,41 @@ def ihara_zeta_inverse(num_vertices: int,
                 entry[1] -= a
                 entry[3] -= a * e
         rows.append(row)
+    if colour is not None:
+        # entry (t, x) times u^(colour(t) − colour(x)) is even in u; its
+        # coefficients of u⁰, u², u⁴ are those of w⁰, w¹, w²
+        for t, row in zip(rest, rows):
+            for x, entry in row.items():
+                row[x] = ([0] + entry)[1 - colour[t] + colour[rest[x]]::2]
     coeffs = list(det_int_poly_matrix(rows))
+    if colour is not None:  # from w back to u: w^k = u^(2k)
+        coeffs = [c for w_coeff in coeffs for c in (w_coeff, 0)][:-1]
     if e:
         for _ in range(len(fibre) - len(rest)):  # times c
             coeffs += (0, 0)
             for k in range(len(coeffs) - 1, 1, -1):
                 coeffs[k] += e * coeffs[k - 2]
     return ZetaData(num_vertices - len(pairs), IntPolynomial(tuple(coeffs)))
+
+
+def _two_colouring(neighbours: Sequence[Counter]) -> list[int] | None:
+    """Colours 0 and 1 such that every edge joins two colours, by one
+    depth-first search per component from its least vertex, coloured 0;
+    None when an edge joins one colour, as a loop or an odd cycle does."""
+    colour: list[int | None] = [None] * len(neighbours)
+    for root in range(len(colour)):
+        if colour[root] is None:
+            colour[root] = 0
+            stack = [root]
+            while stack:
+                v = stack.pop()
+                for w in neighbours[v]:
+                    if colour[w] is None:
+                        colour[w] = 1 - colour[v]
+                        stack.append(w)
+                    elif colour[w] == colour[v]:
+                        return None
+    return colour
 
 
 def artin_l_inverse(alpha: VoltageAssignment, n: int, chi: Character,

@@ -751,6 +751,176 @@ def test_reduced_zeta_output_is_pinned(tmp_path, capsys, monkeypatch, seed):
     assert [len(args[0]) for args in calls] == [rows]
 
 
+# -- bipartite covers: the cover determinant packed in w = u²
+
+def _bipartite_config(rng, p, rank, level, ends, colours):
+    """A config over the base edges `ends` whose level-`level` cover is
+    bipartite, coloured (v, g) ↦ colours[v] + g₀ mod 2.  For p = 2 the
+    first coordinate of each voltage is odd exactly on the edges whose ends
+    share a colour; for odd p every edge must join two colours."""
+    mod = p ** level
+    words = []
+    for i, j in ends:
+        word = [[g, rng.randrange(mod)] for g in range(rank)]
+        if p == 2:
+            word[0][1] = (2 * rng.randrange(mod // 2) +
+                          (1 + colours[i] + colours[j]) % 2)
+        words.append(word)
+    return {"graph": {"vertices": list(range(len(colours))),
+                      "edges": [{"id": f"e{k}", "ends": list(e)}
+                                for k, e in enumerate(ends)]},
+            "group": {"kind": "abelian", "p": p, "rank": rank},
+            "voltage": {f"e{k}": word for k, word in enumerate(words)}}
+
+
+def _bipartite_case(kind, seed):
+    """(config, level, rows packed) of a seeded bipartite cover of a kind:
+    1: 32 vertices over Z/4 x Z/4 and a 2-vertex base whose v0 has no loop,
+       so the Schur complement over the fibre of v0 leaves 16 rows;
+    2: the same group over a 2-vertex base with odd-voltage loops at both
+       vertices, which has no loop-free fibre;
+    3: 36 vertices over Z/9 and a 4-cycle with two more edges between its
+       parts;
+    4: 24 vertices over Z/8 and a triangle with odd voltages, a
+       bipartite cover of a base that is not."""
+    rng = random.Random(seed)
+    if kind == 1:
+        ends = [(0, 1)] * rng.randint(1, 3) + [(1, 1)] * rng.randint(1, 2)
+        return _bipartite_config(rng, 2, 2, 2, ends, (0, 1)), 2, 16
+    if kind == 2:
+        ends = [(0, 1)] * rng.randint(1, 2) + [(0, 0), (1, 1), (1, 1)]
+        return _bipartite_config(rng, 2, 2, 2, ends, (0, 0)), 2, 32
+    if kind == 3:
+        ends = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 1), (2, 3)]
+        return _bipartite_config(rng, 3, 1, 2, ends, (0, 1, 0, 1)), 2, 18
+    ends = [(0, 1), (1, 2), (2, 0), (0, 1)]
+    return _bipartite_config(rng, 2, 1, 3, ends, (0, 0, 0)), 3, 24
+
+
+def _packed_lengths(calls):
+    """The coefficient counts of the entries of every packed matrix."""
+    return {len(entry) for rows, in calls for row in rows
+            for entry in row.values()}
+
+
+# SHA-256 of the zeta stdout of kind and seed `seed`, recorded with the
+# cover matrix packed in u
+_BIPARTITE_ZETA_SHA256 = {
+    1: "867497e5d8d586882713b8e2423259e1c5e6b0ee6077652f0b59e761495c9e2d",
+    2: "ffb3a8ab023a7ce995160c6a2035f6d7d74428f5af40ac89f4187a34461f0c4d",
+    3: "b2399ec3c9fdfe3ac4e96e5584796ae502cba26ed4e1c6497684cb5479948fa4",
+    4: "b75c9c5ec7cf794e6fdf06e6af49fbce5484a9ff52358c811baa8d8a179a8da4",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_BIPARTITE_ZETA_SHA256))
+def test_bipartite_zeta_output_is_pinned(tmp_path, capsys, monkeypatch,
+                                         seed):
+    """The cover side is packed in w = u², every entry of at most 3
+    coefficients, and prints the polynomial it printed packed in u."""
+    data, level, rows = _bipartite_case(seed, seed)
+    calls = _count_calls(monkeypatch, graphtower.linalg.det_int_poly_matrix)
+    path = write_config(tmp_path, data)
+    assert main(["zeta", "--config", path, "--level", str(level)]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == _BIPARTITE_ZETA_SHA256[seed]
+    assert [len(args[0]) for args in calls] == [rows]
+    assert _packed_lengths(calls) <= {1, 2, 3}
+
+
+# SHA-256 of the zeta stdout of the 128-vertex Z/64 cover below, recorded
+# with the cover matrix packed in u
+_Z64_ZETA_SHA256 = (
+    "7bdc9f17a3a8e4385d98de175c09bc0099b286bbaa0625544b3e7b132f4f9505")
+
+
+def test_128_vertex_bipartite_cover_is_packed_in_w(tmp_path, capsys,
+                                                   monkeypatch):
+    """Z/64 over three odd-voltage edges v0–v1: the Schur complement leaves
+    the 64 rows over v1, packed in w = u²."""
+    data = _bipartite_config(random.Random(7), 2, 1, 6, [(0, 1)] * 3, (0, 0))
+    calls = _count_calls(monkeypatch, graphtower.linalg.det_int_poly_matrix)
+    path = write_config(tmp_path, data)
+    assert main(["zeta", "--config", path, "--level", "6"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == _Z64_ZETA_SHA256
+    assert [len(args[0]) for args in calls] == [64]
+    assert _packed_lengths(calls) <= {1, 2, 3}
+    assert not any(json.loads(out)["det_part"][1::2])
+
+
+def test_check_factorization_fails_on_a_flipped_colour(tmp_path, capsys,
+                                                       monkeypatch):
+    """One vertex over v1 given the wrong colour loses its off-diagonal
+    entries in the packed matrix, so on seeded bipartite covers, with and
+    without the Schur complement, the check fails, exits 0 and says so.
+    The colouring is computed once per job, and never for an orbit norm."""
+    colouring = graphtower.zeta._two_colouring
+    norm = graphtower.zeta.artin_l_norm
+    rng = random.Random(86)
+    in_norm = []
+
+    def traced_norm(*args):
+        in_norm.append(args)
+        try:
+            return norm(*args)
+        finally:
+            in_norm.pop()
+
+    monkeypatch.setattr(graphtower.zeta, "artin_l_norm", traced_norm)
+    for seed in range(6):
+        data, level, _ = _bipartite_case(1 + seed % 2, 100 + seed)
+        path = write_config(tmp_path, data)
+        for flip in (False, True):
+            calls = []
+
+            def flipped(neighbours):
+                calls.append(bool(in_norm))
+                colour = colouring(neighbours)
+                if flip:
+                    v = rng.randrange(len(colour) // 2, len(colour))
+                    colour[v] = 1 - colour[v]
+                return colour
+
+            with monkeypatch.context() as patch:
+                patch.setattr(graphtower.zeta, "_two_colouring", flipped)
+                assert main(["check-factorization", "--config", path,
+                             "--level", str(level)]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert calls == [False]
+            assert report["pass"] is not flip
+            assert report["polynomial_match"] is not flip
+            assert report["exponent_match"] is True
+
+
+# the cells of the perfbench cover_zeta mix, as (p, rank, base vertices,
+# extra edges, level): covers of 10-32 vertices
+_COVER_ZETA_CELLS = [
+    (5, 1, 2, 2, 1), (2, 2, 3, 2, 1), (2, 1, 2, 3, 3), (3, 2, 2, 2, 1),
+    (2, 2, 2, 2, 2), (3, 1, 2, 2, 2), (2, 3, 2, 3, 1), (2, 1, 2, 2, 3),
+    (2, 2, 2, 2, 2), (3, 1, 2, 3, 2), (2, 3, 2, 2, 1), (7, 1, 3, 2, 1),
+    (2, 3, 3, 2, 1), (2, 1, 3, 2, 3), (3, 1, 3, 2, 2), (2, 2, 2, 2, 2),
+]
+
+# SHA-256 of the zeta stdout over three seeded configs per cell, recorded
+# at the parent commit
+_COVER_ZETA_CELLS_SHA256 = (
+    "4814e32229458d61b705249b52b45d0ca77fb1b91bc7fa7547b0a19da140ee86")
+
+
+def test_zeta_output_over_the_cover_zeta_cells_is_pinned(tmp_path, capsys):
+    """The timed cover_zeta output, a check-factorization report, holds
+    only booleans; this pins the polynomials of 48 covers of its shapes."""
+    rng = random.Random(17)
+    digest = hashlib.sha256()
+    for p, rank, nv, extra, level in _COVER_ZETA_CELLS * 3:
+        path = write_config(tmp_path, abelian_pin_config(rng, p, rank, level,
+                                                         nv, extra))
+        assert main(["zeta", "--config", path, "--level", str(level)]) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == _COVER_ZETA_CELLS_SHA256
+
+
 # (p, rank, level, base vertices): groups of order 16, 9, 25, 7 and 81; on
 # seed 5 the regular representation (size 324) is past its bound
 _FITTING_PIN_SHAPES = {1: (2, 2, 2, 2), 2: (3, 1, 2, 3), 3: (5, 2, 1, 2),

@@ -363,17 +363,28 @@ def test_factorization_check_catches_a_corrupted_sigma_matrix(monkeypatch):
         monkeypatch.setattr(graphtower.zeta, "artin_l_norm", original)
 
 
-def _record_sizes(monkeypatch):
-    """Record the row count of every matrix ihara_zeta_inverse packs."""
-    sizes = []
+def _record_packed(monkeypatch):
+    """Record the sparse rows of every matrix ihara_zeta_inverse packs."""
+    packed = []
     kernel = graphtower.zeta.det_int_poly_matrix
 
-    def counted(rows):
-        sizes.append(len(rows))
+    def recorded(rows):
+        packed.append(rows)
         return kernel(rows)
 
-    monkeypatch.setattr(graphtower.zeta, "det_int_poly_matrix", counted)
-    return sizes
+    monkeypatch.setattr(graphtower.zeta, "det_int_poly_matrix", recorded)
+    return packed
+
+
+def _assert_packed_form(rows, bipartite):
+    """A bipartite graph's matrix is packed in w = u², each entry of at
+    most 3 coefficients; any other graph's in u, each entry of 5 (u⁰..u⁴).
+    """
+    lengths = {len(entry) for row in rows for entry in row.values()}
+    if bipartite:
+        assert lengths <= {1, 2, 3}
+    else:
+        assert lengths == {5}
 
 
 def _biregular_pairs(rng, left, right, degree):
@@ -399,33 +410,91 @@ def _schur_cases(rng):
     for k in range(3, 8):  # K_{2,k}: |S| = k > |T| = 2, c = 1 + u²
         cases.append((k + 2, [(i, j) for i in range(2)
                               for j in range(2, k + 2)], 2))
+    for k in (3, 4):  # K_{2,k} and an edge inside T: a triangle, and fires
+        cases.append((k + 2, [(0, 1)] + [(i, j) for i in range(2)
+                                         for j in range(2, k + 2)], 2))
     for n in range(3, 7):  # K_n, and a loop at every vertex: declines
         cases.append((n, list(itertools.combinations(range(n), 2)), n))
         cases.append((n, [(i, i) for i in range(n)] + [(0, 1)], n))
+    # cycles, odd and even, and bipartite shapes
+    for n in range(3, 11):  # cycles: an even one fires, S every other vertex
+        cases.append((n, [(i, (i + 1) % n) for i in range(n)],
+                      n if n % 2 else n // 2))
+    for n, rows in [(2, 1), (3, 1), (4, 2), (5, 5), (6, 6), (7, 7)]:  # paths
+        cases.append((n, [(i, i + 1) for i in range(n - 1)], rows))
+    for k in range(1, 5):  # stars K_{1,k}: S is the leaves
+        cases.append((k + 1, [(0, j) for j in range(1, k + 1)], 1))
+    trees = [(n, [(v, rng.randrange(v)) for v in range(1, n)])
+             for n in (6, 8, 9)]
+    cycle, k23 = (4, [(0, 1), (1, 2), (2, 3), (3, 0)]), (5, [
+        (i, j) for i in range(2) for j in range(2, 5)])
+    for graphs, rows in [(trees[:1], 3), (trees[1:2], 2),
+                         (trees[1:], 7),  # a forest
+                         ([cycle, k23, (1, [])], 5)]:
+        cases.append((*_disjoint_union(*graphs), rows))
+    for left, right, multiplicity, rows in [
+            (2, 3, 2, 2), (3, 3, 2, 3), (3, 4, 3, 3),
+            (3, 4, None, 7), (4, 4, None, 8)]:
+        # K_{m,n} with parallel edges, of one multiplicity, or of random
+        # multiplicities, whose unequal degrees make the step decline
+        pairs = [(i, j) for i in range(left)
+                 for j in range(left, left + right)
+                 for _ in range(multiplicity or rng.randint(1, 3))]
+        cases.append((left + right, pairs, rows))
+    for left, right, degree, rows in [(4, 4, 3, 8), (6, 3, 2, 4),
+                                      (5, 5, 2, 10)]:
+        # biregular plus one more edge between the parts: the step fires
+        # on the 5 left vertices of degree 2 of (6, 3, 2) and declines on
+        # the others
+        pairs = _biregular_pairs(rng, left, right, degree)
+        cases.append((left + right, pairs + [(0, left)], rows))
     return cases
 
 
+def _disjoint_union(*graphs):
+    """The disjoint union of graphs given as (vertex count, pairs)."""
+    total, pairs = 0, []
+    for n, edges in graphs:
+        pairs += [(i + total, j + total) for i, j in edges]
+        total += n
+    return total, pairs
+
+
 def test_schur_complement_matches_the_whole_matrix(monkeypatch):
-    sizes = _record_sizes(monkeypatch)
+    """Each case against both oracles, with the packed row count, and with
+    its entries in w = u² exactly when the oracle's determinant is even in
+    u, which it is exactly on a bipartite graph (a closed non-backtracking
+    walk round an odd cycle counts in an odd coefficient of log ζ)."""
+    packed = _record_packed(monkeypatch)
     rng = random.Random(80)
+    kinds = Counter()
     for num_vertices, pairs, rows in _schur_cases(rng):
-        sizes.clear()
+        packed.clear()
         data = ihara_zeta_inverse(num_vertices, pairs)
-        assert sizes == [rows]
+        expected = det_int_poly_matrix(_unreduced_rows(num_vertices, pairs))
+        assert [len(matrix) for matrix in packed] == [rows]
         assert data.chi == num_vertices - len(pairs)
+        assert data.det_part.coeffs == expected
         assert data.det_part.coeffs == _dense_zeta_det(
             Multigraph.build(range(num_vertices), list(enumerate(pairs))))
-        assert data.det_part.coeffs == det_int_poly_matrix(
-            _unreduced_rows(num_vertices, pairs))
+        bipartite = not any(expected[1::2])
+        _assert_packed_form(packed[0], bipartite)
+        kinds[bipartite, len(packed[0]) < num_vertices] += 1
+    # fired and declined, bipartite and not
+    assert len(kinds) == 4
 
 
 def test_schur_complement_on_covers_of_two_vertex_bases(monkeypatch):
     """Over a 2-vertex base whose vertex 0 has no loop the fibre over it is
     S, and the packed matrix has |G| rows.  With one loop at vertex 0 and
     two at vertex 1 the fibres differ in degree and each holds at most
-    |G|/2 independent loop-free vertices, so the reduction declines."""
-    sizes = _record_sizes(monkeypatch)
+    |G|/2 independent loop-free vertices, so the reduction declines.  Over
+    odd p a loop lifts to odd cycles, so the matrix is packed in u; over
+    p = 2 the loop voltages make the cover bipartite, and packed in w = u²,
+    or not, and both occur."""
+    packed = _record_packed(monkeypatch)
     rng = random.Random(82)
+    kinds = Counter()
     for p, rank, level in [(2, 1, 1), (2, 1, 2), (2, 1, 3), (2, 2, 1),
                            (2, 2, 2), (3, 1, 1), (3, 1, 2), (3, 2, 1),
                            (5, 1, 1)]:
@@ -440,12 +509,19 @@ def test_schur_complement_on_covers_of_two_vertex_bases(monkeypatch):
                         for eid, _ in graph.edges}
             alpha = VoltageAssignment.build(graph, spec, voltages)
             num_vertices, pairs = cover_index_pairs(alpha, level)
-            sizes.clear()
+            packed.clear()
             data = ihara_zeta_inverse(num_vertices, pairs)
-            assert sizes == [size if loops[0] == 0 else 2 * size]
-            assert data.det_part.coeffs == det_int_poly_matrix(
-                _unreduced_rows(num_vertices, pairs))
+            expected = det_int_poly_matrix(_unreduced_rows(num_vertices,
+                                                           pairs))
+            assert [len(matrix) for matrix in packed] == [
+                size if loops[0] == 0 else 2 * size]
+            assert data.det_part.coeffs == expected
+            bipartite = not any(expected[1::2])
+            _assert_packed_form(packed[0], bipartite)
+            kinds[p, bipartite] += 1
             if num_vertices <= 16:
                 assert data.det_part.coeffs == _dense_zeta_det(
                     Multigraph.build(range(num_vertices),
                                      list(enumerate(pairs))))
+    assert kinds[2, True] and kinds[2, False] and kinds[3, False]
+    assert not kinds[3, True] and not kinds[5, True]
