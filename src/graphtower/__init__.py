@@ -7,13 +7,11 @@ tower module — all in exact integer, cyclotomic, and polynomial arithmetic.
 """
 
 from .errors import (BoundExceededError, ConfigError, DisconnectedError,
-                     GraphTowerError, LevelMismatchError, PreconditionError)
+                     GraphTowerError, PreconditionError)
 from .graphs import (Multigraph, connected_components, is_connected,
                      laplacian_rows, spanning_tree_count)
 from .groups import GroupElement, TowerGroupSpec
-from .grouprings import (Character, GroupRingElement, GroupRingMatrix,
-                         character_evaluate, characters, nrd_abelian,
-                         regular_det)
+from .grouprings import Character, characters, nrd_abelian, regular_det
 from .cyclotomic import CyclotomicInteger
 from .jacobian import (AbelianGroupStructure, SmithNormalForm,
                        jacobian_structure, level_jacobian, picard_structure,
@@ -22,8 +20,7 @@ from .polynomials import IntPolynomial, LaurentElement
 from .voltage import (DerivedGraph, QuotientSpec, VoltageAssignment,
                       beta_of_path, connectivity_criterion,
                       cover_index_pairs, derive, edge_translations,
-                      quotient_assignment, voltage_adjacency,
-                      voltage_laplacian)
+                      quotient_assignment)
 from .zeta import (ArtinLData, ZetaData, artin_l_inverse, factorization_check,
                    h_at_one, ihara_zeta_inverse, interpolation_check)
 from .iwasawa import (FittingGenerators, IwasawaFit, Lambda1Det, MHGVerdict,

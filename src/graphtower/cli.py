@@ -21,7 +21,7 @@ from .graphs import Multigraph, connected_components
 from .grouprings import Character, characters
 from .jacobian import jacobian_structure, level_jacobian, picard_structure
 from .voltage import (QuotientSpec, VoltageAssignment, check_derive_bounds,
-                      cover_index_pairs, derive, voltage_adjacency)
+                      cover_index_pairs, derive)
 from .groups import TowerGroupSpec
 from .zeta import (artin_l_inverse, factorization_check, ihara_zeta_inverse,
                    interpolation_check)
@@ -234,10 +234,11 @@ def _cmd_lfun(job: JobConfig, args) -> dict:
     level = _level(args)
     chars = characters(job.alpha.spec, level)
     check_derive_bounds(job.alpha, level)  # the cover's, though it is not built
-    adjacency = voltage_adjacency(job.alpha, level)
+    edges = job.alpha.normal_form_edges(level)
+    degrees = job.alpha.base.degrees()
     out = []
     for chi in chars:
-        data = artin_l_inverse(job.alpha, level, chi, adjacency)
+        data = artin_l_inverse(chi, edges, degrees)
         out.append({"character": _character_json(chi),
                     "chi_exponent": data.chi,
                     "det_part": [_cyc_json(c) for c in data.det_part]})

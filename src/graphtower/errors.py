@@ -13,10 +13,6 @@ class DisconnectedError(GraphTowerError):
     """An operation that requires a connected graph received a disconnected one."""
 
 
-class LevelMismatchError(GraphTowerError):
-    """Group-ring operands live at different tower levels."""
-
-
 class ConfigError(GraphTowerError):
     """A job configuration file is invalid or inconsistent."""
 

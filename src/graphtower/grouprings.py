@@ -1,89 +1,28 @@
-"""Exact arithmetic in the integral group rings Z[G^(n)].
+"""Characters of abelian quotients G^(n), and the reduced norm of the
+voltage Laplacian D − A_α^t over Z[G^(n)].
 
-Includes characters of abelian quotients, per-character determinants (the
-abelian reduced norm) over cyclotomic integers, and the determinant of the
-regular representation as the kind-agnostic fallback.
+A voltage Laplacian is given by its base: per edge, the indices (i, j) of
+its ends and the normal form a of its voltage in G^(n), and the degrees.
+χ(a) is computed in one place, ``Character.exponent``, and χ(A_α) is
+built in one, ``character_adjacency``; the regular representation, the
+kind-agnostic route, is built from the same data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Mapping
+from typing import Iterable, Sequence
 
 from .cyclotomic import (CyclotomicInteger, _add_monomial, det_cyclotomic,
                          euler_phi_prime_power)
-from .errors import BoundExceededError, LevelMismatchError, PreconditionError
+from .errors import BoundExceededError, PreconditionError
 from .groups import GroupElement, TowerGroupSpec, p_valuation
 from .linalg import det_int
 
 _REGULAR_DET_BOUND = 300  # |G^(n)| · matrix size
 
-
-@dataclass(frozen=True)
-class GroupRingElement:
-    """Element of Z[G^(n)] as a pruned support map."""
-
-    spec: TowerGroupSpec
-    level: int
-    terms: tuple[tuple[GroupElement, int], ...]  # sorted, zero-free
-
-    @staticmethod
-    def from_terms(spec: TowerGroupSpec, level: int,
-                   terms: Mapping[GroupElement, int]) -> "GroupRingElement":
-        pruned = {g: c for g, c in terms.items() if c != 0}
-        for g in pruned:
-            if g.level != level:
-                raise LevelMismatchError(
-                    f"term at level {g.level} in element at level {level}")
-        ordered = tuple(sorted(pruned.items(), key=lambda item: item[0].data))
-        return GroupRingElement(spec, level, ordered)
-
-    @staticmethod
-    def constant(spec: TowerGroupSpec, level: int, c: int) -> "GroupRingElement":
-        return GroupRingElement.from_terms(spec, level,
-                                           {spec.identity(level): c})
-
-    def _check(self, other: "GroupRingElement") -> None:
-        if self.level != other.level:
-            raise LevelMismatchError(
-                f"operands at levels {self.level} and {other.level}")
-
-    def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
-        self._check(other)
-        acc = dict(self.terms)
-        for g, c in other.terms:
-            acc[g] = acc.get(g, 0) + c
-        return GroupRingElement.from_terms(self.spec, self.level, acc)
-
-    def __neg__(self) -> "GroupRingElement":
-        return GroupRingElement(self.spec, self.level,
-                                tuple((g, -c) for g, c in self.terms))
-
-    def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
-        return self + (-other)
-
-
-@dataclass(frozen=True)
-class GroupRingMatrix:
-    """Square matrix over Z[G^(n)]."""
-
-    spec: TowerGroupSpec
-    level: int
-    entries: tuple[tuple[GroupRingElement, ...], ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.entries)
-        for row in self.entries:
-            if len(row) != n:
-                raise ValueError("matrix is not square")
-            for x in row:
-                if x.level != self.level:
-                    raise LevelMismatchError("entry level differs from matrix level")
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
+Edges = Sequence[tuple[int, int, tuple[int, ...]]]  # (i, j, normal form)
 
 
 @dataclass(frozen=True)
@@ -112,10 +51,11 @@ class Character:
         mod = self.spec.p ** self.level
         return self.level - p_valuation(gcd(mod, *self.exponents), self.spec.p)
 
-    def exponent(self, g: GroupElement) -> int:
-        """e with χ(g) = ζ_{p^n}^e, reduced mod p^n."""
+    def exponent(self, a: tuple[int, ...]) -> int:
+        """e with χ(a) = ζ_{p^n}^e, reduced mod p^n, for a given by its
+        normal form in G^(n): the one place where χ(a) is computed."""
         mod = self.spec.p ** self.level
-        return sum(e * x for e, x in zip(self.exponents, g.data)) % mod
+        return sum(e * x for e, x in zip(self.exponents, a)) % mod
 
 
 def characters(spec: TowerGroupSpec, n: int) -> list[Character]:
@@ -151,35 +91,48 @@ def galois_orbits(spec: TowerGroupSpec,
     return out
 
 
-def character_evaluate(chi: Character,
-                       x: GroupRingElement) -> CyclotomicInteger:
-    """Linear extension of χ to the group ring: Σ c·ζ^e(g) over the terms.
-
-    The one place where a character is applied to a group-ring element.
+def character_adjacency(chi: Character, size: int,
+                        edges: Edges) -> list[list[CyclotomicInteger]]:
+    """χ(A_α) over Z[ζ_{p^n}], n = χ's level, for a base of ``size``
+    vertices: an edge (i, j, a) adds ζ^χ(a) at (i, j) and ζ^−χ(a) at
+    (j, i), both at (i, i) for a loop.
     """
-    if x.level != chi.level:
-        raise LevelMismatchError("character and element live at different levels")
-    p, k = chi.spec.p, chi.level
-    coeffs = [0] * euler_phi_prime_power(p, k)
-    for g, c in x.terms:
-        _add_monomial(coeffs, chi.exponent(g), c, p, k)
-    return CyclotomicInteger(p, k, tuple(coeffs))
+    p, n = chi.spec.p, chi.level
+    mod = p ** n
+    coeffs = [[[0] * euler_phi_prime_power(p, n) for _ in range(size)]
+              for _ in range(size)]
+    for i, j, a in edges:
+        e = chi.exponent(a)
+        _add_monomial(coeffs[i][j], e, 1, p, n)
+        _add_monomial(coeffs[j][i], -e % mod, 1, p, n)
+    return [[CyclotomicInteger(p, n, tuple(c)) for c in row] for row in coeffs]
 
 
-def nrd_abelian(
-        matrix: GroupRingMatrix) -> list[tuple[Character, CyclotomicInteger]]:
-    """Per-character determinants of a matrix over an abelian quotient.
+def nrd_abelian(spec: TowerGroupSpec, n: int, edges: Edges,
+                degrees: Sequence[int]
+                ) -> list[tuple[Character, CyclotomicInteger]]:
+    """Per-character determinants of D − A_α^t over an abelian G^(n).
 
     For abelian groups the reduced norm is the componentwise determinant
-    under the character decomposition of the group algebra.
+    under the character decomposition of the group algebra; the
+    χ-component is det(D − χ(A_α)^t).
     """
-    spec = matrix.spec
-    out = []
-    for chi in characters(spec, matrix.level):
-        image = [[character_evaluate(chi, x) for x in row]
-                 for row in matrix.entries]
-        out.append((chi, det_cyclotomic(spec.p, matrix.level, image)))
-    return out
+    m = len(degrees)
+    return [(chi, _det_degrees_minus(spec.p, n, degrees,
+                                     zip(*character_adjacency(chi, m, edges))))
+            for chi in characters(spec, n)]
+
+
+def _det_degrees_minus(p: int, n: int, degrees: Sequence[int],
+                       matrix: Iterable[Sequence[CyclotomicInteger]]
+                       ) -> CyclotomicInteger:
+    """det(D − matrix) over Z[ζ_{p^n}], D = diag(degrees), taken as
+    (−1)^m·det(matrix − D), which changes only the diagonal."""
+    image = [list(row) for row in matrix]
+    for i, d in enumerate(degrees):
+        image[i][i] = image[i][i] - CyclotomicInteger.from_int(p, n, d)
+    det = det_cyclotomic(p, n, image)
+    return -det if len(degrees) % 2 else det
 
 
 def regular_det_fits(spec: TowerGroupSpec, level: int, size: int) -> bool:
@@ -188,29 +141,36 @@ def regular_det_fits(spec: TowerGroupSpec, level: int, size: int) -> bool:
                                             _REGULAR_DET_BOUND // size))
 
 
-def regular_det(matrix: GroupRingMatrix) -> int:
-    """Determinant of left multiplication on the regular representation.
+def regular_det(spec: TowerGroupSpec, n: int, edges: Edges,
+                degrees: Sequence[int]) -> int:
+    """Determinant of D − A_α^t acting on Z[G^(n)]^m by left
+    multiplication, for any group kind.
 
-    Works for any group kind; equals the product over characters of the
-    per-character determinants when the quotient is abelian.
+    Row and column i·|G| + k stand for g_k in the i-th summand, in
+    ``enumerate_group`` order.  D puts d_i on the diagonal of block i.  An
+    edge (i, j, a) puts −a at (j, i) of D − A_α^t and −a⁻¹ at (i, j); left
+    multiplication by a takes g_k to g_h = a·g_k, and by a⁻¹ takes g_h
+    back to g_k, so one ``multiply`` per group element gives both.  For
+    an abelian quotient the result is the product of the per-character
+    determinants.
     """
-    spec = matrix.spec
-    m = matrix.size
-    if not regular_det_fits(spec, matrix.level, m):
+    m = len(degrees)
+    if not regular_det_fits(spec, n, m):
         raise BoundExceededError(
             f"regular representation size "
-            f"{m}·{spec.p}^{matrix.level * spec.dimension} "
+            f"{m}·{spec.p}^{n * spec.dimension} "
             f"exceeds bound {_REGULAR_DET_BOUND}")
-    group = spec.enumerate_group(matrix.level)
+    group = spec.enumerate_group(n)
     order = len(group)
-    index = {g: i for i, g in enumerate(group)}
-    size = m * order
-    big = [[0] * size for _ in range(size)]
-    for bi, row in enumerate(matrix.entries):
-        for bj, x in enumerate(row):
-            # left multiplication by x: basis g ↦ Σ c·(h g)
-            for gj, g in enumerate(group):
-                for h, c in x.terms:
-                    hi = index[spec.multiply(h, g)]
-                    big[bi * order + hi][bj * order + gj] += c
+    index = {g: k for k, g in enumerate(group)}
+    big = [[0] * (m * order) for _ in range(m * order)]
+    for i, d in enumerate(degrees):
+        for k in range(i * order, (i + 1) * order):
+            big[k][k] = d
+    for i, j, a in edges:
+        x = GroupElement(n, a)
+        for k, g in enumerate(group):
+            h = index[spec.multiply(x, g)]
+            big[j * order + h][i * order + k] -= 1
+            big[i * order + k][j * order + h] -= 1
     return det_int(big)

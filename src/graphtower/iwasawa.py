@@ -17,7 +17,7 @@ from .polynomials import (IntPolynomial, LaurentElement,
                           laurent_substitute_gamma)
 from .voltage import (QuotientSpec, VoltageAssignment, check_derive_bounds,
                       connectivity_criterion, gamma_exponent,
-                      quotient_assignment, voltage_laplacian)
+                      quotient_assignment)
 
 _LAMBDA1_DEGREE_BOUND = 1800  # Σ over Laplacian rows of the γ-exponent span
 
@@ -228,8 +228,9 @@ def fitting_generators(alpha: VoltageAssignment, n: int) -> FittingGenerators:
     """Reduced-norm generators of the level-n Fitting ideal.
 
     Per-character components for abelian quotients; the determinant of the
-    regular representation whenever it fits in its bound.  Both bounds are
-    checked before any level-n arithmetic.
+    regular representation whenever it fits in its bound, both of
+    D − A_α^t from the base edges' level-n normal forms, read once.  Both
+    bounds are checked before any level-n arithmetic.
     """
     spec = alpha.spec
     abelian = spec.kind == "abelian"
@@ -238,7 +239,9 @@ def fitting_generators(alpha: VoltageAssignment, n: int) -> FittingGenerators:
     regular_fits = regular_det_fits(spec, n, alpha.base.num_vertices)
     if not (abelian or regular_fits):
         return FittingGenerators(n, None, None)
-    laplacian = voltage_laplacian(alpha, n)
-    components = tuple(nrd_abelian(laplacian)) if abelian else None
-    regular = regular_det(laplacian) if regular_fits else None
+    edges = alpha.normal_form_edges(n)
+    degrees = alpha.base.degrees()
+    components = (tuple(nrd_abelian(spec, n, edges, degrees)) if abelian
+                  else None)
+    regular = regular_det(spec, n, edges, degrees) if regular_fits else None
     return FittingGenerators(n, components, regular)

@@ -1,4 +1,4 @@
-"""Voltage assignments, derived graphs, and the group-ring Laplacian.
+"""Voltage assignments, derived graphs, and quotient assignments.
 
 The orientation convention is fixed once and for all: every edge's positive
 direction runs from its first listed endpoint to its second; traversing an
@@ -7,14 +7,12 @@ edge backwards inverts its voltage.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import BoundExceededError, DisconnectedError
 from .graphs import EdgeId, Multigraph, Vertex, is_connected
 from .groups import GroupElement, TowerGroupSpec, _fp_rank
-from .grouprings import GroupRingElement, GroupRingMatrix
 
 Word = tuple[tuple[int, int], ...]  # ((generator index, exponent), ...)
 
@@ -64,6 +62,14 @@ class VoltageAssignment:
         """Each edge's voltage in G^(n) as a normal form, in edge order."""
         words = dict(self.voltages)
         return [self.spec.normal_form(n, words[e]) for e, _ in self.base.edges]
+
+    def normal_form_edges(
+            self, n: int) -> list[tuple[int, int, tuple[int, ...]]]:
+        """Each edge as (i, j, a), in edge order: the indices of its ends
+        and its voltage's normal form in G^(n).  The characters and the
+        regular representation take A_α, and D − A_α^t, from this list."""
+        return [(i, j, a) for (i, j), a in
+                zip(self.base.index_pairs(), self.normal_forms(n))]
 
 
 @dataclass(frozen=True)
@@ -142,45 +148,6 @@ def derive(alpha: VoltageAssignment, n: int) -> DerivedGraph:
                   for (e, (v, w)), translation in zip(base.edges, translations)
                   for g, h in zip(group, translation))
     return DerivedGraph(n, alpha, Multigraph(vertices, edges))
-
-
-def voltage_adjacency(alpha: VoltageAssignment, n: int) -> GroupRingMatrix:
-    """The matrix A_α over Z[G^(n)].
-
-    Off-diagonal (i, j): Σ α(e) over edges oriented v_i → v_j plus
-    Σ α(e)⁻¹ over edges oriented v_j → v_i.  Diagonal: Σ α(e) + α(e)⁻¹
-    over loops at v_i.
-    """
-    spec = alpha.spec
-    base = alpha.base
-    m = base.num_vertices
-    index = {v: i for i, v in enumerate(base.vertices)}
-    terms = [[Counter() for _ in range(m)] for _ in range(m)]
-    for e, (v, w) in base.edges:
-        g = alpha.voltage(e, n)
-        i, j = index[v], index[w]
-        terms[i][j][g] += 1
-        terms[j][i][spec.inverse(g)] += 1
-    return GroupRingMatrix(spec, n, tuple(
-        tuple(GroupRingElement.from_terms(spec, n, t) for t in row)
-        for row in terms))
-
-
-def voltage_laplacian(alpha: VoltageAssignment, n: int,
-                      adjacency: GroupRingMatrix | None = None
-                      ) -> GroupRingMatrix:
-    """L = D − A_α^t over Z[G^(n)].
-
-    adjacency is ``voltage_adjacency(alpha, n)``, built here when not given.
-    """
-    if adjacency is None:
-        adjacency = voltage_adjacency(alpha, n)
-    spec, a_alpha = alpha.spec, adjacency.entries
-    degrees = alpha.base.degrees()
-    return GroupRingMatrix(spec, n, tuple(
-        tuple(GroupRingElement.constant(spec, n, d if i == j else 0) -
-              a_alpha[j][i] for j in range(len(degrees)))
-        for i, d in enumerate(degrees)))
 
 
 def beta_of_path(alpha: VoltageAssignment, n: int,

@@ -17,12 +17,12 @@ level-n normal forms.  The per-character L-functions that ``lfun`` prints
 are one Z[ζ] determinant each, by the same substitution.  Every identity
 check below is an exact equality — never a float comparison.
 
-The L-functions and the interpolation check take the cover's adjacency
-Σ_σ A(σ)·σ, where A(σ)_ij counts the edges between (v_i, 1) and (v_j, σ)
-in X_n, as the voltage matrix A_α of ``voltage_adjacency``, one
-``GroupRingMatrix`` over Z[G^(n)] per job (a test reads it off the edges of
-X_n).  Characters reach it only through ``character_evaluate``, the one
-character twist in the package.
+The L-functions, the interpolation check and ``fitting`` read the cover's
+adjacency Σ_σ A(σ)·σ, where A(σ)_ij counts the edges between (v_i, 1) and
+(v_j, σ) in X_n, off the base edges' level-n normal forms, as A_α (a test
+reads it off the edges of X_n).  A character reaches it only through
+``grouprings.character_adjacency``, and χ(a) is computed only by
+``Character.exponent``, which ``artin_l_norm`` calls as well.
 """
 
 from __future__ import annotations
@@ -31,15 +31,13 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cyclotomic import (CyclotomicInteger, det_cyclotomic,
-                         det_cyclotomic_poly_matrix, euler_phi_prime_power,
-                         root_power_matrix)
-from .grouprings import (Character, GroupRingMatrix, character_evaluate,
-                         galois_orbits, nrd_abelian)
+from .cyclotomic import (CyclotomicInteger, det_cyclotomic_poly_matrix,
+                         euler_phi_prime_power, root_power_matrix)
+from .grouprings import (Character, Edges, _det_degrees_minus,
+                         character_adjacency, galois_orbits, nrd_abelian)
 from .linalg import det_int_poly_matrix
 from .polynomials import IntPolynomial
-from .voltage import (VoltageAssignment, check_derive_bounds,
-                      cover_index_pairs, voltage_adjacency, voltage_laplacian)
+from .voltage import VoltageAssignment, check_derive_bounds, cover_index_pairs
 
 
 @dataclass(frozen=True)
@@ -170,30 +168,29 @@ def _two_colouring(neighbours: Sequence[Counter]) -> list[int] | None:
     return colour
 
 
-def artin_l_inverse(alpha: VoltageAssignment, n: int, chi: Character,
-                    adjacency: GroupRingMatrix) -> ArtinLData:
+def artin_l_inverse(chi: Character, edges: Edges,
+                    degrees: Sequence[int]) -> ArtinLData:
     """Exact det part of the Artin-Ihara L-function for a character.
 
-    adjacency is ``voltage_adjacency(alpha, n)``.
+    The base is given by its degrees and its edges (i, j, a), a the normal
+    form of the edge's voltage at χ's level, as for ``artin_l_norm``.
     """
-    base = alpha.base
-    degrees = base.degrees()
-    p = alpha.spec.p
+    p, n = chi.spec.p, chi.level
 
     def const(c: int) -> CyclotomicInteger:
         return CyclotomicInteger.from_int(p, n, c)
 
     # I − χ(A)u + (D − I)u², as u-coefficient triples
-    entries = [[(const(int(i == j)), -character_evaluate(chi, x),
+    entries = [[(const(int(i == j)), -x,
                  const(degrees[i] - 1 if i == j else 0))
                 for j, x in enumerate(row)]
-               for i, row in enumerate(adjacency.entries)]
-    return ArtinLData(chi, base.num_vertices - base.num_edges,
+               for i, row in enumerate(
+                   character_adjacency(chi, len(degrees), edges))]
+    return ArtinLData(chi, len(degrees) - len(edges),
                       det_cyclotomic_poly_matrix(p, n, entries))
 
 
-def artin_l_norm(chi: Character,
-                 edges: Sequence[tuple[int, int, tuple[int, ...]]],
+def artin_l_norm(chi: Character, edges: Edges,
                  degrees: Sequence[int]) -> IntPolynomial:
     """Norm of the det part of L(χ,u)⁻¹: the product of the det parts of
     L(χ^a,u)⁻¹ over the Galois orbit of χ, as one integer determinant.
@@ -204,17 +201,17 @@ def artin_l_norm(chi: Character,
     conductor p^n the norm would count each conjugate φ(p^n)/φ(p^j)
     times), and each entry becomes its φ(p^j)-square multiplication matrix
     over Z[u]: an edge adds the ``root_power_matrix`` block of ζ^e at
-    (i, j) and of ζ^−e at (j, i), e = (χ·a mod p^n) / p^(n−j).  The blocks
-    commute, so the determinant of the result is the norm.
+    (i, j) and of ζ^−e at (j, i), e = ``chi.exponent(a)`` / p^(n−j).  The
+    blocks commute, so the determinant of the result is the norm.
     """
     p, n, j = chi.spec.p, chi.level, chi.order_level
     phi = euler_phi_prime_power(p, j)
-    mod, step = p ** n, p ** (n - j)
+    step = p ** (n - j)
     rows = [{x: [1, 0, degrees[x // phi] - 1]}
             for x in range(len(degrees) * phi)]
     blocks: dict[int, list[tuple[int, int, int]]] = {}
     for i, k, a in edges:
-        e = sum(c * x for c, x in zip(chi.exponents, a)) % mod // step
+        e = chi.exponent(a) // step
         for first, second, power in ((i, k, e), (k, i, -e % p ** j)):
             block = blocks.get(power)
             if block is None:
@@ -228,15 +225,12 @@ def artin_l_norm(chi: Character,
     return IntPolynomial(det_int_poly_matrix(rows))
 
 
-def h_at_one(alpha: VoltageAssignment, n: int, chi: Character,
-             adjacency: GroupRingMatrix) -> CyclotomicInteger:
-    """h(χ, 1) = det(D − χ(A)), exact."""
-    degrees = alpha.base.degrees()
-    p = alpha.spec.p
-    matrix = [[CyclotomicInteger.from_int(p, n, degrees[i] if i == j else 0) -
-               character_evaluate(chi, x) for j, x in enumerate(row)]
-              for i, row in enumerate(adjacency.entries)]
-    return det_cyclotomic(p, n, matrix)
+def h_at_one(chi: Character, edges: Edges,
+             degrees: Sequence[int]) -> CyclotomicInteger:
+    """h(χ, 1) = det(D − χ(A)), exact, from the base data of
+    ``artin_l_inverse``."""
+    return _det_degrees_minus(chi.spec.p, chi.level, degrees,
+                              character_adjacency(chi, len(degrees), edges))
 
 
 @dataclass(frozen=True)
@@ -253,16 +247,23 @@ class InterpolationReport:
 def interpolation_check(alpha: VoltageAssignment, n: int) -> InterpolationReport:
     """Check the L-value interpolation identity at every character.
 
-    The transpose in D − A_α^t conjugates characters: the χ-component of the
-    reduced norm equals h(χ̄, 1).  A_α is built once, and the characters are
-    listed once, by ``nrd_abelian``.
+    The two sides are h(χ, 1) = det(D − χ(A_α)) and the χ̄-component of
+    the reduced norm of D − A_α^t, det(χ̄(D − A_α^t)) from ``nrd_abelian``:
+    the transpose conjugates characters.  Since χ̄(g⁻¹) = χ(g), and A_α
+    holds a⁻¹ at (j, i) wherever it holds a at (i, j), χ̄(D − A_α^t) and
+    D − χ(A_α) agree entry by entry; so the check shows that the two
+    determinants agree, and the builder of χ(A_α),
+    ``grouprings.character_adjacency``, rests on its oracle tests.  The
+    normal forms are read once, and the characters are listed once, by
+    ``nrd_abelian``.
     """
     check_derive_bounds(alpha, n)  # the bounds of X_n, before level-n work
-    adjacency = voltage_adjacency(alpha, n)
-    components = dict(nrd_abelian(voltage_laplacian(alpha, n, adjacency)))
+    edges = alpha.normal_form_edges(n)
+    degrees = alpha.base.degrees()
+    components = dict(nrd_abelian(alpha.spec, n, edges, degrees))
     return InterpolationReport(tuple(
-        (chi, h_at_one(alpha, n, chi, adjacency) ==
-         components[chi.conjugate()]) for chi in components))
+        (chi, h_at_one(chi, edges, degrees) == components[chi.conjugate()])
+        for chi in components))
 
 
 @dataclass(frozen=True)
@@ -281,14 +282,12 @@ def factorization_check(alpha: VoltageAssignment, n: int) -> FactorizationReport
     The product over all characters is taken as the product over Galois
     orbits of ``artin_l_norm``, all in Z[u], from the base edges' level-n
     normal forms.  The cover side is ``ihara_zeta_inverse`` of the index
-    pairs of ``cover_index_pairs``.  Neither side builds X_n or a
-    group-ring matrix.
+    pairs of ``cover_index_pairs``.  Neither side builds X_n.
     """
     orbits = galois_orbits(alpha.spec, n)
     num_vertices, pairs = cover_index_pairs(alpha, n)
     base = alpha.base
-    edges = [(i, j, a) for (i, j), a in
-             zip(base.index_pairs(), alpha.normal_forms(n))]
+    edges = alpha.normal_form_edges(n)
     degrees = base.degrees()
     product = IntPolynomial((1,))
     for chi, _ in orbits:

@@ -5,15 +5,16 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 from graphtower import (Multigraph, TowerGroupSpec, VoltageAssignment,
                         ihara_zeta_inverse, is_connected)
 from graphtower.cyclotomic import (CyclotomicInteger, _add_monomial,
-                                   euler_phi_prime_power)
+                                   det_cyclotomic, euler_phi_prime_power)
 from graphtower.errors import DisconnectedError
 from graphtower.groups import GroupElement, _fp_rank, p_valuation
-from graphtower.grouprings import GroupRingElement, GroupRingMatrix
+from graphtower.grouprings import characters
 
 
 def random_connected_multigraph(rng: random.Random,
@@ -203,6 +204,127 @@ def enumerate_spanning_trees(graph):
         if is_connected(Multigraph(graph.vertices, tuple(subset))):
             trees.append(frozenset(e for e, _ in subset))
     return trees
+
+
+# -- the group-ring matrix layer: Z[G^(n)], A_α and D − A_α^t as matrices
+# over it, characters applied term by term, and the regular representation;
+# the oracle for grouprings.character_adjacency, nrd_abelian and regular_det
+
+
+@dataclass(frozen=True)
+class GroupRingElement:
+    """Element of Z[G^(n)] as a pruned support map."""
+
+    spec: TowerGroupSpec
+    level: int
+    terms: tuple[tuple[GroupElement, int], ...]  # sorted, zero-free
+
+    @staticmethod
+    def from_terms(spec, level, terms):
+        pruned = {g: c for g, c in terms.items() if c != 0}
+        assert all(g.level == level for g in pruned)
+        ordered = tuple(sorted(pruned.items(), key=lambda item: item[0].data))
+        return GroupRingElement(spec, level, ordered)
+
+    @staticmethod
+    def constant(spec, level, c):
+        return GroupRingElement.from_terms(spec, level,
+                                           {spec.identity(level): c})
+
+    def __add__(self, other):
+        assert self.level == other.level
+        acc = dict(self.terms)
+        for g, c in other.terms:
+            acc[g] = acc.get(g, 0) + c
+        return GroupRingElement.from_terms(self.spec, self.level, acc)
+
+    def __neg__(self):
+        return GroupRingElement(self.spec, self.level,
+                                tuple((g, -c) for g, c in self.terms))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+
+@dataclass(frozen=True)
+class GroupRingMatrix:
+    """Square matrix over Z[G^(n)]."""
+
+    spec: TowerGroupSpec
+    level: int
+    entries: tuple[tuple[GroupRingElement, ...], ...]
+
+    @property
+    def size(self):
+        return len(self.entries)
+
+
+def character_evaluate(chi, x):
+    """Linear extension of χ to the group ring: Σ c·ζ^e(g) over the terms."""
+    assert x.level == chi.level
+    p, k = chi.spec.p, chi.level
+    coeffs = [0] * euler_phi_prime_power(p, k)
+    for g, c in x.terms:
+        _add_monomial(coeffs, chi.exponent(g.data), c, p, k)
+    return CyclotomicInteger(p, k, tuple(coeffs))
+
+
+def voltage_adjacency(alpha, n):
+    """The matrix A_α over Z[G^(n)], from each edge's voltage as a
+    GroupElement: off-diagonal (i, j), Σ α(e) over edges oriented
+    v_i → v_j plus Σ α(e)⁻¹ over edges oriented v_j → v_i; diagonal,
+    Σ α(e) + α(e)⁻¹ over loops at v_i."""
+    spec = alpha.spec
+    base = alpha.base
+    m = base.num_vertices
+    index = {v: i for i, v in enumerate(base.vertices)}
+    terms = [[Counter() for _ in range(m)] for _ in range(m)]
+    for e, (v, w) in base.edges:
+        g = alpha.voltage(e, n)
+        i, j = index[v], index[w]
+        terms[i][j][g] += 1
+        terms[j][i][spec.inverse(g)] += 1
+    return GroupRingMatrix(spec, n, tuple(
+        tuple(GroupRingElement.from_terms(spec, n, t) for t in row)
+        for row in terms))
+
+
+def voltage_laplacian(alpha, n):
+    """L = D − A_α^t over Z[G^(n)]."""
+    spec, a_alpha = alpha.spec, voltage_adjacency(alpha, n).entries
+    degrees = alpha.base.degrees()
+    return GroupRingMatrix(spec, n, tuple(
+        tuple(GroupRingElement.constant(spec, n, d if i == j else 0) -
+              a_alpha[j][i] for j in range(len(degrees)))
+        for i, d in enumerate(degrees)))
+
+
+def reduced_norm(matrix):
+    """det χ(matrix) for every character χ of an abelian G^(n), in
+    ``characters`` order: the reduced norm of any group-ring matrix."""
+    return [(chi, det_cyclotomic(matrix.spec.p, matrix.level,
+                                 [[character_evaluate(chi, x) for x in row]
+                                  for row in matrix.entries]))
+            for chi in characters(matrix.spec, matrix.level)]
+
+
+def regular_representation(matrix):
+    """Left multiplication by a group-ring matrix on Z[G^(n)]^m, as dense
+    integer rows: basis g_k of summand j, in ``enumerate_group`` order,
+    goes to Σ c·(h g_k) in summand i for the terms c·h of entry (i, j)."""
+    spec = matrix.spec
+    group = spec.enumerate_group(matrix.level)
+    order = len(group)
+    index = {g: i for i, g in enumerate(group)}
+    size = matrix.size * order
+    big = [[0] * size for _ in range(size)]
+    for bi, row in enumerate(matrix.entries):
+        for bj, x in enumerate(row):
+            for gj, g in enumerate(group):
+                for h, c in x.terms:
+                    hi = index[spec.multiply(h, g)]
+                    big[bi * order + hi][bj * order + gj] += c
+    return big
 
 
 # -- reference arithmetic in Z[G^(n)] and Z[ζ] that the package never needs

@@ -14,14 +14,13 @@ from graphtower import (Multigraph, QuotientSpec, TowerGroupSpec,
                         mu_lambda_from_poly, mu_lower_bound,
                         quotient_assignment, spanning_tree_count, tower_en)
 from graphtower.graphs import connected_components
-from graphtower.grouprings import (GroupRingElement, GroupRingMatrix,
-                                   character_evaluate, characters,
-                                   nrd_abelian)
+from graphtower.grouprings import characters
 from graphtower.linalg import smith_invariant_factors
 
-from conftest import (ABELIAN_SHAPES, enumerate_spanning_trees,
+from conftest import (ABELIAN_SHAPES, GroupRingElement, GroupRingMatrix,
+                      character_evaluate, enumerate_spanning_trees,
                       group_ring_zero, lift, project, random_abelian_instance,
-                      random_connected_multigraph, sparse)
+                      random_connected_multigraph, reduced_norm, sparse)
 
 
 def _announce(criterion, detail, started):
@@ -203,8 +202,8 @@ def test_criterion_7_property_suites():
                 for _ in range(2))
             for _ in range(2))
         matrix = GroupRingMatrix(spec, 2, entries)
-        low = {chi.exponents: v for chi, v in nrd_abelian(project(matrix, 1))}
-        high = {chi.exponents: v for chi, v in nrd_abelian(matrix)}
+        low = {chi.exponents: v for chi, v in reduced_norm(project(matrix, 1))}
+        high = {chi.exponents: v for chi, v in reduced_norm(matrix)}
         for exps, value in low.items():
             assert high[tuple(3 * e for e in exps)] == lift(value, 2)
 
@@ -221,8 +220,8 @@ def test_criterion_7_property_suites():
         block = GroupRingMatrix(spec, 1, (
             (*c.entries[0], zero), (*c.entries[1], zero),
             (rand_elem(), rand_elem(), a)))
-        nrd_block = {chi.exponents: v for chi, v in nrd_abelian(block)}
-        nrd_c = {chi.exponents: v for chi, v in nrd_abelian(c)}
+        nrd_block = {chi.exponents: v for chi, v in reduced_norm(block)}
+        nrd_c = {chi.exponents: v for chi, v in reduced_norm(c)}
         for chi in characters(spec, 1):
             assert (nrd_block[chi.exponents] ==
                     nrd_c[chi.exponents] * character_evaluate(chi, a))

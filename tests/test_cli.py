@@ -358,14 +358,14 @@ def _count_multigraphs(monkeypatch):
 def test_check_factorization_and_zeta_build_no_cover(tmp_path, capsys,
                                                      monkeypatch):
     """Both sides of check-factorization, and zeta of a cover, come from
-    one set of voltage translations: no derived graph, no group-ring
-    adjacency, and no Multigraph larger than the base."""
+    one set of voltage translations: no derived graph, no χ(A_α) over
+    Z[ζ], and no Multigraph larger than the base."""
     path = write_config(tmp_path, LOOP_CONFIG)
     for subcommand in ("check-factorization", "zeta"):
         with monkeypatch.context() as patch:
             derived = _count_calls(patch, graphtower.voltage.derive)
-            adjacency = _count_calls(patch,
-                                     graphtower.voltage.voltage_adjacency)
+            adjacency = _count_calls(
+                patch, graphtower.grouprings.character_adjacency)
             translations = _count_calls(patch,
                                         graphtower.voltage.edge_translations)
             graphs = _count_multigraphs(patch)
@@ -567,15 +567,36 @@ def test_character_jobs_keep_the_cover_bound(tmp_path, capsys, subcommand):
     assert "derived graph would have 7·3^6" in capsys.readouterr().err
 
 
+def _count_normal_forms(monkeypatch):
+    """Record every VoltageAssignment.normal_forms call; returns the log."""
+    calls = []
+    normal_forms = graphtower.VoltageAssignment.normal_forms
+
+    def counted(alpha, n):
+        calls.append(n)
+        return normal_forms(alpha, n)
+
+    monkeypatch.setattr(graphtower.VoltageAssignment, "normal_forms",
+                        counted)
+    return calls
+
+
 def test_check_interpolation_builds_each_intermediate_once(tmp_path, capsys,
                                                           monkeypatch):
-    characters = _count_calls(monkeypatch, graphtower.grouprings.characters)
-    adjacency = _count_calls(monkeypatch, graphtower.voltage.voltage_adjacency)
+    """check-interpolation lists the characters once, and it, fitting and
+    lfun read the voltages' normal forms once per job."""
     path = write_config(tmp_path, LOOP_CONFIG)
-    assert main(["check-interpolation", "--config", path, "--level", "2"]) == 0
-    assert json.loads(capsys.readouterr().out)["all_pass"] is True
-    assert len(characters) == 1
-    assert len(adjacency) == 1
+    for subcommand in ("check-interpolation", "fitting", "lfun"):
+        with monkeypatch.context() as patch:
+            characters = _count_calls(patch,
+                                      graphtower.grouprings.characters)
+            normal_forms = _count_normal_forms(patch)
+            assert main([subcommand, "--config", path, "--level", "2"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        if subcommand == "check-interpolation":
+            assert report["all_pass"] is True
+            assert len(characters) == 1
+        assert normal_forms == [2]
 
 
 def test_fitting_lists_characters_once(tmp_path, capsys, monkeypatch):
@@ -926,20 +947,53 @@ def test_zeta_output_over_the_cover_zeta_cells_is_pinned(tmp_path, capsys):
 _FITTING_PIN_SHAPES = {1: (2, 2, 2, 2), 2: (3, 1, 2, 3), 3: (5, 2, 1, 2),
                        4: (7, 1, 1, 3), 5: (3, 2, 2, 4)}
 
-# SHA-256 of the fitting stdout, recorded at the parent commit
+# metacyclic p = 2 with u = 1 + p = 3, on two vertices with a loop
+_METACYCLIC_P2_CONFIG = {
+    "graph": {"vertices": ["v", "w"],
+              "edges": [{"id": "a", "ends": ["v", "w"]},
+                        {"id": "b", "ends": ["v", "w"]},
+                        {"id": "c", "ends": ["w", "v"]},
+                        {"id": "d", "ends": ["v", "v"]}]},
+    "group": {"kind": "metacyclic", "p": 2, "action_unit": "1+p"},
+    "voltage": {"a": [[0, 1]], "b": [[1, 1]], "c": [[0, -1], [1, 3]],
+                "d": [[1, 1], [0, 1]]},
+}
+
+# metacyclic fitting jobs, by name: (config, level); only the regular
+# representation is printed, at sizes 18, 162, 8 and 32
+_METACYCLIC_FITTING_PINS = {
+    "mu2-level-1": (MU2_CONFIG, 1), "mu2-level-2": (MU2_CONFIG, 2),
+    "metacyclic-p2-level-1": (_METACYCLIC_P2_CONFIG, 1),
+    "metacyclic-p2-level-2": (_METACYCLIC_P2_CONFIG, 2),
+}
+
+# SHA-256 of the fitting stdout: the abelian seeds recorded at the parent
+# of their test, the metacyclic jobs with the regular representation built
+# from GroupRingMatrix entries
 _FITTING_SHA256 = {
     1: "6e3a2792da9a783202a34b8ce7f12a1fd3d716a73430064d621f645212f931b2",
     2: "bb1c500f13a08e940fe453b5231d0d284cf8a44fc2ad35f967e83b55c7050939",
     3: "eb477479c3d6b0f611250936d2d0410a24ece74ef4d7bff55db101579ea83d69",
     4: "2f513d29324815dd02db49e8c8fa7e49f3c441ce5a15e45997b63ccec81fec00",
     5: "3d4e7583a503b4d9de46e6854cfea32dd2c5d85e9131e83cf475b8c19ee31d43",
+    "mu2-level-1":
+        "38e7ec8db27a8c4ee7dd26913530c1622c1744a3f5b3b41f55f8643387d6043b",
+    "mu2-level-2":
+        "a7d6c4f17862184a1f1bbbd0d181bbd9ce0549cd81f535c320533014e44fb3ac",
+    "metacyclic-p2-level-1":
+        "cefd00b2da726a6ade2145159ec81265be819618945b58739567dd0b1b8dc47f",
+    "metacyclic-p2-level-2":
+        "0a28bb5203de2631ecc70d1a64ebc767a458b1f9d537593eea486cc4e3b076fd",
 }
 
 
-@pytest.mark.parametrize("seed", sorted(_FITTING_SHA256))
+@pytest.mark.parametrize("seed", list(_FITTING_SHA256))
 def test_fitting_output_is_pinned(tmp_path, capsys, seed):
-    p, rank, level, nv = _FITTING_PIN_SHAPES[seed]
-    data = abelian_pin_config(random.Random(seed), p, rank, level, nv, 4)
+    if seed in _METACYCLIC_FITTING_PINS:
+        data, level = _METACYCLIC_FITTING_PINS[seed]
+    else:
+        p, rank, level, nv = _FITTING_PIN_SHAPES[seed]
+        data = abelian_pin_config(random.Random(seed), p, rank, level, nv, 4)
     path = write_config(tmp_path, data)
     assert main(["fitting", "--config", path, "--level", str(level)]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
@@ -1080,7 +1134,8 @@ def test_tower_job_builds_no_group_element_arithmetic(tmp_path, capsys,
                                                       max_level):
     """iwasawa-fit then mhg-check, an abelian rank-2 tower and MU2_CONFIG:
     the levels and the level-1 data come from integer normal forms, so no
-    `multiply` call, and mhg-check builds no group-ring matrix."""
+    `multiply` call, and mhg-check takes no character of A_α and no
+    regular representation."""
     products = []
     multiply = graphtower.TowerGroupSpec.multiply
 
@@ -1092,9 +1147,9 @@ def test_tower_job_builds_no_group_element_arithmetic(tmp_path, capsys,
     path = write_config(tmp_path, _mhg_pin_config(seed))
     assert main(["iwasawa-fit", "--config", path,
                  "--max-level", str(max_level)]) == 0
-    laplacians = _count_calls(monkeypatch, graphtower.voltage.voltage_laplacian)
+    regular = _count_calls(monkeypatch, graphtower.grouprings.regular_det)
     adjacencies = _count_calls(monkeypatch,
-                               graphtower.voltage.voltage_adjacency)
+                               graphtower.grouprings.character_adjacency)
     assert main(["mhg-check", "--config", path]) == 0
     assert len(products) == 0
-    assert len(laplacians) == 0 and len(adjacencies) == 0
+    assert len(regular) == 0 and len(adjacencies) == 0

@@ -47,16 +47,25 @@ def test_only_stdlib_and_pytest_are_imported():
 
 def test_package_runs_from_src_alone(tmp_path):
     """The CI packaging step's check, offline: outside the checkout, with
-    only src/ on the path, the CLI starts and runs a zeta job, so no
-    package module imports a helper kept under tests/."""
+    only src/ on the path, the CLI starts and runs a zeta, a fitting and
+    an lfun job, so no package module imports a helper kept under tests/,
+    not even inside a function that only a job enters."""
     (tmp_path / "job.json").write_text(json.dumps(LOOP_CONFIG))
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    for argv in (["--help"], ["zeta", "--config", "job.json", "--level", "1"]):
+    reports = {}
+    for argv in (["--help"], *([subcommand, "--config", "job.json",
+                                "--level", "1"]
+                               for subcommand in ("zeta", "fitting", "lfun"))):
         run = subprocess.run([sys.executable, "-m", "graphtower.cli", *argv],
                              cwd=tmp_path, env=env, capture_output=True,
                              text=True, timeout=60)
         assert run.returncode == 0, run.stderr
-    assert json.loads(run.stdout)["det_part"] == [1, 0, 0, -2, 0, 0, 1]
+        if argv[0] != "--help":
+            reports[argv[0]] = json.loads(run.stdout)
+    assert reports["zeta"]["det_part"] == [1, 0, 0, -2, 0, 0, 1]
+    assert reports["fitting"]["regular_det"] == 0
+    assert len(reports["fitting"]["components"]) == 3
+    assert len(reports["lfun"]["l_functions"]) == 3
 
 
 # Public callables that no subcommand enters, each with what keeps it.  A
@@ -75,6 +84,12 @@ REACHED_ELSEWHERE = {
         "README: a connectivity criterion based on the β-values of cycles",
     "groups.TowerGroupSpec.project":
         "README: towers of finite p-group quotients, G^(n) → G^(m)",
+    "voltage.VoltageAssignment.voltage": "read by beta_of_path",
+    "groups.TowerGroupSpec.word_evaluate":
+        "read by VoltageAssignment.voltage",
+    "groups.TowerGroupSpec.inverse": "read by beta_of_path",
+    "groups.TowerGroupSpec.identity":
+        "read by beta_of_path, and by multiply and inverse at level 0",
     "polynomials.PolynomialRing":
         "perfbench/layertrace.py LAYER_CLASSES wraps it by name",
     "polynomials.LaurentRing":

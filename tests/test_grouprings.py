@@ -1,18 +1,24 @@
+import itertools
 import random
 
 import pytest
 
+import graphtower.grouprings
 from graphtower import TowerGroupSpec
 from graphtower.cyclotomic import CyclotomicInteger
-from graphtower.errors import LevelMismatchError, PreconditionError
-from graphtower.grouprings import (Character, GroupRingElement,
-                                   GroupRingMatrix, character_evaluate,
+from graphtower.errors import BoundExceededError, PreconditionError
+from graphtower.grouprings import (Character, character_adjacency,
                                    characters, galois_orbits, nrd_abelian,
-                                   regular_det)
+                                   regular_det, regular_det_fits)
+from graphtower.linalg import det_int
 
-from conftest import (as_int, augmentation, cyclotomic_sum, generator,
-                      group_ring_element, group_ring_zero, lift, project,
-                      root_power)
+from conftest import (ORACLE_SHAPES, GroupRingElement, GroupRingMatrix,
+                      as_int, augmentation, reduced_norm,
+                      character_evaluate, cyclotomic_sum, generator,
+                      group_ring_element, group_ring_zero, lift,
+                      oracle_instance, project,
+                      regular_representation, root_power, voltage_adjacency,
+                      voltage_laplacian)
 
 
 def group_ring_one(spec, level):
@@ -67,12 +73,6 @@ def test_identity_and_normal_form():
     assert product.terms == ((spec.word_evaluate(2, [(0, 1), (1, 1)]), 1),)
 
 
-def test_level_mismatch():
-    spec = TowerGroupSpec("abelian", 3, rank=1)
-    with pytest.raises(LevelMismatchError):
-        group_ring_one(spec, 1) + group_ring_one(spec, 2)
-
-
 def test_character_trivial_is_augmentation():
     spec = TowerGroupSpec("abelian", 3, rank=2)
     rng = random.Random(41)
@@ -117,7 +117,7 @@ def test_character_evaluate_is_ring_hom():
 def test_nrd_sigma_over_z2():
     spec = TowerGroupSpec("abelian", 2, rank=1)
     m = GroupRingMatrix(spec, 1, ((sigma_element(spec, 1),),))
-    values = {chi.exponents: as_int(v) for chi, v in nrd_abelian(m)}
+    values = {chi.exponents: as_int(v) for chi, v in reduced_norm(m)}
     assert values == {(0,): 1, (1,): -1}
 
 
@@ -128,16 +128,17 @@ def test_nrd_trivial_group_is_integer_det():
          GroupRingElement.constant(spec, 0, 1)),
         (GroupRingElement.constant(spec, 0, 1),
          GroupRingElement.constant(spec, 0, 2))))
-    [(chi, value)] = nrd_abelian(m)
+    [(chi, value)] = reduced_norm(m)
     assert as_int(value) == 3
 
 
 def test_regular_det_examples():
     spec = TowerGroupSpec("abelian", 2, rank=1)
     m = GroupRingMatrix(spec, 1, ((sigma_element(spec, 1),),))
-    assert regular_det(m) == -1
-    scalar = GroupRingMatrix(spec, 1, ((GroupRingElement.constant(spec, 1, 2),),))
-    assert regular_det(scalar) == 4
+    assert det_int(regular_representation(m)) == -1
+    scalar = GroupRingMatrix(spec, 1,
+                             ((GroupRingElement.constant(spec, 1, 2),),))
+    assert det_int(regular_representation(scalar)) == 4
 
 
 def test_regular_det_is_product_of_character_dets():
@@ -148,9 +149,10 @@ def test_regular_det_is_product_of_character_dets():
         for _ in range(4):
             m = random_matrix(rng, spec, n, 2)
             product = CyclotomicInteger.from_int(spec.p, n, 1)
-            for _, value in nrd_abelian(m):
+            for _, value in reduced_norm(m):
                 product = product * value
-            assert as_int(product) == regular_det(m)
+            assert as_int(product) == det_int(
+                regular_representation(m))
 
 
 def test_nrd_projection_compatibility():
@@ -160,8 +162,8 @@ def test_nrd_projection_compatibility():
     for _ in range(5):
         m = random_matrix(rng, spec, 2, 2)
         projected = project(m, 1)
-        low = {chi.exponents: v for chi, v in nrd_abelian(projected)}
-        high = {chi.exponents: v for chi, v in nrd_abelian(m)}
+        low = {chi.exponents: v for chi, v in reduced_norm(projected)}
+        high = {chi.exponents: v for chi, v in reduced_norm(m)}
         for exps, value in low.items():
             # χ of G^(1) pulls back to the character 3·exps of G^(2)
             pulled = tuple(3 * e for e in exps)
@@ -180,8 +182,8 @@ def test_nrd_block_triangular_multiplicativity():
             (*c.entries[0], zero),
             (*c.entries[1], zero),
             (star[0], star[1], a)))
-        lhs = dict((chi.exponents, v) for chi, v in nrd_abelian(block))
-        rhs_c = dict((chi.exponents, v) for chi, v in nrd_abelian(c))
+        lhs = dict((chi.exponents, v) for chi, v in reduced_norm(block))
+        rhs_c = dict((chi.exponents, v) for chi, v in reduced_norm(c))
         for chi in characters(spec, 1):
             expected = rhs_c[chi.exponents] * character_evaluate(chi, a)
             assert lhs[chi.exponents] == expected
@@ -208,9 +210,10 @@ def test_nrd_multiplicative_in_matrix_products():
     for _ in range(4):
         a = random_matrix(rng, spec, 1, 2)
         b = random_matrix(rng, spec, 1, 2)
-        prod = dict((chi.exponents, v) for chi, v in nrd_abelian(matmul(a, b)))
-        na = dict((chi.exponents, v) for chi, v in nrd_abelian(a))
-        nb = dict((chi.exponents, v) for chi, v in nrd_abelian(b))
+        prod = dict((chi.exponents, v)
+                    for chi, v in reduced_norm(matmul(a, b)))
+        na = dict((chi.exponents, v) for chi, v in reduced_norm(a))
+        nb = dict((chi.exponents, v) for chi, v in reduced_norm(b))
         for exps, value in prod.items():
             assert value == na[exps] * nb[exps]
 
@@ -255,3 +258,87 @@ def test_galois_orbits_partition_characters(p, rank, level):
 def test_galois_orbits_need_an_abelian_quotient():
     with pytest.raises(PreconditionError):
         galois_orbits(TowerGroupSpec("metacyclic", 3), 1)
+
+
+# (p, rank, level): abelian p = 2, 3, 5 and 7 at rank 1-3, levels 0-3
+_BUILDER_SHAPES = list(itertools.product((2, 3, 5, 7), (1, 2, 3), range(4)))
+
+
+def _some_characters(rng, spec, level, count=6):
+    """Every character of G^(level) when there are at most `count`, else
+    the trivial one and count − 1 random ones."""
+    if spec.order(level) <= count:
+        return characters(spec, level)
+    mod = spec.p ** level
+    return [Character(spec, level, (0,) * spec.rank)] + [
+        Character(spec, level,
+                  tuple(rng.randrange(mod) for _ in range(spec.rank)))
+        for _ in range(count - 1)]
+
+
+def test_character_adjacency_matches_the_oracle():
+    """χ(A_α) from the normal forms equals χ applied term by term to the
+    oracle's A_α over Z[G^(n)], on seeded bases with a loop, a parallel
+    edge and exponents of ±10^12."""
+    rng = random.Random(47)
+    for p, rank, level in _BUILDER_SHAPES:
+        for _ in range(2):
+            alpha = oracle_instance(rng, "abelian", p, rank)
+            oracle = voltage_adjacency(alpha, level).entries
+            edges = alpha.normal_form_edges(level)
+            for chi in _some_characters(rng, alpha.spec, level):
+                assert character_adjacency(
+                    chi, alpha.base.num_vertices, edges) == [
+                    [character_evaluate(chi, x) for x in row]
+                    for row in oracle]
+
+
+def test_nrd_abelian_matches_the_oracle():
+    rng = random.Random(48)
+    for p, rank, level in [(2, 1, 2), (2, 2, 1), (2, 3, 1), (3, 1, 2),
+                           (3, 2, 1), (5, 1, 1), (7, 1, 1)]:
+        for _ in range(2):
+            alpha = oracle_instance(rng, "abelian", p, rank)
+            components = nrd_abelian(alpha.spec, level,
+                                     alpha.normal_form_edges(level),
+                                     alpha.base.degrees())
+            assert components == reduced_norm(
+                voltage_laplacian(alpha, level))
+
+
+def _regular_rows(monkeypatch, alpha, level):
+    """The integer rows that regular_det hands to det_int."""
+    rows = []
+    monkeypatch.setattr(graphtower.grouprings, "det_int",
+                        lambda matrix: rows.append(matrix) or 0)
+    regular_det(alpha.spec, level, alpha.normal_form_edges(level),
+                alpha.base.degrees())
+    [matrix] = rows
+    return matrix
+
+
+def test_regular_det_rows_match_the_oracle(monkeypatch):
+    """Entry for entry, regular_det's matrix is the oracle's regular
+    representation of D − A_α^t, abelian and metacyclic, up to the size
+    bound; past it, regular_det raises.  Its determinant is always 0, so
+    comparing values alone would show nothing."""
+    rng = random.Random(49)
+    checked = 0
+    for (kind, p, rank), level in itertools.product(
+            [*ORACLE_SHAPES, ("abelian", 7, 1)], range(4)):
+        for _ in range(2):
+            alpha = oracle_instance(rng, kind, p, rank)
+            if not regular_det_fits(alpha.spec, level,
+                                    alpha.base.num_vertices):
+                with pytest.raises(BoundExceededError):
+                    regular_det(alpha.spec, level,
+                                alpha.normal_form_edges(level),
+                                alpha.base.degrees())
+                continue
+            with monkeypatch.context() as patch:
+                rows = _regular_rows(patch, alpha, level)
+            assert rows == regular_representation(
+                voltage_laplacian(alpha, level))
+            checked += 1
+    assert checked >= 60
+

@@ -6,8 +6,7 @@ from graphtower import (IntPolynomial, Multigraph, QuotientSpec,
                         TowerGroupSpec, VoltageAssignment, fit_iwasawa,
                         fitting_generators, lambda1_determinant, mhg_check,
                         mu_lambda_from_poly, mu_lower_bound,
-                        quotient_assignment, spanning_tree_count, tower_en,
-                        voltage_laplacian)
+                        quotient_assignment, spanning_tree_count, tower_en)
 from graphtower.errors import DisconnectedError, PreconditionError
 from graphtower.jacobian import p_valuation
 from graphtower.polynomials import LAURENT, LaurentElement
@@ -15,7 +14,8 @@ from graphtower.voltage import derive, gamma_exponent
 
 from conftest import (ORACLE_SHAPES, as_int, content_p_valuation,
                       det_in_ring, doubled, lift, oracle_instance,
-                      random_abelian_instance, random_connected_multigraph)
+                      random_abelian_instance, random_connected_multigraph,
+                      voltage_laplacian)
 
 
 def z3_loop():
@@ -218,16 +218,16 @@ def test_fitting_generators_loop_over_z2():
 
 
 def test_fitting_components_match_h_values():
-    from graphtower import h_at_one, voltage_adjacency
+    from graphtower import h_at_one
     rng = random.Random(81)
     for _ in range(5):
         alpha, level = random_abelian_instance(rng)
         gens = fitting_generators(alpha, level)
         values = {chi.exponents: v for chi, v in gens.components}
-        adjacency = voltage_adjacency(alpha, level)
+        edges = alpha.normal_form_edges(level)
         for chi, _ in gens.components:
             assert values[chi.exponents] == h_at_one(
-                alpha, level, chi.conjugate(), adjacency)
+                chi.conjugate(), edges, alpha.base.degrees())
 
 
 def test_fitting_projection_compatibility():

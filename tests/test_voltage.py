@@ -7,15 +7,14 @@ import graphtower.jacobian
 from graphtower import (Multigraph, QuotientSpec, TowerGroupSpec,
                         VoltageAssignment, beta_of_path, connected_components,
                         connectivity_criterion, cover_index_pairs, derive,
-                        is_connected, level_jacobian, quotient_assignment,
-                        voltage_adjacency, voltage_laplacian)
+                        is_connected, level_jacobian, quotient_assignment)
 from graphtower.errors import BoundExceededError, DisconnectedError
-from graphtower.grouprings import GroupRingElement
 from graphtower.voltage import edge_translations
 
-from conftest import (ORACLE_SHAPES, augmentation, criterion_by_betas,
-                      dense_laplacian, evaluate_word, oracle_instance,
-                      random_abelian_instance)
+from conftest import (ORACLE_SHAPES, GroupRingElement, augmentation,
+                      criterion_by_betas, dense_laplacian, evaluate_word,
+                      oracle_instance, random_abelian_instance,
+                      voltage_adjacency, voltage_laplacian)
 
 
 def loop_graph():

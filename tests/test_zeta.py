@@ -6,19 +6,20 @@ import graphtower.zeta
 from graphtower import (Character, Multigraph, TowerGroupSpec,
                         VoltageAssignment, artin_l_inverse, derive,
                         factorization_check, h_at_one, ihara_zeta_inverse,
-                        interpolation_check, voltage_adjacency)
+                        interpolation_check)
 from graphtower.cyclotomic import CyclotomicInteger, euler_phi_prime_power
-from graphtower.grouprings import (GroupRingElement, GroupRingMatrix,
-                                   character_evaluate, characters,
+from graphtower.grouprings import (character_adjacency, characters,
                                    galois_orbits)
 from graphtower.linalg import det_int_poly_matrix
 from graphtower.polynomials import PolynomialRing, _normalize
 from graphtower.voltage import cover_index_pairs
 from graphtower.zeta import artin_l_norm
 
-from conftest import (as_int, cyclotomic_sum, det_in_ring, graph_matrices,
-                      graph_zeta, random_abelian_instance,
-                      random_connected_multigraph)
+from conftest import (GroupRingElement, GroupRingMatrix, as_int,
+                      character_evaluate, cyclotomic_sum, det_in_ring,
+                      graph_matrices, graph_zeta, oracle_instance,
+                      random_abelian_instance, random_connected_multigraph,
+                      voltage_adjacency)
 
 
 def loop_graph():
@@ -111,8 +112,7 @@ def test_trivial_character_recovers_zeta():
     for _ in range(6):
         alpha, level = random_abelian_instance(rng)
         trivial = Character(alpha.spec, level, (0,) * alpha.spec.rank)
-        data = artin_l_inverse(alpha, level, trivial,
-                               voltage_adjacency(alpha, level))
+        data = artin_l_inverse(trivial, *_norm_inputs(alpha, level))
         expected = graph_zeta(alpha.base).det_part
         assert [as_int(c) for c in data.det_part] == list(expected.coeffs)
 
@@ -121,11 +121,11 @@ def test_sign_character_loop_over_z2():
     spec = TowerGroupSpec("abelian", 2, rank=1)
     alpha = VoltageAssignment.build(loop_graph(), spec, {"e": [[0, 1]]})
     sign = Character(spec, 1, (1,))
-    adjacency = voltage_adjacency(alpha, 1)
-    data = artin_l_inverse(alpha, 1, sign, adjacency)
+    base_data = _norm_inputs(alpha, 1)
+    data = artin_l_inverse(sign, *base_data)
     # det(1 + 2u + u²) = (1 + u)²
     assert [as_int(c) for c in data.det_part] == [1, 2, 1]
-    assert as_int(h_at_one(alpha, 1, sign, adjacency)) == 4
+    assert as_int(h_at_one(sign, *base_data)) == 4
 
 
 def test_h_at_one_trivial_character_vanishes():
@@ -133,8 +133,7 @@ def test_h_at_one_trivial_character_vanishes():
     for _ in range(6):
         alpha, level = random_abelian_instance(rng)
         trivial = Character(alpha.spec, level, (0,) * alpha.spec.rank)
-        assert h_at_one(alpha, level, trivial,
-                        voltage_adjacency(alpha, level)).is_zero()
+        assert h_at_one(trivial, *_norm_inputs(alpha, level)).is_zero()
 
 
 def _edge_adjacency(cover):
@@ -167,6 +166,30 @@ def test_sigma_matrices_sum_to_lifted_adjacency():
         alpha, level = random_abelian_instance(rng)
         assert (voltage_adjacency(alpha, level) ==
                 _edge_adjacency(derive(alpha, level)))
+
+
+def test_character_adjacency_reads_the_cover_edges():
+    """χ(A_α) from the normal forms equals χ applied to the adjacency read
+    off the edges of X_n, on seeded abelian bases with a loop, a parallel
+    edge and exponents of ±10^12, p = 2, 3, 5 and 7, rank 1-3, levels 0-3
+    (up to |G^(n)| = 125)."""
+    rng = random.Random(76)
+    checked = 0
+    for p, rank, level in itertools.product((2, 3, 5, 7), (1, 2, 3),
+                                            range(4)):
+        spec = TowerGroupSpec("abelian", p, rank=rank)
+        if spec.order(level) > 125:
+            continue
+        alpha = oracle_instance(rng, "abelian", p, rank)
+        edges = alpha.normal_form_edges(level)
+        cover = _edge_adjacency(derive(alpha, level)).entries
+        chars = characters(spec, level)
+        for chi in rng.sample(chars, min(len(chars), 8)):
+            assert character_adjacency(chi, alpha.base.num_vertices,
+                                       edges) == [
+                [character_evaluate(chi, x) for x in row] for row in cover]
+        checked += 1
+    assert checked >= 25
 
 
 def test_interpolation_loop_over_z2():
@@ -258,13 +281,14 @@ def test_artin_l_inverse_matches_leibniz_expansion():
 
         adjacency = voltage_adjacency(alpha, level)
         degrees = graph_matrices(alpha.base).D
+        base_data = _norm_inputs(alpha, level)
         for chi in characters(alpha.spec, level):
             # I − A_χ u + (D − I)u², with A_χ = χ(A_α)
             matrix = [[(const(int(i == j)),
                         -character_evaluate(chi, adjacency.entries[i][j]),
                         const(degrees[i][j] - int(i == j)))
                        for j in range(m)] for i in range(m)]
-            data = artin_l_inverse(alpha, level, chi, adjacency)
+            data = artin_l_inverse(chi, *base_data)
             assert data.det_part == _leibniz_det(p, level, matrix)
 
 
@@ -297,10 +321,7 @@ def _random_orbit_instance(rng, shape=None):
 def _norm_inputs(alpha, level):
     """artin_l_norm's base data: each edge's end indices and level-n normal
     form, and the degrees."""
-    base = alpha.base
-    edges = [(i, j, a) for (i, j), a in
-             zip(base.index_pairs(), alpha.normal_forms(level))]
-    return edges, base.degrees()
+    return alpha.normal_form_edges(level), alpha.base.degrees()
 
 
 def test_artin_l_norm_is_the_orbit_product_of_l_functions():
@@ -311,17 +332,16 @@ def test_artin_l_norm_is_the_orbit_product_of_l_functions():
                   [(7, 1, 1), (7, 2, 1), (2, 3, 1), (2, 3, 2), (3, 3, 1)]]
     for alpha, level in instances:
         p, mod = alpha.spec.p, alpha.spec.p ** level
-        adjacency = voltage_adjacency(alpha, level)
+        base_data = _norm_inputs(alpha, level)
         for chi, size in galois_orbits(alpha.spec, level):
             orbit = {tuple(a * e % mod for e in chi.exponents)
                      for a in range(1, mod) if a % p}
             assert len(orbit) == size
             product = _poly_product(p, level, [
-                artin_l_inverse(alpha, level,
-                                Character(alpha.spec, level, exponents),
-                                adjacency).det_part
+                artin_l_inverse(Character(alpha.spec, level, exponents),
+                                *base_data).det_part
                 for exponents in sorted(orbit)])
-            norm = artin_l_norm(chi, *_norm_inputs(alpha, level))
+            norm = artin_l_norm(chi, *base_data)
             assert product == tuple(CyclotomicInteger.from_int(p, level, c)
                                     for c in norm.coeffs)
 
@@ -330,10 +350,10 @@ def test_every_character_l_function_multiplies_to_cover_zeta():
     rng = random.Random(78)
     for _ in range(10):
         alpha, level = random_abelian_instance(rng, max_vertices=3)
-        adjacency = voltage_adjacency(alpha, level)
+        base_data = _norm_inputs(alpha, level)
         factors, exponent = [], 0
         for chi in characters(alpha.spec, level):
-            data = artin_l_inverse(alpha, level, chi, adjacency)
+            data = artin_l_inverse(chi, *base_data)
             factors.append(data.det_part)
             exponent += data.chi
         product = _poly_product(alpha.spec.p, level, factors)
