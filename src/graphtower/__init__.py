@@ -11,7 +11,7 @@ from .errors import (BoundExceededError, ConfigError, DisconnectedError,
 from .graphs import (Multigraph, connected_components, is_connected,
                      laplacian_rows, spanning_tree_count)
 from .groups import GroupElement, TowerGroupSpec
-from .grouprings import Character, characters, nrd_abelian, regular_det
+from .grouprings import Character, characters, nrd_abelian
 from .cyclotomic import CyclotomicInteger
 from .jacobian import (AbelianGroupStructure, SmithNormalForm,
                        jacobian_structure, level_jacobian, picard_structure,
@@ -22,7 +22,7 @@ from .voltage import (DerivedGraph, QuotientSpec, VoltageAssignment,
                       cover_index_pairs, derive, edge_translations,
                       quotient_assignment)
 from .zeta import (ArtinLData, ZetaData, artin_l_inverse, factorization_check,
-                   h_at_one, ihara_zeta_inverse, interpolation_check)
+                   ihara_zeta_inverse, interpolation_check)
 from .iwasawa import (FittingGenerators, IwasawaFit, Lambda1Det, MHGVerdict,
                       TowerReport, fit_iwasawa, fitting_generators,
                       lambda1_determinant, mhg_check, mu_lambda_from_poly,

@@ -4,21 +4,24 @@ voltage Laplacian D − A_α^t over Z[G^(n)].
 A voltage Laplacian is given by its base: per edge, the indices (i, j) of
 its ends and the normal form a of its voltage in G^(n), and the degrees.
 χ(a) is computed in one place, ``Character.exponent``, and χ(A_α) is
-built in one, ``character_adjacency``; the regular representation, the
-kind-agnostic route, is built from the same data.
+built in one, ``character_adjacency``.  ``orbit_h_values`` takes the
+values h(χ^a, 1) of a whole Galois orbit from one integer determinant of
+a lift to Z[x], without that builder or a Z[ζ] Bareiss.  The regular
+representation of D − A_α^t is the Laplacian of the cover X_n, so its
+determinant is 0, and it is never built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .cyclotomic import (CyclotomicInteger, _add_monomial, det_cyclotomic,
                          euler_phi_prime_power)
-from .errors import BoundExceededError, PreconditionError
-from .groups import GroupElement, TowerGroupSpec, p_valuation
-from .linalg import det_int
+from .errors import PreconditionError
+from .groups import TowerGroupSpec, p_valuation
+from .linalg import det_int_poly_matrix
 
 _REGULAR_DET_BOUND = 300  # |G^(n)| · matrix size
 
@@ -115,62 +118,58 @@ def nrd_abelian(spec: TowerGroupSpec, n: int, edges: Edges,
 
     For abelian groups the reduced norm is the componentwise determinant
     under the character decomposition of the group algebra; the
-    χ-component is det(D − χ(A_α)^t).
+    χ-component is det(D − χ(A_α)^t), taken as (−1)^m·det(χ(A_α)^t − D),
+    which changes only the diagonal.
     """
-    m = len(degrees)
-    return [(chi, _det_degrees_minus(spec.p, n, degrees,
-                                     zip(*character_adjacency(chi, m, edges))))
-            for chi in characters(spec, n)]
+    p, m = spec.p, len(degrees)
+    out = []
+    for chi in characters(spec, n):
+        image = [list(row) for row in zip(*character_adjacency(chi, m, edges))]
+        for i, d in enumerate(degrees):
+            image[i][i] = image[i][i] - CyclotomicInteger.from_int(p, n, d)
+        det = det_cyclotomic(p, n, image)
+        out.append((chi, -det if m % 2 else det))
+    return out
 
 
-def _det_degrees_minus(p: int, n: int, degrees: Sequence[int],
-                       matrix: Iterable[Sequence[CyclotomicInteger]]
-                       ) -> CyclotomicInteger:
-    """det(D − matrix) over Z[ζ_{p^n}], D = diag(degrees), taken as
-    (−1)^m·det(matrix − D), which changes only the diagonal."""
-    image = [list(row) for row in matrix]
-    for i, d in enumerate(degrees):
-        image[i][i] = image[i][i] - CyclotomicInteger.from_int(p, n, d)
-    det = det_cyclotomic(p, n, image)
-    return -det if len(degrees) % 2 else det
+def orbit_h_values(chi: Character, edges: Edges, degrees: Sequence[int]
+                   ) -> list[tuple[Character, CyclotomicInteger]]:
+    """h(χ^a, 1) = det(D − χ^a(A_α)) for every unit a mod p^j, χ of order
+    p^j, in order of a, from one integer polynomial determinant.
+
+    D − χ(A_α) is lifted to Z[x]: an edge (i, k, a) subtracts x^e at
+    (i, k) and x^(−e mod p^j) at (k, i), e = ``chi.exponent(a)`` / p^(n−j),
+    and D sits on the diagonal.  Its determinant Δ(x) is taken by
+    ``det_int_poly_matrix`` and folded modulo x^(p^j) − 1.  Since
+    x ↦ ζ_{p^n}^(a·p^(n−j)) is a ring map Z[x] → Z[ζ_{p^n}] that takes the
+    lift to D − χ^a(A_α) (Washington, §2), h(χ^a, 1) = Δ(ζ^(a·p^(n−j))).
+    """
+    p, n, j = chi.spec.p, chi.level, chi.order_level
+    order, step = p ** j, p ** (n - j)
+    rows = [{i: [d]} for i, d in enumerate(degrees)]
+    for i, k, a in edges:
+        e = chi.exponent(a) // step
+        for first, second, power in ((i, k, e), (k, i, -e % order)):
+            entry = rows[first].setdefault(second, [0])
+            entry += [0] * (power + 1 - len(entry))
+            entry[power] -= 1
+    folded = [0] * order
+    for power, c in enumerate(det_int_poly_matrix(rows)):
+        folded[power % order] += c
+    mod = p ** n
+    out = []
+    for a in [a for a in range(1, order) if a % p] or [1]:
+        coeffs = [0] * euler_phi_prime_power(p, n)
+        for power, c in enumerate(folded):
+            if c:
+                _add_monomial(coeffs, power * a % order * step, c, p, n)
+        out.append((Character(chi.spec, n, tuple(a * x % mod
+                                                 for x in chi.exponents)),
+                    CyclotomicInteger(p, n, tuple(coeffs))))
+    return out
 
 
 def regular_det_fits(spec: TowerGroupSpec, level: int, size: int) -> bool:
     """Whether |G^(level)|·size, the regular representation's size, fits."""
     return not (size and spec.order_exceeds(level,
                                             _REGULAR_DET_BOUND // size))
-
-
-def regular_det(spec: TowerGroupSpec, n: int, edges: Edges,
-                degrees: Sequence[int]) -> int:
-    """Determinant of D − A_α^t acting on Z[G^(n)]^m by left
-    multiplication, for any group kind.
-
-    Row and column i·|G| + k stand for g_k in the i-th summand, in
-    ``enumerate_group`` order.  D puts d_i on the diagonal of block i.  An
-    edge (i, j, a) puts −a at (j, i) of D − A_α^t and −a⁻¹ at (i, j); left
-    multiplication by a takes g_k to g_h = a·g_k, and by a⁻¹ takes g_h
-    back to g_k, so one ``multiply`` per group element gives both.  For
-    an abelian quotient the result is the product of the per-character
-    determinants.
-    """
-    m = len(degrees)
-    if not regular_det_fits(spec, n, m):
-        raise BoundExceededError(
-            f"regular representation size "
-            f"{m}·{spec.p}^{n * spec.dimension} "
-            f"exceeds bound {_REGULAR_DET_BOUND}")
-    group = spec.enumerate_group(n)
-    order = len(group)
-    index = {g: k for k, g in enumerate(group)}
-    big = [[0] * (m * order) for _ in range(m * order)]
-    for i, d in enumerate(degrees):
-        for k in range(i * order, (i + 1) * order):
-            big[k][k] = d
-    for i, j, a in edges:
-        x = GroupElement(n, a)
-        for k, g in enumerate(group):
-            h = index[spec.multiply(x, g)]
-            big[j * order + h][i * order + k] -= 1
-            big[i * order + k][j * order + h] -= 1
-    return det_int(big)

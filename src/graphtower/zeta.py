@@ -20,9 +20,11 @@ check below is an exact equality — never a float comparison.
 The L-functions, the interpolation check and ``fitting`` read the cover's
 adjacency Σ_σ A(σ)·σ, where A(σ)_ij counts the edges between (v_i, 1) and
 (v_j, σ) in X_n, off the base edges' level-n normal forms, as A_α (a test
-reads it off the edges of X_n).  A character reaches it only through
-``grouprings.character_adjacency``, and χ(a) is computed only by
-``Character.exponent``, which ``artin_l_norm`` calls as well.
+reads it off the edges of X_n).  χ(a) is computed only by
+``Character.exponent``.  The Z[ζ] determinants reach A_α only through
+``grouprings.character_adjacency``; the integer ones, ``artin_l_norm``
+and ``grouprings.orbit_h_values``, lift it to Z[x] per Galois orbit, so
+the interpolation check's two sides share neither builder nor kernel.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from typing import Sequence
 
 from .cyclotomic import (CyclotomicInteger, det_cyclotomic_poly_matrix,
                          euler_phi_prime_power, root_power_matrix)
-from .grouprings import (Character, Edges, _det_degrees_minus,
-                         character_adjacency, galois_orbits, nrd_abelian)
+from .grouprings import (Character, Edges, character_adjacency,
+                         galois_orbits, nrd_abelian, orbit_h_values)
 from .linalg import det_int_poly_matrix
 from .polynomials import IntPolynomial
 from .voltage import VoltageAssignment, check_derive_bounds, cover_index_pairs
@@ -225,14 +227,6 @@ def artin_l_norm(chi: Character, edges: Edges,
     return IntPolynomial(det_int_poly_matrix(rows))
 
 
-def h_at_one(chi: Character, edges: Edges,
-             degrees: Sequence[int]) -> CyclotomicInteger:
-    """h(χ, 1) = det(D − χ(A)), exact, from the base data of
-    ``artin_l_inverse``."""
-    return _det_degrees_minus(chi.spec.p, chi.level, degrees,
-                              character_adjacency(chi, len(degrees), edges))
-
-
 @dataclass(frozen=True)
 class InterpolationReport:
     """Per-character outcome of h(χ,1) = (χ̄-component of Nrd(D − A_α^t))."""
@@ -247,22 +241,26 @@ class InterpolationReport:
 def interpolation_check(alpha: VoltageAssignment, n: int) -> InterpolationReport:
     """Check the L-value interpolation identity at every character.
 
-    The two sides are h(χ, 1) = det(D − χ(A_α)) and the χ̄-component of
-    the reduced norm of D − A_α^t, det(χ̄(D − A_α^t)) from ``nrd_abelian``:
-    the transpose conjugates characters.  Since χ̄(g⁻¹) = χ(g), and A_α
-    holds a⁻¹ at (j, i) wherever it holds a at (i, j), χ̄(D − A_α^t) and
-    D − χ(A_α) agree entry by entry; so the check shows that the two
-    determinants agree, and the builder of χ(A_α),
-    ``grouprings.character_adjacency``, rests on its oracle tests.  The
-    normal forms are read once, and the characters are listed once, by
-    ``nrd_abelian``.
+    One side is the χ̄-component of the reduced norm of D − A_α^t,
+    det(χ̄(D − A_α^t)) from ``nrd_abelian``, one Z[ζ] Bareiss per
+    character over ``character_adjacency``: the transpose conjugates
+    characters.  The other is h(χ, 1) = det(D − χ(A_α)) from
+    ``orbit_h_values``, one integer determinant per Galois orbit of the
+    lift of D − χ(A_α) to Z[x], which shares neither the builder nor the
+    kernel.  Orbits are taken from the characters in ``nrd_abelian``'s
+    order, so the characters are listed once, and the normal forms are
+    read once.
     """
     check_derive_bounds(alpha, n)  # the bounds of X_n, before level-n work
     edges = alpha.normal_form_edges(n)
     degrees = alpha.base.degrees()
     components = dict(nrd_abelian(alpha.spec, n, edges, degrees))
+    h_values: dict[Character, CyclotomicInteger] = {}
+    for chi in components:
+        if chi not in h_values:
+            h_values.update(orbit_h_values(chi, edges, degrees))
     return InterpolationReport(tuple(
-        (chi, h_at_one(chi, edges, degrees) == components[chi.conjugate()])
+        (chi, h_values[chi] == components[chi.conjugate()])
         for chi in components))
 
 

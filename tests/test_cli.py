@@ -583,20 +583,63 @@ def _count_normal_forms(monkeypatch):
 
 def test_check_interpolation_builds_each_intermediate_once(tmp_path, capsys,
                                                           monkeypatch):
-    """check-interpolation lists the characters once, and it, fitting and
-    lfun read the voltages' normal forms once per job."""
+    """check-interpolation lists the characters once, takes one Z[ζ]
+    determinant per character and one lifted integer determinant per
+    Galois orbit; fitting takes no integer determinant; and all three read
+    the voltages' normal forms once per job.  LOOP_CONFIG at level 2 has 9
+    characters in 3 orbits."""
     path = write_config(tmp_path, LOOP_CONFIG)
     for subcommand in ("check-interpolation", "fitting", "lfun"):
         with monkeypatch.context() as patch:
             characters = _count_calls(patch,
                                       graphtower.grouprings.characters)
             normal_forms = _count_normal_forms(patch)
+            cyclotomic = _count_calls(patch,
+                                      graphtower.cyclotomic.det_cyclotomic)
+            lifted = _count_calls(patch, graphtower.linalg.det_int_poly_matrix)
+            integer = _count_calls(patch, graphtower.linalg.det_int)
             assert main([subcommand, "--config", path, "--level", "2"]) == 0
         report = json.loads(capsys.readouterr().out)
         if subcommand == "check-interpolation":
             assert report["all_pass"] is True
             assert len(characters) == 1
+            assert len(cyclotomic) == 9 and len(lifted) == 3
+        if subcommand == "fitting":
+            assert report["regular_det"] == 0 and len(integer) == 0
         assert normal_forms == [2]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_check_interpolation_fails_on_a_corrupted_character_adjacency(
+        tmp_path, capsys, monkeypatch, seed):
+    """Entry (0, 0) of χ(A_α) off by one, for every character, in every
+    module that binds the builder: the transpose leaves that entry in
+    place, so two determinants over the builder would still agree; the
+    lifted side does not read the builder, so the check fails, and passes
+    unpatched."""
+    rng = random.Random(seed)
+    p, rank, level = rng.choice([(2, 1, 2), (3, 1, 1), (3, 2, 1),
+                                 (5, 1, 1), (2, 2, 2)])
+    path = write_config(tmp_path, abelian_pin_config(
+        rng, p, rank, level, rng.randint(1, 4), 4))
+    assert main(["check-interpolation", "--config", path,
+                 "--level", str(level)]) == 0
+    assert json.loads(capsys.readouterr().out)["all_pass"] is True
+    original = graphtower.grouprings.character_adjacency
+
+    def corrupted(chi, size, edges):
+        matrix = original(chi, size, edges)
+        one = CyclotomicInteger.from_int(matrix[0][0].p, matrix[0][0].k, 1)
+        matrix[0][0] = matrix[0][0] - one
+        return matrix
+
+    for module in list(sys.modules.values()):
+        if (module.__name__.startswith("graphtower") and
+                vars(module).get("character_adjacency") is original):
+            monkeypatch.setattr(module, "character_adjacency", corrupted)
+    assert main(["check-interpolation", "--config", path,
+                 "--level", str(level)]) == 0
+    assert json.loads(capsys.readouterr().out)["all_pass"] is False
 
 
 def test_fitting_lists_characters_once(tmp_path, capsys, monkeypatch):
@@ -1134,8 +1177,8 @@ def test_tower_job_builds_no_group_element_arithmetic(tmp_path, capsys,
                                                       max_level):
     """iwasawa-fit then mhg-check, an abelian rank-2 tower and MU2_CONFIG:
     the levels and the level-1 data come from integer normal forms, so no
-    `multiply` call, and mhg-check takes no character of A_α and no
-    regular representation."""
+    `multiply` call, and mhg-check takes no character of A_α and lists no
+    group, as the regular representation of the tests' oracle would."""
     products = []
     multiply = graphtower.TowerGroupSpec.multiply
 
@@ -1147,9 +1190,13 @@ def test_tower_job_builds_no_group_element_arithmetic(tmp_path, capsys,
     path = write_config(tmp_path, _mhg_pin_config(seed))
     assert main(["iwasawa-fit", "--config", path,
                  "--max-level", str(max_level)]) == 0
-    regular = _count_calls(monkeypatch, graphtower.grouprings.regular_det)
+    groups = []
+    enumerate_group = graphtower.TowerGroupSpec.enumerate_group
+    monkeypatch.setattr(graphtower.TowerGroupSpec, "enumerate_group",
+                        lambda spec, n: groups.append(n) or
+                        enumerate_group(spec, n))
     adjacencies = _count_calls(monkeypatch,
                                graphtower.grouprings.character_adjacency)
     assert main(["mhg-check", "--config", path]) == 0
     assert len(products) == 0
-    assert len(regular) == 0 and len(adjacencies) == 0
+    assert len(groups) == 0 and len(adjacencies) == 0

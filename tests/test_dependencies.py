@@ -47,15 +47,17 @@ def test_only_stdlib_and_pytest_are_imported():
 
 def test_package_runs_from_src_alone(tmp_path):
     """The CI packaging step's check, offline: outside the checkout, with
-    only src/ on the path, the CLI starts and runs a zeta, a fitting and
-    an lfun job, so no package module imports a helper kept under tests/,
-    not even inside a function that only a job enters."""
+    only src/ on the path, the CLI starts and runs a zeta, a fitting, an
+    lfun and a check-interpolation job, so no package module imports a
+    helper kept under tests/, not even inside a function that only a job
+    enters."""
     (tmp_path / "job.json").write_text(json.dumps(LOOP_CONFIG))
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     reports = {}
     for argv in (["--help"], *([subcommand, "--config", "job.json",
                                 "--level", "1"]
-                               for subcommand in ("zeta", "fitting", "lfun"))):
+                               for subcommand in ("zeta", "fitting", "lfun",
+                                                  "check-interpolation"))):
         run = subprocess.run([sys.executable, "-m", "graphtower.cli", *argv],
                              cwd=tmp_path, env=env, capture_output=True,
                              text=True, timeout=60)
@@ -66,6 +68,7 @@ def test_package_runs_from_src_alone(tmp_path):
     assert reports["fitting"]["regular_det"] == 0
     assert len(reports["fitting"]["components"]) == 3
     assert len(reports["lfun"]["l_functions"]) == 3
+    assert reports["check-interpolation"]["all_pass"] is True
 
 
 # Public callables that no subcommand enters, each with what keeps it.  A
@@ -88,6 +91,8 @@ REACHED_ELSEWHERE = {
     "groups.TowerGroupSpec.word_evaluate":
         "read by VoltageAssignment.voltage",
     "groups.TowerGroupSpec.inverse": "read by beta_of_path",
+    "groups.TowerGroupSpec.multiply":
+        "read by beta_of_path and DerivedGraph.act",
     "groups.TowerGroupSpec.identity":
         "read by beta_of_path, and by multiply and inverse at level 0",
     "polynomials.PolynomialRing":

@@ -3,13 +3,12 @@ import random
 
 import pytest
 
-import graphtower.grouprings
 from graphtower import TowerGroupSpec
 from graphtower.cyclotomic import CyclotomicInteger
-from graphtower.errors import BoundExceededError, PreconditionError
+from graphtower.errors import PreconditionError
 from graphtower.grouprings import (Character, character_adjacency,
                                    characters, galois_orbits, nrd_abelian,
-                                   regular_det, regular_det_fits)
+                                   orbit_h_values, regular_det_fits)
 from graphtower.linalg import det_int
 
 from conftest import (ORACLE_SHAPES, GroupRingElement, GroupRingMatrix,
@@ -306,39 +305,64 @@ def test_nrd_abelian_matches_the_oracle():
                 voltage_laplacian(alpha, level))
 
 
-def _regular_rows(monkeypatch, alpha, level):
-    """The integer rows that regular_det hands to det_int."""
-    rows = []
-    monkeypatch.setattr(graphtower.grouprings, "det_int",
-                        lambda matrix: rows.append(matrix) or 0)
-    regular_det(alpha.spec, level, alpha.normal_form_edges(level),
-                alpha.base.degrees())
-    [matrix] = rows
-    return matrix
-
-
-def test_regular_det_rows_match_the_oracle(monkeypatch):
-    """Entry for entry, regular_det's matrix is the oracle's regular
-    representation of D − A_α^t, abelian and metacyclic, up to the size
-    bound; past it, regular_det raises.  Its determinant is always 0, so
-    comparing values alone would show nothing."""
+def test_regular_representation_of_the_laplacian_is_singular():
+    """The regular representation of D − A_α^t is the Laplacian of X_n, so
+    its determinant is 0, abelian and metacyclic, with loops and parallel
+    edges, up to the size bound: the 0 that fitting prints uncomputed."""
     rng = random.Random(49)
     checked = 0
     for (kind, p, rank), level in itertools.product(
             [*ORACLE_SHAPES, ("abelian", 7, 1)], range(4)):
         for _ in range(2):
             alpha = oracle_instance(rng, kind, p, rank)
-            if not regular_det_fits(alpha.spec, level,
-                                    alpha.base.num_vertices):
-                with pytest.raises(BoundExceededError):
-                    regular_det(alpha.spec, level,
-                                alpha.normal_form_edges(level),
-                                alpha.base.degrees())
-                continue
-            with monkeypatch.context() as patch:
-                rows = _regular_rows(patch, alpha, level)
-            assert rows == regular_representation(
-                voltage_laplacian(alpha, level))
-            checked += 1
+            if regular_det_fits(alpha.spec, level, alpha.base.num_vertices):
+                assert det_int(regular_representation(
+                    voltage_laplacian(alpha, level))) == 0
+                checked += 1
     assert checked >= 60
+
+
+# (p, rank, level) with p = 2, 3, 5, 7, 13, rank 1-3 and level 0-3, where
+# |G^(level)| is within the enumeration bound 729
+_LIFT_SHAPES = [(p, rank, level) for p in (2, 3, 5, 7, 13)
+                for rank in (1, 2, 3) for level in range(4)
+                if p ** (rank * level) <= 729]
+
+
+def _leibniz_det(p, k, matrix):
+    """Determinant over Z[ζ_{p^k}] by the Leibniz expansion: no division,
+    so no Bareiss and no inverse modulo Φ, whose cost grows with φ(p^k)."""
+    m = len(matrix)
+    total = CyclotomicInteger.from_int(p, k, 0)
+    for perm in itertools.permutations(range(m)):
+        term = CyclotomicInteger.from_int(p, k, 1)
+        for i, j in enumerate(perm):
+            term = term * matrix[i][j]
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(m) for j in range(i + 1, m))
+        total = cyclotomic_sum(total, -term if inversions % 2 else term)
+    return total
+
+
+@pytest.mark.parametrize("p, rank, level", _LIFT_SHAPES)
+def test_orbit_h_values_match_the_oracle(p, rank, level):
+    """h(χ, 1) from one lifted integer determinant per Galois orbit is
+    det χ̄(D − A_α^t), with χ̄ applied term by term to the oracle's
+    D − A_α^t over Z[G^(n)], for every character."""
+    rng = random.Random(50 + 100 * p + 10 * rank + level)
+    for _ in range(2):
+        alpha = oracle_instance(rng, "abelian", p, rank)
+        edges = alpha.normal_form_edges(level)
+        values = {}
+        for chi, size in galois_orbits(alpha.spec, level):
+            orbit = orbit_h_values(chi, edges, alpha.base.degrees())
+            assert len(orbit) == size and orbit[0][0] == chi
+            values.update(orbit)
+        laplacian = voltage_laplacian(alpha, level).entries
+        chars = characters(alpha.spec, level)
+        assert len(values) == len(chars)
+        for chi in chars:
+            assert values[chi.conjugate()] == _leibniz_det(p, level, [
+                [character_evaluate(chi, x) for x in row]
+                for row in laplacian])
 

@@ -15,7 +15,7 @@ from graphtower.voltage import derive, gamma_exponent
 from conftest import (ORACLE_SHAPES, as_int, content_p_valuation,
                       det_in_ring, doubled, lift, oracle_instance,
                       random_abelian_instance, random_connected_multigraph,
-                      voltage_laplacian)
+                      reduced_norm, voltage_laplacian)
 
 
 def z3_loop():
@@ -218,16 +218,14 @@ def test_fitting_generators_loop_over_z2():
 
 
 def test_fitting_components_match_h_values():
-    from graphtower import h_at_one
+    """The χ-component is h(χ̄, 1) = det χ(D − A_α^t), by the oracle's
+    characters applied term by term to D − A_α^t over Z[G^(n)]."""
     rng = random.Random(81)
     for _ in range(5):
         alpha, level = random_abelian_instance(rng)
         gens = fitting_generators(alpha, level)
-        values = {chi.exponents: v for chi, v in gens.components}
-        edges = alpha.normal_form_edges(level)
-        for chi, _ in gens.components:
-            assert values[chi.exponents] == h_at_one(
-                chi.conjugate(), edges, alpha.base.degrees())
+        assert list(gens.components) == reduced_norm(
+            voltage_laplacian(alpha, level))
 
 
 def test_fitting_projection_compatibility():

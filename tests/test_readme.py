@@ -31,3 +31,4 @@ def test_readme_library_sketch():
     printed = out.getvalue()
     assert "mu1=2, lambda1=2," in printed
     assert "verdict='HOLDS'" in printed
+    assert printed.endswith("True 0\n")

@@ -5,11 +5,11 @@ from collections import Counter
 import graphtower.zeta
 from graphtower import (Character, Multigraph, TowerGroupSpec,
                         VoltageAssignment, artin_l_inverse, derive,
-                        factorization_check, h_at_one, ihara_zeta_inverse,
+                        factorization_check, ihara_zeta_inverse,
                         interpolation_check)
 from graphtower.cyclotomic import CyclotomicInteger, euler_phi_prime_power
 from graphtower.grouprings import (character_adjacency, characters,
-                                   galois_orbits)
+                                   galois_orbits, orbit_h_values)
 from graphtower.linalg import det_int_poly_matrix
 from graphtower.polynomials import PolynomialRing, _normalize
 from graphtower.voltage import cover_index_pairs
@@ -19,7 +19,7 @@ from conftest import (GroupRingElement, GroupRingMatrix, as_int,
                       character_evaluate, cyclotomic_sum, det_in_ring,
                       graph_matrices, graph_zeta, oracle_instance,
                       random_abelian_instance, random_connected_multigraph,
-                      voltage_adjacency)
+                      reduced_norm, voltage_adjacency, voltage_laplacian)
 
 
 def loop_graph():
@@ -125,15 +125,22 @@ def test_sign_character_loop_over_z2():
     data = artin_l_inverse(sign, *base_data)
     # det(1 + 2u + u²) = (1 + u)²
     assert [as_int(c) for c in data.det_part] == [1, 2, 1]
-    assert as_int(h_at_one(sign, *base_data)) == 4
+    # h(sign, 1) = det(D − sign(A_α)) = 2 − (−2), and sign is its own
+    # conjugate
+    assert as_int(dict(reduced_norm(voltage_laplacian(alpha, 1)))[sign]) == 4
 
 
 def test_h_at_one_trivial_character_vanishes():
+    """h(1, 1) is the determinant of the base Laplacian, by the oracle and
+    by the lifted orbit determinant."""
     rng = random.Random(73)
     for _ in range(6):
         alpha, level = random_abelian_instance(rng)
         trivial = Character(alpha.spec, level, (0,) * alpha.spec.rank)
-        assert h_at_one(trivial, *_norm_inputs(alpha, level)).is_zero()
+        [(chi, value), *_] = reduced_norm(voltage_laplacian(alpha, level))
+        assert chi == trivial and value.is_zero()
+        [(chi, value)] = orbit_h_values(trivial, *_norm_inputs(alpha, level))
+        assert chi == trivial and value.is_zero()
 
 
 def _edge_adjacency(cover):
