@@ -5,18 +5,21 @@ polynomials in ζ = ζ_{p^k} modulo the cyclotomic polynomial
 Φ_{p^k}(x) = Σ_{i<p} x^{i·p^{k-1}}.  Conductor 1 (k = 0) degenerates to the
 ordinary integers, which keeps trivial characters on the same code path.
 
-Determinants over Z[ζ] are taken in one place, ``det_cyclotomic``, by
-Bareiss elimination written on ``CyclotomicInteger``; matrices over Z[ζ][u]
-reach it by Kronecker substitution.
+No arithmetic is done on elements: every determinant over Z[ζ] goes
+through the integer kernel.  The entries' power-basis coordinates are
+lifted to Z[x], ``linalg.det_int_poly_matrix`` takes one determinant Δ(x),
+and ``galois_images`` reads Δ at ζ, or at every Galois conjugate ζ^a, by
+one fold modulo x^(p^k) − 1, one permutation and one reduction modulo
+Φ_{p^k} each.  ``det_cyclotomic`` is that route for one matrix; matrices
+over Z[ζ][u] reach it by Kronecker substitution u = 2^B.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
-from .linalg import _eval_poly, _unpack
+from .linalg import _eval_poly, _unpack, det_int_poly_matrix
 
 
 def euler_phi_prime_power(p: int, k: int) -> int:
@@ -44,60 +47,12 @@ class CyclotomicInteger:
         phi = euler_phi_prime_power(p, k)
         return CyclotomicInteger(p, k, (value,) + (0,) * (phi - 1))
 
-    def _compat(self, other: "CyclotomicInteger") -> None:
-        if (self.p, self.k) != (other.p, other.k):
-            raise ValueError("conductor mismatch")
-
-    def __sub__(self, other: "CyclotomicInteger") -> "CyclotomicInteger":
-        self._compat(other)
-        return CyclotomicInteger(
-            self.p, self.k,
-            tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
     def __neg__(self) -> "CyclotomicInteger":
         return CyclotomicInteger(self.p, self.k,
                                  tuple(-a for a in self.coeffs))
 
-    def __mul__(self, other: "CyclotomicInteger") -> "CyclotomicInteger":
-        self._compat(other)
-        phi = len(self.coeffs)
-        reduced = [0] * phi
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    _add_monomial(reduced, i + j, a * b, self.p, self.k)
-        return CyclotomicInteger(self.p, self.k, tuple(reduced))
-
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coeffs)
-
-    def is_rational(self) -> bool:
-        return all(a == 0 for a in self.coeffs[1:])
-
-    def exact_div(self, other: "CyclotomicInteger") -> "CyclotomicInteger":
-        """Quotient self/other, required to lie in Z[ζ]."""
-        self._compat(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero cyclotomic integer")
-        if other.is_rational():
-            d = other.coeffs[0]
-            out = []
-            for a in self.coeffs:
-                q, r = divmod(a, d)
-                if r:
-                    raise ArithmeticError("inexact cyclotomic division")
-                out.append(q)
-            return CyclotomicInteger(self.p, self.k, tuple(out))
-        inv = _inverse_mod_phi(other.coeffs, self.p, self.k)
-        prod = _mul_fractions(self.coeffs, inv, self.p, self.k)
-        out = []
-        for c in prod:
-            if c.denominator != 1:
-                raise ArithmeticError("inexact cyclotomic division")
-            out.append(int(c))
-        return CyclotomicInteger(self.p, self.k, tuple(out))
+        return not any(self.coeffs)
 
 
 def _add_monomial(coeffs: list, exponent: int, value, p: int, k: int) -> None:
@@ -134,113 +89,59 @@ def root_power_matrix(p: int, k: int, exponent: int) -> list[list[int]]:
     return rows
 
 
-def _cyclotomic_poly(p: int, k: int) -> list[int]:
-    """Coefficients (ascending) of Φ_{p^k}."""
-    phi = euler_phi_prime_power(p, k)
-    coeffs = [0] * (phi + 1)
-    step = p ** (k - 1)
-    for i in range(p):
-        coeffs[i * step] = 1
-    return coeffs
+def _reduce_mod_phi(p: int, k: int, coeffs: list[int]) -> list[int]:
+    """Power-basis coordinates of Σ_e c_e·ζ^e, ζ = ζ_{p^k}, from one
+    coefficient c_e per exponent e mod p^k: each c_(φ+r) leaves by
+    ζ^(φ+r) = −Σ_{i<p−1} ζ^(i·p^(k−1)+r)."""
+    if k == 0:
+        return coeffs
+    block = p ** (k - 1)
+    phi = len(coeffs) - block
+    tail = coeffs[phi:]
+    return [c - tail[e % block] for e, c in enumerate(coeffs[:phi])]
 
 
-def _mul_fractions(a: Sequence, b: Sequence[Fraction],
-                   p: int, k: int) -> list[Fraction]:
-    phi = euler_phi_prime_power(p, k)
-    out = [Fraction(0)] * phi
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                _add_monomial(out, i + j, Fraction(x) * y, p, k)
-    return out
+def galois_images(p: int, n: int, j: int, poly: Sequence[int],
+                  units: Sequence[int]) -> list[CyclotomicInteger]:
+    """Δ(ζ^(a·p^(n−j))) in Z[ζ_{p^n}], ζ = ζ_{p^n}, for the integer
+    polynomial Δ of ascending coefficients ``poly`` and each unit a mod
+    p^j in ``units``, in that order.
 
-
-def _inverse_mod_phi(coeffs: Sequence[int], p: int, k: int) -> list[Fraction]:
-    """Inverse of a nonzero element in Q(ζ) via extended Euclid mod Φ."""
-    phi_poly = [Fraction(c) for c in _cyclotomic_poly(p, k)]
-    a = [Fraction(c) for c in coeffs]
-
-    def trim(poly: list[Fraction]) -> list[Fraction]:
-        while poly and poly[-1] == 0:
-            poly.pop()
-        return poly
-
-    def divmod_poly(num: list[Fraction],
-                    den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-        num = list(num)
-        q = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
-        while len(num) >= len(den) and trim(num):
-            shift = len(num) - len(den)
-            factor = num[-1] / den[-1]
-            q[shift] = factor
-            for i, d in enumerate(den):
-                num[shift + i] -= factor * d
-            trim(num)
-        return q, num
-
-    # extended gcd of a and Φ: s·a + t·Φ = gcd (a constant, since Φ irreducible)
-    r0, r1 = trim(list(a)), trim(list(phi_poly))
-    s0, s1 = [Fraction(1)], [Fraction(0)]
-    while r1:
-        q, r = divmod_poly(r0, r1)
-        r0, r1 = r1, trim(r)
-        # s_next = s0 - q·s1
-        prod = [Fraction(0)] * (len(q) + len(s1))
-        for i, qc in enumerate(q):
-            if qc:
-                for j, sc in enumerate(s1):
-                    prod[i + j] += qc * sc
-        s_next = [
-            (s0[i] if i < len(s0) else Fraction(0)) -
-            (prod[i] if i < len(prod) else Fraction(0))
-            for i in range(max(len(s0), len(prod)))]
-        s0, s1 = s1, trim(s_next)
-    if len(r0) != 1:
-        raise ArithmeticError("element not invertible modulo Φ")
-    unit = r0[0]
-    inv = [c / unit for c in s0]
-    phi = euler_phi_prime_power(p, k)
-    out = [Fraction(0)] * phi
-    for i, c in enumerate(inv):
-        if c:
-            _add_monomial(out, i, c, p, k)
+    x ↦ ζ^(a·p^(n−j)) is a ring map Z[x] → Z[ζ_{p^n}] (Washington,
+    *Introduction to Cyclotomic Fields*, §2) onto a root of order p^j, so
+    Δ is folded once modulo x^(p^j) − 1.  For each a, x^t ↦ x^(a·t)
+    permutes the folded coefficients, one reduction modulo Φ_{p^j} gives
+    the coordinates over Z[ζ_{p^j}], and ζ_{p^j}^i = ζ^(i·p^(n−j)) places
+    them in Z[ζ_{p^n}].  No determinant is taken per unit.
+    """
+    order = p ** j
+    folded = [0] * order
+    for t, c in enumerate(poly):
+        folded[t % order] += c
+    step = p ** (n - j)
+    out = []
+    for a in units:
+        inverse = pow(a, -1, order)
+        coeffs = [0] * euler_phi_prime_power(p, n)
+        coeffs[::step] = _reduce_mod_phi(
+            p, j, [folded[t * inverse % order] for t in range(order)])
+        out.append(CyclotomicInteger(p, n, tuple(coeffs)))
     return out
 
 
 def det_cyclotomic(p: int, k: int,
                    matrix: Sequence[Sequence[CyclotomicInteger]]
                    ) -> CyclotomicInteger:
-    """Determinant over Z[ζ_{p^k}] by fraction-free (Bareiss) elimination:
-    step s pivots on the first nonzero entry of column s and sets each a_ij
-    below and right of it to (pivot·a_ij − a_is·a_sj) / pivot_{s−1}, an
-    exact division, since the result is a minor of the input."""
+    """Determinant over Z[ζ_{p^k}] through the integer kernel: the entries'
+    power-basis coordinates are lifted to Z[x], ``det_int_poly_matrix``
+    takes the one determinant Δ(x) over Z[x], and x ↦ ζ, a ring map, gives
+    det = Δ(ζ), read off by ``galois_images``."""
     n = len(matrix)
-    m = [list(row) for row in matrix]
-    if any(len(row) != n for row in m):
+    if any(len(row) != n for row in matrix):
         raise ValueError("matrix is not square")
-    prev = CyclotomicInteger.from_int(p, k, 1)
-    if n == 0:
-        return prev
-    sign = 1
-    for s in range(n - 1):
-        pivot_row = next((r for r in range(s, n) if not m[r][s].is_zero()),
-                         None)
-        if pivot_row is None:
-            return CyclotomicInteger.from_int(p, k, 0)
-        if pivot_row != s:
-            m[s], m[pivot_row] = m[pivot_row], m[s]
-            sign = -sign
-        row_s = m[s]
-        pivot = row_s[s]
-        for row in m[s + 1:]:
-            head = row[s]
-            for j in range(s + 1, n):
-                row[j] = (pivot * row[j] - head * row_s[j]).exact_div(prev)
-        prev = pivot
-    last = m[n - 1][n - 1]
-    return last if sign == 1 else -last
+    rows = [{j: x.coeffs for j, x in enumerate(row) if not x.is_zero()}
+            for row in matrix]
+    return galois_images(p, k, k, det_int_poly_matrix(rows), [1])[0]
 
 
 def det_cyclotomic_poly_matrix(

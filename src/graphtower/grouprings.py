@@ -4,9 +4,12 @@ voltage Laplacian D − A_α^t over Z[G^(n)].
 A voltage Laplacian is given by its base: per edge, the indices (i, j) of
 its ends and the normal form a of its voltage in G^(n), and the degrees.
 χ(a) is computed in one place, ``Character.exponent``, and χ(A_α) is
-built in one, ``character_adjacency``.  ``orbit_h_values`` takes the
-values h(χ^a, 1) of a whole Galois orbit from one integer determinant of
-a lift to Z[x], without that builder or a Z[ζ] Bareiss.  The regular
+built in one, ``character_adjacency``.  Both ``nrd_abelian`` and
+``orbit_h_values`` take one integer polynomial determinant per Galois
+orbit of characters, of a lift to Z[x], and read the values of the whole
+orbit off it with ``cyclotomic.galois_images`` (χ^a(M) = σ_a(χ(M))).
+``nrd_abelian`` lifts the coordinates that the builder gives; the lift of
+``orbit_h_values`` reads the exponents and not the builder.  The regular
 representation of D − A_α^t is the Laplacian of the cover X_n, so its
 determinant is 0, and it is never built.
 """
@@ -17,8 +20,8 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
 
-from .cyclotomic import (CyclotomicInteger, _add_monomial, det_cyclotomic,
-                         euler_phi_prime_power)
+from .cyclotomic import (CyclotomicInteger, _add_monomial,
+                         euler_phi_prime_power, galois_images)
 from .errors import PreconditionError
 from .groups import TowerGroupSpec, p_valuation
 from .linalg import det_int_poly_matrix
@@ -114,22 +117,37 @@ def character_adjacency(chi: Character, size: int,
 def nrd_abelian(spec: TowerGroupSpec, n: int, edges: Edges,
                 degrees: Sequence[int]
                 ) -> list[tuple[Character, CyclotomicInteger]]:
-    """Per-character determinants of D − A_α^t over an abelian G^(n).
+    """Per-character determinants of D − A_α^t over an abelian G^(n), in
+    ``characters`` order.
 
     For abelian groups the reduced norm is the componentwise determinant
     under the character decomposition of the group algebra; the
-    χ-component is det(D − χ(A_α)^t), taken as (−1)^m·det(χ(A_α)^t − D),
-    which changes only the diagonal.
+    χ-component is det(D − χ(A_α)^t).  It is taken once per Galois orbit.
+    For the first character χ of an orbit, of order p^j, the entries of
+    χ(A_α) from ``character_adjacency`` lie in Z[ζ_{p^j}], whose
+    coordinates in Z[ζ_{p^n}] sit at the multiples of p^(n−j).  Those
+    coordinates of D − χ(A_α)^t are lifted to Z[x], so that x ↦ ζ_{p^j}
+    takes the lift back, and one ``det_int_poly_matrix`` gives Δ(x).
+    Since χ^a(A_α) = σ_a(χ(A_α)), the χ^a-component is Δ(ζ_{p^j}^a), read
+    off by ``_orbit``.
     """
-    p, m = spec.p, len(degrees)
-    out = []
-    for chi in characters(spec, n):
-        image = [list(row) for row in zip(*character_adjacency(chi, m, edges))]
+    m = len(degrees)
+    chars = characters(spec, n)
+    values: dict[tuple[int, ...], CyclotomicInteger] = {}
+    for chi in chars:
+        if chi.exponents in values:
+            continue
+        step = spec.p ** (n - chi.order_level)
+        rows: list[dict[int, list[int]]] = [{} for _ in degrees]
+        for k, row in enumerate(character_adjacency(chi, m, edges)):
+            for i, x in enumerate(row):  # entry (k, i) goes to (i, k)
+                if not x.is_zero():
+                    rows[i][k] = [-c for c in x.coeffs[::step]]
         for i, d in enumerate(degrees):
-            image[i][i] = image[i][i] - CyclotomicInteger.from_int(p, n, d)
-        det = det_cyclotomic(p, n, image)
-        out.append((chi, -det if m % 2 else det))
-    return out
+            rows[i].setdefault(i, [0])[0] += d
+        values.update((conjugate.exponents, value) for conjugate, value in
+                      _orbit(chi, det_int_poly_matrix(rows)))
+    return [(chi, values[chi.exponents]) for chi in chars]
 
 
 def orbit_h_values(chi: Character, edges: Edges, degrees: Sequence[int]
@@ -140,9 +158,9 @@ def orbit_h_values(chi: Character, edges: Edges, degrees: Sequence[int]
     D − χ(A_α) is lifted to Z[x]: an edge (i, k, a) subtracts x^e at
     (i, k) and x^(−e mod p^j) at (k, i), e = ``chi.exponent(a)`` / p^(n−j),
     and D sits on the diagonal.  Its determinant Δ(x) is taken by
-    ``det_int_poly_matrix`` and folded modulo x^(p^j) − 1.  Since
-    x ↦ ζ_{p^n}^(a·p^(n−j)) is a ring map Z[x] → Z[ζ_{p^n}] that takes the
-    lift to D − χ^a(A_α) (Washington, §2), h(χ^a, 1) = Δ(ζ^(a·p^(n−j))).
+    ``det_int_poly_matrix``; x ↦ ζ_{p^j}^a takes the lift to
+    D − χ^a(A_α), so h(χ^a, 1) = Δ(ζ_{p^j}^a), read off by ``_orbit``.
+    This lift reads the exponents, not ``character_adjacency``.
     """
     p, n, j = chi.spec.p, chi.level, chi.order_level
     order, step = p ** j, p ** (n - j)
@@ -153,20 +171,19 @@ def orbit_h_values(chi: Character, edges: Edges, degrees: Sequence[int]
             entry = rows[first].setdefault(second, [0])
             entry += [0] * (power + 1 - len(entry))
             entry[power] -= 1
-    folded = [0] * order
-    for power, c in enumerate(det_int_poly_matrix(rows)):
-        folded[power % order] += c
+    return _orbit(chi, det_int_poly_matrix(rows))
+
+
+def _orbit(chi: Character, delta: Sequence[int]
+           ) -> list[tuple[Character, CyclotomicInteger]]:
+    """(χ^a, Δ(ζ_{p^j}^a)) for each unit a mod p^j, in order of a, χ of
+    order p^j, with the values in Z[ζ_{p^n}], n = χ's level."""
+    p, n, j = chi.spec.p, chi.level, chi.order_level
     mod = p ** n
-    out = []
-    for a in [a for a in range(1, order) if a % p] or [1]:
-        coeffs = [0] * euler_phi_prime_power(p, n)
-        for power, c in enumerate(folded):
-            if c:
-                _add_monomial(coeffs, power * a % order * step, c, p, n)
-        out.append((Character(chi.spec, n, tuple(a * x % mod
-                                                 for x in chi.exponents)),
-                    CyclotomicInteger(p, n, tuple(coeffs))))
-    return out
+    units = [a for a in range(1, p ** j) if a % p] or [1]
+    return [(Character(chi.spec, n, tuple(a * x % mod
+                                          for x in chi.exponents)), value)
+            for a, value in zip(units, galois_images(p, n, j, delta, units))]
 
 
 def regular_det_fits(spec: TowerGroupSpec, level: int, size: int) -> bool:

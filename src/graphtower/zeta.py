@@ -14,17 +14,19 @@ so a fault in either cannot pass the factorization check on both sides.
 That check takes one more integer determinant per Galois orbit of
 characters, the norm of the orbit's L-function, from the base edges'
 level-n normal forms.  The per-character L-functions that ``lfun`` prints
-are one Z[ζ] determinant each, by the same substitution.  Every identity
-check below is an exact equality — never a float comparison.
+are one Z[ζ] determinant each, packed at u = 2^B and lifted to Z[x], so
+they too are integer determinants.  Every identity check below is an
+exact equality — never a float comparison.
 
 The L-functions, the interpolation check and ``fitting`` read the cover's
 adjacency Σ_σ A(σ)·σ, where A(σ)_ij counts the edges between (v_i, 1) and
 (v_j, σ) in X_n, off the base edges' level-n normal forms, as A_α (a test
 reads it off the edges of X_n).  χ(a) is computed only by
-``Character.exponent``.  The Z[ζ] determinants reach A_α only through
-``grouprings.character_adjacency``; the integer ones, ``artin_l_norm``
-and ``grouprings.orbit_h_values``, lift it to Z[x] per Galois orbit, so
-the interpolation check's two sides share neither builder nor kernel.
+``Character.exponent``.  ``lfun`` and the reduced norm of ``fitting``
+reach A_α only through ``grouprings.character_adjacency``.  The orbit
+norms of ``artin_l_norm`` and the lift of ``grouprings.orbit_h_values``
+read the exponents instead, so the interpolation check's two sides do not
+share the builder.
 """
 
 from __future__ import annotations
@@ -242,14 +244,16 @@ def interpolation_check(alpha: VoltageAssignment, n: int) -> InterpolationReport
     """Check the L-value interpolation identity at every character.
 
     One side is the χ̄-component of the reduced norm of D − A_α^t,
-    det(χ̄(D − A_α^t)) from ``nrd_abelian``, one Z[ζ] Bareiss per
-    character over ``character_adjacency``: the transpose conjugates
-    characters.  The other is h(χ, 1) = det(D − χ(A_α)) from
-    ``orbit_h_values``, one integer determinant per Galois orbit of the
-    lift of D − χ(A_α) to Z[x], which shares neither the builder nor the
-    kernel.  Orbits are taken from the characters in ``nrd_abelian``'s
-    order, so the characters are listed once, and the normal forms are
-    read once.
+    det(χ̄(D − A_α^t)) from ``nrd_abelian``: the transpose conjugates
+    characters.  It lifts the coordinates of ``character_adjacency``'s
+    χ(A_α), transposed, to Z[x].  The other is h(χ, 1) = det(D − χ(A_α))
+    from ``orbit_h_values``, which lifts the exponents χ(a) of the edges
+    and does not read the builder.  Each side takes one integer polynomial
+    determinant per Galois orbit, and both read the orbit's values off it
+    by the same Galois step, ``cyclotomic.galois_images``, which the
+    oracle tests check against Leibniz determinants.  Orbits are taken
+    from the characters in ``nrd_abelian``'s order, so the characters are
+    listed once, and the normal forms are read once.
     """
     check_derive_bounds(alpha, n)  # the bounds of X_n, before level-n work
     edges = alpha.normal_form_edges(n)

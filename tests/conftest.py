@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from graphtower import (Multigraph, TowerGroupSpec, VoltageAssignment,
                         ihara_zeta_inverse, is_connected)
 from graphtower.cyclotomic import (CyclotomicInteger, _add_monomial,
-                                   det_cyclotomic, euler_phi_prime_power)
+                                   euler_phi_prime_power)
 from graphtower.errors import DisconnectedError
 from graphtower.groups import GroupElement, _fp_rank, p_valuation
 from graphtower.grouprings import characters
@@ -301,10 +301,11 @@ def voltage_laplacian(alpha, n):
 
 def reduced_norm(matrix):
     """det χ(matrix) for every character χ of an abelian G^(n), in
-    ``characters`` order: the reduced norm of any group-ring matrix."""
-    return [(chi, det_cyclotomic(matrix.spec.p, matrix.level,
-                                 [[character_evaluate(chi, x) for x in row]
-                                  for row in matrix.entries]))
+    ``characters`` order: the reduced norm of any group-ring matrix, by
+    ``leibniz_det``, which shares no code with the package's determinants."""
+    return [(chi, leibniz_det(matrix.spec.p, matrix.level,
+                              [[character_evaluate(chi, x) for x in row]
+                               for row in matrix.entries]))
             for chi in characters(matrix.spec, matrix.level)]
 
 
@@ -372,9 +373,43 @@ def cyclotomic_sum(*terms):
                              tuple(map(sum, zip(*(x.coeffs for x in terms)))))
 
 
+def cyclotomic_difference(a, b):
+    """a − b in Z[ζ_{p^k}]."""
+    return cyclotomic_sum(a, -b)
+
+
+def cyclotomic_product(a, b):
+    """a·b in Z[ζ_{p^k}] by schoolbook products of the coordinates, each
+    monomial reduced by ``_add_monomial``."""
+    assert (a.p, a.k) == (b.p, b.k)
+    reduced = [0] * len(a.coeffs)
+    for i, x in enumerate(a.coeffs):
+        if x:
+            for j, y in enumerate(b.coeffs):
+                if y:
+                    _add_monomial(reduced, i + j, x * y, a.p, a.k)
+    return CyclotomicInteger(a.p, a.k, tuple(reduced))
+
+
+def leibniz_det(p, k, matrix):
+    """Determinant over Z[ζ_{p^k}] by the Leibniz expansion: no division,
+    no elimination and no lift to Z[x], so it shares no step with the
+    package's determinants."""
+    m = len(matrix)
+    total = CyclotomicInteger.from_int(p, k, 0)
+    for perm in itertools.permutations(range(m)):
+        term = CyclotomicInteger.from_int(p, k, 1)
+        for i, j in enumerate(perm):
+            term = cyclotomic_product(term, matrix[i][j])
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(m) for j in range(i + 1, m))
+        total = cyclotomic_sum(total, -term if inversions % 2 else term)
+    return total
+
+
 def as_int(x):
     """A rational element of Z[ζ] as an int."""
-    assert x.is_rational()
+    assert not any(x.coeffs[1:])
     return x.coeffs[0]
 
 

@@ -525,20 +525,22 @@ def test_4374_vertex_jacobian_is_cheap(tmp_path, capsys, argv):
 
 def test_check_factorization_uses_no_cyclotomic_arithmetic(tmp_path, capsys,
                                                             monkeypatch):
+    """The orbit norms are integer determinants: no Z[ζ] determinant, no
+    reduction modulo Φ and no element of Z[ζ] is made."""
     bareiss = _count_calls(monkeypatch, graphtower.cyclotomic.det_cyclotomic)
-    products = []
-    mul = CyclotomicInteger.__mul__
+    images = _count_calls(monkeypatch, graphtower.cyclotomic.galois_images)
+    elements = []
+    post_init = CyclotomicInteger.__post_init__
 
-    def counted(a, b):
-        products.append((a, b))
-        return mul(a, b)
+    def counted(x):
+        elements.append(x)
+        return post_init(x)
 
-    monkeypatch.setattr(CyclotomicInteger, "__mul__", counted)
+    monkeypatch.setattr(CyclotomicInteger, "__post_init__", counted)
     path = write_config(tmp_path, LOOP_CONFIG)
     assert main(["check-factorization", "--config", path, "--level", "2"]) == 0
     assert json.loads(capsys.readouterr().out)["pass"] is True
-    assert len(bareiss) == 0
-    assert len(products) == 0
+    assert len(bareiss) == len(images) == len(elements) == 0
 
 
 @pytest.mark.parametrize("subcommand", ["lfun", "check-interpolation"])
@@ -583,11 +585,12 @@ def _count_normal_forms(monkeypatch):
 
 def test_check_interpolation_builds_each_intermediate_once(tmp_path, capsys,
                                                           monkeypatch):
-    """check-interpolation lists the characters once, takes one Z[ζ]
-    determinant per character and one lifted integer determinant per
-    Galois orbit; fitting takes no integer determinant; and all three read
-    the voltages' normal forms once per job.  LOOP_CONFIG at level 2 has 9
-    characters in 3 orbits."""
+    """check-interpolation lists the characters once and takes one lifted
+    integer determinant per Galois orbit on each side, with no Z[ζ]
+    determinant; fitting takes one per orbit, whose packed integer
+    determinant is its only det_int; lfun takes one Z[ζ] determinant per
+    character; and all three read the voltages' normal forms once per job.
+    LOOP_CONFIG at level 2 has 9 characters in 3 orbits."""
     path = write_config(tmp_path, LOOP_CONFIG)
     for subcommand in ("check-interpolation", "fitting", "lfun"):
         with monkeypatch.context() as patch:
@@ -602,10 +605,14 @@ def test_check_interpolation_builds_each_intermediate_once(tmp_path, capsys,
         report = json.loads(capsys.readouterr().out)
         if subcommand == "check-interpolation":
             assert report["all_pass"] is True
-            assert len(characters) == 1
-            assert len(cyclotomic) == 9 and len(lifted) == 3
+            assert len(cyclotomic) == 0 and len(lifted) == 6
         if subcommand == "fitting":
-            assert report["regular_det"] == 0 and len(integer) == 0
+            assert report["regular_det"] == 0
+            assert len(cyclotomic) == 0
+            assert len(lifted) == len(integer) == 3
+        if subcommand == "lfun":
+            assert len(cyclotomic) == 9
+        assert len(characters) == 1
         assert normal_forms == [2]
 
 
@@ -629,8 +636,10 @@ def test_check_interpolation_fails_on_a_corrupted_character_adjacency(
 
     def corrupted(chi, size, edges):
         matrix = original(chi, size, edges)
-        one = CyclotomicInteger.from_int(matrix[0][0].p, matrix[0][0].k, 1)
-        matrix[0][0] = matrix[0][0] - one
+        entry = matrix[0][0]
+        matrix[0][0] = CyclotomicInteger(entry.p, entry.k,
+                                         (entry.coeffs[0] - 1,
+                                          *entry.coeffs[1:]))
         return matrix
 
     for module in list(sys.modules.values()):
@@ -640,6 +649,56 @@ def test_check_interpolation_fails_on_a_corrupted_character_adjacency(
     assert main(["check-interpolation", "--config", path,
                  "--level", str(level)]) == 0
     assert json.loads(capsys.readouterr().out)["all_pass"] is False
+
+
+# Z/125 (φ = 100) on a 3-vertex base, and Z/727 on a triangle with a loop:
+# with one Z[ζ] Bareiss per character, whose pivots here are not rational,
+# fitting took 24-26 s and over 200 s, check-interpolation 31 s and over
+# 20 minutes (wall, one core of a shared 2-vCPU host)
+Z125_CONFIG = {
+    "graph": {"vertices": [0, 1, 2],
+              "edges": [{"id": f"e{i}", "ends": ends} for i, ends in
+                        enumerate([[1, 0], [2, 0], [0, 0], [2, 0], [1, 1]])]},
+    "group": {"kind": "abelian", "p": 5, "rank": 1},
+    "voltage": {f"e{i}": [[0, v]] for i, v in enumerate([0, 27, 119, 124,
+                                                         110])},
+}
+P727_CONFIG = {
+    "graph": {"vertices": ["a", "b", "c"],
+              "edges": [{"id": "ab", "ends": ["a", "b"]},
+                        {"id": "bc", "ends": ["b", "c"]},
+                        {"id": "ca", "ends": ["c", "a"]},
+                        {"id": "aa", "ends": ["a", "a"]}]},
+    "group": {"kind": "abelian", "p": 727, "rank": 1},
+    "voltage": {"ab": [[0, 1]], "bc": [[0, 5]], "ca": [[0, 100]],
+                "aa": [[0, 3]]},
+}
+
+# SHA-256 of the fitting stdout; the Z/125 one recorded with the Bareiss
+_CLIFF_FITTING_SHA256 = {
+    5: "79c41dbcd95cd5491b991aa0953a47356bae96b4d4b3c6d5b5bd68714a7e916a",
+    727: "989023e763d58ce32a2caf18053cc736d7786f7aaad4a91695643a0bffa8caff",
+}
+
+
+@pytest.mark.parametrize("data, level, subcommand, seconds", [
+    (Z125_CONFIG, 3, "fitting", 2), (Z125_CONFIG, 3, "check-interpolation", 2),
+    (P727_CONFIG, 1, "fitting", 4), (P727_CONFIG, 1, "check-interpolation", 2),
+], ids=["z125-fitting", "z125-check-interpolation", "p727-fitting",
+        "p727-check-interpolation"])
+def test_character_jobs_have_no_cyclotomic_cliff(tmp_path, capsys, data,
+                                                 level, subcommand, seconds):
+    path = write_config(tmp_path, data)
+    started = time.perf_counter()
+    assert main([subcommand, "--config", path, "--level", str(level)]) == 0
+    elapsed = time.perf_counter() - started
+    out = capsys.readouterr().out
+    if subcommand == "fitting":
+        assert (hashlib.sha256(out.encode()).hexdigest() ==
+                _CLIFF_FITTING_SHA256[data["group"]["p"]])
+    else:
+        assert json.loads(out)["all_pass"] is True
+    assert elapsed < seconds
 
 
 def test_fitting_lists_characters_once(tmp_path, capsys, monkeypatch):

@@ -13,7 +13,8 @@ from graphtower.linalg import det_int
 
 from conftest import (ORACLE_SHAPES, GroupRingElement, GroupRingMatrix,
                       as_int, augmentation, reduced_norm,
-                      character_evaluate, cyclotomic_sum, generator,
+                      character_evaluate, cyclotomic_product,
+                      cyclotomic_sum, generator, leibniz_det,
                       group_ring_element, group_ring_zero, lift,
                       oracle_instance, project,
                       regular_representation, root_power, voltage_adjacency,
@@ -107,7 +108,8 @@ def test_character_evaluate_is_ring_hom():
             a = random_ring_element(rng, spec, 1)
             b = random_ring_element(rng, spec, 1)
             assert (character_evaluate(chi, group_ring_product(a, b)) ==
-                    character_evaluate(chi, a) * character_evaluate(chi, b))
+                    cyclotomic_product(character_evaluate(chi, a),
+                                       character_evaluate(chi, b)))
             assert (character_evaluate(chi, a + b) ==
                     cyclotomic_sum(character_evaluate(chi, a),
                                    character_evaluate(chi, b)))
@@ -149,7 +151,7 @@ def test_regular_det_is_product_of_character_dets():
             m = random_matrix(rng, spec, n, 2)
             product = CyclotomicInteger.from_int(spec.p, n, 1)
             for _, value in reduced_norm(m):
-                product = product * value
+                product = cyclotomic_product(product, value)
             assert as_int(product) == det_int(
                 regular_representation(m))
 
@@ -184,7 +186,8 @@ def test_nrd_block_triangular_multiplicativity():
         lhs = dict((chi.exponents, v) for chi, v in reduced_norm(block))
         rhs_c = dict((chi.exponents, v) for chi, v in reduced_norm(c))
         for chi in characters(spec, 1):
-            expected = rhs_c[chi.exponents] * character_evaluate(chi, a)
+            expected = cyclotomic_product(rhs_c[chi.exponents],
+                                          character_evaluate(chi, a))
             assert lhs[chi.exponents] == expected
 
 
@@ -214,7 +217,7 @@ def test_nrd_multiplicative_in_matrix_products():
         na = dict((chi.exponents, v) for chi, v in reduced_norm(a))
         nb = dict((chi.exponents, v) for chi, v in reduced_norm(b))
         for exps, value in prod.items():
-            assert value == na[exps] * nb[exps]
+            assert value == cyclotomic_product(na[exps], nb[exps])
 
 
 def test_characters_need_an_abelian_quotient():
@@ -329,26 +332,13 @@ _LIFT_SHAPES = [(p, rank, level) for p in (2, 3, 5, 7, 13)
                 if p ** (rank * level) <= 729]
 
 
-def _leibniz_det(p, k, matrix):
-    """Determinant over Z[ζ_{p^k}] by the Leibniz expansion: no division,
-    so no Bareiss and no inverse modulo Φ, whose cost grows with φ(p^k)."""
-    m = len(matrix)
-    total = CyclotomicInteger.from_int(p, k, 0)
-    for perm in itertools.permutations(range(m)):
-        term = CyclotomicInteger.from_int(p, k, 1)
-        for i, j in enumerate(perm):
-            term = term * matrix[i][j]
-        inversions = sum(perm[i] > perm[j]
-                         for i in range(m) for j in range(i + 1, m))
-        total = cyclotomic_sum(total, -term if inversions % 2 else term)
-    return total
-
-
 @pytest.mark.parametrize("p, rank, level", _LIFT_SHAPES)
 def test_orbit_h_values_match_the_oracle(p, rank, level):
     """h(χ, 1) from one lifted integer determinant per Galois orbit is
     det χ̄(D − A_α^t), with χ̄ applied term by term to the oracle's
-    D − A_α^t over Z[G^(n)], for every character."""
+    D − A_α^t over Z[G^(n)], for every character; so is the
+    χ̄-component of ``nrd_abelian``, which lifts ``character_adjacency``
+    per orbit instead, and whose conjugates the same Galois step reads."""
     rng = random.Random(50 + 100 * p + 10 * rank + level)
     for _ in range(2):
         alpha = oracle_instance(rng, "abelian", p, rank)
@@ -358,11 +348,14 @@ def test_orbit_h_values_match_the_oracle(p, rank, level):
             orbit = orbit_h_values(chi, edges, alpha.base.degrees())
             assert len(orbit) == size and orbit[0][0] == chi
             values.update(orbit)
+        components = dict(nrd_abelian(alpha.spec, level, edges,
+                                      alpha.base.degrees()))
         laplacian = voltage_laplacian(alpha, level).entries
         chars = characters(alpha.spec, level)
-        assert len(values) == len(chars)
+        assert len(values) == len(components) == len(chars)
         for chi in chars:
-            assert values[chi.conjugate()] == _leibniz_det(p, level, [
+            expected = leibniz_det(p, level, [
                 [character_evaluate(chi, x) for x in row]
                 for row in laplacian])
+            assert values[chi.conjugate()] == components[chi] == expected
 

@@ -16,7 +16,8 @@ from graphtower.voltage import cover_index_pairs
 from graphtower.zeta import artin_l_norm
 
 from conftest import (GroupRingElement, GroupRingMatrix, as_int,
-                      character_evaluate, cyclotomic_sum, det_in_ring,
+                      character_evaluate, cyclotomic_product,
+                      cyclotomic_sum, det_in_ring,
                       graph_matrices, graph_zeta, oracle_instance,
                       random_abelian_instance, random_connected_multigraph,
                       reduced_norm, voltage_adjacency, voltage_laplacian)
@@ -239,7 +240,8 @@ def _poly_product(p, k, factors):
         out = [zero] * (len(product) + len(factor) - 1)
         for i, x in enumerate(product):
             for j, y in enumerate(factor):
-                out[i + j] = cyclotomic_sum(out[i + j], x * y)
+                out[i + j] = cyclotomic_sum(out[i + j],
+                                             cyclotomic_product(x, y))
         product = tuple(out)
     return product
 
