@@ -21,7 +21,7 @@ from .voltage import (DerivedGraph, QuotientSpec, VoltageAssignment,
                       beta_of_path, connectivity_criterion,
                       cover_index_pairs, derive, edge_translations,
                       quotient_assignment)
-from .zeta import (ArtinLData, ZetaData, artin_l_inverse, factorization_check,
+from .zeta import (ZetaData, artin_l_inverse, factorization_check,
                    ihara_zeta_inverse, interpolation_check)
 from .iwasawa import (FittingGenerators, IwasawaFit, Lambda1Det, MHGVerdict,
                       TowerReport, fit_iwasawa, fitting_generators,

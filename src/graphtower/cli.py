@@ -18,7 +18,7 @@ from . import __version__
 from .cyclotomic import CyclotomicInteger
 from .errors import BoundExceededError, ConfigError, GraphTowerError
 from .graphs import Multigraph, connected_components
-from .grouprings import Character, characters
+from .grouprings import characters, per_character
 from .jacobian import jacobian_structure, level_jacobian, picard_structure
 from .voltage import (QuotientSpec, VoltageAssignment, check_derive_bounds,
                       cover_index_pairs, derive)
@@ -165,10 +165,6 @@ def _cyc_json(x: CyclotomicInteger) -> dict:
     return {"conductor": x.conductor, "coeffs": list(x.coeffs)}
 
 
-def _character_json(chi: Character) -> list[int]:
-    return list(chi.exponents)
-
-
 def _structure_json(structure) -> dict:
     return {"free_rank": structure.free_rank,
             "torsion": list(structure.torsion),
@@ -236,13 +232,13 @@ def _cmd_lfun(job: JobConfig, args) -> dict:
     check_derive_bounds(job.alpha, level)  # the cover's, though it is not built
     edges = job.alpha.normal_form_edges(level)
     degrees = job.alpha.base.degrees()
-    out = []
-    for chi in chars:
-        data = artin_l_inverse(chi, edges, degrees)
-        out.append({"character": _character_json(chi),
-                    "chi_exponent": data.chi,
-                    "det_part": [_cyc_json(c) for c in data.det_part]})
-    return {"level": level, "l_functions": out}
+    det_parts = per_character(chars, lambda chi, units: artin_l_inverse(
+        chi, units, edges, degrees))
+    chi_exponent = len(degrees) - len(edges)
+    return {"level": level, "l_functions": [
+        {"character": list(chi.exponents), "chi_exponent": chi_exponent,
+         "det_part": [_cyc_json(c) for c in det_part]}
+        for chi, det_part in zip(chars, det_parts)]}
 
 
 def _cmd_check_interpolation(job: JobConfig, args) -> dict:
@@ -250,8 +246,8 @@ def _cmd_check_interpolation(job: JobConfig, args) -> dict:
     report = interpolation_check(job.alpha, level)
     return {"level": level,
             "all_pass": report.all_pass,
-            "per_character": [{"character": _character_json(chi), "pass": ok}
-                              for chi, ok in report.results]}
+            "per_character": [{"character": list(exponents), "pass": ok}
+                              for exponents, ok in report.results]}
 
 
 def _cmd_check_factorization(job: JobConfig, args) -> dict:
@@ -287,7 +283,7 @@ def _cmd_fitting(job: JobConfig, args) -> dict:
     report: dict = {"level": level, "regular_det": gens.regular}
     if gens.components is not None:
         report["components"] = [
-            {"character": _character_json(chi), "value": _cyc_json(value)}
+            {"character": list(chi.exponents), "value": _cyc_json(value)}
             for chi, value in gens.components]
     return report
 

@@ -5,21 +5,18 @@ polynomials in ζ = ζ_{p^k} modulo the cyclotomic polynomial
 Φ_{p^k}(x) = Σ_{i<p} x^{i·p^{k-1}}.  Conductor 1 (k = 0) degenerates to the
 ordinary integers, which keeps trivial characters on the same code path.
 
-No arithmetic is done on elements: every determinant over Z[ζ] goes
-through the integer kernel.  The entries' power-basis coordinates are
-lifted to Z[x], ``linalg.det_int_poly_matrix`` takes one determinant Δ(x),
-and ``galois_images`` reads Δ at ζ, or at every Galois conjugate ζ^a, by
-one fold modulo x^(p^k) − 1, one permutation and one reduction modulo
-Φ_{p^k} each.  ``det_cyclotomic`` is that route for one matrix; matrices
-over Z[ζ][u] reach it by Kronecker substitution u = 2^B.
+No arithmetic is done on elements and no determinant is taken here.  The
+callers lift a matrix over Z[ζ_{p^j}] to Z[x] and take one integer
+polynomial determinant Δ(x) per Galois orbit; ``galois_images`` reads Δ at
+every Galois conjugate ζ^a by one fold modulo x^(p^j) − 1, one permutation
+and one reduction modulo Φ_{p^j} each.  It is Z-linear, so it reads the
+u-packed coefficients of a determinant over Z[x][u] as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
-
-from .linalg import _eval_poly, _unpack, det_int_poly_matrix
 
 
 def euler_phi_prime_power(p: int, k: int) -> int:
@@ -41,18 +38,6 @@ class CyclotomicInteger:
     @property
     def conductor(self) -> int:
         return self.p ** self.k
-
-    @staticmethod
-    def from_int(p: int, k: int, value: int) -> "CyclotomicInteger":
-        phi = euler_phi_prime_power(p, k)
-        return CyclotomicInteger(p, k, (value,) + (0,) * (phi - 1))
-
-    def __neg__(self) -> "CyclotomicInteger":
-        return CyclotomicInteger(self.p, self.k,
-                                 tuple(-a for a in self.coeffs))
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
 
 
 def _add_monomial(coeffs: list, exponent: int, value, p: int, k: int) -> None:
@@ -102,10 +87,10 @@ def _reduce_mod_phi(p: int, k: int, coeffs: list[int]) -> list[int]:
 
 
 def galois_images(p: int, n: int, j: int, poly: Sequence[int],
-                  units: Sequence[int]) -> list[CyclotomicInteger]:
-    """Δ(ζ^(a·p^(n−j))) in Z[ζ_{p^n}], ζ = ζ_{p^n}, for the integer
-    polynomial Δ of ascending coefficients ``poly`` and each unit a mod
-    p^j in ``units``, in that order.
+                  units: Sequence[int]) -> list[tuple[int, ...]]:
+    """The coordinates of Δ(ζ^(a·p^(n−j))) in Z[ζ_{p^n}], ζ = ζ_{p^n}, for
+    the integer polynomial Δ of ascending coefficients ``poly`` and each
+    unit a mod p^j in ``units``, in that order.
 
     x ↦ ζ^(a·p^(n−j)) is a ring map Z[x] → Z[ζ_{p^n}] (Washington,
     *Introduction to Cyclotomic Fields*, §2) onto a root of order p^j, so
@@ -119,55 +104,12 @@ def galois_images(p: int, n: int, j: int, poly: Sequence[int],
     for t, c in enumerate(poly):
         folded[t % order] += c
     step = p ** (n - j)
+    phi = euler_phi_prime_power(p, n)
     out = []
     for a in units:
         inverse = pow(a, -1, order)
-        coeffs = [0] * euler_phi_prime_power(p, n)
+        coeffs = [0] * phi
         coeffs[::step] = _reduce_mod_phi(
             p, j, [folded[t * inverse % order] for t in range(order)])
-        out.append(CyclotomicInteger(p, n, tuple(coeffs)))
+        out.append(tuple(coeffs))
     return out
-
-
-def det_cyclotomic(p: int, k: int,
-                   matrix: Sequence[Sequence[CyclotomicInteger]]
-                   ) -> CyclotomicInteger:
-    """Determinant over Z[ζ_{p^k}] through the integer kernel: the entries'
-    power-basis coordinates are lifted to Z[x], ``det_int_poly_matrix``
-    takes the one determinant Δ(x) over Z[x], and x ↦ ζ, a ring map, gives
-    det = Δ(ζ), read off by ``galois_images``."""
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise ValueError("matrix is not square")
-    rows = [{j: x.coeffs for j, x in enumerate(row) if not x.is_zero()}
-            for row in matrix]
-    return galois_images(p, k, k, det_int_poly_matrix(rows), [1])[0]
-
-
-def det_cyclotomic_poly_matrix(
-        p: int, k: int,
-        matrix: Sequence[Sequence[Sequence[CyclotomicInteger]]],
-) -> tuple[CyclotomicInteger, ...]:
-    """Determinant of a matrix over Z[ζ_{p^k}][u] whose entries list their
-    ascending u-coefficients; the result has no trailing zeros.
-
-    Kronecker substitution: one ``det_cyclotomic`` at u = 2^B, whose
-    power-basis coordinates split into signed base-2^B digits.
-    """
-    # The determinant is the image under x ↦ ζ of the determinant of the
-    # lifted matrix over Z[x][u], of ℓ1 norm at most S = ∏_i Σ_j ‖a_ij‖₁.
-    # Every ζ^e has power-basis coordinates in {0, ±1}, so no coordinate of
-    # a u-coefficient exceeds S, and each fits in a signed B-bit digit.
-    bound = 1
-    for row in matrix:
-        bound *= sum(abs(c) for entry in row for x in entry for c in x.coeffs)
-    bits = bound.bit_length() + 1
-    phi = euler_phi_prime_power(p, k)
-    packed = [[CyclotomicInteger(p, k, tuple(
-        _eval_poly([x.coeffs[i] for x in entry], 1 << bits)
-        for i in range(phi))) for entry in row] for row in matrix]
-    digits = [_unpack(c, bits) for c in det_cyclotomic(p, k, packed).coeffs]
-    return tuple(
-        CyclotomicInteger(p, k, tuple(d[t] if t < len(d) else 0
-                                      for d in digits))
-        for t in range(max(map(len, digits))))

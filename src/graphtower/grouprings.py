@@ -4,21 +4,24 @@ voltage Laplacian D − A_α^t over Z[G^(n)].
 A voltage Laplacian is given by its base: per edge, the indices (i, j) of
 its ends and the normal form a of its voltage in G^(n), and the degrees.
 χ(a) is computed in one place, ``Character.exponent``, and χ(A_α) is
-built in one, ``character_adjacency``.  Both ``nrd_abelian`` and
-``orbit_h_values`` take one integer polynomial determinant per Galois
-orbit of characters, of a lift to Z[x], and read the values of the whole
-orbit off it with ``cyclotomic.galois_images`` (χ^a(M) = σ_a(χ(M))).
-``nrd_abelian`` lifts the coordinates that the builder gives; the lift of
-``orbit_h_values`` reads the exponents and not the builder.  The regular
-representation of D − A_α^t is the Laplacian of the cover X_n, so its
-determinant is 0, and it is never built.
+built in one, ``character_adjacency``, as sparse power-basis coordinates
+over Z[ζ_{p^j}], χ of order p^j.  The unit of work is the Galois orbit:
+``orbit_nrd`` and ``orbit_h_values`` each take one integer polynomial
+determinant Δ(x) per orbit, of a lift to Z[x], and
+``cyclotomic.galois_images`` reads the value at every χ^a off it
+(χ^a(M) = σ_a(χ(M))).  ``orbit_nrd`` lifts the coordinates that the
+builder gives; ``orbit_h_values`` reads the exponents and not the
+builder.  ``per_character`` spreads per-orbit values over the characters,
+keyed by exponent vectors, so no character is built per conjugate.  The
+regular representation of D − A_α^t is the Laplacian of the cover X_n,
+so its determinant is 0, and it is never built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .cyclotomic import (CyclotomicInteger, _add_monomial,
                          euler_phi_prime_power, galois_images)
@@ -46,11 +49,6 @@ class Character:
         if len(self.exponents) != self.spec.rank:
             raise ValueError("exponent vector length differs from rank")
 
-    def conjugate(self) -> "Character":
-        mod = self.spec.p ** self.level
-        return Character(self.spec, self.level,
-                         tuple((-e) % mod for e in self.exponents))
-
     @property
     def order_level(self) -> int:
         """j with χ of order p^j: its values lie in Z[ζ_{p^j}]."""
@@ -75,6 +73,25 @@ def characters(spec: TowerGroupSpec, n: int) -> list[Character]:
     return [Character(spec, n, g.data) for g in spec.enumerate_group(n)]
 
 
+def _orbits(chars: Sequence[Character]) -> Iterator[
+        tuple[Character, list[int], list[tuple[int, ...]]]]:
+    """(χ, units, conjugates) for the first character χ of each Galois
+    orbit among ``chars``, all of one level n, in their order: the units
+    a mod p^j, χ of order p^j, and the exponent vectors of χ^a in the same
+    order.  χ^a depends on a mod p^j only, since p^(n−j) divides every
+    exponent of χ."""
+    seen: set[tuple[int, ...]] = set()
+    for chi in chars:
+        if chi.exponents in seen:
+            continue
+        p, mod = chi.spec.p, chi.spec.p ** chi.level
+        units = [a for a in range(1, p ** chi.order_level) if a % p] or [1]
+        conjugates = [tuple(a * e % mod for e in chi.exponents)
+                      for a in units]
+        seen.update(conjugates)
+        yield chi, units, conjugates
+
+
 def galois_orbits(spec: TowerGroupSpec,
                   n: int) -> list[tuple[Character, int]]:
     """One character per orbit of χ ↦ χ^a (a a unit mod p^n), with its size.
@@ -83,83 +100,86 @@ def galois_orbits(spec: TowerGroupSpec,
     character of order p^j has φ(p^j) elements; it is one Q(ζ_{p^j})
     component of the group algebra Q[G^(n)].
     """
-    chars = characters(spec, n)
-    mod = spec.p ** n
-    units = [a for a in range(1, mod) if a % spec.p] or [1]
-    seen: set[tuple[int, ...]] = set()
-    out = []
-    for chi in chars:
-        if chi.exponents in seen:
-            continue
-        orbit = {tuple(a * e % mod for e in chi.exponents) for a in units}
-        seen |= orbit
-        out.append((chi, len(orbit)))
-    return out
+    return [(chi, len(units))
+            for chi, units, _ in _orbits(characters(spec, n))]
 
 
-def character_adjacency(chi: Character, size: int,
-                        edges: Edges) -> list[list[CyclotomicInteger]]:
-    """χ(A_α) over Z[ζ_{p^n}], n = χ's level, for a base of ``size``
-    vertices: an edge (i, j, a) adds ζ^χ(a) at (i, j) and ζ^−χ(a) at
-    (j, i), both at (i, i) for a loop.
+def per_character(chars: Sequence[Character],
+                  orbit_values: Callable[[Character, list[int]], Iterable]
+                  ) -> list:
+    """One value per character of ``chars``, in their order, taken one
+    Galois orbit at a time: ``orbit_values(χ, units)`` for the first
+    character χ of each orbit gives the values at χ^a, a in ``units``, in
+    that order."""
+    values: dict[tuple[int, ...], object] = {}
+    for chi, units, conjugates in _orbits(chars):
+        values.update(zip(conjugates, orbit_values(chi, units)))
+    return [values[chi.exponents] for chi in chars]
+
+
+def character_adjacency(chi: Character,
+                        edges: Edges) -> dict[tuple[int, int], list[int]]:
+    """χ(A_α) over Z[ζ_{p^j}], χ of order p^j, as the power-basis
+    coordinates of its nonzero entries keyed by (row, column): an edge
+    (i, k, a) adds ζ_{p^j}^e at (i, k) and ζ_{p^j}^−e at (k, i), both at
+    (i, i) for a loop, e = ``chi.exponent(a)`` / p^(n−j)."""
+    p, j = chi.spec.p, chi.order_level
+    step = p ** (chi.level - j)
+    phi = euler_phi_prime_power(p, j)
+    entries: dict[tuple[int, int], list[int]] = {}
+    for i, k, a in edges:
+        e = chi.exponent(a) // step
+        _add_monomial(entries.setdefault((i, k), [0] * phi), e, 1, p, j)
+        _add_monomial(entries.setdefault((k, i), [0] * phi), -e, 1, p, j)
+    return {key: coords for key, coords in entries.items() if any(coords)}
+
+
+def orbit_nrd(chi: Character, edges: Edges,
+              degrees: Sequence[int]) -> tuple[int, ...]:
+    """Δ(x) with Δ(ζ_{p^j}^a) the χ^a-component of Nrd(D − A_α^t), χ of
+    order p^j, for every unit a mod p^j.
+
+    For abelian groups the reduced norm is the componentwise determinant
+    under the character decomposition of the group algebra; the
+    χ-component is det(D − χ(A_α)^t).  The coordinates of
+    ``character_adjacency`` are lifted to Z[x], so that x ↦ ζ_{p^j} takes
+    the lift back, with D on the diagonal, and one ``det_int_poly_matrix``
+    gives Δ(x).  Since χ^a(A_α) = σ_a(χ(A_α)), the χ^a-component is
+    Δ(ζ_{p^j}^a).
     """
-    p, n = chi.spec.p, chi.level
-    mod = p ** n
-    coeffs = [[[0] * euler_phi_prime_power(p, n) for _ in range(size)]
-              for _ in range(size)]
-    for i, j, a in edges:
-        e = chi.exponent(a)
-        _add_monomial(coeffs[i][j], e, 1, p, n)
-        _add_monomial(coeffs[j][i], -e % mod, 1, p, n)
-    return [[CyclotomicInteger(p, n, tuple(c)) for c in row] for row in coeffs]
+    rows: list[dict[int, list[int]]] = [{} for _ in degrees]
+    for (k, i), coords in character_adjacency(chi, edges).items():
+        rows[i][k] = [-c for c in coords]  # entry (k, i) goes to (i, k)
+    for i, d in enumerate(degrees):
+        rows[i].setdefault(i, [0])[0] += d
+    return det_int_poly_matrix(rows)
 
 
 def nrd_abelian(spec: TowerGroupSpec, n: int, edges: Edges,
                 degrees: Sequence[int]
                 ) -> list[tuple[Character, CyclotomicInteger]]:
     """Per-character determinants of D − A_α^t over an abelian G^(n), in
-    ``characters`` order.
-
-    For abelian groups the reduced norm is the componentwise determinant
-    under the character decomposition of the group algebra; the
-    χ-component is det(D − χ(A_α)^t).  It is taken once per Galois orbit.
-    For the first character χ of an orbit, of order p^j, the entries of
-    χ(A_α) from ``character_adjacency`` lie in Z[ζ_{p^j}], whose
-    coordinates in Z[ζ_{p^n}] sit at the multiples of p^(n−j).  Those
-    coordinates of D − χ(A_α)^t are lifted to Z[x], so that x ↦ ζ_{p^j}
-    takes the lift back, and one ``det_int_poly_matrix`` gives Δ(x).
-    Since χ^a(A_α) = σ_a(χ(A_α)), the χ^a-component is Δ(ζ_{p^j}^a), read
-    off by ``_orbit``.
-    """
-    m = len(degrees)
+    ``characters`` order: one ``orbit_nrd`` per Galois orbit, whose
+    conjugates ``galois_images`` reads off."""
     chars = characters(spec, n)
-    values: dict[tuple[int, ...], CyclotomicInteger] = {}
-    for chi in chars:
-        if chi.exponents in values:
-            continue
-        step = spec.p ** (n - chi.order_level)
-        rows: list[dict[int, list[int]]] = [{} for _ in degrees]
-        for k, row in enumerate(character_adjacency(chi, m, edges)):
-            for i, x in enumerate(row):  # entry (k, i) goes to (i, k)
-                if not x.is_zero():
-                    rows[i][k] = [-c for c in x.coeffs[::step]]
-        for i, d in enumerate(degrees):
-            rows[i].setdefault(i, [0])[0] += d
-        values.update((conjugate.exponents, value) for conjugate, value in
-                      _orbit(chi, det_int_poly_matrix(rows)))
-    return [(chi, values[chi.exponents]) for chi in chars]
+
+    def components(chi: Character, units: list[int]) -> list:
+        return galois_images(spec.p, n, chi.order_level,
+                             orbit_nrd(chi, edges, degrees), units)
+
+    return [(chi, CyclotomicInteger(spec.p, n, value))
+            for chi, value in zip(chars, per_character(chars, components))]
 
 
-def orbit_h_values(chi: Character, edges: Edges, degrees: Sequence[int]
-                   ) -> list[tuple[Character, CyclotomicInteger]]:
-    """h(χ^a, 1) = det(D − χ^a(A_α)) for every unit a mod p^j, χ of order
-    p^j, in order of a, from one integer polynomial determinant.
+def orbit_h_values(chi: Character, edges: Edges,
+                   degrees: Sequence[int]) -> tuple[int, ...]:
+    """Δ(x) with Δ(ζ_{p^j}^a) = h(χ^a, 1) = det(D − χ^a(A_α)), χ of order
+    p^j, for every unit a mod p^j.
 
     D − χ(A_α) is lifted to Z[x]: an edge (i, k, a) subtracts x^e at
     (i, k) and x^(−e mod p^j) at (k, i), e = ``chi.exponent(a)`` / p^(n−j),
-    and D sits on the diagonal.  Its determinant Δ(x) is taken by
-    ``det_int_poly_matrix``; x ↦ ζ_{p^j}^a takes the lift to
-    D − χ^a(A_α), so h(χ^a, 1) = Δ(ζ_{p^j}^a), read off by ``_orbit``.
+    and D sits on the diagonal.  x ↦ ζ_{p^j}^a takes the lift to
+    D − χ^a(A_α), and ``det_int_poly_matrix`` takes its determinant Δ(x).
     This lift reads the exponents, not ``character_adjacency``.
     """
     p, n, j = chi.spec.p, chi.level, chi.order_level
@@ -171,19 +191,7 @@ def orbit_h_values(chi: Character, edges: Edges, degrees: Sequence[int]
             entry = rows[first].setdefault(second, [0])
             entry += [0] * (power + 1 - len(entry))
             entry[power] -= 1
-    return _orbit(chi, det_int_poly_matrix(rows))
-
-
-def _orbit(chi: Character, delta: Sequence[int]
-           ) -> list[tuple[Character, CyclotomicInteger]]:
-    """(χ^a, Δ(ζ_{p^j}^a)) for each unit a mod p^j, in order of a, χ of
-    order p^j, with the values in Z[ζ_{p^n}], n = χ's level."""
-    p, n, j = chi.spec.p, chi.level, chi.order_level
-    mod = p ** n
-    units = [a for a in range(1, p ** j) if a % p] or [1]
-    return [(Character(chi.spec, n, tuple(a * x % mod
-                                          for x in chi.exponents)), value)
-            for a, value in zip(units, galois_images(p, n, j, delta, units))]
+    return det_int_poly_matrix(rows)
 
 
 def regular_det_fits(spec: TowerGroupSpec, level: int, size: int) -> bool:

@@ -9,8 +9,9 @@ head at most steps, and there a Bareiss step only scales the row by the
 ratio of two consecutive pivots.  `det_int` defers that scaling and
 applies the telescoped ratio once, when the row is next used; the
 division is exact because the scaled entry is a minor of the input.
-Determinants over Z[ζ] reach `det_int_poly_matrix` too, lifted to Z[x]
-(`cyclotomic.det_cyclotomic`, `grouprings.nrd_abelian`); nothing here is
+Determinants over Z[ζ] reach `det_int_poly_matrix` too, lifted to Z[x],
+one per Galois orbit of characters (`grouprings.orbit_nrd`,
+`grouprings.orbit_h_values`, `zeta.artin_l_inverse`); nothing here is
 generic over the ring.
 
 Smith normal form takes the matrix as sparse rows {column: value}, the

@@ -14,9 +14,10 @@ so a fault in either cannot pass the factorization check on both sides.
 That check takes one more integer determinant per Galois orbit of
 characters, the norm of the orbit's L-function, from the base edges'
 level-n normal forms.  The per-character L-functions that ``lfun`` prints
-are one Z[ζ] determinant each, packed at u = 2^B and lifted to Z[x], so
-they too are integer determinants.  Every identity check below is an
-exact equality — never a float comparison.
+take one integer polynomial determinant per Galois orbit too, packed at
+u = 2^B and lifted to Z[x], and ``cyclotomic.galois_images`` reads every
+character of the orbit off it.  Every identity check below is an exact
+equality — never a float comparison.
 
 The L-functions, the interpolation check and ``fitting`` read the cover's
 adjacency Σ_σ A(σ)·σ, where A(σ)_ij counts the edges between (v_i, 1) and
@@ -33,13 +34,16 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from math import prod
+from operator import eq
 from typing import Sequence
 
-from .cyclotomic import (CyclotomicInteger, det_cyclotomic_poly_matrix,
-                         euler_phi_prime_power, root_power_matrix)
-from .grouprings import (Character, Edges, character_adjacency,
-                         galois_orbits, nrd_abelian, orbit_h_values)
-from .linalg import det_int_poly_matrix
+from .cyclotomic import (CyclotomicInteger, euler_phi_prime_power,
+                         galois_images, root_power_matrix)
+from .grouprings import (Character, Edges, character_adjacency, characters,
+                         galois_orbits, orbit_h_values, orbit_nrd,
+                         per_character)
+from .linalg import _unpack, det_int_poly_matrix
 from .polynomials import IntPolynomial
 from .voltage import VoltageAssignment, check_derive_bounds, cover_index_pairs
 
@@ -50,15 +54,6 @@ class ZetaData:
 
     chi: int
     det_part: IntPolynomial
-
-
-@dataclass(frozen=True)
-class ArtinLData:
-    """L(χ,u)^{-1} = (1−u²)^{−d·chi} · det_part(u), d = 1 for characters."""
-
-    character: Character
-    chi: int  # Euler characteristic of the base graph
-    det_part: tuple[CyclotomicInteger, ...]  # ascending coefficients
 
 
 def ihara_zeta_inverse(num_vertices: int,
@@ -172,26 +167,50 @@ def _two_colouring(neighbours: Sequence[Counter]) -> list[int] | None:
     return colour
 
 
-def artin_l_inverse(chi: Character, edges: Edges,
-                    degrees: Sequence[int]) -> ArtinLData:
-    """Exact det part of the Artin-Ihara L-function for a character.
+def artin_l_inverse(chi: Character, units: Sequence[int], edges: Edges,
+                    degrees: Sequence[int]
+                    ) -> list[tuple[CyclotomicInteger, ...]]:
+    """Exact det parts of the Artin-Ihara L-functions of a Galois orbit:
+    det(I − χ^a(A)u + (D − I)u²) for each unit a mod p^j in ``units``, χ
+    of order p^j, as ascending u-coefficients in Z[ζ_{p^n}], n = χ's
+    level, with no trailing zeros.  L(χ^a,u)^{-1} is (1−u²)^{−χ(X)} times
+    it, χ(X) the Euler characteristic of the base.
 
     The base is given by its degrees and its edges (i, j, a), a the normal
-    form of the edge's voltage at χ's level, as for ``artin_l_norm``.
+    form of the edge's voltage at χ's level, as for ``artin_l_norm``.  The
+    coordinates of ``character_adjacency`` lift the matrix to Z[x][u], and
+    u = 2^B is packed into each x-coefficient, so one
+    ``det_int_poly_matrix`` gives Δ(x) with packed coefficients.
+    ``galois_images`` is Z-linear, so it reads each conjugate's packed
+    coordinates off Δ, and each splits into its signed base-2^B digits,
+    the coordinates of the u-coefficients.
     """
+    # The lift has ℓ1 norm at most S = ∏_i Σ_k ‖a_ik‖₁ over its x- and
+    # u-coefficients, and so has its determinant.  Folding and permuting
+    # do not raise the ℓ1 norm of a u-coefficient, and a coordinate reduced
+    # modulo Φ is a difference of two folded ones, so no coordinate
+    # exceeds S, and each fits in a signed digit of B bits.
     p, n = chi.spec.p, chi.level
-
-    def const(c: int) -> CyclotomicInteger:
-        return CyclotomicInteger.from_int(p, n, c)
-
-    # I − χ(A)u + (D − I)u², as u-coefficient triples
-    entries = [[(const(int(i == j)), -x,
-                 const(degrees[i] - 1 if i == j else 0))
-                for j, x in enumerate(row)]
-               for i, row in enumerate(
-                   character_adjacency(chi, len(degrees), edges))]
-    return ArtinLData(chi, len(degrees) - len(edges),
-                      det_cyclotomic_poly_matrix(p, n, entries))
+    adjacency = character_adjacency(chi, edges)
+    norms = [1 + abs(d - 1) for d in degrees]
+    for (i, _), coords in adjacency.items():
+        norms[i] += sum(map(abs, coords))
+    bits = prod(norms).bit_length() + 1
+    u = 1 << bits
+    rows: list[dict[int, list[int]]] = [{} for _ in degrees]
+    for (i, k), coords in adjacency.items():
+        rows[i][k] = [-c * u for c in coords]
+    for i, d in enumerate(degrees):
+        rows[i].setdefault(i, [0])[0] += 1 + (d - 1) * u * u
+    det_parts = []
+    for image in galois_images(p, n, chi.order_level,
+                               det_int_poly_matrix(rows), units):
+        digits = [_unpack(c, bits) for c in image]
+        det_parts.append(tuple(
+            CyclotomicInteger(p, n, tuple(d[t] if t < len(d) else 0
+                                          for d in digits))
+            for t in range(max(map(len, digits)))))
+    return det_parts
 
 
 def artin_l_norm(chi: Character, edges: Edges,
@@ -231,9 +250,10 @@ def artin_l_norm(chi: Character, edges: Edges,
 
 @dataclass(frozen=True)
 class InterpolationReport:
-    """Per-character outcome of h(χ,1) = (χ̄-component of Nrd(D − A_α^t))."""
+    """Per-character outcome of h(χ,1) = (χ̄-component of Nrd(D − A_α^t)),
+    each character given by its exponent vector, in ``characters`` order."""
 
-    results: tuple[tuple[Character, bool], ...]
+    results: tuple[tuple[tuple[int, ...], bool], ...]
 
     @property
     def all_pass(self) -> bool:
@@ -244,28 +264,33 @@ def interpolation_check(alpha: VoltageAssignment, n: int) -> InterpolationReport
     """Check the L-value interpolation identity at every character.
 
     One side is the χ̄-component of the reduced norm of D − A_α^t,
-    det(χ̄(D − A_α^t)) from ``nrd_abelian``: the transpose conjugates
-    characters.  It lifts the coordinates of ``character_adjacency``'s
-    χ(A_α), transposed, to Z[x].  The other is h(χ, 1) = det(D − χ(A_α))
+    det(χ̄(D − A_α^t)): the transpose conjugates characters.  ``orbit_nrd``
+    takes it from the coordinates of ``character_adjacency``'s χ(A_α),
+    transposed and lifted to Z[x].  The other is h(χ, 1) = det(D − χ(A_α))
     from ``orbit_h_values``, which lifts the exponents χ(a) of the edges
     and does not read the builder.  Each side takes one integer polynomial
-    determinant per Galois orbit, and both read the orbit's values off it
-    by the same Galois step, ``cyclotomic.galois_images``, which the
-    oracle tests check against Leibniz determinants.  Orbits are taken
-    from the characters in ``nrd_abelian``'s order, so the characters are
-    listed once, and the normal forms are read once.
+    determinant per Galois orbit.  For the orbit's first character χ, of
+    order p^j, and each unit a mod p^j, ``cyclotomic.galois_images`` reads
+    h(χ^a, 1) at a off the one and the χ^(−a)-component at −a off the
+    other, and the pair is compared, so every character is.  The
+    characters are listed once, and the normal forms are read once.
     """
     check_derive_bounds(alpha, n)  # the bounds of X_n, before level-n work
+    p = alpha.spec.p
     edges = alpha.normal_form_edges(n)
     degrees = alpha.base.degrees()
-    components = dict(nrd_abelian(alpha.spec, n, edges, degrees))
-    h_values: dict[Character, CyclotomicInteger] = {}
-    for chi in components:
-        if chi not in h_values:
-            h_values.update(orbit_h_values(chi, edges, degrees))
-    return InterpolationReport(tuple(
-        (chi, h_values[chi] == components[chi.conjugate()])
-        for chi in components))
+    chars = characters(alpha.spec, n)
+
+    def compare(chi: Character, units: list[int]):
+        j = chi.order_level
+        h_values = galois_images(p, n, j, orbit_h_values(chi, edges, degrees),
+                                 units)
+        components = galois_images(p, n, j, orbit_nrd(chi, edges, degrees),
+                                   [-a % p ** j for a in units])
+        return map(eq, h_values, components)
+
+    return InterpolationReport(tuple(zip(
+        (chi.exponents for chi in chars), per_character(chars, compare))))
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,11 @@ from dataclasses import dataclass
 from graphtower import (Multigraph, TowerGroupSpec, VoltageAssignment,
                         ihara_zeta_inverse, is_connected)
 from graphtower.cyclotomic import (CyclotomicInteger, _add_monomial,
-                                   euler_phi_prime_power)
+                                   euler_phi_prime_power, galois_images)
 from graphtower.errors import DisconnectedError
 from graphtower.groups import GroupElement, _fp_rank, p_valuation
-from graphtower.grouprings import characters
+from graphtower.grouprings import Character, characters
+from graphtower.linalg import det_int_poly_matrix
 
 
 def random_connected_multigraph(rng: random.Random,
@@ -373,9 +374,17 @@ def cyclotomic_sum(*terms):
                              tuple(map(sum, zip(*(x.coeffs for x in terms)))))
 
 
+def cyclotomic_constant(p, k, value):
+    """The integer value as an element of Z[ζ_{p^k}]."""
+    return CyclotomicInteger(
+        p, k, (value,) + (0,) * (euler_phi_prime_power(p, k) - 1))
+
+
 def cyclotomic_difference(a, b):
     """a − b in Z[ζ_{p^k}]."""
-    return cyclotomic_sum(a, -b)
+    assert (a.p, a.k) == (b.p, b.k)
+    return CyclotomicInteger(a.p, a.k,
+                             tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
 
 
 def cyclotomic_product(a, b):
@@ -396,15 +405,50 @@ def leibniz_det(p, k, matrix):
     no elimination and no lift to Z[x], so it shares no step with the
     package's determinants."""
     m = len(matrix)
-    total = CyclotomicInteger.from_int(p, k, 0)
+    total = cyclotomic_constant(p, k, 0)
     for perm in itertools.permutations(range(m)):
-        term = CyclotomicInteger.from_int(p, k, 1)
+        term = cyclotomic_constant(p, k, 1)
         for i, j in enumerate(perm):
             term = cyclotomic_product(term, matrix[i][j])
         inversions = sum(perm[i] > perm[j]
                          for i in range(m) for j in range(i + 1, m))
-        total = cyclotomic_sum(total, -term if inversions % 2 else term)
+        total = (cyclotomic_difference if inversions % 2 else
+                 cyclotomic_sum)(total, term)
     return total
+
+
+def lifted_det(p, k, matrix):
+    """Determinant over Z[ζ_{p^k}] by the package's route: the entries'
+    power-basis coordinates lifted to Z[x], one ``det_int_poly_matrix``,
+    and Δ(ζ) read off by ``galois_images``."""
+    rows = [{j: x.coeffs for j, x in enumerate(row) if any(x.coeffs)}
+            for row in matrix]
+    [value] = galois_images(p, k, k, det_int_poly_matrix(rows), [1])
+    return CyclotomicInteger(p, k, value)
+
+
+def orbit_units(chi):
+    """The units a mod p^j, χ of order p^j, ascending: χ^a runs once over
+    the Galois orbit of χ."""
+    p = chi.spec.p
+    return [a for a in range(1, p ** chi.order_level) if a % p] or [1]
+
+
+def character_power(chi, a):
+    """χ^a; a = −1 gives the conjugate character χ̄."""
+    mod = chi.spec.p ** chi.level
+    return Character(chi.spec, chi.level,
+                     tuple(a * e % mod for e in chi.exponents))
+
+
+def adjacency_matrix(chi, size, entries):
+    """The size×size matrix over Z[ζ_{p^n}], n = χ's level, of the sparse
+    coordinates over Z[ζ_{p^j}] that ``character_adjacency`` gives for χ
+    of order p^j."""
+    p, j = chi.spec.p, chi.order_level
+    zero = (0,) * euler_phi_prime_power(p, j)
+    return [[lift(CyclotomicInteger(p, j, tuple(entries.get((i, k), zero))),
+                  chi.level) for k in range(size)] for i in range(size)]
 
 
 def as_int(x):

@@ -525,9 +525,8 @@ def test_4374_vertex_jacobian_is_cheap(tmp_path, capsys, argv):
 
 def test_check_factorization_uses_no_cyclotomic_arithmetic(tmp_path, capsys,
                                                             monkeypatch):
-    """The orbit norms are integer determinants: no Z[ζ] determinant, no
-    reduction modulo Φ and no element of Z[ζ] is made."""
-    bareiss = _count_calls(monkeypatch, graphtower.cyclotomic.det_cyclotomic)
+    """The orbit norms are integer determinants: no reduction modulo Φ and
+    no element of Z[ζ] is made."""
     images = _count_calls(monkeypatch, graphtower.cyclotomic.galois_images)
     elements = []
     post_init = CyclotomicInteger.__post_init__
@@ -540,7 +539,7 @@ def test_check_factorization_uses_no_cyclotomic_arithmetic(tmp_path, capsys,
     path = write_config(tmp_path, LOOP_CONFIG)
     assert main(["check-factorization", "--config", path, "--level", "2"]) == 0
     assert json.loads(capsys.readouterr().out)["pass"] is True
-    assert len(bareiss) == len(images) == len(elements) == 0
+    assert len(images) == len(elements) == 0
 
 
 @pytest.mark.parametrize("subcommand", ["lfun", "check-interpolation"])
@@ -586,33 +585,34 @@ def _count_normal_forms(monkeypatch):
 def test_check_interpolation_builds_each_intermediate_once(tmp_path, capsys,
                                                           monkeypatch):
     """check-interpolation lists the characters once and takes one lifted
-    integer determinant per Galois orbit on each side, with no Z[ζ]
-    determinant; fitting takes one per orbit, whose packed integer
-    determinant is its only det_int; lfun takes one Z[ζ] determinant per
-    character; and all three read the voltages' normal forms once per job.
-    LOOP_CONFIG at level 2 has 9 characters in 3 orbits."""
+    integer determinant per Galois orbit on each side; fitting and lfun
+    take one per orbit, whose packed integer determinant is its only
+    det_int; no job builds a character past the 9 that ``characters``
+    lists, so none per conjugate; and all three read the voltages' normal
+    forms once per job.  LOOP_CONFIG at level 2 has 9 characters in 3
+    orbits."""
     path = write_config(tmp_path, LOOP_CONFIG)
     for subcommand in ("check-interpolation", "fitting", "lfun"):
         with monkeypatch.context() as patch:
             characters = _count_calls(patch,
                                       graphtower.grouprings.characters)
             normal_forms = _count_normal_forms(patch)
-            cyclotomic = _count_calls(patch,
-                                      graphtower.cyclotomic.det_cyclotomic)
             lifted = _count_calls(patch, graphtower.linalg.det_int_poly_matrix)
             integer = _count_calls(patch, graphtower.linalg.det_int)
+            built = []
+            post_init = graphtower.Character.__post_init__
+            patch.setattr(graphtower.Character, "__post_init__",
+                          lambda chi: built.append(chi) or post_init(chi))
             assert main([subcommand, "--config", path, "--level", "2"]) == 0
         report = json.loads(capsys.readouterr().out)
         if subcommand == "check-interpolation":
             assert report["all_pass"] is True
-            assert len(cyclotomic) == 0 and len(lifted) == 6
+            assert len(lifted) == len(integer) == 6
         if subcommand == "fitting":
             assert report["regular_det"] == 0
-            assert len(cyclotomic) == 0
+        if subcommand in ("fitting", "lfun"):
             assert len(lifted) == len(integer) == 3
-        if subcommand == "lfun":
-            assert len(cyclotomic) == 9
-        assert len(characters) == 1
+        assert len(characters) == 1 and len(built) == 9
         assert normal_forms == [2]
 
 
@@ -620,10 +620,10 @@ def test_check_interpolation_builds_each_intermediate_once(tmp_path, capsys,
 def test_check_interpolation_fails_on_a_corrupted_character_adjacency(
         tmp_path, capsys, monkeypatch, seed):
     """Entry (0, 0) of χ(A_α) off by one, for every character, in every
-    module that binds the builder: the transpose leaves that entry in
-    place, so two determinants over the builder would still agree; the
-    lifted side does not read the builder, so the check fails, and passes
-    unpatched."""
+    module that binds the builder, whose sparse coordinates lack the entry
+    when it is 0: the transpose leaves that entry in place, so two
+    determinants over the builder would still agree; the lifted side does
+    not read the builder, so the check fails, and passes unpatched."""
     rng = random.Random(seed)
     p, rank, level = rng.choice([(2, 1, 2), (3, 1, 1), (3, 2, 1),
                                  (5, 1, 1), (2, 2, 2)])
@@ -634,13 +634,12 @@ def test_check_interpolation_fails_on_a_corrupted_character_adjacency(
     assert json.loads(capsys.readouterr().out)["all_pass"] is True
     original = graphtower.grouprings.character_adjacency
 
-    def corrupted(chi, size, edges):
-        matrix = original(chi, size, edges)
-        entry = matrix[0][0]
-        matrix[0][0] = CyclotomicInteger(entry.p, entry.k,
-                                         (entry.coeffs[0] - 1,
-                                          *entry.coeffs[1:]))
-        return matrix
+    def corrupted(chi, edges):
+        entries = original(chi, edges)
+        coords = list(entries.get((0, 0), [0]))
+        coords[0] -= 1
+        entries[0, 0] = coords
+        return entries
 
     for module in list(sys.modules.values()):
         if (module.__name__.startswith("graphtower") and
@@ -649,6 +648,38 @@ def test_check_interpolation_fails_on_a_corrupted_character_adjacency(
     assert main(["check-interpolation", "--config", path,
                  "--level", str(level)]) == 0
     assert json.loads(capsys.readouterr().out)["all_pass"] is False
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_check_interpolation_compares_every_conjugate(tmp_path, capsys,
+                                                      monkeypatch, level):
+    """The image at the unit a = 2 of the orbit of the characters of order
+    5, Z/5 ⊂ Z/5^level, off by one in every module that binds
+    ``galois_images``: χ^2 meets the corrupted h-value and χ^3 = χ^−2 the
+    corrupted component, so exactly those two characters fail; a check
+    that compared one character per orbit, or only χ and χ̄, would pass.
+    Unpatched, every character passes."""
+    path = write_config(tmp_path, Z125_CONFIG)
+    argv = ["check-interpolation", "--config", path, "--level", str(level)]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["all_pass"] is True
+    original = graphtower.cyclotomic.galois_images
+
+    def corrupted(p, n, j, poly, units):
+        images = original(p, n, j, poly, units)
+        return [(image[0] + 1, *image[1:]) if p ** j == 5 and a == 2
+                else image for a, image in zip(units, images)]
+
+    for module in list(sys.modules.values()):
+        if (module.__name__.startswith("graphtower") and
+                vars(module).get("galois_images") is original):
+            monkeypatch.setattr(module, "galois_images", corrupted)
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    order_5 = 5 ** (level - 1)
+    assert report["all_pass"] is False
+    assert [item["character"] for item in report["per_character"]
+            if not item["pass"]] == [[2 * order_5], [3 * order_5]]
 
 
 # Z/125 (φ = 100) on a 3-vertex base, and Z/727 on a triangle with a loop:
@@ -674,18 +705,28 @@ P727_CONFIG = {
                 "aa": [[0, 3]]},
 }
 
-# SHA-256 of the fitting stdout; the Z/125 one recorded with the Bareiss
-_CLIFF_FITTING_SHA256 = {
-    5: "79c41dbcd95cd5491b991aa0953a47356bae96b4d4b3c6d5b5bd68714a7e916a",
-    727: "989023e763d58ce32a2caf18053cc736d7786f7aaad4a91695643a0bffa8caff",
+# SHA-256 of the stdout; the Z/125 fitting one recorded with the Bareiss,
+# the lfun ones with one Z[ζ] determinant per character, which took 0.3 s
+# and 18-23 s for lfun
+_CLIFF_SHA256 = {
+    (5, "fitting"):
+        "79c41dbcd95cd5491b991aa0953a47356bae96b4d4b3c6d5b5bd68714a7e916a",
+    (727, "fitting"):
+        "989023e763d58ce32a2caf18053cc736d7786f7aaad4a91695643a0bffa8caff",
+    (5, "lfun"):
+        "2487d63507ea17a18d25921c4040a1169917671e2c99384b423c0cb01274ee2f",
+    (727, "lfun"):
+        "58fb6164ee02341ba2c60f1aaa695c621df1dd49ebc713b67feda88eb51711e2",
 }
 
 
 @pytest.mark.parametrize("data, level, subcommand, seconds", [
     (Z125_CONFIG, 3, "fitting", 2), (Z125_CONFIG, 3, "check-interpolation", 2),
+    (Z125_CONFIG, 3, "lfun", 2),
     (P727_CONFIG, 1, "fitting", 4), (P727_CONFIG, 1, "check-interpolation", 2),
-], ids=["z125-fitting", "z125-check-interpolation", "p727-fitting",
-        "p727-check-interpolation"])
+    (P727_CONFIG, 1, "lfun", 10),
+], ids=["z125-fitting", "z125-check-interpolation", "z125-lfun",
+        "p727-fitting", "p727-check-interpolation", "p727-lfun"])
 def test_character_jobs_have_no_cyclotomic_cliff(tmp_path, capsys, data,
                                                  level, subcommand, seconds):
     path = write_config(tmp_path, data)
@@ -693,11 +734,11 @@ def test_character_jobs_have_no_cyclotomic_cliff(tmp_path, capsys, data,
     assert main([subcommand, "--config", path, "--level", str(level)]) == 0
     elapsed = time.perf_counter() - started
     out = capsys.readouterr().out
-    if subcommand == "fitting":
-        assert (hashlib.sha256(out.encode()).hexdigest() ==
-                _CLIFF_FITTING_SHA256[data["group"]["p"]])
-    else:
+    if subcommand == "check-interpolation":
         assert json.loads(out)["all_pass"] is True
+    else:
+        assert (hashlib.sha256(out.encode()).hexdigest() ==
+                _CLIFF_SHA256[data["group"]["p"], subcommand])
     assert elapsed < seconds
 
 

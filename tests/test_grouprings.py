@@ -4,19 +4,21 @@ import random
 import pytest
 
 from graphtower import TowerGroupSpec
-from graphtower.cyclotomic import CyclotomicInteger
+from graphtower.cyclotomic import galois_images
 from graphtower.errors import PreconditionError
 from graphtower.grouprings import (Character, character_adjacency,
                                    characters, galois_orbits, nrd_abelian,
-                                   orbit_h_values, regular_det_fits)
+                                   orbit_h_values, orbit_nrd,
+                                   regular_det_fits)
 from graphtower.linalg import det_int
 
 from conftest import (ORACLE_SHAPES, GroupRingElement, GroupRingMatrix,
-                      as_int, augmentation, reduced_norm,
-                      character_evaluate, cyclotomic_product,
+                      adjacency_matrix, as_int, augmentation, reduced_norm,
+                      character_evaluate, character_power,
+                      cyclotomic_constant, cyclotomic_product,
                       cyclotomic_sum, generator, leibniz_det,
                       group_ring_element, group_ring_zero, lift,
-                      oracle_instance, project,
+                      oracle_instance, orbit_units, project,
                       regular_representation, root_power, voltage_adjacency,
                       voltage_laplacian)
 
@@ -88,7 +90,7 @@ def test_character_linearity_example():
     one = group_ring_one(spec, 1)
     sigma = sigma_element(spec, 1)
     value = character_evaluate(chi, one + sigma)
-    expected = cyclotomic_sum(CyclotomicInteger.from_int(3, 1, 1),
+    expected = cyclotomic_sum(cyclotomic_constant(3, 1, 1),
                               root_power(3, 1, 1))
     assert value == expected
 
@@ -149,7 +151,7 @@ def test_regular_det_is_product_of_character_dets():
                     (TowerGroupSpec("abelian", 3, rank=2), 1)]:
         for _ in range(4):
             m = random_matrix(rng, spec, n, 2)
-            product = CyclotomicInteger.from_int(spec.p, n, 1)
+            product = cyclotomic_constant(spec.p, n, 1)
             for _, value in reduced_norm(m):
                 product = cyclotomic_product(product, value)
             assert as_int(product) == det_int(
@@ -289,8 +291,10 @@ def test_character_adjacency_matches_the_oracle():
             oracle = voltage_adjacency(alpha, level).entries
             edges = alpha.normal_form_edges(level)
             for chi in _some_characters(rng, alpha.spec, level):
-                assert character_adjacency(
-                    chi, alpha.base.num_vertices, edges) == [
+                entries = character_adjacency(chi, edges)
+                assert all(map(any, entries.values()))
+                assert adjacency_matrix(
+                    chi, alpha.base.num_vertices, entries) == [
                     [character_evaluate(chi, x) for x in row]
                     for row in oracle]
 
@@ -334,28 +338,38 @@ _LIFT_SHAPES = [(p, rank, level) for p in (2, 3, 5, 7, 13)
 
 @pytest.mark.parametrize("p, rank, level", _LIFT_SHAPES)
 def test_orbit_h_values_match_the_oracle(p, rank, level):
-    """h(χ, 1) from one lifted integer determinant per Galois orbit is
-    det χ̄(D − A_α^t), with χ̄ applied term by term to the oracle's
-    D − A_α^t over Z[G^(n)], for every character; so is the
-    χ̄-component of ``nrd_abelian``, which lifts ``character_adjacency``
-    per orbit instead, and whose conjugates the same Galois step reads."""
+    """For the first character χ of each Galois orbit and each unit a,
+    ``galois_images`` at a reads h(χ^a, 1) off the determinant of
+    ``orbit_h_values`` and the χ^a-component off that of ``orbit_nrd``,
+    which lifts ``character_adjacency`` instead.  They are det χ^−a and
+    det χ^a of the oracle's D − A_α^t over Z[G^(n)], with the character
+    applied term by term, and so is ``nrd_abelian``'s χ^a-component, for
+    every character."""
     rng = random.Random(50 + 100 * p + 10 * rank + level)
     for _ in range(2):
         alpha = oracle_instance(rng, "abelian", p, rank)
         edges = alpha.normal_form_edges(level)
-        values = {}
-        for chi, size in galois_orbits(alpha.spec, level):
-            orbit = orbit_h_values(chi, edges, alpha.base.degrees())
-            assert len(orbit) == size and orbit[0][0] == chi
-            values.update(orbit)
-        components = dict(nrd_abelian(alpha.spec, level, edges,
-                                      alpha.base.degrees()))
+        degrees = alpha.base.degrees()
         laplacian = voltage_laplacian(alpha, level).entries
-        chars = characters(alpha.spec, level)
-        assert len(values) == len(components) == len(chars)
-        for chi in chars:
-            expected = leibniz_det(p, level, [
-                [character_evaluate(chi, x) for x in row]
-                for row in laplacian])
-            assert values[chi.conjugate()] == components[chi] == expected
-
+        expected = {chi.exponents: leibniz_det(p, level, [
+            [character_evaluate(chi, x) for x in row] for row in laplacian])
+            for chi in characters(alpha.spec, level)}
+        components = {chi.exponents: value for chi, value in
+                      nrd_abelian(alpha.spec, level, edges, degrees)}
+        checked = set()
+        for chi, size in galois_orbits(alpha.spec, level):
+            units = orbit_units(chi)
+            j = chi.order_level
+            h_values = galois_images(
+                p, level, j, orbit_h_values(chi, edges, degrees), units)
+            nrd = galois_images(
+                p, level, j, orbit_nrd(chi, edges, degrees), units)
+            assert len(units) == len(h_values) == len(nrd) == size
+            for a, h_value, component in zip(units, h_values, nrd):
+                power = character_power(chi, a).exponents
+                inverse = character_power(chi, -a).exponents
+                assert h_value == expected[inverse].coeffs
+                assert component == expected[power].coeffs
+                assert components[power] == expected[power]
+                checked.add(power)
+        assert checked == set(expected) == set(components)

@@ -7,7 +7,7 @@ from graphtower import (Character, Multigraph, TowerGroupSpec,
                         VoltageAssignment, artin_l_inverse, derive,
                         factorization_check, ihara_zeta_inverse,
                         interpolation_check)
-from graphtower.cyclotomic import CyclotomicInteger, euler_phi_prime_power
+from graphtower.cyclotomic import euler_phi_prime_power, galois_images
 from graphtower.grouprings import (character_adjacency, characters,
                                    galois_orbits, orbit_h_values)
 from graphtower.linalg import det_int_poly_matrix
@@ -15,12 +15,14 @@ from graphtower.polynomials import PolynomialRing, _normalize
 from graphtower.voltage import cover_index_pairs
 from graphtower.zeta import artin_l_norm
 
-from conftest import (GroupRingElement, GroupRingMatrix, as_int,
-                      character_evaluate, cyclotomic_product,
-                      cyclotomic_sum, det_in_ring,
+from conftest import (GroupRingElement, GroupRingMatrix, adjacency_matrix,
+                      as_int, character_evaluate, character_power,
+                      cyclotomic_constant, cyclotomic_difference,
+                      cyclotomic_product, cyclotomic_sum, det_in_ring,
                       graph_matrices, graph_zeta, oracle_instance,
-                      random_abelian_instance, random_connected_multigraph,
-                      reduced_norm, voltage_adjacency, voltage_laplacian)
+                      orbit_units, random_abelian_instance,
+                      random_connected_multigraph, reduced_norm,
+                      voltage_adjacency, voltage_laplacian)
 
 
 def loop_graph():
@@ -113,9 +115,10 @@ def test_trivial_character_recovers_zeta():
     for _ in range(6):
         alpha, level = random_abelian_instance(rng)
         trivial = Character(alpha.spec, level, (0,) * alpha.spec.rank)
-        data = artin_l_inverse(trivial, *_norm_inputs(alpha, level))
+        [det_part] = artin_l_inverse(trivial, [1],
+                                     *_norm_inputs(alpha, level))
         expected = graph_zeta(alpha.base).det_part
-        assert [as_int(c) for c in data.det_part] == list(expected.coeffs)
+        assert [as_int(c) for c in det_part] == list(expected.coeffs)
 
 
 def test_sign_character_loop_over_z2():
@@ -123,9 +126,9 @@ def test_sign_character_loop_over_z2():
     alpha = VoltageAssignment.build(loop_graph(), spec, {"e": [[0, 1]]})
     sign = Character(spec, 1, (1,))
     base_data = _norm_inputs(alpha, 1)
-    data = artin_l_inverse(sign, *base_data)
+    [det_part] = artin_l_inverse(sign, [1], *base_data)
     # det(1 + 2u + u²) = (1 + u)²
-    assert [as_int(c) for c in data.det_part] == [1, 2, 1]
+    assert [as_int(c) for c in det_part] == [1, 2, 1]
     # h(sign, 1) = det(D − sign(A_α)) = 2 − (−2), and sign is its own
     # conjugate
     assert as_int(dict(reduced_norm(voltage_laplacian(alpha, 1)))[sign]) == 4
@@ -139,9 +142,10 @@ def test_h_at_one_trivial_character_vanishes():
         alpha, level = random_abelian_instance(rng)
         trivial = Character(alpha.spec, level, (0,) * alpha.spec.rank)
         [(chi, value), *_] = reduced_norm(voltage_laplacian(alpha, level))
-        assert chi == trivial and value.is_zero()
-        [(chi, value)] = orbit_h_values(trivial, *_norm_inputs(alpha, level))
-        assert chi == trivial and value.is_zero()
+        assert chi == trivial and not any(value.coeffs)
+        [value] = galois_images(alpha.spec.p, level, 0, orbit_h_values(
+            trivial, *_norm_inputs(alpha, level)), [1])
+        assert not any(value)
 
 
 def _edge_adjacency(cover):
@@ -193,8 +197,8 @@ def test_character_adjacency_reads_the_cover_edges():
         cover = _edge_adjacency(derive(alpha, level)).entries
         chars = characters(spec, level)
         for chi in rng.sample(chars, min(len(chars), 8)):
-            assert character_adjacency(chi, alpha.base.num_vertices,
-                                       edges) == [
+            assert adjacency_matrix(chi, alpha.base.num_vertices,
+                                    character_adjacency(chi, edges)) == [
                 [character_evaluate(chi, x) for x in row] for row in cover]
         checked += 1
     assert checked >= 25
@@ -234,8 +238,8 @@ def test_factorization_trivial_group_tautology():
 def _poly_product(p, k, factors):
     """Schoolbook product of polynomials over Z[ζ_{p^k}], each a tuple of
     u-coefficients."""
-    zero = CyclotomicInteger.from_int(p, k, 0)
-    product = (CyclotomicInteger.from_int(p, k, 1),)
+    zero = cyclotomic_constant(p, k, 0)
+    product = (cyclotomic_constant(p, k, 1),)
     for factor in factors:
         out = [zero] * (len(product) + len(factor) - 1)
         for i, x in enumerate(product):
@@ -249,15 +253,15 @@ def _poly_product(p, k, factors):
 def _leibniz_det(p, k, matrix):
     """Determinant over Z[ζ_{p^k}][u] by the Leibniz expansion, trimmed."""
     m = len(matrix)
-    total = [CyclotomicInteger.from_int(p, k, 0)] * (2 * m + 1)
+    total = [cyclotomic_constant(p, k, 0)] * (2 * m + 1)
     for perm in itertools.permutations(range(m)):
         inversions = sum(perm[i] > perm[j]
                          for i in range(m) for j in range(i + 1, m))
         term = _poly_product(p, k, [matrix[i][perm[i]] for i in range(m)])
         for d, c in enumerate(term):
-            total[d] = cyclotomic_sum(total[d],
-                                      -c if inversions % 2 else c)
-    while total and total[-1].is_zero():
+            total[d] = (cyclotomic_difference if inversions % 2 else
+                        cyclotomic_sum)(total[d], c)
+    while total and not any(total[-1].coeffs):
         total.pop()
     return tuple(total)
 
@@ -278,6 +282,11 @@ def _dense_parallel_instance(rng):
 
 
 def test_artin_l_inverse_matches_leibniz_expansion():
+    """The det part of every character's L-function, read off one packed
+    determinant per Galois orbit, is the Leibniz expansion of
+    I − χ(A_α)u + (D − I)u² over Z[ζ][u], with the character applied term
+    by term to the oracle's A_α, on seeded bases, some with many parallel
+    edges and loops, so a wide packing."""
     rng = random.Random(75)
     instances = [random_abelian_instance(rng, max_vertices=4)
                  for _ in range(20)]
@@ -286,19 +295,26 @@ def test_artin_l_inverse_matches_leibniz_expansion():
         p, m = alpha.spec.p, alpha.base.num_vertices
 
         def const(c):
-            return CyclotomicInteger.from_int(p, level, c)
+            return cyclotomic_constant(p, level, c)
 
         adjacency = voltage_adjacency(alpha, level)
         degrees = graph_matrices(alpha.base).D
         base_data = _norm_inputs(alpha, level)
-        for chi in characters(alpha.spec, level):
-            # I − A_χ u + (D − I)u², with A_χ = χ(A_α)
-            matrix = [[(const(int(i == j)),
-                        -character_evaluate(chi, adjacency.entries[i][j]),
-                        const(degrees[i][j] - int(i == j)))
-                       for j in range(m)] for i in range(m)]
-            data = artin_l_inverse(chi, *base_data)
-            assert data.det_part == _leibniz_det(p, level, matrix)
+        checked = 0
+        for chi, _ in galois_orbits(alpha.spec, level):
+            units = orbit_units(chi)
+            for a, det_part in zip(units, artin_l_inverse(chi, units,
+                                                          *base_data)):
+                power = character_power(chi, a)
+                # I − A_χ u + (D − I)u², with A_χ = χ^a(A_α)
+                matrix = [[(const(int(i == j)),
+                            cyclotomic_difference(const(0), character_evaluate(
+                                power, adjacency.entries[i][j])),
+                            const(degrees[i][j] - int(i == j)))
+                           for j in range(m)] for i in range(m)]
+                assert det_part == _leibniz_det(p, level, matrix)
+                checked += 1
+        assert checked == alpha.spec.order(level)
 
 
 # (p, rank, level) with |G^(level)| ≤ 64, for the orbit-norm oracle
@@ -340,18 +356,15 @@ def test_artin_l_norm_is_the_orbit_product_of_l_functions():
     instances += [_random_orbit_instance(rng, shape) for shape in
                   [(7, 1, 1), (7, 2, 1), (2, 3, 1), (2, 3, 2), (3, 3, 1)]]
     for alpha, level in instances:
-        p, mod = alpha.spec.p, alpha.spec.p ** level
+        p = alpha.spec.p
         base_data = _norm_inputs(alpha, level)
         for chi, size in galois_orbits(alpha.spec, level):
-            orbit = {tuple(a * e % mod for e in chi.exponents)
-                     for a in range(1, mod) if a % p}
-            assert len(orbit) == size
-            product = _poly_product(p, level, [
-                artin_l_inverse(Character(alpha.spec, level, exponents),
-                                *base_data).det_part
-                for exponents in sorted(orbit)])
+            units = orbit_units(chi)
+            assert len(units) == size
+            product = _poly_product(p, level, artin_l_inverse(
+                chi, units, *base_data))
             norm = artin_l_norm(chi, *base_data)
-            assert product == tuple(CyclotomicInteger.from_int(p, level, c)
+            assert product == tuple(cyclotomic_constant(p, level, c)
                                     for c in norm.coeffs)
 
 
@@ -360,15 +373,14 @@ def test_every_character_l_function_multiplies_to_cover_zeta():
     for _ in range(10):
         alpha, level = random_abelian_instance(rng, max_vertices=3)
         base_data = _norm_inputs(alpha, level)
-        factors, exponent = [], 0
-        for chi in characters(alpha.spec, level):
-            data = artin_l_inverse(chi, *base_data)
-            factors.append(data.det_part)
-            exponent += data.chi
+        factors = []
+        for chi, _ in galois_orbits(alpha.spec, level):
+            factors += artin_l_inverse(chi, orbit_units(chi), *base_data)
+        assert len(factors) == alpha.spec.order(level)
         product = _poly_product(alpha.spec.p, level, factors)
         zeta = graph_zeta(derive(alpha, level).graph)
         assert [as_int(c) for c in product] == list(zeta.det_part.coeffs)
-        assert exponent == zeta.chi
+        assert len(factors) * graph_matrices(alpha.base).chi == zeta.chi
 
 
 def test_factorization_check_catches_a_corrupted_sigma_matrix(monkeypatch):
