@@ -12,6 +12,7 @@ import hashlib
 import json
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import __version__
@@ -107,10 +108,12 @@ def _parse_graph(node: object) -> Multigraph:
              "vertex ids must be strings or integers")
     edges = []
     for i, e in enumerate(node["edges"]):
-        _require(isinstance(e, dict) and _is_id(e.get("id")) and
-                 isinstance(e.get("ends"), list) and len(e["ends"]) == 2 and
-                 all(_is_id(v) for v in e["ends"]),
-                 f"edge {i} needs a string or integer id and two ends")
+        # tested before the message is formatted: this runs once per edge
+        if not (isinstance(e, dict) and _is_id(e.get("id")) and
+                isinstance(e.get("ends"), list) and len(e["ends"]) == 2 and
+                all(_is_id(v) for v in e["ends"])):
+            raise ConfigError(
+                f"edge {i} needs a string or integer id and two ends")
         edges.append((e["id"], tuple(e["ends"])))
     # ids are read and written as JSON keys, so 1 and "1" would be one id
     for kind, ids in (("vertex", set(vertices)),
@@ -143,9 +146,9 @@ def _parse_voltage(node: object, graph: Multigraph,
     VoltageAssignment itself."""
     _require(isinstance(node, dict), "missing voltage map")
     for key, word in node.items():
-        _require(isinstance(word, list) and
-                 all(_is_int_list(pair, 2) for pair in word),
-                 f"malformed voltage word for edge {key}")
+        if not (isinstance(word, list) and
+                all(_is_int_list(pair, 2) for pair in word)):
+            raise ConfigError(f"malformed voltage word for edge {key}")
     unknown = set(node) - {str(eid) for eid, _ in graph.edges}
     _require(not unknown, f"voltages for unknown edges: {sorted(unknown)}")
     return VoltageAssignment.build(graph, spec, {
@@ -334,8 +337,40 @@ def _to_tsv(report: dict, prefix: str = "") -> list[str]:
     return lines
 
 
+_JSON_LITERALS = {True: "true", False: "false", None: "null"}
+
+
+def _json_text(value, indent: str = "") -> str:
+    """The text json.dumps gives for a report with string keys, indented
+    by two spaces with sorted keys, byte for byte.  With an indent,
+    json.dumps runs its pure-Python encoder a token at a time; here strings
+    go through the same C escaper and a list of plain ints is one join."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        return "{\n" + inner + (",\n" + inner).join(
+            encode_basestring_ascii(key) + ": " + _json_text(item, inner)
+            for key, item in sorted(value.items())) + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        # exactly int: a bool is an int too, but prints as true/false
+        items = (map(int.__repr__, value) if set(map(type, value)) == {int}
+                 else (_json_text(item, inner) for item in value))
+        return ("[\n" + inner + (",\n" + inner).join(items) + "\n" + indent +
+                "]")
+    if value is None or isinstance(value, bool):
+        return _JSON_LITERALS[value]
+    return json.dumps(value)
+
+
 _RENDERERS = {
-    "json": lambda report: json.dumps(report, indent=2, sort_keys=True),
+    "json": _json_text,
     "tsv": lambda report: "\n".join(_to_tsv(report)),
 }
 

@@ -10,7 +10,7 @@ from math import prod
 import pytest
 
 import graphtower
-from graphtower.cli import _HANDLERS, main, parse_config
+from graphtower.cli import _HANDLERS, _json_text, main, parse_config
 from graphtower.cyclotomic import CyclotomicInteger
 from graphtower.errors import ConfigError
 from graphtower.graphs import spanning_tree_count
@@ -126,8 +126,7 @@ def test_deterministic_output_and_report_files(tmp_path, capsys):
     assert main(["tower", "--config", path, "--out", str(out_dir)]) == 0
     second = capsys.readouterr().out
     assert first == second
-    report = json.loads((out_dir / "tower.json").read_text())
-    assert report["config_hash"] == json.loads(first)["config_hash"]
+    assert (out_dir / "tower.json").read_text() == first
     tsv = (out_dir / "tower.tsv").read_text()
     assert "e\t[0, 1, 2, 3]" in tsv
 
@@ -1300,3 +1299,147 @@ def test_tower_job_builds_no_group_element_arithmetic(tmp_path, capsys,
     assert main(["mhg-check", "--config", path]) == 0
     assert len(products) == 0
     assert len(groups) == 0 and len(adjacencies) == 0
+
+
+# integer vertex and edge ids, over (Z/2^n)^2
+_INT_ID_CONFIG = {
+    "graph": {"vertices": [0, 1, 2],
+              "edges": [{"id": 10, "ends": [0, 1]}, {"id": 11, "ends": [1, 2]},
+                        {"id": 12, "ends": [2, 0]}, {"id": 13, "ends": [0, 0]}]},
+    "group": {"kind": "abelian", "p": 2, "rank": 2},
+    "voltage": {"10": [[0, 1]], "11": [[1, 1]], "12": [],
+                "13": [[0, 1], [1, 3]]},
+}
+
+# string ids holding a quote, a backslash, a tab and non-ASCII letters,
+# which the report prints escaped
+_ESCAPED_ID_CONFIG = {
+    "graph": {"vertices": ['q"v', "b\\w", "é"],
+              "edges": [{"id": 'a"', "ends": ['q"v', "b\\w"]},
+                        {"id": "c\\d", "ends": ["b\\w", "é"]},
+                        {"id": "t\tñ", "ends": ["é", 'q"v']},
+                        {"id": "ёж", "ends": ["é", "é"]}]},
+    "group": {"kind": "metacyclic", "p": 3, "action_unit": "1+p"},
+    "voltage": {'a"': [[0, 1]], "c\\d": [[1, 1]], "t\tñ": [],
+                "ёж": [[0, 2], [1, 1]]},
+}
+
+# reports no other pin covers, by name: (config, argv)
+_REPORT_PINS = {
+    "derive-int-ids": (_INT_ID_CONFIG, ["derive", "--level", "2"]),
+    "derive-escaped-ids": (_ESCAPED_ID_CONFIG, ["derive", "--level", "1"]),
+    "check-interpolation": (_INT_ID_CONFIG,
+                            ["check-interpolation", "--level", "2"]),
+    "check-factorization": (_INT_ID_CONFIG,
+                            ["check-factorization", "--level", "2"]),
+    "iwasawa-fit": (LOOP_CONFIG, ["iwasawa-fit"]),
+    "fitting-tsv": (_INT_ID_CONFIG,
+                    ["fitting", "--level", "1", "--format", "tsv"]),
+}
+
+# SHA-256 of their stdout, recorded with json.dumps(report, indent=2,
+# sort_keys=True) as the JSON renderer
+_REPORT_SHA256 = {
+    "derive-int-ids":
+        "21246a8c5c842c6e5aa92d4fcd53e056d7922ad585384cf455547f4ae93c931d",
+    "derive-escaped-ids":
+        "10b25fbfa2ab14dea0dd25e03129be041696a1eea8b857e9ee0d6791b3b75bca",
+    "check-interpolation":
+        "48edb41961feffcae56bec2a1c8889ab9df142e53dd6d53217e85fc18f7e9d67",
+    "check-factorization":
+        "bf019b236a4d03fbdd262efe3fefe92fc42c583558f1d17d7b0d46a68fa6032d",
+    "iwasawa-fit":
+        "9b5b32f7c65a4161660432574e3af3a60c946838b6360915bed4bae039bf0c59",
+    "fitting-tsv":
+        "9d97b10aec9b718ea89a9b3bebb38296073362c103eb7fe6225de64fe5ae8f88",
+}
+
+
+@pytest.mark.parametrize("name", list(_REPORT_PINS))
+def test_report_output_is_pinned(tmp_path, capsys, name):
+    data, argv = _REPORT_PINS[name]
+    assert main([*argv, "--config", write_config(tmp_path, data)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == _REPORT_SHA256[name]
+
+
+# (config, level, subcommands): every subcommand on the test configs, and
+# fitting over Z/727, at levels each finishes quickly at
+_ORACLE_JOBS = [(LOOP_CONFIG, 2, list(_HANDLERS)),
+                (MU2_CONFIG, 1, list(_HANDLERS)),
+                (Z125_CONFIG, 1, list(_HANDLERS)),
+                (_METACYCLIC_P2_CONFIG, 2, list(_HANDLERS)),
+                (P727_CONFIG, 1, ["fitting"])]
+
+
+def test_json_reports_match_json_dumps(tmp_path, capsys):
+    """The JSON renderer prints what json.dumps(report, indent=2,
+    sort_keys=True) prints, on every report that succeeds; a job that fails
+    prints nothing."""
+    succeeded = set()
+    for data, level, subcommands in _ORACLE_JOBS:
+        path = write_config(tmp_path, data)
+        for subcommand in subcommands:
+            code = main([subcommand, "--config", path, "--level", str(level),
+                         "--max-level", str(max(level, 2))])
+            out = capsys.readouterr().out
+            if code == 0:
+                succeeded.add(subcommand)
+                assert out == json.dumps(json.loads(out), indent=2,
+                                         sort_keys=True) + "\n"
+            else:
+                assert out == ""
+    assert succeeded == set(_HANDLERS)
+
+
+_AWKWARD_TEXT = ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "ж", "€",
+                 "\U0001f600", "\ud800", "a", "id", " "]
+
+
+def _random_text(rng):
+    return "".join(rng.choice(_AWKWARD_TEXT) for _ in range(rng.randrange(4)))
+
+
+def _random_leaf(rng):
+    return rng.choice([
+        True, False, None, 0, -1, rng.randint(-10 ** 6, 10 ** 6),
+        rng.randint(2 ** 64, 2 ** 200), -rng.randint(2 ** 64, 2 ** 200),
+        0.5, -1e-7, _random_text(rng)])
+
+
+def _random_report(rng, depth):
+    """A nested value of dicts with string keys, lists, ints and leaves."""
+    kind = rng.randrange(6 if depth else 3)
+    if kind == 0:
+        return _random_leaf(rng)
+    if kind == 1:  # ints, now and then a bool or None among them
+        return [rng.choice([rng.randint(-2 ** 70, 2 ** 70), True, None])
+                if rng.random() < 0.1 else rng.randint(-99, 99)
+                for _ in range(rng.randrange(5))]
+    if kind == 2:
+        return rng.choice([[], {}, [[]], [{}], [[1, 2], []]])
+    if kind == 3:
+        return [_random_report(rng, depth - 1)
+                for _ in range(rng.randrange(4))]
+    return {_random_text(rng): _random_report(rng, depth - 1)
+            for _ in range(rng.randrange(5))}
+
+
+def test_json_text_matches_json_dumps_on_random_values():
+    rng = random.Random(22)
+    for _ in range(2000):
+        value = _random_report(rng, rng.randrange(5))
+        assert _json_text(value) == json.dumps(value, indent=2,
+                                               sort_keys=True)
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="no limit on int-to-str conversion")
+@pytest.mark.parametrize("wrap", [lambda x: x, lambda x: [x],
+                                  lambda x: {"a": [True, x]}])
+def test_json_text_keeps_the_int_to_str_limit(wrap):
+    value = wrap(10 ** sys.get_int_max_str_digits())
+    with pytest.raises(ValueError):
+        json.dumps(value, indent=2, sort_keys=True)
+    with pytest.raises(ValueError):
+        _json_text(value)
