@@ -375,6 +375,19 @@ _RENDERERS = {
 }
 
 
+def _render(report: dict, formats) -> dict[str, str]:
+    """The report's text in each format.  An integer past Python's limit
+    on int-to-str conversion (sys.get_int_max_str_digits(), 4300 digits by
+    default) is a resource bound: str() raises ValueError on it."""
+    try:
+        return {fmt: _RENDERERS[fmt](report) for fmt in formats}
+    except ValueError as exc:
+        raise BoundExceededError(
+            f"the report holds an integer past the "
+            f"{sys.get_int_max_str_digits()}-digit limit of int-to-str "
+            f"conversion") from exc
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graphtower",
@@ -399,18 +412,16 @@ def main(argv: list[str] | None = None) -> int:
         _require(min(args.level or 0, args.max_level or 0) >= 0,
                  "--level and --max-level must be nonnegative")
         job = parse_config(args.config)
-        body = _HANDLERS[args.subcommand](job, args)
+        report = {"subcommand": args.subcommand,
+                  "config_hash": job.config_hash,
+                  "version": __version__,
+                  **_HANDLERS[args.subcommand](job, args)}
+        texts = _render(report, _RENDERERS if args.out else (args.format,))
     except tuple(_EXIT_CODES) as exc:
         code, label = next(entry for kind, entry in _EXIT_CODES.items()
                            if isinstance(exc, kind))
         print(f"{label}: {exc}", file=sys.stderr)
         return code
-    report = {"subcommand": args.subcommand,
-              "config_hash": job.config_hash,
-              "version": __version__,
-              **body}
-    formats = _RENDERERS if args.out else (args.format,)
-    texts = {fmt: _RENDERERS[fmt](report) for fmt in formats}
     if args.out:
         out_dir = Path(args.out)
         try:

@@ -8,7 +8,7 @@ identical output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Sequence
 
 from .linalg import det_int
 
@@ -65,23 +65,46 @@ class Multigraph:
         return degrees
 
 
-def laplacian_rows(num_vertices: int, pairs: Iterable[tuple[int, int]],
+def laplacian_rows(num_vertices: int, pairs: Sequence[tuple[int, int]],
+                   translations: Sequence[Sequence[int]], size: int,
                    reduced: bool = False) -> list[dict[int, int]]:
-    """The Laplacian D − A as sparse rows {column: value}, from the vertex
-    indices (i, j) of each edge's ends.  A loop adds nothing, since it
-    counts twice in both D and A.  With reduced, the row and column of
-    vertex 0 are dropped and vertex i is index i − 1.
+    """The Laplacian D − A of a cover as sparse rows {column: value}, in one
+    pass over its base: num_vertices vertices, the vertex indices (i, j) of
+    each base edge's ends, and each edge's translation t, a right
+    translation of a group of order size, as an index list.  Cover vertex
+    (v_i, g_k) is i·size + k, and the edge over e from v_i to v_j joins it
+    to j·size + t[k].  A graph is its own cover with size 1 and every t
+    [0].  A loop whose t is the identity (t[0] = 0) adds nothing, since it
+    counts twice in both D and A; any other t fixes no point, so each
+    vertex's degree is its fibre's.  With reduced, the row and column of
+    vertex 0 are dropped and vertex v is index v − 1.
     """
     drop = int(reduced)
-    rows: list[dict[int, int]] = [{} for _ in range(num_vertices - drop)]
-    for i, j in pairs:
-        if i != j:
-            for a, b in ((i - drop, j - drop), (j - drop, i - drop)):
-                if a >= 0:
-                    row = rows[a]
-                    row[a] = row.get(a, 0) + 1
-                    if b >= 0:
-                        row[b] = row.get(b, 0) - 1
+    degrees = [0] * num_vertices
+    lifts = []
+    for (i, j), t in zip(pairs, translations):
+        if i != j or t[0]:
+            degrees[i] += 1
+            degrees[j] += 1
+            lifts.append((i * size, j * size, t))
+    rows: list[dict[int, int]] = []
+    for i, d in enumerate(degrees):
+        first = i * size - drop
+        rows += ([{v: d} for v in range(first, first + size)] if d else
+                 [{} for _ in range(size)])
+    for first_i, first_j, t in lifts:
+        fibre_j = rows[first_j:first_j + size]
+        for a, row, h in zip(range(first_i - drop, first_i - drop + size),
+                             rows[first_i:first_i + size], t):
+            b = first_j - drop + h
+            row[b] = row.get(b, 0) - 1
+            row = fibre_j[h]
+            row[a] = row.get(a, 0) - 1
+    if reduced and rows:
+        # vertex 0 is index −1, in its own row and in its neighbours' rows
+        for b in rows.pop(0):
+            if b >= 0:
+                del rows[b][-1]
     return rows
 
 
@@ -123,5 +146,6 @@ def spanning_tree_count(graph: Multigraph) -> int:
     n = graph.num_vertices
     if n == 0:
         return 0
-    rows = laplacian_rows(n, graph.index_pairs(), reduced=True)
+    rows = laplacian_rows(n, graph.index_pairs(), [[0]] * graph.num_edges,
+                          1, reduced=True)
     return det_int([[row.get(j, 0) for j in range(n - 1)] for row in rows])

@@ -152,14 +152,15 @@ class TowerGroupSpec:
         mod p, since there u ≡ 1.
         """
         count = self.num_generators
-        if not all(0 <= index < count for index, _ in word):
-            raise ValueError(f"invalid generator index in {list(word)}")
+        for index, _ in word:
+            if not 0 <= index < count:
+                raise ValueError(f"invalid generator index in {list(word)}")
         mod = self.p ** n
         if self.kind == "abelian":
-            exps = [0] * self.rank
+            exps = [0] * count
             for index, exponent in word:
                 exps[index] += exponent
-            return tuple(x % mod for x in exps)
+            return tuple([x % mod for x in exps])
         i = j = 0
         for index, exponent in word:
             if index == 0:
@@ -184,10 +185,11 @@ class TowerGroupSpec:
         one takes (i, j) to (i + a_1·u^j, j + a_2) mod p^n.
         """
         mod = self.p ** n
+        # x ↦ x + a mod p^n, for 0 ≤ a < p^n, as two runs
+        shifts = [[*range(x, mod), *range(x)] for x in a]
         if self.kind == "abelian":
-            translation = [0]
-            for x in a:
-                shifted = [(y + x) % mod for y in range(mod)]
+            translation = shifts[0]
+            for shifted in shifts[1:]:
                 translation = [k * mod + y for k in translation
                                for y in shifted]
             return translation
@@ -196,9 +198,8 @@ class TowerGroupSpec:
         for j in range(mod):
             column.append(a[0] * power % mod)
             power = power * u % mod
-        row = [(j + a[1]) % mod for j in range(mod)]
         return [(i + c) % mod * mod + t for i in range(mod)
-                for c, t in zip(column, row)]
+                for c, t in zip(column, shifts[1])]
 
     def check_enumerable(self, n: int) -> None:
         """Raise BoundExceededError when |G^(n)| is past the enumeration

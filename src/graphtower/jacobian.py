@@ -1,21 +1,23 @@
 """Jacobian (sandpile) and Picard groups of graphs via Smith normal form.
 
-Each group is the cokernel of a Laplacian built as sparse rows by
-`graphs.laplacian_rows` and fed to `linalg.smith_invariant_factors`.  The
-Jacobian of a cover X_n takes its rows straight from the index pairs of
-`voltage.cover_index_pairs`, so no level builds X_n or a dense matrix.
+Each group is the cokernel of a Laplacian fed to
+`linalg.smith_invariant_factors` as sparse rows, and every such Laplacian
+comes from the one builder `graphs.laplacian_rows`, in one pass over the
+base edges and their voltage translations.  The Jacobian of a cover X_n
+reads the translations of `voltage.edge_translations`; a graph, and level
+0 of a tower, is its own cover with fibres of one vertex.  No level builds
+X_n, a list of its edges or a dense matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .errors import DisconnectedError
 from .graphs import Multigraph, laplacian_rows
 from .groups import p_valuation
 from .linalg import smith_invariant_factors
-from .voltage import VoltageAssignment, cover_index_pairs
+from .voltage import VoltageAssignment, edge_translations
 
 
 @dataclass(frozen=True)
@@ -55,17 +57,19 @@ def smith_normal_form(rows: list[dict[int, int]],
     return SmithNormalForm(tuple(smith_invariant_factors(rows, cols)))
 
 
-def _laplacian_cokernel(num_vertices: int, pairs: Iterable[tuple[int, int]],
+def _laplacian_cokernel(num_vertices: int, pairs: list[tuple[int, int]],
+                        translations: list[list[int]], size: int,
                         reduced: bool) -> AbelianGroupStructure:
     """J(X), the cokernel of the reduced Laplacian, or with reduced false
-    Pic(X), of the full one, for a graph given by its vertex count and the
-    vertex indices of each edge's ends.
+    Pic(X), of the full one, for a cover given as `graphs.laplacian_rows`
+    takes it: its base's vertex count and edge end indices, and each
+    edge's translation of a group of order size.
 
     A disconnected graph raises DisconnectedError: the free rank of Pic(X)
     is the number of components, and by the matrix-tree theorem the reduced
     Laplacian is singular exactly when the graph is disconnected.
     """
-    rows = laplacian_rows(num_vertices, pairs, reduced)
+    rows = laplacian_rows(num_vertices, pairs, translations, size, reduced)
     factors = [d for d in smith_invariant_factors(rows, len(rows)) if d != 0]
     free_rank = len(rows) - len(factors)
     if free_rank > (0 if reduced else 1):
@@ -78,14 +82,14 @@ def jacobian_structure(graph: Multigraph) -> AbelianGroupStructure:
     """J(X): order = spanning tree count; a disconnected graph raises
     DisconnectedError."""
     return _laplacian_cokernel(graph.num_vertices, graph.index_pairs(),
-                               reduced=True)
+                               [[0]] * graph.num_edges, 1, reduced=True)
 
 
 def picard_structure(graph: Multigraph) -> AbelianGroupStructure:
     """Pic(X): Z ⊕ J(X) when connected; a disconnected graph raises
     DisconnectedError."""
     return _laplacian_cokernel(graph.num_vertices, graph.index_pairs(),
-                               reduced=False)
+                               [[0]] * graph.num_edges, 1, reduced=False)
 
 
 def level_jacobian(alpha: VoltageAssignment,
@@ -93,11 +97,12 @@ def level_jacobian(alpha: VoltageAssignment,
     """Jacobian of the level-n derived graph and e_n = v_p(|J(X_n)|).
 
     X_n is never built: the reduced Laplacian's sparse rows come straight
-    from `voltage.cover_index_pairs`, the index pairs of the cover's edges
-    read off the voltage translations.
+    from the base and the voltage translations of
+    `voltage.edge_translations`.
     """
-    structure = _laplacian_cokernel(*cover_index_pairs(alpha, n),
-                                    reduced=True)
-    p = alpha.spec.p
-    e_n = sum(p_valuation(d, p) for d in structure.torsion)
+    base, spec = alpha.base, alpha.spec
+    structure = _laplacian_cokernel(base.num_vertices, base.index_pairs(),
+                                    edge_translations(alpha, n),
+                                    spec.order(n), reduced=True)
+    e_n = sum(p_valuation(d, spec.p) for d in structure.torsion)
     return structure, e_n

@@ -79,10 +79,9 @@ def ihara_zeta_inverse(num_vertices: int,
     S is taken empty and c = 1, and the rows below are those of M itself.
 
     The rows are sparse, {column: [u⁰..u⁴ coefficients]}, built straight
-    from the pairs as `graphs.laplacian_rows` builds the Laplacian: each
-    end of an edge adds 1 to its degree and −1 to the u-coefficient towards
-    the other end, so a loop adds 2 to the degree and −2 to the
-    u-coefficient on the diagonal.
+    from the pairs: each end of an edge adds 1 to its degree and −1 to the
+    u-coefficient towards the other end, so a loop adds 2 to the degree
+    and −2 to the u-coefficient on the diagonal.
 
     When the graph is 2-coloured by `_two_colouring` (no loop, no odd
     cycle), entry (t, x) is multiplied by u^(colour(t) − colour(x)).  That

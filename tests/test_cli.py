@@ -285,6 +285,38 @@ def test_jacobian_of_a_128_vertex_cover_has_no_cliff(tmp_path, capsys):
     assert prod(report["jacobian"]["torsion"]) == report["order"]
 
 
+# A seeded 729-vertex Z/243 cover (p = 3, level 5) over a 3-vertex base
+# with a loop, `perfbench/configs.make_config(random.Random(4), _ab(3, 1,
+# 3, 2, 5))`.  Its ±1 pivots leave a 94-row core; the Smith form takes
+# about 0.4 s, and 1.6 times as long when the elimination does not push
+# again the keys of the rows that got shorter.
+CLIFF_729_CONFIG = {
+    "graph": {"vertices": ["v0", "v1", "v2"],
+              "edges": [{"id": "e0", "ends": ["v1", "v0"]},
+                        {"id": "e1", "ends": ["v2", "v1"]},
+                        {"id": "e2", "ends": ["v0", "v2"]},
+                        {"id": "e3", "ends": ["v1", "v1"]}]},
+    "group": {"kind": "abelian", "p": 3, "rank": 1},
+    "voltage": {"e0": [], "e1": [[0, 138]], "e2": [[0, 200]],
+                "e3": [[0, 28]]},
+}
+
+
+def test_jacobian_of_a_729_vertex_cover_has_no_cliff(tmp_path, capsys):
+    """The invariant factors are pinned by the SHA-256 of the report's
+    jacobian object, as the sparse Smith form first computed them."""
+    path = write_config(tmp_path, CLIFF_729_CONFIG)
+    start = time.perf_counter()
+    assert main(["jacobian", "--config", path, "--level", "5"]) == 0
+    assert time.perf_counter() - start < 10
+    report = json.loads(capsys.readouterr().out)
+    assert report["e_n"] == 6
+    assert prod(report["jacobian"]["torsion"]) == report["order"]
+    assert hashlib.sha256(json.dumps(
+        report["jacobian"], sort_keys=True).encode()).hexdigest() == (
+        "437b3846bb0106326040567d08c0d98212274252d78ef238a2cecfe15a5072b3")
+
+
 # -- preconditions and internal errors
 
 def test_metacyclic_lfun_is_a_precondition_violation(tmp_path, capsys):
@@ -314,6 +346,38 @@ def test_arithmetic_error_is_an_internal_error(tmp_path, capsys, monkeypatch):
     path = write_config(tmp_path, LOOP_CONFIG)
     assert main(["tower", "--config", path, "--max-level", "2"]) == 4
     assert capsys.readouterr().err.startswith("internal error: inexact")
+
+
+@pytest.fixture
+def int_str_limit():
+    """Python's default limit on int-to-str conversion, 4300 digits, for
+    the test's duration."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no limit on int-to-str conversion")
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(previous)
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv"])
+def test_a_report_integer_past_the_str_limit_exits_3(
+        tmp_path, capsys, monkeypatch, int_str_limit, fmt):
+    """A report integer longer than the int-to-str limit, as the order of
+    the Jacobian of a large enough cover can be, exits 3 with a message
+    naming the limit, prints nothing and writes no --out file."""
+    monkeypatch.setitem(_HANDLERS, "jacobian",
+                        lambda job, args: {"order": 10 ** 5000})
+    path = write_config(tmp_path, LOOP_CONFIG)
+    out = tmp_path / "out"
+    for extra in ([], ["--out", str(out)]):
+        argv = ["jacobian", "--config", path, "--format", fmt, *extra]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("resource bound exceeded: ")
+        assert f"{int_str_limit}-digit limit" in captured.err
+    assert not out.exists()
 
 
 # -- each job computes each intermediate once

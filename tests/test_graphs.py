@@ -11,9 +11,15 @@ from conftest import (dense_laplacian, enumerate_spanning_trees,
                       graph_matrices, random_connected_multigraph)
 
 
+def plain_rows(g, reduced=False):
+    """The Laplacian rows of g, as a cover of itself of fibre size 1."""
+    return laplacian_rows(g.num_vertices, g.index_pairs(),
+                          [[0]] * g.num_edges, 1, reduced)
+
+
 def laplacian(g):
     """The Laplacian of g, densified from its sparse rows."""
-    rows = laplacian_rows(g.num_vertices, g.index_pairs())
+    rows = plain_rows(g)
     return [[row.get(j, 0) for j in range(g.num_vertices)] for row in rows]
 
 
@@ -124,15 +130,16 @@ def test_adding_loop_changes_nothing():
 
 def test_laplacian_rows_match_the_dense_laplacian():
     """Sparse rows equal D − A with its zeros left out, and the reduced
-    rows equal it with the row and column of vertex 0 dropped."""
+    rows equal it with the row and column of vertex 0 dropped, also on the
+    graph with no vertices."""
     rng = random.Random(13)
-    for _ in range(30):
-        g = random_connected_multigraph(rng, max_vertices=7)
+    empty = Multigraph.build([], [])
+    for g in [empty] + [random_connected_multigraph(rng, max_vertices=7)
+                        for _ in range(30)]:
         dense = dense_laplacian(g)
-        full = laplacian_rows(g.num_vertices, g.index_pairs())
+        full = plain_rows(g)
         assert full == [{j: v for j, v in enumerate(row) if v}
                         for row in dense]
-        reduced = laplacian_rows(g.num_vertices, g.index_pairs(),
-                                 reduced=True)
+        reduced = plain_rows(g, reduced=True)
         assert reduced == [{j - 1: v for j, v in enumerate(row) if v and j}
                            for row in dense[1:]]

@@ -9,11 +9,12 @@ from graphtower import (Multigraph, QuotientSpec, TowerGroupSpec,
                         connectivity_criterion, cover_index_pairs, derive,
                         is_connected, level_jacobian, quotient_assignment)
 from graphtower.errors import BoundExceededError, DisconnectedError
+from graphtower.graphs import laplacian_rows
 from graphtower.voltage import edge_translations
 
 from conftest import (ORACLE_SHAPES, GroupRingElement, augmentation,
-                      criterion_by_betas, dense_laplacian, evaluate_word,
-                      oracle_instance, random_abelian_instance,
+                      criterion_by_betas, dense_laplacian, doubled,
+                      evaluate_word, oracle_instance, random_abelian_instance,
                       voltage_adjacency, voltage_laplacian)
 
 
@@ -112,6 +113,44 @@ def test_cover_index_pairs_match_the_derived_graph():
                 graph = derive(alpha, n).graph
                 assert cover_index_pairs(alpha, n) == (
                     graph.num_vertices, graph.index_pairs())
+
+
+def _with_identity_loop(alpha):
+    """alpha with one more loop, at its first vertex, of empty word."""
+    base = alpha.base
+    v = base.vertices[0]
+    edges = [*base.edges, ("identity loop", (v, v))]
+    voltages = {**dict(alpha.voltages), "identity loop": []}
+    return VoltageAssignment.build(Multigraph.build(base.vertices, edges),
+                                   alpha.spec, voltages)
+
+
+@pytest.mark.parametrize("kind, p, rank", [
+    ("abelian", 2, 1), ("abelian", 3, 1), ("abelian", 5, 1),
+    ("abelian", 2, 2), ("abelian", 3, 2), ("metacyclic", 2, 2),
+    ("metacyclic", 3, 2)])
+def test_laplacian_rows_match_the_derived_graph(kind, p, rank):
+    """The one Laplacian builder, fed the base and the voltage translations,
+    gives the rows of D − A read off the edges of derive(alpha, n), full and
+    reduced, at levels 0-2.  Every instance has a loop, a parallel edge and
+    a loop of identity voltage; half have every edge doubled with its word,
+    so parallel lifts add up."""
+    rng = random.Random(f"laplacian {kind} {p} {rank}")
+    for copy in range(4):
+        alpha = _with_identity_loop(oracle_instance(rng, kind, p, rank))
+        if copy % 2:
+            alpha = doubled(alpha)
+        base = alpha.base
+        for n in range(3):
+            dense = dense_laplacian(derive(alpha, n).graph)
+            translations = edge_translations(alpha, n)
+            for drop in (0, 1):
+                rows = laplacian_rows(base.num_vertices, base.index_pairs(),
+                                      translations, alpha.spec.order(n),
+                                      reduced=bool(drop))
+                assert rows == [
+                    {j - drop: v for j, v in enumerate(row) if v and j >= drop}
+                    for row in dense[drop:]]
 
 
 def test_galois_action_is_automorphism():
