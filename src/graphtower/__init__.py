@@ -9,16 +9,15 @@ tower module — all in exact integer, cyclotomic, and polynomial arithmetic.
 from .errors import (BoundExceededError, ConfigError, DisconnectedError,
                      GraphTowerError, PreconditionError)
 from .graphs import (Multigraph, connected_components, is_connected,
-                     laplacian_rows, spanning_tree_count)
-from .groups import GroupElement, TowerGroupSpec
+                     laplacian_rows)
+from .groups import TowerGroupSpec
 from .grouprings import Character, characters, nrd_abelian
 from .cyclotomic import CyclotomicInteger
-from .jacobian import (AbelianGroupStructure, SmithNormalForm,
-                       jacobian_structure, level_jacobian, picard_structure,
-                       smith_normal_form)
+from .jacobian import (AbelianGroupStructure, jacobian_structure,
+                       level_jacobian)
 from .polynomials import IntPolynomial, LaurentElement
 from .voltage import (DerivedGraph, QuotientSpec, VoltageAssignment,
-                      beta_of_path, connectivity_criterion,
+                      connectivity_criterion,
                       cover_index_pairs, derive, edge_translations,
                       quotient_assignment)
 from .zeta import (ZetaData, artin_l_inverse, factorization_check,

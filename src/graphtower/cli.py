@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
@@ -20,7 +21,8 @@ from .cyclotomic import CyclotomicInteger
 from .errors import BoundExceededError, ConfigError, GraphTowerError
 from .graphs import Multigraph, connected_components
 from .grouprings import characters, per_character
-from .jacobian import jacobian_structure, level_jacobian, picard_structure
+from .jacobian import (AbelianGroupStructure, jacobian_structure,
+                       level_jacobian)
 from .voltage import (QuotientSpec, VoltageAssignment, check_derive_bounds,
                       cover_index_pairs, derive)
 from .groups import TowerGroupSpec
@@ -195,8 +197,8 @@ def _cmd_derive(job: JobConfig, args) -> dict:
     }
     if g.num_edges <= _EDGE_LIST_LIMIT:
         report["edges"] = [
-            {"id": [str(e), list(ge.data)],
-             "ends": [[str(v), list(gv.data)], [str(w), list(gw.data)]]}
+            {"id": [str(e), list(ge)],
+             "ends": [[str(v), list(gv)], [str(w), list(gw)]]}
             for (e, ge), ((v, gv), (w, gw)) in g.edges]
     return report
 
@@ -205,7 +207,8 @@ def _cmd_jacobian(job: JobConfig, args) -> dict:
     level = _level(args, 0)
     if level == 0:
         structure = jacobian_structure(job.alpha.base)
-        pic = picard_structure(job.alpha.base)
+        # Pic(X) = Z ⊕ J(X) for a connected X, and J(X) requires one
+        pic = AbelianGroupStructure(1, structure.torsion)
         return {"level": 0,
                 "jacobian": _structure_json(structure),
                 "picard": _structure_json(pic),
@@ -431,7 +434,17 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as exc:
             print(f"cannot write report: {exc}", file=sys.stderr)
             return 1
-    print(texts[args.format])
+    try:
+        print(texts[args.format])
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # the reader is gone; with stdout on devnull, the flush at
+        # interpreter shutdown has nowhere to fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"cannot write report: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

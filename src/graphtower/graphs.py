@@ -1,4 +1,4 @@
-"""Finite undirected multigraphs, their Laplacians and spanning-tree counts.
+"""Finite undirected multigraphs, their connectivity and reduced Laplacians.
 
 Loops and parallel edges are allowed everywhere.  Vertex and edge order is
 insertion order and all matrices are indexed by it, so repeated runs produce
@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Hashable, Sequence
-
-from .linalg import det_int
 
 Vertex = Hashable
 EdgeId = Hashable
@@ -66,20 +64,19 @@ class Multigraph:
 
 
 def laplacian_rows(num_vertices: int, pairs: Sequence[tuple[int, int]],
-                   translations: Sequence[Sequence[int]], size: int,
-                   reduced: bool = False) -> list[dict[int, int]]:
-    """The Laplacian D − A of a cover as sparse rows {column: value}, in one
-    pass over its base: num_vertices vertices, the vertex indices (i, j) of
-    each base edge's ends, and each edge's translation t, a right
-    translation of a group of order size, as an index list.  Cover vertex
-    (v_i, g_k) is i·size + k, and the edge over e from v_i to v_j joins it
+                   translations: Sequence[Sequence[int]],
+                   size: int) -> list[dict[int, int]]:
+    """The reduced Laplacian of a cover, D − A without the row and column
+    of vertex 0, as sparse rows {column: value}, in one pass over its base:
+    num_vertices vertices, the vertex indices (i, j) of each base edge's
+    ends, and each edge's translation t, a right translation of a group of
+    order size, as an index list.  Cover vertex (v_i, g_k) is i·size + k,
+    at index i·size + k − 1, and the edge over e from v_i to v_j joins it
     to j·size + t[k].  A graph is its own cover with size 1 and every t
     [0].  A loop whose t is the identity (t[0] = 0) adds nothing, since it
     counts twice in both D and A; any other t fixes no point, so each
-    vertex's degree is its fibre's.  With reduced, the row and column of
-    vertex 0 are dropped and vertex v is index v − 1.
+    vertex's degree is its fibre's.
     """
-    drop = int(reduced)
     degrees = [0] * num_vertices
     lifts = []
     for (i, j), t in zip(pairs, translations):
@@ -89,18 +86,18 @@ def laplacian_rows(num_vertices: int, pairs: Sequence[tuple[int, int]],
             lifts.append((i * size, j * size, t))
     rows: list[dict[int, int]] = []
     for i, d in enumerate(degrees):
-        first = i * size - drop
+        first = i * size - 1
         rows += ([{v: d} for v in range(first, first + size)] if d else
                  [{} for _ in range(size)])
     for first_i, first_j, t in lifts:
         fibre_j = rows[first_j:first_j + size]
-        for a, row, h in zip(range(first_i - drop, first_i - drop + size),
+        for a, row, h in zip(range(first_i - 1, first_i - 1 + size),
                              rows[first_i:first_i + size], t):
-            b = first_j - drop + h
+            b = first_j - 1 + h
             row[b] = row.get(b, 0) - 1
             row = fibre_j[h]
             row[a] = row.get(a, 0) - 1
-    if reduced and rows:
+    if rows:
         # vertex 0 is index −1, in its own row and in its neighbours' rows
         for b in rows.pop(0):
             if b >= 0:
@@ -134,18 +131,3 @@ def connected_components(graph: Multigraph) -> list[set[Vertex]]:
 
 def is_connected(graph: Multigraph) -> bool:
     return len(connected_components(graph)) <= 1
-
-
-def spanning_tree_count(graph: Multigraph) -> int:
-    """Number of spanning trees via the matrix-tree theorem.
-
-    Returns the determinant of the principal minor of D - A obtained by
-    deleting the first row and column; 1 for a single vertex, 0 for a
-    disconnected graph with more than one vertex.
-    """
-    n = graph.num_vertices
-    if n == 0:
-        return 0
-    rows = laplacian_rows(n, graph.index_pairs(), [[0]] * graph.num_edges,
-                          1, reduced=True)
-    return det_int([[row.get(j, 0) for j in range(n - 1)] for row in rows])

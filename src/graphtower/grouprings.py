@@ -70,7 +70,7 @@ def characters(spec: TowerGroupSpec, n: int) -> list[Character]:
     if spec.kind != "abelian":
         raise PreconditionError(
             "characters are defined for abelian quotients only")
-    return [Character(spec, n, g.data) for g in spec.enumerate_group(n)]
+    return [Character(spec, n, g) for g in spec.enumerate_group(n)]
 
 
 def _orbits(chars: Sequence[Character]) -> Iterator[

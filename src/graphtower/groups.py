@@ -1,16 +1,18 @@
 """Finite p-group quotients of a uniform tower group.
 
 The infinite group is never materialized: a :class:`TowerGroupSpec` describes
-a compatible family of finite quotients ``G^(n)`` together with projections,
-which is all the level computations need.  Two kinds are supported:
+the compatible family of finite quotients ``G^(n)``, which is all the level
+computations need.  Two kinds are supported:
 
 * ``abelian`` — ``G^(n) = (Z/p^n)^l``;
 * ``metacyclic`` — ``G^(n) = Z/p^n ⋊ Z/p^n`` with relation ``τστ⁻¹ = σ^u``
   for a unit ``u ≡ 1 (mod p)``.
 
-An element is stored as its integer normal form, the exponent vector or the
-pair (i, j) of ``σ^i τ^j``; this module is the only one that encodes normal
-forms as indices (`TowerGroupSpec.right_translation`).
+An element of G^(n) is its integer normal form, a tuple: the exponent vector
+mod p^n, or the pair (i, j) of ``σ^i τ^j``; the projection G^(n) → G^(m)
+reduces it mod p^m.  There is no other element encoding.  This module is
+the only one that encodes normal forms as indices
+(`TowerGroupSpec.right_translation`).
 """
 
 from __future__ import annotations
@@ -103,43 +105,14 @@ class TowerGroupSpec:
         exponent = n * self.dimension
         return exponent >= bound.bit_length() or self.p ** exponent > bound
 
-    def identity(self, n: int) -> "GroupElement":
+    def multiply(self, n: int, a: tuple[int, ...],
+                 b: tuple[int, ...]) -> tuple[int, ...]:
+        """a·b in G^(n), for a and b given by their normal forms."""
+        mod = self.p ** n
         if self.kind == "abelian":
-            return GroupElement(n, (0,) * self.rank)
-        return GroupElement(n, (0, 0))
-
-    def multiply(self, a: "GroupElement", b: "GroupElement") -> "GroupElement":
-        self._check_same_level(a, b)
-        mod = self.p ** a.level
-        if mod == 1:
-            return self.identity(0)
-        if self.kind == "abelian":
-            return GroupElement(
-                a.level,
-                tuple((x + y) % mod for x, y in zip(a.data, b.data)))
-        i1, j1 = a.data
-        i2, j2 = b.data
-        u = self.unit % mod
-        return GroupElement(
-            a.level, ((i1 + i2 * pow(u, j1, mod)) % mod, (j1 + j2) % mod))
-
-    def inverse(self, a: "GroupElement") -> "GroupElement":
-        mod = self.p ** a.level
-        if mod == 1:
-            return self.identity(0)
-        if self.kind == "abelian":
-            return GroupElement(a.level, tuple((-x) % mod for x in a.data))
-        i, j = a.data
-        u = self.unit % mod
-        # (σ^i τ^j)^{-1} = σ^{-i u^{-j}} τ^{-j}; u is a unit mod p^n
-        u_inv = pow(u, -1, mod)
-        return GroupElement(a.level, ((-i * pow(u_inv, j, mod)) % mod, (-j) % mod))
-
-    def project(self, a: "GroupElement", m: int) -> "GroupElement":
-        if m > a.level:
-            raise ValueError(f"cannot project level {a.level} up to level {m}")
-        mod = self.p ** m
-        return GroupElement(m, tuple(x % mod for x in a.data))
+            return tuple((x + y) % mod for x, y in zip(a, b))
+        (i1, j1), (i2, j2) = a, b
+        return ((i1 + i2 * pow(self.unit, j1, mod)) % mod, (j1 + j2) % mod)
 
     def normal_form(self, n: int,
                     word: Sequence[tuple[int, int]]) -> tuple[int, ...]:
@@ -168,11 +141,6 @@ class TowerGroupSpec:
             else:
                 j = (j + exponent) % mod
         return (i, j)
-
-    def word_evaluate(self, n: int,
-                      word: Sequence[tuple[int, int]]) -> "GroupElement":
-        """Evaluate a generator word ``[(gen index, exponent), ...]``."""
-        return GroupElement(n, self.normal_form(n, word))
 
     def right_translation(self, n: int, a: tuple[int, ...]) -> list[int]:
         """g ↦ g·a on G^(n), for a given by its normal form, as an index list.
@@ -209,25 +177,12 @@ class TowerGroupSpec:
                 f"group order {self.p}^{n * self.dimension} exceeds "
                 f"enumeration bound {_ENUM_BOUND}")
 
-    def enumerate_group(self, n: int) -> list["GroupElement"]:
+    def enumerate_group(self, n: int) -> list[tuple[int, ...]]:
+        """The normal forms of G^(n) in mixed-radix order, the first
+        coordinate most significant."""
         self.check_enumerable(n)
-        mod = self.p ** n
-        width = self.rank if self.kind == "abelian" else 2
-        return [GroupElement(n, exps)
-                for exps in itertools.product(range(mod), repeat=width)]
-
-    def _check_same_level(self, a: "GroupElement", b: "GroupElement") -> None:
-        if a.level != b.level:
-            raise ValueError(
-                f"level mismatch: {a.level} vs {b.level}")
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    """Normal-form element of ``G^(n)``: exponent vector or (i, j) pair."""
-
-    level: int
-    data: tuple[int, ...]
+        return list(itertools.product(range(self.p ** n),
+                                      repeat=self.num_generators))
 
 
 def _fp_rank(vectors: list[list[int]], p: int) -> int:

@@ -1,12 +1,13 @@
-"""Jacobian (sandpile) and Picard groups of graphs via Smith normal form.
+"""Jacobian (sandpile) groups of graphs via Smith normal form.
 
-Each group is the cokernel of a Laplacian fed to
+Each Jacobian is the cokernel of a reduced Laplacian fed to
 `linalg.smith_invariant_factors` as sparse rows, and every such Laplacian
 comes from the one builder `graphs.laplacian_rows`, in one pass over the
 base edges and their voltage translations.  The Jacobian of a cover X_n
 reads the translations of `voltage.edge_translations`; a graph, and level
 0 of a tower, is its own cover with fibres of one vertex.  No level builds
-X_n, a list of its edges or a dense matrix.
+X_n, a list of its edges or a dense matrix.  The Picard group of a
+connected graph is Z ⊕ J(X), so it takes no Smith form of its own.
 """
 
 from __future__ import annotations
@@ -18,17 +19,6 @@ from .graphs import Multigraph, laplacian_rows
 from .groups import p_valuation
 from .linalg import smith_invariant_factors
 from .voltage import VoltageAssignment, edge_translations
-
-
-@dataclass(frozen=True)
-class SmithNormalForm:
-    """Invariant factors of an integer matrix, divisibility-chained."""
-
-    invariant_factors: tuple[int, ...]
-
-    @property
-    def rank(self) -> int:
-        return sum(1 for d in self.invariant_factors if d != 0)
 
 
 @dataclass(frozen=True)
@@ -50,46 +40,29 @@ class AbelianGroupStructure:
         return " + ".join(parts) if parts else "0"
 
 
-def smith_normal_form(rows: list[dict[int, int]],
-                      cols: int) -> SmithNormalForm:
-    """The Smith normal form of sparse rows {column: value} with cols
-    columns, which are overwritten."""
-    return SmithNormalForm(tuple(smith_invariant_factors(rows, cols)))
-
-
 def _laplacian_cokernel(num_vertices: int, pairs: list[tuple[int, int]],
-                        translations: list[list[int]], size: int,
-                        reduced: bool) -> AbelianGroupStructure:
-    """J(X), the cokernel of the reduced Laplacian, or with reduced false
-    Pic(X), of the full one, for a cover given as `graphs.laplacian_rows`
-    takes it: its base's vertex count and edge end indices, and each
-    edge's translation of a group of order size.
+                        translations: list[list[int]],
+                        size: int) -> AbelianGroupStructure:
+    """J(X), the cokernel of the reduced Laplacian, for a cover given as
+    `graphs.laplacian_rows` takes it: its base's vertex count and edge end
+    indices, and each edge's translation of a group of order size.
 
-    A disconnected graph raises DisconnectedError: the free rank of Pic(X)
-    is the number of components, and by the matrix-tree theorem the reduced
-    Laplacian is singular exactly when the graph is disconnected.
+    A disconnected graph raises DisconnectedError: by the matrix-tree
+    theorem the reduced Laplacian is singular exactly when the graph is
+    disconnected.
     """
-    rows = laplacian_rows(num_vertices, pairs, translations, size, reduced)
+    rows = laplacian_rows(num_vertices, pairs, translations, size)
     factors = [d for d in smith_invariant_factors(rows, len(rows)) if d != 0]
-    free_rank = len(rows) - len(factors)
-    if free_rank > (0 if reduced else 1):
-        group = "Jacobian" if reduced else "Picard group"
-        raise DisconnectedError(f"{group} requires a connected graph")
-    return AbelianGroupStructure(free_rank, tuple(d for d in factors if d > 1))
+    if len(factors) < len(rows):
+        raise DisconnectedError("Jacobian requires a connected graph")
+    return AbelianGroupStructure(0, tuple(d for d in factors if d > 1))
 
 
 def jacobian_structure(graph: Multigraph) -> AbelianGroupStructure:
     """J(X): order = spanning tree count; a disconnected graph raises
     DisconnectedError."""
     return _laplacian_cokernel(graph.num_vertices, graph.index_pairs(),
-                               [[0]] * graph.num_edges, 1, reduced=True)
-
-
-def picard_structure(graph: Multigraph) -> AbelianGroupStructure:
-    """Pic(X): Z ⊕ J(X) when connected; a disconnected graph raises
-    DisconnectedError."""
-    return _laplacian_cokernel(graph.num_vertices, graph.index_pairs(),
-                               [[0]] * graph.num_edges, 1, reduced=False)
+                               [[0]] * graph.num_edges, 1)
 
 
 def level_jacobian(alpha: VoltageAssignment,
@@ -103,6 +76,6 @@ def level_jacobian(alpha: VoltageAssignment,
     base, spec = alpha.base, alpha.spec
     structure = _laplacian_cokernel(base.num_vertices, base.index_pairs(),
                                     edge_translations(alpha, n),
-                                    spec.order(n), reduced=True)
+                                    spec.order(n))
     e_n = sum(p_valuation(d, spec.p) for d in structure.torsion)
     return structure, e_n

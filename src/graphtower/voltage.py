@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import BoundExceededError, DisconnectedError
-from .graphs import EdgeId, Multigraph, Vertex, is_connected
-from .groups import GroupElement, TowerGroupSpec, _fp_rank
+from .graphs import EdgeId, Multigraph, is_connected
+from .groups import TowerGroupSpec, _fp_rank
 
 Word = tuple[tuple[int, int], ...]  # ((generator index, exponent), ...)
 
@@ -55,9 +55,6 @@ class VoltageAssignment:
                 return w
         raise KeyError(e)
 
-    def voltage(self, e: EdgeId, n: int) -> GroupElement:
-        return self.spec.word_evaluate(n, self.word(e))
-
     def normal_forms(self, n: int) -> list[tuple[int, ...]]:
         """Each edge's voltage in G^(n) as a normal form, in edge order."""
         words = dict(self.voltages)
@@ -74,23 +71,12 @@ class VoltageAssignment:
 
 @dataclass(frozen=True)
 class DerivedGraph:
-    """The level-n cover: vertices (v, g), edge (e, g) joining (v,g)–(w, gα(e))."""
+    """The level-n cover: vertices (v, g), edge (e, g) joining (v,g)–(w, gα(e)),
+    with g a normal form of G^(n)."""
 
     level: int
     alpha: VoltageAssignment
     graph: Multigraph
-
-    @property
-    def spec(self) -> TowerGroupSpec:
-        return self.alpha.spec
-
-    def project_edge(self, eid: tuple[EdgeId, GroupElement]) -> EdgeId:
-        return eid[0]
-
-    def act(self, h: GroupElement,
-            vertex: tuple[Vertex, GroupElement]) -> tuple[Vertex, GroupElement]:
-        v, g = vertex
-        return (v, self.spec.multiply(h, g))
 
 
 def check_derive_bounds(alpha: VoltageAssignment, n: int) -> None:
@@ -148,24 +134,6 @@ def derive(alpha: VoltageAssignment, n: int) -> DerivedGraph:
                   for (e, (v, w)), translation in zip(base.edges, translations)
                   for g, h in zip(group, translation))
     return DerivedGraph(n, alpha, Multigraph(vertices, edges))
-
-
-def beta_of_path(alpha: VoltageAssignment, n: int,
-                 path: Sequence[tuple[EdgeId, bool]]) -> GroupElement:
-    """Ordered product of voltages along a path of (edge id, forward?) steps."""
-    spec = alpha.spec
-    ends = dict(alpha.base.edges)
-    current: Vertex | None = None
-    result = spec.identity(n)
-    for eid, forward in path:
-        v, w = ends[eid]
-        start, end = (v, w) if forward else (w, v)
-        if current is not None and start != current:
-            raise ValueError(f"path breaks at edge {eid!r}")
-        current = end
-        g = alpha.voltage(eid, n)
-        result = spec.multiply(result, g if forward else spec.inverse(g))
-    return result
 
 
 def connectivity_criterion(alpha: VoltageAssignment) -> bool:

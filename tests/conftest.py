@@ -13,9 +13,9 @@ from graphtower import (Multigraph, TowerGroupSpec, VoltageAssignment,
 from graphtower.cyclotomic import (CyclotomicInteger, _add_monomial,
                                    euler_phi_prime_power, galois_images)
 from graphtower.errors import DisconnectedError
-from graphtower.groups import GroupElement, _fp_rank, p_valuation
+from graphtower.groups import _fp_rank, p_valuation
 from graphtower.grouprings import Character, characters
-from graphtower.linalg import det_int_poly_matrix
+from graphtower.linalg import det_int, det_int_poly_matrix
 
 
 def random_connected_multigraph(rng: random.Random,
@@ -157,6 +157,16 @@ def dense_laplacian(graph):
     return [[m.D[i][j] - m.A[i][j] for j in range(n)] for i in range(n)]
 
 
+def spanning_tree_count(graph):
+    """The number of spanning trees by the matrix-tree theorem: the
+    determinant of `dense_laplacian` with its first row and column deleted;
+    1 for a single vertex, 0 for a disconnected graph with more than one
+    vertex.  The tests' reference for |J(X)|."""
+    if graph.num_vertices == 0:
+        return 0
+    return det_int([row[1:] for row in dense_laplacian(graph)[1:]])
+
+
 def det_in_ring(matrix, ring):
     """Reference Bareiss determinant over any ring object with zero, one,
     add, sub, mul, neg, is_zero and exact_div: first nonzero pivot in the
@@ -207,6 +217,39 @@ def enumerate_spanning_trees(graph):
     return trees
 
 
+# -- group elements as the package encodes them, normal-form tuples, and
+# the arithmetic `TowerGroupSpec.multiply` leaves to the tests
+
+def identity(spec):
+    """The identity of every G^(n): the zero normal form."""
+    return (0,) * spec.num_generators
+
+
+def inverse(spec, n, a):
+    """a⁻¹ in G^(n): (σ^i τ^j)⁻¹ = σ^(−i·u^(−j)) τ^(−j), u a unit mod p^n."""
+    mod = spec.p ** n
+    if spec.kind == "abelian" or mod == 1:
+        return tuple(-x % mod for x in a)
+    i, j = a
+    u_inv = pow(spec.unit, -1, mod)
+    return (-i * pow(u_inv, j, mod) % mod, -j % mod)
+
+
+def project_element(spec, n, a, m):
+    """The image of a ∈ G^(n) under G^(n) → G^(m), m ≤ n."""
+    if m > n:
+        raise ValueError(f"cannot project level {n} up to level {m}")
+    mod = spec.p ** m
+    return tuple(x % mod for x in a)
+
+
+def act(spec, n, h, vertex):
+    """The deck transformation of h ∈ G^(n) on a vertex (v, g) of X_n:
+    (v, h·g)."""
+    v, g = vertex
+    return (v, spec.multiply(n, h, g))
+
+
 # -- the group-ring matrix layer: Z[G^(n)], A_α and D − A_α^t as matrices
 # over it, characters applied term by term, and the regular representation;
 # the oracle for grouprings.character_adjacency, nrd_abelian and regular_det
@@ -218,19 +261,19 @@ class GroupRingElement:
 
     spec: TowerGroupSpec
     level: int
-    terms: tuple[tuple[GroupElement, int], ...]  # sorted, zero-free
+    terms: tuple[tuple[tuple[int, ...], int], ...]  # sorted, zero-free
 
     @staticmethod
     def from_terms(spec, level, terms):
         pruned = {g: c for g, c in terms.items() if c != 0}
-        assert all(g.level == level for g in pruned)
-        ordered = tuple(sorted(pruned.items(), key=lambda item: item[0].data))
-        return GroupRingElement(spec, level, ordered)
+        mod = spec.p ** level
+        assert all(len(g) == spec.num_generators and
+                   all(0 <= x < mod for x in g) for g in pruned)
+        return GroupRingElement(spec, level, tuple(sorted(pruned.items())))
 
     @staticmethod
     def constant(spec, level, c):
-        return GroupRingElement.from_terms(spec, level,
-                                           {spec.identity(level): c})
+        return GroupRingElement.from_terms(spec, level, {identity(spec): c})
 
     def __add__(self, other):
         assert self.level == other.level
@@ -266,13 +309,13 @@ def character_evaluate(chi, x):
     p, k = chi.spec.p, chi.level
     coeffs = [0] * euler_phi_prime_power(p, k)
     for g, c in x.terms:
-        _add_monomial(coeffs, chi.exponent(g.data), c, p, k)
+        _add_monomial(coeffs, chi.exponent(g), c, p, k)
     return CyclotomicInteger(p, k, tuple(coeffs))
 
 
 def voltage_adjacency(alpha, n):
-    """The matrix A_α over Z[G^(n)], from each edge's voltage as a
-    GroupElement: off-diagonal (i, j), Σ α(e) over edges oriented
+    """The matrix A_α over Z[G^(n)], from each edge's voltage as a normal
+    form: off-diagonal (i, j), Σ α(e) over edges oriented
     v_i → v_j plus Σ α(e)⁻¹ over edges oriented v_j → v_i; diagonal,
     Σ α(e) + α(e)⁻¹ over loops at v_i."""
     spec = alpha.spec
@@ -281,10 +324,10 @@ def voltage_adjacency(alpha, n):
     index = {v: i for i, v in enumerate(base.vertices)}
     terms = [[Counter() for _ in range(m)] for _ in range(m)]
     for e, (v, w) in base.edges:
-        g = alpha.voltage(e, n)
+        g = spec.normal_form(n, alpha.word(e))
         i, j = index[v], index[w]
         terms[i][j][g] += 1
-        terms[j][i][spec.inverse(g)] += 1
+        terms[j][i][inverse(spec, n, g)] += 1
     return GroupRingMatrix(spec, n, tuple(
         tuple(GroupRingElement.from_terms(spec, n, t) for t in row)
         for row in terms))
@@ -324,16 +367,16 @@ def regular_representation(matrix):
         for bj, x in enumerate(row):
             for gj, g in enumerate(group):
                 for h, c in x.terms:
-                    hi = index[spec.multiply(h, g)]
+                    hi = index[spec.multiply(matrix.level, h, g)]
                     big[bi * order + hi][bj * order + gj] += c
     return big
 
 
 # -- reference arithmetic in Z[G^(n)] and Z[ζ] that the package never needs
 
-def group_ring_element(spec, g, coefficient=1):
-    """coefficient·g in Z[G^(level of g)]."""
-    return GroupRingElement.from_terms(spec, g.level, {g: coefficient})
+def group_ring_element(spec, level, g, coefficient=1):
+    """coefficient·g in Z[G^(level)]."""
+    return GroupRingElement.from_terms(spec, level, {g: coefficient})
 
 
 def group_ring_zero(spec, level):
@@ -354,7 +397,7 @@ def project(x, m):
             tuple(project(y, m) for y in row) for row in x.entries))
     acc = {}
     for g, c in x.terms:
-        h = x.spec.project(g, m)
+        h = project_element(x.spec, x.level, g, m)
         acc[h] = acc.get(h, 0) + c
     return GroupRingElement.from_terms(x.spec, m, acc)
 
@@ -469,33 +512,29 @@ def lift(x, new_k):
     return CyclotomicInteger(x.p, new_k, tuple(coeffs))
 
 
-# -- the GroupElement routes that integer normal forms replaced in the
-# package: word values, level-1 generation, fundamental-cycle β-values and
-# the content valuation of a group-ring element
+# -- the group-element routes that the package's normal forms replaced:
+# word values, level-1 generation, fundamental-cycle β-values and the
+# content valuation of a group-ring element
 
 def generator(spec, index, n):
     """Generator `index` of G^(n): σ or τ, or a unit vector."""
     if not 0 <= index < spec.num_generators:
         raise ValueError(f"invalid generator index {index}")
-    if n == 0:
-        return spec.identity(0)
-    if spec.kind == "abelian":
-        exps = [0] * spec.rank
-        exps[index] = 1
-        return GroupElement(n, tuple(exps))
-    return GroupElement(n, (1, 0) if index == 0 else (0, 1))
+    exps = [0] * spec.num_generators
+    exps[index] = 1 % spec.p ** n
+    return tuple(exps)
 
 
-def power(spec, a, k):
-    """a^k by squaring with `multiply`."""
+def power(spec, n, a, k):
+    """a^k in G^(n) by squaring with `multiply`."""
     if k < 0:
-        return power(spec, spec.inverse(a), -k)
-    result = spec.identity(a.level)
+        return power(spec, n, inverse(spec, n, a), -k)
+    result = identity(spec)
     base = a
     while k:
         if k & 1:
-            result = spec.multiply(result, base)
-        base = spec.multiply(base, base)
+            result = spec.multiply(n, result, base)
+        base = spec.multiply(n, base, base)
         k >>= 1
     return result
 
@@ -503,26 +542,21 @@ def power(spec, a, k):
 def evaluate_word(spec, n, word):
     """A generator word's value in G^(n) as the product of its generator
     powers: the reference for `TowerGroupSpec.normal_form`."""
-    result = spec.identity(n)
+    result = identity(spec)
     for index, exponent in word:
-        result = spec.multiply(result, power(spec, generator(spec, index, n),
-                                             exponent))
+        result = spec.multiply(n, result, power(
+            spec, n, generator(spec, index, n), exponent))
     return result
 
 
 def is_generating_set(spec, elements):
-    """Whether level-1 elements generate ``G^(1) = G/G^p``.
+    """Whether elements of G^(1) generate ``G^(1) = G/G^p``.
 
     For a powerful tower group the Frattini quotient is ``G/G^p``, so
     spanning ``G^(1)`` as an F_p vector space is equivalent to
     topological generation of the whole tower.
     """
-    vectors = []
-    for g in elements:
-        if g.level != 1:
-            raise ValueError("generation test requires level-1 elements")
-        vectors.append([x % spec.p for x in g.data])
-    return _fp_rank(vectors, spec.p) == spec.dimension
+    return _fp_rank([list(g) for g in elements], spec.p) == spec.dimension
 
 
 def fundamental_cycle_betas(alpha, n):
@@ -541,7 +575,7 @@ def fundamental_cycle_betas(alpha, n):
 
     root = base.vertices[0]
     # BFS spanning tree: for each vertex, the β of the root→vertex tree path
-    beta_to = {root: spec.identity(n)}
+    beta_to = {root: identity(spec)}
     tree_edges = set()
     frontier = [root]
     while frontier:
@@ -550,12 +584,12 @@ def fundamental_cycle_betas(alpha, n):
             if e in tree_edges:
                 continue
             if v in beta_to and w not in beta_to:
-                beta_to[w] = spec.multiply(beta_to[v], voltage(e))
+                beta_to[w] = spec.multiply(n, beta_to[v], voltage(e))
                 tree_edges.add(e)
                 next_frontier.append(w)
             elif w in beta_to and v not in beta_to:
-                beta_to[v] = spec.multiply(beta_to[w],
-                                           spec.inverse(voltage(e)))
+                beta_to[v] = spec.multiply(n, beta_to[w],
+                                           inverse(spec, n, voltage(e)))
                 tree_edges.add(e)
                 next_frontier.append(v)
         frontier = next_frontier
@@ -564,14 +598,14 @@ def fundamental_cycle_betas(alpha, n):
         if e in tree_edges:
             continue
         # cycle root → v, across e, back w → root
-        g = spec.multiply(beta_to[v], voltage(e))
-        betas.append(spec.multiply(g, spec.inverse(beta_to[w])))
+        g = spec.multiply(n, beta_to[v], voltage(e))
+        betas.append(spec.multiply(n, g, inverse(spec, n, beta_to[w])))
     return betas
 
 
 def criterion_by_betas(alpha):
-    """The connectivity criterion on GroupElements: the fundamental-cycle
-    β-values generate G^(1)."""
+    """The connectivity criterion on group elements: the fundamental-cycle
+    β-values, products by `multiply`, generate G^(1)."""
     betas = fundamental_cycle_betas(alpha, 1)
     if not betas:
         return alpha.spec.order(1) == 1

@@ -12,16 +12,17 @@ from graphtower import (Multigraph, QuotientSpec, TowerGroupSpec,
                         factorization_check, fit_iwasawa, interpolation_check, is_connected,
                         jacobian_structure, lambda1_determinant, mhg_check,
                         mu_lambda_from_poly, mu_lower_bound,
-                        quotient_assignment, spanning_tree_count, tower_en)
+                        quotient_assignment, tower_en)
 from graphtower.graphs import connected_components
 from graphtower.grouprings import characters
 from graphtower.linalg import smith_invariant_factors
 
-from conftest import (ABELIAN_SHAPES, GroupRingElement, GroupRingMatrix,
+from conftest import (ABELIAN_SHAPES, GroupRingElement, GroupRingMatrix, act,
                       character_evaluate, cyclotomic_product,
                       enumerate_spanning_trees,
                       group_ring_zero, lift, project, random_abelian_instance,
-                      random_connected_multigraph, reduced_norm, sparse)
+                      random_connected_multigraph, reduced_norm, sparse,
+                      spanning_tree_count)
 
 
 def _announce(criterion, detail, started):
@@ -244,7 +245,8 @@ def test_criterion_7_property_suites():
             multiset = Counter(frozenset([v, w])
                                for _, (v, w) in cover.graph.edges)
             g = alpha.spec.enumerate_group(n)[-1]
-            mapped = Counter(frozenset([cover.act(g, v), cover.act(g, w)])
+            mapped = Counter(frozenset([act(alpha.spec, n, g, v),
+                                        act(alpha.spec, n, g, w)])
                              for _, (v, w) in cover.graph.edges)
             assert mapped == multiset
         if not prediction:

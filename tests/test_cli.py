@@ -1,11 +1,14 @@
 import copy
 import hashlib
 import json
+import os
 import random
+import subprocess
 import sys
 import time
 import tracemalloc
 from math import prod
+from pathlib import Path
 
 import pytest
 
@@ -13,11 +16,13 @@ import graphtower
 from graphtower.cli import _HANDLERS, _json_text, main, parse_config
 from graphtower.cyclotomic import CyclotomicInteger
 from graphtower.errors import ConfigError
-from graphtower.graphs import spanning_tree_count
 from graphtower.polynomials import IntPolynomial
 from graphtower.voltage import derive
 
-from conftest import LOOP_CONFIG, MU2_CONFIG, abelian_pin_config
+from conftest import (LOOP_CONFIG, MU2_CONFIG, abelian_pin_config,
+                      spanning_tree_count)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_config(tmp_path, data, name="job.json"):
@@ -135,6 +140,24 @@ def test_unwritable_out_exits_1(tmp_path, capsys):
     path = write_config(tmp_path, LOOP_CONFIG)
     assert main(["tower", "--config", path, "--out", path]) == 1
     assert "cannot write report" in capsys.readouterr().err
+
+
+def test_closed_stdout_exits_1_without_a_traceback(tmp_path):
+    """A reader that closes the pipe after one line, as `| head -1` does,
+    while a 1.4 MB lfun report is still being written: exit 1 with a
+    message, and no traceback, also not at interpreter shutdown."""
+    path = write_config(tmp_path, Z125_CONFIG)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "graphtower.cli", "lfun", "--config", path,
+         "--level", "3"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=env, text=True)
+    assert proc.stdout.readline() == "{\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert err.startswith("cannot write report: ")
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 def test_tsv_format(tmp_path, capsys):
@@ -1288,7 +1311,7 @@ def _mhg_pin_config(seed):
 
 
 # SHA-256 of the mhg-check stdout, recorded with the content bound read off
-# voltage_laplacian(alpha, 1) and the criterion on GroupElements
+# voltage_laplacian(alpha, 1) and the criterion on β-values by `multiply`
 _MHG_SHA256 = {
     1: "e617601b05e1d79730ab9ec194b248e3ee24ec6dd0756fe82885c3f3ff5acd5d",
     2: "133048b6c739ed817d32438c6b7193bfeda98aeff025083fba6df591e7629c1a",
@@ -1345,9 +1368,9 @@ def test_tower_job_builds_no_group_element_arithmetic(tmp_path, capsys,
     products = []
     multiply = graphtower.TowerGroupSpec.multiply
 
-    def counted(spec, a, b):
+    def counted(spec, n, a, b):
         products.append((a, b))
-        return multiply(spec, a, b)
+        return multiply(spec, n, a, b)
 
     monkeypatch.setattr(graphtower.TowerGroupSpec, "multiply", counted)
     path = write_config(tmp_path, _mhg_pin_config(seed))
@@ -1392,6 +1415,10 @@ _ESCAPED_ID_CONFIG = {
 _REPORT_PINS = {
     "derive-int-ids": (_INT_ID_CONFIG, ["derive", "--level", "2"]),
     "derive-escaped-ids": (_ESCAPED_ID_CONFIG, ["derive", "--level", "1"]),
+    # u = 4 ≢ 1 mod 9: the metacyclic group order where it is not abelian
+    "derive-escaped-ids-level-2": (_ESCAPED_ID_CONFIG,
+                                   ["derive", "--level", "2"]),
+    "jacobian-level-0": (_INT_ID_CONFIG, ["jacobian", "--level", "0"]),
     "check-interpolation": (_INT_ID_CONFIG,
                             ["check-interpolation", "--level", "2"]),
     "check-factorization": (_INT_ID_CONFIG,
@@ -1408,6 +1435,10 @@ _REPORT_SHA256 = {
         "21246a8c5c842c6e5aa92d4fcd53e056d7922ad585384cf455547f4ae93c931d",
     "derive-escaped-ids":
         "10b25fbfa2ab14dea0dd25e03129be041696a1eea8b857e9ee0d6791b3b75bca",
+    "derive-escaped-ids-level-2":
+        "79f99ede1efc069f489e24894ecf9ee46a3f5dd67e44c77ddcfe051eec004386",
+    "jacobian-level-0":
+        "f46a5c35d592997925d3d55ea6e134f36e18daeb0b9616f506ee59f847c08867",
     "check-interpolation":
         "48edb41961feffcae56bec2a1c8889ab9df142e53dd6d53217e85fc18f7e9d67",
     "check-factorization":

@@ -74,30 +74,11 @@ def test_package_runs_from_src_alone(tmp_path):
 # Public callables that no subcommand enters, each with what keeps it.  A
 # class name covers its methods.
 REACHED_ELSEWHERE = {
-    "graphs.spanning_tree_count":
-        "README: spanning-tree counts via the matrix-tree theorem",
-    "jacobian.smith_normal_form":
-        "README: Jacobian and Picard groups via exact Smith normal form",
-    "jacobian.SmithNormalForm.rank": "the rank of smith_normal_form's result",
-    "voltage.DerivedGraph.act": "README: derived graphs, their Galois action",
-    "voltage.DerivedGraph.project_edge":
-        "README: derived graphs, their Galois action",
-    "voltage.DerivedGraph.spec": "read by DerivedGraph.act",
-    "voltage.beta_of_path":
-        "README: a connectivity criterion based on the β-values of cycles",
-    "groups.TowerGroupSpec.project":
-        "README: towers of finite p-group quotients, G^(n) → G^(m)",
-    "voltage.VoltageAssignment.voltage": "read by beta_of_path",
-    "groups.TowerGroupSpec.word_evaluate":
-        "read by VoltageAssignment.voltage",
-    "groups.TowerGroupSpec.inverse": "read by beta_of_path",
-    "groups.TowerGroupSpec.multiply":
-        "read by beta_of_path and DerivedGraph.act",
-    "groups.TowerGroupSpec.identity":
-        "read by beta_of_path, and by multiply and inverse at level 0",
     "polynomials.PolynomialRing":
         "perfbench/layertrace.py LAYER_CLASSES wraps it by name",
     "polynomials.LaurentRing":
+        "perfbench/layertrace.py LAYER_CLASSES wraps it by name",
+    "groups.TowerGroupSpec.multiply":
         "perfbench/layertrace.py LAYER_CLASSES wraps it by name",
     "cli.build_parser": "runs once, when graphtower.cli is imported",
 }

@@ -2,25 +2,20 @@ import random
 
 import pytest
 
-from graphtower import (Multigraph, connected_components, is_connected,
-                        spanning_tree_count)
+from graphtower import Multigraph, connected_components, is_connected
 from graphtower.graphs import laplacian_rows
 from graphtower.linalg import det_int
 
 from conftest import (dense_laplacian, enumerate_spanning_trees,
-                      graph_matrices, random_connected_multigraph)
+                      graph_matrices, random_connected_multigraph,
+                      spanning_tree_count)
 
 
-def plain_rows(g, reduced=False):
-    """The Laplacian rows of g, as a cover of itself of fibre size 1."""
+def plain_rows(g):
+    """The reduced Laplacian rows of g, as a cover of itself of fibre size
+    1."""
     return laplacian_rows(g.num_vertices, g.index_pairs(),
-                          [[0]] * g.num_edges, 1, reduced)
-
-
-def laplacian(g):
-    """The Laplacian of g, densified from its sparse rows."""
-    rows = plain_rows(g)
-    return [[row.get(j, 0) for j in range(g.num_vertices)] for row in rows]
+                          [[0]] * g.num_edges, 1)
 
 
 def triangle():
@@ -64,11 +59,15 @@ def test_degrees_match_the_dense_degree_matrix():
 
 
 def test_laplacian_row_sums_zero():
+    """D − A has zero row sums, so a reduced row sums to the number of its
+    vertex's edges to the dropped vertex 0."""
     rng = random.Random(11)
     for _ in range(20):
         g = random_connected_multigraph(rng)
-        lap = laplacian(g)
-        assert all(sum(row) == 0 for row in lap)
+        pairs = g.index_pairs()
+        assert [sum(row.values()) for row in plain_rows(g)] == [
+            sum({i, j} == {0, k} for i, j in pairs)
+            for k in range(1, g.num_vertices)]
 
 
 def test_duplicate_ids_rejected():
@@ -111,7 +110,7 @@ def test_all_principal_minors_agree():
     rng = random.Random(7)
     for _ in range(10):
         g = random_connected_multigraph(rng, max_vertices=6)
-        lap = laplacian(g)
+        lap = dense_laplacian(g)
         n = len(lap)
         minors = set()
         for k in range(n):
@@ -125,21 +124,17 @@ def test_adding_loop_changes_nothing():
     g = triangle()
     with_loop = Multigraph.build(g.vertices, list(g.edges) + [(9, ("a", "a"))])
     assert spanning_tree_count(g) == spanning_tree_count(with_loop)
-    assert laplacian(g) == laplacian(with_loop)
+    assert plain_rows(g) == plain_rows(with_loop)
 
 
 def test_laplacian_rows_match_the_dense_laplacian():
-    """Sparse rows equal D − A with its zeros left out, and the reduced
-    rows equal it with the row and column of vertex 0 dropped, also on the
-    graph with no vertices."""
+    """Sparse rows equal D − A with its zeros left out and the row and
+    column of vertex 0 dropped, also on the graph with no vertices."""
     rng = random.Random(13)
     empty = Multigraph.build([], [])
     for g in [empty] + [random_connected_multigraph(rng, max_vertices=7)
                         for _ in range(30)]:
         dense = dense_laplacian(g)
-        full = plain_rows(g)
-        assert full == [{j: v for j, v in enumerate(row) if v}
-                        for row in dense]
-        reduced = plain_rows(g, reduced=True)
-        assert reduced == [{j - 1: v for j, v in enumerate(row) if v and j}
-                           for row in dense[1:]]
+        assert plain_rows(g) == [
+            {j - 1: v for j, v in enumerate(row) if v and j}
+            for row in dense[1:]]

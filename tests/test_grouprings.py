@@ -17,14 +17,14 @@ from conftest import (ORACLE_SHAPES, GroupRingElement, GroupRingMatrix,
                       character_evaluate, character_power,
                       cyclotomic_constant, cyclotomic_product,
                       cyclotomic_sum, generator, leibniz_det,
-                      group_ring_element, group_ring_zero, lift,
+                      group_ring_element, group_ring_zero, identity, lift,
                       oracle_instance, orbit_units, project,
                       regular_representation, root_power, voltage_adjacency,
                       voltage_laplacian)
 
 
 def group_ring_one(spec, level):
-    return group_ring_element(spec, spec.identity(level))
+    return group_ring_element(spec, level, identity(spec))
 
 
 def group_ring_product(x, y):
@@ -33,13 +33,13 @@ def group_ring_product(x, y):
     acc = {}
     for g, c in x.terms:
         for h, d in y.terms:
-            gh = x.spec.multiply(g, h)
+            gh = x.spec.multiply(x.level, g, h)
             acc[gh] = acc.get(gh, 0) + c * d
     return GroupRingElement.from_terms(x.spec, x.level, acc)
 
 
 def sigma_element(spec, n, index=0, coeff=1):
-    return group_ring_element(spec, generator(spec, index, n), coeff)
+    return group_ring_element(spec, n, generator(spec, index, n), coeff)
 
 
 def random_ring_element(rng, spec, n, size=3):
@@ -72,7 +72,7 @@ def test_identity_and_normal_form():
     sigma = sigma_element(spec, 2, index=0)
     tau = sigma_element(spec, 2, index=1)
     product = group_ring_product(sigma, tau)
-    assert product.terms == ((spec.word_evaluate(2, [(0, 1), (1, 1)]), 1),)
+    assert product.terms == ((spec.normal_form(2, [(0, 1), (1, 1)]), 1),)
 
 
 def test_character_trivial_is_augmentation():

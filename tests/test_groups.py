@@ -7,20 +7,21 @@ from graphtower.errors import BoundExceededError
 from graphtower.groups import p_valuation
 
 from conftest import (ORACLE_EXPONENTS, ORACLE_SHAPES, evaluate_word,
-                      generator, is_generating_set, oracle_spec)
+                      generator, identity, inverse, is_generating_set,
+                      oracle_spec, project_element)
 
 
 def test_word_evaluate_abelian():
     spec = TowerGroupSpec("abelian", 3, rank=1)
-    assert spec.word_evaluate(2, [(0, 4), (0, 7)]).data == (2,)
-    assert spec.word_evaluate(2, [(0, -1)]).data == (8,)
+    assert spec.normal_form(2, [(0, 4), (0, 7)]) == (2,)
+    assert spec.normal_form(2, [(0, -1)]) == (8,)
 
 
 def test_word_evaluate_metacyclic_relation():
     # τ·σ = σ^u·τ with u = 4 at p = 3, n = 2
     spec = TowerGroupSpec("metacyclic", 3, action_unit=4)
-    result = spec.word_evaluate(2, [(1, 1), (0, 1)])
-    assert result.data == (4, 1)
+    result = spec.normal_form(2, [(1, 1), (0, 1)])
+    assert result == (4, 1)
 
 
 def test_enumerate_sizes():
@@ -37,13 +38,13 @@ def test_enumerate_bound():
 
 def test_project():
     spec = TowerGroupSpec("abelian", 3, rank=1)
-    g = spec.word_evaluate(2, [(0, 5)])
-    assert spec.project(g, 1).data == (2,)
+    g = spec.normal_form(2, [(0, 5)])
+    assert project_element(spec, 2, g, 1) == (2,)
     meta = TowerGroupSpec("metacyclic", 3, action_unit=4)
-    h = meta.word_evaluate(2, [(0, 4), (1, 7)])
-    assert meta.project(h, 1).data == (1, 1)
+    h = meta.normal_form(2, [(0, 4), (1, 7)])
+    assert project_element(meta, 2, h, 1) == (1, 1)
     with pytest.raises(ValueError):
-        spec.project(g, 3)
+        project_element(spec, 2, g, 3)
 
 
 def test_projection_is_homomorphism():
@@ -54,8 +55,9 @@ def test_projection_is_homomorphism():
         elements = spec.enumerate_group(2)
         for _ in range(50):
             a, b = rng.choice(elements), rng.choice(elements)
-            assert (spec.project(spec.multiply(a, b), 1) ==
-                    spec.multiply(spec.project(a, 1), spec.project(b, 1)))
+            assert (project_element(spec, 2, spec.multiply(2, a, b), 1) ==
+                    spec.multiply(1, project_element(spec, 2, a, 1),
+                                  project_element(spec, 2, b, 1)))
 
 
 def test_group_axioms_random():
@@ -63,14 +65,15 @@ def test_group_axioms_random():
     for spec in (TowerGroupSpec("abelian", 2, rank=3),
                  TowerGroupSpec("metacyclic", 3),
                  TowerGroupSpec("metacyclic", 5, action_unit=6)):
-        elements = spec.enumerate_group(1 if spec.p == 5 else 2)
-        e = spec.identity(elements[0].level)
+        n = 1 if spec.p == 5 else 2
+        elements = spec.enumerate_group(n)
+        e = identity(spec)
         for _ in range(40):
             a, b, c = (rng.choice(elements) for _ in range(3))
-            assert (spec.multiply(spec.multiply(a, b), c) ==
-                    spec.multiply(a, spec.multiply(b, c)))
-            assert spec.multiply(a, e) == a
-            assert spec.multiply(a, spec.inverse(a)) == e
+            assert (spec.multiply(n, spec.multiply(n, a, b), c) ==
+                    spec.multiply(n, a, spec.multiply(n, b, c)))
+            assert spec.multiply(n, a, e) == a
+            assert spec.multiply(n, a, inverse(spec, n, a)) == e
 
 
 def test_filtration_index():
@@ -84,8 +87,8 @@ def test_generating_sets():
     spec = TowerGroupSpec("abelian", 3, rank=1)
     assert is_generating_set(spec, [generator(spec, 0, 1)])
     # σ^p at level 1 projects to the identity
-    deep = spec.word_evaluate(2, [(0, 3)])
-    assert not is_generating_set(spec, [spec.project(deep, 1)])
+    deep = spec.normal_form(2, [(0, 3)])
+    assert not is_generating_set(spec, [project_element(spec, 2, deep, 1)])
     meta = TowerGroupSpec("metacyclic", 3)
     assert is_generating_set(meta, [generator(meta, 0, 1),
                                     generator(meta, 1, 1)])
@@ -105,17 +108,16 @@ def test_normal_forms_and_translations_match_multiply(kind, p, rank):
             word = [(rng.randrange(spec.num_generators),
                      rng.choice(ORACLE_EXPONENTS + (rng.randint(-99, 99),)))
                     for _ in range(rng.randint(0, 4))]
-            assert (spec.normal_form(n, word) ==
-                    evaluate_word(spec, n, word).data)
+            assert spec.normal_form(n, word) == evaluate_word(spec, n, word)
         if spec.order_exceeds(n, 729):
             continue
         group = spec.enumerate_group(n)
         mod = p ** n
-        assert [sum(x * mod ** t for t, x in enumerate(reversed(g.data)))
+        assert [sum(x * mod ** t for t, x in enumerate(reversed(g)))
                 for g in group] == list(range(len(group)))
         for a in [group[0], group[-1], *rng.sample(group, min(3, len(group)))]:
-            assert [group[k] for k in spec.right_translation(n, a.data)] == [
-                spec.multiply(g, a) for g in group]
+            assert [group[k] for k in spec.right_translation(n, a)] == [
+                spec.multiply(n, g, a) for g in group]
 
 
 def test_invalid_specs():
@@ -140,4 +142,4 @@ def test_word_with_an_invalid_generator_index():
                  TowerGroupSpec("metacyclic", 3)):
         for index in (-1, 2):
             with pytest.raises(ValueError, match="generator index"):
-                spec.word_evaluate(1, [(0, 1), (index, 1)])
+                spec.normal_form(1, [(0, 1), (index, 1)])

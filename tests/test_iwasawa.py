@@ -8,7 +8,7 @@ from graphtower import (IntPolynomial, Multigraph, QuotientSpec,
                         connectivity_criterion, fit_iwasawa,
                         fitting_generators, lambda1_determinant, mhg_check,
                         mu_lambda_from_poly, mu_lower_bound,
-                        quotient_assignment, spanning_tree_count, tower_en)
+                        quotient_assignment, tower_en)
 from graphtower.errors import DisconnectedError, PreconditionError
 from graphtower.jacobian import p_valuation
 from graphtower.polynomials import LAURENT, LaurentElement
@@ -18,7 +18,7 @@ from conftest import (ORACLE_SHAPES, abelian_pin_config, as_int,
                       content_p_valuation,
                       det_in_ring, doubled, lift, oracle_instance,
                       random_abelian_instance, random_connected_multigraph,
-                      reduced_norm, voltage_laplacian)
+                      reduced_norm, spanning_tree_count, voltage_laplacian)
 
 
 def z3_loop():

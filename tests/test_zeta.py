@@ -151,10 +151,10 @@ def test_h_at_one_trivial_character_vanishes():
 def _edge_adjacency(cover):
     """Σ_σ A(σ)·σ read off the edges of X_n: A(σ)_ij counts the edges
     between (v_i, 1) and (v_j, σ), a loop at (v_i, 1) twice in A(1)."""
-    spec, base, n = cover.spec, cover.alpha.base, cover.level
+    spec, base, n = cover.alpha.spec, cover.alpha.base, cover.level
     index = {v: i for i, v in enumerate(base.vertices)}
     m = base.num_vertices
-    identity = spec.identity(n)
+    identity = (0,) * spec.num_generators
     terms = [[Counter() for _ in range(m)] for _ in range(m)]
     for _, ((v, g), (w, h)) in cover.graph.edges:
         i, j = index[v], index[w]
@@ -392,8 +392,8 @@ def test_factorization_check_catches_a_corrupted_sigma_matrix(monkeypatch):
         alpha, level = random_abelian_instance(rng)
         assert factorization_check(alpha, level).passed
         spec, m = alpha.spec, alpha.base.num_vertices
-        sigma = rng.choice(sorted(s.data for s in spec.enumerate_group(level)
-                                  if s != spec.identity(level)))
+        sigma = rng.choice([s for s in spec.enumerate_group(level)
+                            if any(s)])
         extra = (rng.randrange(m), rng.randrange(m), sigma)
 
         def corrupted(chi, edges, degrees):
