@@ -8,18 +8,15 @@ tower module — all in exact integer, cyclotomic, and polynomial arithmetic.
 
 from .errors import (BoundExceededError, ConfigError, DisconnectedError,
                      GraphTowerError, PreconditionError)
-from .graphs import (Multigraph, connected_components, is_connected,
-                     laplacian_rows)
+from .graphs import Multigraph, component_count, laplacian_rows
 from .groups import TowerGroupSpec
 from .grouprings import Character, characters, nrd_abelian
 from .cyclotomic import CyclotomicInteger
-from .jacobian import (AbelianGroupStructure, jacobian_structure,
-                       level_jacobian)
+from .jacobian import AbelianGroupStructure, level_jacobian
 from .polynomials import IntPolynomial, LaurentElement
-from .voltage import (DerivedGraph, QuotientSpec, VoltageAssignment,
-                      connectivity_criterion,
-                      cover_index_pairs, derive, edge_translations,
-                      quotient_assignment)
+from .voltage import (QuotientSpec, VoltageAssignment,
+                      connectivity_criterion, cover_index_pairs,
+                      edge_translations, quotient_assignment)
 from .zeta import (ZetaData, artin_l_inverse, factorization_check,
                    ihara_zeta_inverse, interpolation_check)
 from .iwasawa import (FittingGenerators, IwasawaFit, Lambda1Det, MHGVerdict,

@@ -19,12 +19,11 @@ from pathlib import Path
 from . import __version__
 from .cyclotomic import CyclotomicInteger
 from .errors import BoundExceededError, ConfigError, GraphTowerError
-from .graphs import Multigraph, connected_components
+from .graphs import Multigraph, component_count
 from .grouprings import characters, per_character
-from .jacobian import (AbelianGroupStructure, jacobian_structure,
-                       level_jacobian)
+from .jacobian import AbelianGroupStructure, level_jacobian
 from .voltage import (QuotientSpec, VoltageAssignment, check_derive_bounds,
-                      cover_index_pairs, derive)
+                      cover_index_pairs)
 from .groups import TowerGroupSpec
 from .zeta import (artin_l_inverse, factorization_check, ihara_zeta_inverse,
                    interpolation_check)
@@ -186,48 +185,47 @@ def _level(args, default: int = 1) -> int:
 
 def _cmd_derive(job: JobConfig, args) -> dict:
     level = _level(args)
-    g = derive(job.alpha, level).graph
-    components = connected_components(g)
+    alpha = job.alpha
+    num_vertices, pairs = cover_index_pairs(alpha, level)
+    components = component_count(num_vertices, pairs)
     report = {
         "level": level,
-        "num_vertices": g.num_vertices,
-        "num_edges": g.num_edges,
-        "connected": len(components) <= 1,
-        "num_components": len(components),
+        "num_vertices": num_vertices,
+        "num_edges": len(pairs),
+        "connected": components <= 1,
+        "num_components": components,
     }
-    if g.num_edges <= _EDGE_LIST_LIMIT:
+    if len(pairs) <= _EDGE_LIST_LIMIT:
+        # vertex i·|G| + k is (v_i, g_k); edge x lies over base edge
+        # x // |G| at g_(x mod |G|)
+        group = [list(g) for g in alpha.spec.enumerate_group(level)]
+        size = len(group)
+        vertices = [[str(v), g] for v in alpha.base.vertices for g in group]
+        edges = [str(e) for e, _ in alpha.base.edges]
         report["edges"] = [
-            {"id": [str(e), list(ge)],
-             "ends": [[str(v), list(gv)], [str(w), list(gw)]]}
-            for (e, ge), ((v, gv), (w, gw)) in g.edges]
+            {"id": [edges[x // size], group[x % size]],
+             "ends": [vertices[i], vertices[j]]}
+            for x, (i, j) in enumerate(pairs)]
     return report
 
 
 def _cmd_jacobian(job: JobConfig, args) -> dict:
     level = _level(args, 0)
-    if level == 0:
-        structure = jacobian_structure(job.alpha.base)
-        # Pic(X) = Z ⊕ J(X) for a connected X, and J(X) requires one
-        pic = AbelianGroupStructure(1, structure.torsion)
-        return {"level": 0,
-                "jacobian": _structure_json(structure),
-                "picard": _structure_json(pic),
-                "order": structure.torsion_order}
     structure, e_n = level_jacobian(job.alpha, level)
-    return {"level": level,
-            "jacobian": _structure_json(structure),
-            "order": structure.torsion_order,
-            "e_n": e_n}
+    report = {"level": level, "jacobian": _structure_json(structure)}
+    if level == 0:
+        # Pic(X) = Z ⊕ J(X) for a connected X, and J(X) requires one
+        report["picard"] = _structure_json(
+            AbelianGroupStructure(1, structure.torsion))
+    report["order"] = structure.torsion_order
+    if level:
+        report["e_n"] = e_n
+    return report
 
 
 def _cmd_zeta(job: JobConfig, args) -> dict:
     level = _level(args, 0)
-    base = job.alpha.base
-    if level:
-        num_vertices, pairs = cover_index_pairs(job.alpha, level)
-    else:
-        num_vertices, pairs = base.num_vertices, base.index_pairs()
-    data = ihara_zeta_inverse(num_vertices, pairs)
+    data = ihara_zeta_inverse(*cover_index_pairs(job.alpha, level))
     return {"level": level, "chi": data.chi,
             "det_part": list(data.det_part.coeffs)}
 

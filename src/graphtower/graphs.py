@@ -1,8 +1,10 @@
-"""Finite undirected multigraphs, their connectivity and reduced Laplacians.
+"""Finite undirected multigraphs, reduced Laplacians and component counts.
 
 Loops and parallel edges are allowed everywhere.  Vertex and edge order is
 insertion order and all matrices are indexed by it, so repeated runs produce
-identical output.
+identical output.  A `Multigraph` is only ever a base graph: a cover X_n
+reaches the builders below as vertex indices and index pairs, from its
+base and its voltage translations, and is never built.
 """
 
 from __future__ import annotations
@@ -105,29 +107,22 @@ def laplacian_rows(num_vertices: int, pairs: Sequence[tuple[int, int]],
     return rows
 
 
-def connected_components(graph: Multigraph) -> list[set[Vertex]]:
-    """Partition of the vertex set into connectivity classes (insertion order)."""
-    adjacency: dict[Vertex, set[Vertex]] = {v: set() for v in graph.vertices}
-    for _, (v, w) in graph.edges:
-        adjacency[v].add(w)
-        adjacency[w].add(v)
-    seen: set[Vertex] = set()
-    parts: list[set[Vertex]] = []
-    for start in graph.vertices:
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in adjacency[v]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        parts.append(comp)
-    return parts
+def component_count(num_vertices: int,
+                    pairs: Sequence[tuple[int, int]]) -> int:
+    """The number of connected components of the graph on vertices
+    0..num_vertices − 1 with an edge joining i and j for each (i, j) of
+    pairs, by union-find with path halving."""
+    parent = list(range(num_vertices))
 
+    def root(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
 
-def is_connected(graph: Multigraph) -> bool:
-    return len(connected_components(graph)) <= 1
+    count = num_vertices
+    for i, j in pairs:
+        i, j = root(i), root(j)
+        if i != j:
+            parent[i] = j
+            count -= 1
+    return count

@@ -15,8 +15,7 @@ from .linalg import det_int_poly_matrix
 from .polynomials import (IntPolynomial, LaurentElement,
                           laurent_substitute_gamma)
 from .voltage import (QuotientSpec, VoltageAssignment, check_derive_bounds,
-                      connectivity_criterion, gamma_exponent,
-                      quotient_assignment)
+                      connectivity_criterion, quotient_assignment)
 
 _LAMBDA1_DEGREE_BOUND = 1800  # Σ over Laplacian rows of the γ-exponent span
 
@@ -126,7 +125,9 @@ def lambda1_determinant(alpha_quotient: VoltageAssignment) -> Lambda1Det:
         raise ValueError("quotient assignment must live on the rank-1 tower")
     base = alpha_quotient.base
     m = base.num_vertices
-    exponents = [(i, j, gamma_exponent(alpha_quotient, e))
+    # the γ-exponent of each edge's voltage, its word's exponent sum
+    words = dict(alpha_quotient.voltages)
+    exponents = [(i, j, sum(exp for _, exp in words[e]))
                  for (i, j), (e, _) in zip(base.index_pairs(), base.edges)]
     # row i of the Laplacian holds γ^0 and γ^−b (γ^b) for each edge leaving
     # (entering) vertex i; γ^−low[i] clears the row, and the row spans

@@ -1,8 +1,13 @@
-"""Voltage assignments, derived graphs, and quotient assignments.
+"""Voltage assignments, the covers they derive, and quotient assignments.
 
 The orientation convention is fixed once and for all: every edge's positive
 direction runs from its first listed endpoint to its second; traversing an
 edge backwards inverts its voltage.
+
+The derived graph X_n of (X, α, G^(n)) is never built: it is the base plus
+each edge's right translation of G^(n) (`edge_translations`), or the end
+indices of its edges (`cover_index_pairs`).  Level 0 is the trivial cover,
+G^(0) = 1 with every translation [0], so X_0 = X.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import BoundExceededError, DisconnectedError
-from .graphs import EdgeId, Multigraph, is_connected
+from .graphs import EdgeId, Multigraph
 from .groups import TowerGroupSpec, _fp_rank
 
 Word = tuple[tuple[int, int], ...]  # ((generator index, exponent), ...)
@@ -49,12 +54,6 @@ class VoltageAssignment:
             for e, _ in base.edges if e in voltages)
         return VoltageAssignment(base, spec, packed)
 
-    def word(self, e: EdgeId) -> Word:
-        for eid, w in self.voltages:
-            if eid == e:
-                return w
-        raise KeyError(e)
-
     def normal_forms(self, n: int) -> list[tuple[int, ...]]:
         """Each edge's voltage in G^(n) as a normal form, in edge order."""
         words = dict(self.voltages)
@@ -67,16 +66,6 @@ class VoltageAssignment:
         regular representation take A_α, and D − A_α^t, from this list."""
         return [(i, j, a) for (i, j), a in
                 zip(self.base.index_pairs(), self.normal_forms(n))]
-
-
-@dataclass(frozen=True)
-class DerivedGraph:
-    """The level-n cover: vertices (v, g), edge (e, g) joining (v,g)–(w, gα(e)),
-    with g a normal form of G^(n)."""
-
-    level: int
-    alpha: VoltageAssignment
-    graph: Multigraph
 
 
 def check_derive_bounds(alpha: VoltageAssignment, n: int) -> None:
@@ -109,9 +98,10 @@ def edge_translations(alpha: VoltageAssignment, n: int) -> list[list[int]]:
 def cover_index_pairs(alpha: VoltageAssignment,
                       n: int) -> tuple[int, list[tuple[int, int]]]:
     """The vertex count of X_n and the vertex indices of each cover edge's
-    ends, in `derive`'s order, without building X_n: vertex (v_i, g_k) is
-    i·|G^(n)| + k, and edge (e, g_k), for e from v_i to v_j, joins it to
-    j·|G^(n)| + t_e[k], with t_e the translation of e from
+    ends, without building X_n: vertex (v_i, g_k) is i·|G^(n)| + k, with
+    g_k element k of `enumerate_group(n)`, and edge x, which lies over base
+    edge e = x // |G^(n)| at g_k, k = x mod |G^(n)|, joins it, for e from
+    v_i to v_j, to j·|G^(n)| + t_e[k], with t_e the translation of e from
     `edge_translations`."""
     translations = edge_translations(alpha, n)
     size = alpha.spec.order(n)
@@ -120,20 +110,6 @@ def cover_index_pairs(alpha: VoltageAssignment,
              for (i, j), translation in zip(base.index_pairs(), translations)
              for k, h in enumerate(translation)]
     return base.num_vertices * size, pairs
-
-
-def derive(alpha: VoltageAssignment, n: int) -> DerivedGraph:
-    """Materialize the derived graph X_n: vertices (v, g) in base-vertex
-    then `enumerate_group` order, and edges (e, g) in base-edge then group
-    order, each read from `edge_translations`."""
-    translations = edge_translations(alpha, n)
-    group = alpha.spec.enumerate_group(n)
-    base = alpha.base
-    vertices = tuple((v, g) for v in base.vertices for g in group)
-    edges = tuple(((e, g), ((v, g), (w, group[h])))
-                  for (e, (v, w)), translation in zip(base.edges, translations)
-                  for g, h in zip(group, translation))
-    return DerivedGraph(n, alpha, Multigraph(vertices, edges))
 
 
 def connectivity_criterion(alpha: VoltageAssignment) -> bool:
@@ -145,12 +121,10 @@ def connectivity_criterion(alpha: VoltageAssignment) -> bool:
     for both kinds, so the β-values are F_p-vectors: with φ(v) the image
     of the tree path from the first vertex to v, an edge from v to w of
     level-1 voltage a has β = φ(v) + a − φ(w), which is 0 on tree edges.
-    The criterion compares their F_p-rank with d.  A disconnected base
-    raises DisconnectedError.
+    The criterion compares their F_p-rank with d.  A base vertex that the
+    search for φ leaves unreached raises DisconnectedError.
     """
     base = alpha.base
-    if not is_connected(base):
-        raise DisconnectedError("base graph is disconnected")
     spec = alpha.spec
     p = spec.p
     pairs = base.index_pairs()
@@ -169,6 +143,8 @@ def connectivity_criterion(alpha: VoltageAssignment) -> bool:
             if phi[j] is None:
                 phi[j] = tuple((x + y) % p for x, y in zip(phi[i], a))
                 stack.append(j)
+    if None in phi:
+        raise DisconnectedError("base graph is disconnected")
     betas = [[(x + y - z) % p for x, y, z in zip(phi[i], a, phi[j])]
              for (i, j), a in zip(pairs, images)]
     return _fp_rank(betas, p) == spec.dimension
@@ -206,8 +182,3 @@ def quotient_assignment(alpha: VoltageAssignment,
         total = sum(exp * quotient.exponents[idx] for idx, exp in word)
         new_voltages[e] = [[0, total]] if total else []
     return VoltageAssignment.build(alpha.base, new_spec, new_voltages)
-
-
-def gamma_exponent(alpha_quotient: VoltageAssignment, e: EdgeId) -> int:
-    """The γ-exponent of an edge voltage in a rank-1 quotient assignment."""
-    return sum(exp for _, exp in alpha_quotient.word(e))

@@ -2,7 +2,8 @@
 
 ζ_X(u)⁻¹ is one integer determinant by Kronecker substitution, of sparse
 rows built from the ends of the graph's edges; a cover X_n gives them
-through ``voltage.cover_index_pairs`` and is never built.  Before packing,
+through ``voltage.cover_index_pairs`` and is never built, and level 0 is
+the trivial cover, the base itself, read the same way.  Before packing,
 one exact Schur complement takes out a set S of pairwise non-adjacent
 loop-free vertices of one degree, found greedily, when S holds at least
 half the vertices, as the fibre over a loop-free base vertex does over a
@@ -22,12 +23,12 @@ equality — never a float comparison.
 The L-functions, the interpolation check and ``fitting`` read the cover's
 adjacency Σ_σ A(σ)·σ, where A(σ)_ij counts the edges between (v_i, 1) and
 (v_j, σ) in X_n, off the base edges' level-n normal forms, as A_α (a test
-reads it off the edges of X_n).  χ(a) is computed only by
-``Character.exponent``.  ``lfun`` and the reduced norm of ``fitting``
-reach A_α only through ``grouprings.character_adjacency``.  The orbit
-norms of ``artin_l_norm`` and the lift of ``grouprings.orbit_h_values``
-read the exponents instead, so the interpolation check's two sides do not
-share the builder.
+reads it off the edges of an X_n built from group elements).  χ(a) is
+computed only by ``Character.exponent``.  ``lfun`` and the reduced norm of
+``fitting`` reach A_α only through ``grouprings.character_adjacency``.  The
+orbit norms of ``artin_l_norm`` and the lift of
+``grouprings.orbit_h_values`` read the exponents instead, so the
+interpolation check's two sides do not share the builder.
 """
 
 from __future__ import annotations

@@ -9,7 +9,8 @@ from collections import Counter
 from dataclasses import dataclass
 
 from graphtower import (Multigraph, TowerGroupSpec, VoltageAssignment,
-                        ihara_zeta_inverse, is_connected)
+                        component_count, cover_index_pairs,
+                        ihara_zeta_inverse)
 from graphtower.cyclotomic import (CyclotomicInteger, _add_monomial,
                                    euler_phi_prime_power, galois_images)
 from graphtower.errors import DisconnectedError
@@ -145,6 +146,19 @@ def graph_matrices(graph: Multigraph) -> GraphMatrices:
     return GraphMatrices(tuple(map(tuple, a)), tuple(map(tuple, d)), chi)
 
 
+def components(graph: Multigraph) -> int:
+    """The number of connected components of a Multigraph, by the
+    package's `component_count` over its end-index pairs."""
+    return component_count(graph.num_vertices, graph.index_pairs())
+
+
+def trivial_cover(graph: Multigraph):
+    """graph as level 0 of a Z_2 tower of empty voltages: the trivial cover
+    X_0 = X, as `jacobian --level 0` reads it."""
+    return VoltageAssignment.build(graph, TowerGroupSpec("abelian", 2),
+                                   {e: [] for e, _ in graph.edges})
+
+
 def graph_zeta(graph: Multigraph):
     """`ihara_zeta_inverse` of a Multigraph, by its end-index pairs."""
     return ihara_zeta_inverse(graph.num_vertices, graph.index_pairs())
@@ -212,7 +226,7 @@ def enumerate_spanning_trees(graph):
     non_loops = [(e, ends) for e, ends in graph.edges if ends[0] != ends[1]]
     trees = []
     for subset in itertools.combinations(non_loops, n - 1):
-        if is_connected(Multigraph(graph.vertices, tuple(subset))):
+        if components(Multigraph(graph.vertices, tuple(subset))) == 1:
             trees.append(frozenset(e for e, _ in subset))
     return trees
 
@@ -323,8 +337,9 @@ def voltage_adjacency(alpha, n):
     m = base.num_vertices
     index = {v: i for i, v in enumerate(base.vertices)}
     terms = [[Counter() for _ in range(m)] for _ in range(m)]
+    words = dict(alpha.voltages)
     for e, (v, w) in base.edges:
-        g = spec.normal_form(n, alpha.word(e))
+        g = spec.normal_form(n, words[e])
         i, j = index[v], index[w]
         terms[i][j][g] += 1
         terms[j][i][inverse(spec, n, g)] += 1
@@ -549,6 +564,37 @@ def evaluate_word(spec, n, word):
     return result
 
 
+def derive(alpha, n):
+    """The derived graph X_n of (X, α, G^(n)) as a Multigraph, built from
+    group elements and sharing no code with the package's translations:
+    vertices (v, g) in base-vertex then `enumerate_group` order, and edges
+    (e, g) from (v, g) to (w, g·α(e)) in base-edge then group order, with
+    α(e) the product of its generator powers by `multiply`."""
+    spec = alpha.spec
+    group = spec.enumerate_group(n)
+    words = dict(alpha.voltages)
+    vertices = [(v, g) for v in alpha.base.vertices for g in group]
+    edges = []
+    for e, (v, w) in alpha.base.edges:
+        a = evaluate_word(spec, n, words[e])
+        edges += [((e, g), ((v, g), (w, spec.multiply(n, g, a))))
+                  for g in group]
+    return Multigraph.build(vertices, edges)
+
+
+def cover_graph(alpha, n):
+    """The package's X_n as a Multigraph labelled as `derive` labels it:
+    vertex index i·|G| + k of `cover_index_pairs` is (v_i, g_k), and cover
+    edge x lies over base edge x // |G| at g_(x mod |G|)."""
+    group = alpha.spec.enumerate_group(n)
+    size = len(group)
+    vertices = [(v, g) for v in alpha.base.vertices for g in group]
+    _, pairs = cover_index_pairs(alpha, n)
+    return Multigraph.build(vertices, [
+        ((alpha.base.edges[x // size][0], group[x % size]),
+         (vertices[i], vertices[j])) for x, (i, j) in enumerate(pairs)])
+
+
 def is_generating_set(spec, elements):
     """Whether elements of G^(1) generate ``G^(1) = G/G^p``.
 
@@ -566,12 +612,13 @@ def fundamental_cycle_betas(alpha, n):
     edge list in insertion order (deterministic).
     """
     base = alpha.base
-    if not is_connected(base):
+    if components(base) > 1:
         raise DisconnectedError("base graph is disconnected")
     spec = alpha.spec
+    words = dict(alpha.voltages)
 
     def voltage(e):
-        return evaluate_word(spec, n, alpha.word(e))
+        return evaluate_word(spec, n, words[e])
 
     root = base.vertices[0]
     # BFS spanning tree: for each vertex, the β of the root→vertex tree path

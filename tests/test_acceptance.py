@@ -8,21 +8,20 @@ import random
 import time
 
 from graphtower import (Multigraph, QuotientSpec, TowerGroupSpec,
-                        VoltageAssignment, connectivity_criterion, derive,
-                        factorization_check, fit_iwasawa, interpolation_check, is_connected,
-                        jacobian_structure, lambda1_determinant, mhg_check,
+                        VoltageAssignment, connectivity_criterion,
+                        factorization_check, fit_iwasawa, interpolation_check,
+                        lambda1_determinant, level_jacobian, mhg_check,
                         mu_lambda_from_poly, mu_lower_bound,
                         quotient_assignment, tower_en)
-from graphtower.graphs import connected_components
 from graphtower.grouprings import characters
 from graphtower.linalg import smith_invariant_factors
 
 from conftest import (ABELIAN_SHAPES, GroupRingElement, GroupRingMatrix, act,
-                      character_evaluate, cyclotomic_product,
-                      enumerate_spanning_trees,
+                      character_evaluate, components, cover_graph,
+                      cyclotomic_product, derive, enumerate_spanning_trees,
                       group_ring_zero, lift, project, random_abelian_instance,
                       random_connected_multigraph, reduced_norm, sparse,
-                      spanning_tree_count)
+                      spanning_tree_count, trivial_cover)
 
 
 def _announce(criterion, detail, started):
@@ -76,7 +75,8 @@ def test_criterion_3_matrix_tree_consistency():
     while checked < 30:
         graph = random_connected_multigraph(rng, max_vertices=8)
         count = spanning_tree_count(graph)
-        assert jacobian_structure(graph).torsion_order == count
+        structure, _ = level_jacobian(trivial_cover(graph), 0)
+        assert structure.torsion_order == count
         if graph.num_vertices <= 6 and graph.num_edges <= 16:
             assert len(enumerate_spanning_trees(graph)) == count
             enumerated += 1
@@ -235,25 +235,23 @@ def test_criterion_7_property_suites():
         alpha, level = random_abelian_instance(rng)
         prediction = connectivity_criterion(alpha)
         for n in (1, min(level, 2)):
-            cover = derive(alpha, n)
+            cover = cover_graph(alpha, n)
             order = alpha.spec.order(n)
-            assert cover.graph.num_vertices == order * alpha.base.num_vertices
-            assert cover.graph.num_edges == order * alpha.base.num_edges
+            assert cover.num_vertices == order * alpha.base.num_vertices
+            assert cover.num_edges == order * alpha.base.num_edges
             if prediction:
-                assert is_connected(cover.graph)
+                assert components(cover) == 1
             from collections import Counter
             multiset = Counter(frozenset([v, w])
-                               for _, (v, w) in cover.graph.edges)
+                               for _, (v, w) in cover.edges)
             g = alpha.spec.enumerate_group(n)[-1]
             mapped = Counter(frozenset([act(alpha.spec, n, g, v),
                                         act(alpha.spec, n, g, w)])
-                             for _, (v, w) in cover.graph.edges)
+                             for _, (v, w) in cover.edges)
             assert mapped == multiset
         if not prediction:
             # failing criterion is sound: some computed level must disconnect
-            assert any(
-                len(connected_components(derive(alpha, n).graph)) > 1
-                for n in (1, 2))
+            assert any(components(derive(alpha, n)) > 1 for n in (1, 2))
         instances += 1
     assert time.monotonic() - started < 120
     _announce(7, "SNF, reduced norm, Galois action and criterion suites",

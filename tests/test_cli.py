@@ -17,9 +17,8 @@ from graphtower.cli import _HANDLERS, _json_text, main, parse_config
 from graphtower.cyclotomic import CyclotomicInteger
 from graphtower.errors import ConfigError
 from graphtower.polynomials import IntPolynomial
-from graphtower.voltage import derive
 
-from conftest import (LOOP_CONFIG, MU2_CONFIG, abelian_pin_config,
+from conftest import (LOOP_CONFIG, MU2_CONFIG, abelian_pin_config, derive,
                       spanning_tree_count)
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -291,7 +290,7 @@ def test_mu2_tower_at_level_2_has_no_cliff(tmp_path, capsys):
     assert main(["tower", "--config", path, "--max-level", "2"]) == 0
     assert time.perf_counter() - start < 10
     report = json.loads(capsys.readouterr().out)
-    cover = derive(parse_config(path).alpha, 2).graph
+    cover = derive(parse_config(path).alpha, 2)
     assert cover.num_vertices == 162
     assert prod(report["jacobians"][2]) == spanning_tree_count(cover)
 
@@ -302,7 +301,7 @@ def test_jacobian_of_a_128_vertex_cover_has_no_cliff(tmp_path, capsys):
     assert main(["jacobian", "--config", path, "--level", "5"]) == 0
     assert time.perf_counter() - start < 2
     report = json.loads(capsys.readouterr().out)
-    cover = derive(parse_config(path).alpha, 5).graph
+    cover = derive(parse_config(path).alpha, 5)
     assert cover.num_vertices == 128
     assert report["order"] == spanning_tree_count(cover)
     assert prod(report["jacobian"]["torsion"]) == report["order"]
@@ -444,20 +443,35 @@ def _count_multigraphs(monkeypatch):
 def test_check_factorization_and_zeta_build_no_cover(tmp_path, capsys,
                                                      monkeypatch):
     """Both sides of check-factorization, and zeta of a cover, come from
-    one set of voltage translations: no derived graph, no χ(A_α) over
-    Z[ζ], and no Multigraph larger than the base."""
+    one set of voltage translations: no χ(A_α) over Z[ζ], and no Multigraph
+    larger than the base."""
     path = write_config(tmp_path, LOOP_CONFIG)
     for subcommand in ("check-factorization", "zeta"):
         with monkeypatch.context() as patch:
-            derived = _count_calls(patch, graphtower.voltage.derive)
             adjacency = _count_calls(
                 patch, graphtower.grouprings.character_adjacency)
             translations = _count_calls(patch,
                                         graphtower.voltage.edge_translations)
             graphs = _count_multigraphs(patch)
             assert main([subcommand, "--config", path, "--level", "2"]) == 0
-        assert (len(derived), len(adjacency), len(translations)) == (0, 0, 1)
+        assert (len(adjacency), len(translations)) == (0, 1)
         assert graphs == [len(LOOP_CONFIG["graph"]["vertices"])]
+
+
+@pytest.mark.parametrize("subcommand", sorted(_HANDLERS))
+@pytest.mark.parametrize("level", [0, 2])
+def test_no_job_builds_a_multigraph_larger_than_the_base(
+        tmp_path, capsys, monkeypatch, subcommand, level):
+    """Every subcommand reads X_n off the base and its voltage translations,
+    at level 0, the trivial cover, as at level 2: the only Multigraph a job
+    builds is the base."""
+    graphs = _count_multigraphs(monkeypatch)
+    path = write_config(tmp_path, LOOP_CONFIG)
+    code = main([subcommand, "--level", str(level), "--max-level", str(level),
+                 "--config", path])
+    # a fit needs three levels
+    assert code == (2 if (subcommand, level) == ("iwasawa-fit", 0) else 0)
+    assert graphs == [len(LOOP_CONFIG["graph"]["vertices"])]
 
 
 @pytest.mark.parametrize("argv", [["tower", "--max-level", "2"],
@@ -465,12 +479,10 @@ def test_check_factorization_and_zeta_build_no_cover(tmp_path, capsys,
                                   ["jacobian", "--level", "2"]])
 def test_level_jacobians_build_no_cover(tmp_path, capsys, monkeypatch, argv):
     """Each level's Laplacian comes from the voltage translations: no
-    derived graph, and no Multigraph larger than the base."""
-    derived = _count_calls(monkeypatch, graphtower.voltage.derive)
+    Multigraph larger than the base."""
     graphs = _count_multigraphs(monkeypatch)
     path = write_config(tmp_path, MU2_CONFIG)
     assert main([*argv, "--config", path]) == 0
-    assert len(derived) == 0
     base_size = len(MU2_CONFIG["graph"]["vertices"])
     assert graphs and all(size == base_size for size in graphs)
 
@@ -631,11 +643,13 @@ def test_check_factorization_uses_no_cyclotomic_arithmetic(tmp_path, capsys,
 @pytest.mark.parametrize("subcommand", ["lfun", "check-interpolation"])
 def test_character_jobs_derive_no_cover(tmp_path, capsys, monkeypatch,
                                         subcommand):
-    """A_α over Z[G^(n)] is all these jobs need of X_n."""
-    calls = _count_calls(monkeypatch, graphtower.voltage.derive)
+    """A_α over Z[G^(n)] is all these jobs need of X_n: they take no
+    translations of G^(n)."""
+    translations = _count_calls(monkeypatch,
+                                graphtower.voltage.edge_translations)
     path = write_config(tmp_path, LOOP_CONFIG)
     assert main([subcommand, "--config", path, "--level", "2"]) == 0
-    assert len(calls) == 0
+    assert len(translations) == 0
 
 
 @pytest.mark.parametrize("subcommand", ["lfun", "check-interpolation"])
@@ -871,17 +885,40 @@ def test_bounds_stop_jobs_at_once(tmp_path, capsys, argv, voltage):
     assert "bound" in capsys.readouterr().err
 
 
+# a path on 5001 vertices: past the 5000-vertex cover bound at level 0,
+# where X_0 = X is the trivial cover
+_PATH_5001_CONFIG = {
+    "graph": {"vertices": list(range(5001)),
+              "edges": [{"id": i, "ends": [i, i + 1]} for i in range(5000)]},
+    "group": {"kind": "abelian", "p": 2},
+    "voltage": {str(i): [] for i in range(5000)},
+}
+
+
+@pytest.mark.parametrize("argv", [["jacobian", "--level", "0"],
+                                  ["zeta", "--level", "0"],
+                                  ["derive", "--level", "0"],
+                                  ["tower", "--max-level", "0"]])
+def test_level_0_meets_the_cover_bound(tmp_path, capsys, argv):
+    path = write_config(tmp_path, _PATH_5001_CONFIG)
+    started = time.monotonic()
+    assert main([*argv, "--config", path]) == 3
+    assert time.monotonic() - started < 1
+    assert "5001" in capsys.readouterr().err
+
+
 def test_tower_checks_connectivity_once_per_job(tmp_path, capsys,
                                                 monkeypatch):
-    calls = _count_calls(monkeypatch, graphtower.graphs.is_connected)
+    calls = _count_calls(monkeypatch,
+                         graphtower.voltage.connectivity_criterion)
     path = write_config(tmp_path, LOOP_CONFIG)
     assert main(["tower", "--config", path, "--max-level", "3"]) == 0
-    assert len(calls) == 1  # the base, in the criterion
+    assert len(calls) == 1
 
 
 def test_tower_past_the_bound_derives_no_level(tmp_path, capsys,
                                                monkeypatch):
-    calls = _count_calls(monkeypatch, graphtower.voltage.derive)
+    calls = _count_calls(monkeypatch, graphtower.voltage.edge_translations)
     path = write_config(tmp_path, LOOP_CONFIG)
     assert main(["tower", "--config", path, "--max-level", "7"]) == 3
     assert "enumeration bound" in capsys.readouterr().err
@@ -1419,6 +1456,11 @@ _REPORT_PINS = {
     "derive-escaped-ids-level-2": (_ESCAPED_ID_CONFIG,
                                    ["derive", "--level", "2"]),
     "jacobian-level-0": (_INT_ID_CONFIG, ["jacobian", "--level", "0"]),
+    # TSV keeps the handler's key order, which the sorted JSON does not show
+    "jacobian-level-0-tsv": (_INT_ID_CONFIG,
+                             ["jacobian", "--level", "0", "--format", "tsv"]),
+    "jacobian-level-2-tsv": (_ESCAPED_ID_CONFIG,
+                             ["jacobian", "--level", "2", "--format", "tsv"]),
     "check-interpolation": (_INT_ID_CONFIG,
                             ["check-interpolation", "--level", "2"]),
     "check-factorization": (_INT_ID_CONFIG,
@@ -1439,6 +1481,10 @@ _REPORT_SHA256 = {
         "79f99ede1efc069f489e24894ecf9ee46a3f5dd67e44c77ddcfe051eec004386",
     "jacobian-level-0":
         "f46a5c35d592997925d3d55ea6e134f36e18daeb0b9616f506ee59f847c08867",
+    "jacobian-level-0-tsv":
+        "a5b4c4d7237dfa9257f97cdb0206af405cdcabab9993b6c8ee54365e54ef87c5",
+    "jacobian-level-2-tsv":
+        "682441917b6be4f5a1a08e734fdfb5c291abc73f4d44517ec6af57976d39c9b2",
     "check-interpolation":
         "48edb41961feffcae56bec2a1c8889ab9df142e53dd6d53217e85fc18f7e9d67",
     "check-factorization":

@@ -5,16 +5,17 @@ import pytest
 
 import graphtower.jacobian
 from graphtower import (Multigraph, QuotientSpec, TowerGroupSpec,
-                        VoltageAssignment, connected_components,
-                        connectivity_criterion, cover_index_pairs, derive,
-                        is_connected, level_jacobian, quotient_assignment)
+                        VoltageAssignment, component_count,
+                        connectivity_criterion, cover_index_pairs,
+                        level_jacobian, quotient_assignment)
 from graphtower.errors import BoundExceededError, DisconnectedError
 from graphtower.graphs import laplacian_rows
 from graphtower.voltage import edge_translations
 
 from conftest import (ORACLE_SHAPES, GroupRingElement, act, augmentation,
-                      criterion_by_betas, dense_laplacian, doubled,
-                      evaluate_word, identity, inverse, oracle_instance,
+                      components, cover_graph, criterion_by_betas,
+                      dense_laplacian, derive, doubled, evaluate_word,
+                      identity, inverse, oracle_instance,
                       project_element, random_abelian_instance,
                       voltage_adjacency, voltage_laplacian)
 
@@ -32,28 +33,26 @@ def test_trivial_voltage_gives_disjoint_copies():
     spec = TowerGroupSpec("abelian", 3, rank=1)
     base = Multigraph.build([0, 1], [(0, (0, 1)), (1, (0, 1))])
     alpha = VoltageAssignment.build(base, spec, {0: [], 1: []})
-    cover = derive(alpha, 1)
-    assert len(connected_components(cover.graph)) == 3
+    assert component_count(*cover_index_pairs(alpha, 1)) == 3
 
 
 def test_loop_voltage_generator_gives_cycle():
     for n in (1, 2):
-        cover = derive(z3_loop(), n)
-        g = cover.graph
+        g = cover_graph(z3_loop(), n)
         assert g.num_vertices == 3 ** n
         assert g.num_edges == 3 ** n
-        assert is_connected(g)
+        assert components(g) == 1
         assert g.degrees() == [2] * g.num_vertices
 
 
 def test_counts_and_size_guard():
     alpha, level = random_abelian_instance(random.Random(51))
-    cover = derive(alpha, level)
+    num_vertices, pairs = cover_index_pairs(alpha, level)
     order = alpha.spec.order(level)
-    assert cover.graph.num_vertices == order * alpha.base.num_vertices
-    assert cover.graph.num_edges == order * alpha.base.num_edges
+    assert num_vertices == order * alpha.base.num_vertices
+    assert len(pairs) == order * alpha.base.num_edges
     with pytest.raises(BoundExceededError):
-        derive(z3_loop(), 9)
+        cover_index_pairs(z3_loop(), 9)
 
 
 # (kind, p, rank, top level): covers of at most 375 vertices
@@ -83,13 +82,14 @@ def test_edge_translations_and_cover_rows_match_the_derived_graph(
         for _ in range(2):
             alpha = oracle_instance(rng, kind, p, rank)
             spec = alpha.spec
+            words = dict(alpha.voltages)
             for n in range(top + 1):
                 group = spec.enumerate_group(n)
                 translations = edge_translations(alpha, n)
                 for (e, _), translation in zip(alpha.base.edges,
                                                translations):
-                    a = evaluate_word(spec, n, alpha.word(e))
-                    assert spec.normal_form(n, alpha.word(e)) == a
+                    a = evaluate_word(spec, n, words[e])
+                    assert spec.normal_form(n, words[e]) == a
                     assert [group[k] for k in translation] == [
                         spec.multiply(n, g, a) for g in group]
                 captured.clear()
@@ -97,7 +97,7 @@ def test_edge_translations_and_cover_rows_match_the_derived_graph(
                     level_jacobian(alpha, n)
                 except DisconnectedError:
                     pass
-                dense = dense_laplacian(derive(alpha, n).graph)
+                dense = dense_laplacian(derive(alpha, n))
                 assert captured == [(
                     [{j - 1: v for j, v in enumerate(row) if v and j}
                      for row in dense[1:]], len(dense) - 1)]
@@ -111,7 +111,7 @@ def test_cover_index_pairs_match_the_derived_graph():
         for _ in range(2):
             alpha = oracle_instance(rng, kind, p, rank)
             for n in range(top + 1):
-                graph = derive(alpha, n).graph
+                graph = derive(alpha, n)
                 assert cover_index_pairs(alpha, n) == (
                     graph.num_vertices, graph.index_pairs())
 
@@ -143,7 +143,7 @@ def test_laplacian_rows_match_the_derived_graph(kind, p, rank):
             alpha = doubled(alpha)
         base = alpha.base
         for n in range(3):
-            dense = dense_laplacian(derive(alpha, n).graph)
+            dense = dense_laplacian(derive(alpha, n))
             translations = edge_translations(alpha, n)
             rows = laplacian_rows(base.num_vertices, base.index_pairs(),
                                   translations, alpha.spec.order(n))
@@ -155,14 +155,14 @@ def test_galois_action_is_automorphism():
     rng = random.Random(52)
     for _ in range(8):
         alpha, level = random_abelian_instance(rng)
-        cover = derive(alpha, level)
+        cover = cover_graph(alpha, level)
         edge_multiset = Counter(
-            frozenset([v, w]) for _, (v, w) in cover.graph.edges)
+            frozenset([v, w]) for _, (v, w) in cover.edges)
         for g in alpha.spec.enumerate_group(level)[:4]:
             mapped = Counter(
                 frozenset([act(alpha.spec, level, g, v),
                            act(alpha.spec, level, g, w)])
-                for _, (v, w) in cover.graph.edges)
+                for _, (v, w) in cover.edges)
             assert mapped == edge_multiset
 
 
@@ -170,9 +170,9 @@ def test_quotient_by_action_recovers_base():
     rng = random.Random(53)
     for _ in range(8):
         alpha, level = random_abelian_instance(rng)
-        cover = derive(alpha, level)
+        cover = cover_graph(alpha, level)
         order = alpha.spec.order(level)
-        projected = Counter(e for (e, _), _ in cover.graph.edges)
+        projected = Counter(e for (e, _), _ in cover.edges)
         assert projected == Counter(
             {eid: order for eid, _ in alpha.base.edges})
 
@@ -183,15 +183,15 @@ def test_tower_compatibility():
         alpha, level = random_abelian_instance(rng)
         if level < 2:
             continue
-        low = derive(alpha, level - 1)
-        high = derive(alpha, level)
+        low = cover_graph(alpha, level - 1)
+        high = cover_graph(alpha, level)
         spec = alpha.spec
         pushed = Counter(
             frozenset([(v, project_element(spec, level, g, level - 1)),
                        (w, project_element(spec, level, h, level - 1))])
-            for _, ((v, g), (w, h)) in high.graph.edges)
+            for _, ((v, g), (w, h)) in high.edges)
         expected = Counter(
-            frozenset([v, w]) for _, (v, w) in low.graph.edges)
+            frozenset([v, w]) for _, (v, w) in low.edges)
         index = spec.p ** spec.rank
         assert pushed == Counter({k: c * index for k, c in expected.items()})
 
@@ -267,19 +267,18 @@ def test_criterion_matches_the_beta_route():
 
 
 def test_criterion_predicts_connectedness():
+    """A passing criterion gives connected X_1 and X_2, and a failing one a
+    disconnected X_1, both read off the group-element `derive`."""
     rng = random.Random(57)
-    checked = 0
-    while checked < 30:
+    failing = 0
+    for _ in range(30):
         alpha, _ = random_abelian_instance(rng)
-        prediction = connectivity_criterion(alpha)
-        for n in (1, 2):
-            cover = derive(alpha, n)
-            if prediction:
-                assert is_connected(cover.graph)
-        if not prediction:
-            # soundness only: a failing criterion means some level disconnects
-            assert not is_connected(derive(alpha, 1).graph) or True
-        checked += 1
+        if connectivity_criterion(alpha):
+            assert [components(derive(alpha, n)) for n in (1, 2)] == [1, 1]
+        else:
+            assert components(derive(alpha, 1)) > 1
+            failing += 1
+    assert failing >= 10
 
 
 def test_quotient_assignment():
@@ -288,7 +287,7 @@ def test_quotient_assignment():
     alpha = VoltageAssignment.build(base, spec, {"e": [[0, 1], [1, 2]]})
     quotient = quotient_assignment(alpha, QuotientSpec((0, 1)))
     assert quotient.spec.kind == "abelian" and quotient.spec.rank == 1
-    assert quotient.word("e") == ((0, 2),)
+    assert dict(quotient.voltages)["e"] == ((0, 2),)
     with pytest.raises(ValueError):
         QuotientSpec((1, 0)).validate(spec)
     with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ from collections import Counter
 
 import graphtower.zeta
 from graphtower import (Character, Multigraph, TowerGroupSpec,
-                        VoltageAssignment, artin_l_inverse, derive,
+                        VoltageAssignment, artin_l_inverse,
                         factorization_check, ihara_zeta_inverse,
                         interpolation_check)
 from graphtower.cyclotomic import euler_phi_prime_power, galois_images
@@ -18,8 +18,8 @@ from graphtower.zeta import artin_l_norm
 from conftest import (GroupRingElement, GroupRingMatrix, adjacency_matrix,
                       as_int, character_evaluate, character_power,
                       cyclotomic_constant, cyclotomic_difference,
-                      cyclotomic_product, cyclotomic_sum, det_in_ring,
-                      graph_matrices, graph_zeta, oracle_instance,
+                      cyclotomic_product, cyclotomic_sum, derive,
+                      det_in_ring, graph_matrices, graph_zeta, oracle_instance,
                       orbit_units, random_abelian_instance,
                       random_connected_multigraph, reduced_norm,
                       voltage_adjacency, voltage_laplacian)
@@ -148,15 +148,16 @@ def test_h_at_one_trivial_character_vanishes():
         assert not any(value)
 
 
-def _edge_adjacency(cover):
-    """Σ_σ A(σ)·σ read off the edges of X_n: A(σ)_ij counts the edges
-    between (v_i, 1) and (v_j, σ), a loop at (v_i, 1) twice in A(1)."""
-    spec, base, n = cover.alpha.spec, cover.alpha.base, cover.level
+def _edge_adjacency(alpha, n):
+    """Σ_σ A(σ)·σ read off the edges of X_n, as `derive` builds it:
+    A(σ)_ij counts the edges between (v_i, 1) and (v_j, σ), a loop at
+    (v_i, 1) twice in A(1)."""
+    spec, base = alpha.spec, alpha.base
     index = {v: i for i, v in enumerate(base.vertices)}
     m = base.num_vertices
     identity = (0,) * spec.num_generators
     terms = [[Counter() for _ in range(m)] for _ in range(m)]
-    for _, ((v, g), (w, h)) in cover.graph.edges:
+    for _, ((v, g), (w, h)) in derive(alpha, n).edges:
         i, j = index[v], index[w]
         if (v, g) == (w, h):
             if g == identity:
@@ -177,7 +178,7 @@ def test_sigma_matrices_sum_to_lifted_adjacency():
     for _ in range(6):
         alpha, level = random_abelian_instance(rng)
         assert (voltage_adjacency(alpha, level) ==
-                _edge_adjacency(derive(alpha, level)))
+                _edge_adjacency(alpha, level))
 
 
 def test_character_adjacency_reads_the_cover_edges():
@@ -194,7 +195,7 @@ def test_character_adjacency_reads_the_cover_edges():
             continue
         alpha = oracle_instance(rng, "abelian", p, rank)
         edges = alpha.normal_form_edges(level)
-        cover = _edge_adjacency(derive(alpha, level)).entries
+        cover = _edge_adjacency(alpha, level).entries
         chars = characters(spec, level)
         for chi in rng.sample(chars, min(len(chars), 8)):
             assert adjacency_matrix(chi, alpha.base.num_vertices,
@@ -225,8 +226,8 @@ def test_factorization_loop_over_z3():
     report = factorization_check(alpha, 1)
     assert report.passed
     # and the cover really is the 3-cycle with det part (1 − u³)²
-    cover = derive(alpha, 1)
-    assert graph_zeta(cover.graph).det_part.coeffs == (1, 0, 0, -2, 0, 0, 1)
+    assert graph_zeta(derive(alpha, 1)).det_part.coeffs == (
+        1, 0, 0, -2, 0, 0, 1)
 
 
 def test_factorization_trivial_group_tautology():
@@ -378,7 +379,7 @@ def test_every_character_l_function_multiplies_to_cover_zeta():
             factors += artin_l_inverse(chi, orbit_units(chi), *base_data)
         assert len(factors) == alpha.spec.order(level)
         product = _poly_product(alpha.spec.p, level, factors)
-        zeta = graph_zeta(derive(alpha, level).graph)
+        zeta = graph_zeta(derive(alpha, level))
         assert [as_int(c) for c in product] == list(zeta.det_part.coeffs)
         assert len(factors) * graph_matrices(alpha.base).chi == zeta.chi
 
