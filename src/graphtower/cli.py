@@ -7,10 +7,10 @@ invariant, such as an inexact division).
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
@@ -55,17 +55,8 @@ def _require(ok: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _is_int(x: object) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_id(x: object) -> bool:
-    return isinstance(x, str) or _is_int(x)
-
-
-def _is_int_list(x: object, length: int | None = None) -> bool:
-    return (isinstance(x, list) and all(_is_int(v) for v in x) and
-            (length is None or len(x) == length))
+# JSON nodes have exact types, tested with `is`: a bool is no id, though int
+_ID_TYPES = frozenset((str, int))
 
 
 def parse_config(path: str | Path) -> JobConfig:
@@ -76,14 +67,15 @@ def parse_config(path: str | Path) -> JobConfig:
     ValueError they raise is reported as a ConfigError.
     """
     try:
-        raw = Path(path).read_bytes()
+        with open(path, "rb") as file:
+            raw = file.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     try:
         data = json.loads(raw)
     except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    _require(isinstance(data, dict), "config must be a JSON object")
+    _require(type(data) is dict, "config must be a JSON object")
     try:
         graph = _parse_graph(data.get("graph"))
         spec = _parse_group(data.get("group"))
@@ -93,50 +85,49 @@ def parse_config(path: str | Path) -> JobConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     max_level = data.get("max_level", 3)
-    _require(_is_int(max_level) and max_level >= 0,
+    _require(type(max_level) is int and max_level >= 0,
              "max_level must be a nonnegative integer")
     return JobConfig(alpha, quotient, max_level,
                      hashlib.sha256(raw).hexdigest())
 
 
 def _parse_graph(node: object) -> Multigraph:
-    _require(isinstance(node, dict) and isinstance(node.get("vertices"), list)
-             and isinstance(node.get("edges"), list),
+    _require(type(node) is dict and type(node.get("vertices")) is list
+             and type(node.get("edges")) is list,
              "invalid graph description: need vertices and edges lists")
     vertices = node["vertices"]
     _require(len(vertices) > 0, "graph has no vertices")
-    _require(all(_is_id(v) for v in vertices),
+    _require(set(map(type, vertices)) <= _ID_TYPES,
              "vertex ids must be strings or integers")
     edges = []
     for i, e in enumerate(node["edges"]):
-        # tested before the message is formatted: this runs once per edge
-        if not (isinstance(e, dict) and _is_id(e.get("id")) and
-                isinstance(e.get("ends"), list) and len(e["ends"]) == 2 and
-                all(_is_id(v) for v in e["ends"])):
+        ends = e.get("ends") if type(e) is dict else None
+        if not (type(ends) is list and len(ends) == 2 and {
+                type(e.get("id")), type(ends[0]), type(ends[1])} <= _ID_TYPES):
             raise ConfigError(
                 f"edge {i} needs a string or integer id and two ends")
-        edges.append((e["id"], tuple(e["ends"])))
+        edges.append((e["id"], (ends[0], ends[1])))
     # ids are read and written as JSON keys, so 1 and "1" would be one id
     for kind, ids in (("vertex", set(vertices)),
                       ("edge", {eid for eid, _ in edges})):
-        _require(len({str(x) for x in ids}) == len(ids),
+        _require(len(set(map(str, ids))) == len(ids),
                  f"two {kind} ids have the same string form")
     return Multigraph.build(vertices, edges)
 
 
 def _parse_group(node: object) -> TowerGroupSpec:
-    _require(isinstance(node, dict), "missing group spec")
+    _require(type(node) is dict, "missing group spec")
     p, kind = node.get("p"), node.get("kind")
-    _require(_is_int(p), f"p must be prime, got {p!r}")
+    _require(type(p) is int, f"p must be prime, got {p!r}")
     if kind == "abelian":
         rank = node.get("rank", 1)
-        _require(_is_int(rank), f"rank must be an integer, got {rank!r}")
+        _require(type(rank) is int, f"rank must be an integer, got {rank!r}")
         return TowerGroupSpec("abelian", p, rank=rank)
     _require(kind == "metacyclic", f"unknown group kind {kind!r}")
     unit = node.get("action_unit")
-    if isinstance(unit, str):
+    if type(unit) is str:
         unit = 1 + p if unit.replace(" ", "") == "1+p" else int(unit)
-    _require(unit is None or _is_int(unit),
+    _require(unit is None or type(unit) is int,
              f"action_unit must be an integer or \"1+p\", got {unit!r}")
     return TowerGroupSpec("metacyclic", p, action_unit=unit)
 
@@ -145,20 +136,23 @@ def _parse_voltage(node: object, graph: Multigraph,
                    spec: TowerGroupSpec) -> VoltageAssignment:
     """Words are checked here; missing edges and generator indices by
     VoltageAssignment itself."""
-    _require(isinstance(node, dict), "missing voltage map")
+    _require(type(node) is dict, "missing voltage map")
     for key, word in node.items():
-        if not (isinstance(word, list) and
-                all(_is_int_list(pair, 2) for pair in word)):
+        if not (type(word) is list and all([
+                type(pair) is list and len(pair) == 2 and
+                type(pair[0]) is int and type(pair[1]) is int
+                for pair in word])):
             raise ConfigError(f"malformed voltage word for edge {key}")
-    unknown = set(node) - {str(eid) for eid, _ in graph.edges}
+    edge_ids = {str(eid): eid for eid, _ in graph.edges}
+    unknown = node.keys() - edge_ids
     _require(not unknown, f"voltages for unknown edges: {sorted(unknown)}")
     return VoltageAssignment.build(graph, spec, {
-        eid: node[str(eid)] for eid, _ in graph.edges if str(eid) in node})
+        eid: node[key] for key, eid in edge_ids.items() if key in node})
 
 
 def _parse_quotient(node: object, spec: TowerGroupSpec) -> QuotientSpec:
-    exps = node.get("exponents") if isinstance(node, dict) else None
-    _require(_is_int_list(exps),
+    exps = node.get("exponents") if type(node) is dict else None
+    _require(type(exps) is list and all([type(x) is int for x in exps]),
              "quotient must be {\"exponents\": [integer, ...]}")
     quotient = QuotientSpec(tuple(exps))
     quotient.validate(spec)
@@ -179,12 +173,8 @@ def _structure_json(structure) -> dict:
 # subcommand handlers: each returns a JSON-ready dict
 
 
-def _level(args, default: int = 1) -> int:
-    return default if args.level is None else args.level
-
-
-def _cmd_derive(job: JobConfig, args) -> dict:
-    level = _level(args)
+def _cmd_derive(job: JobConfig, flags: dict) -> dict:
+    level = flags.get("--level", 1)
     alpha = job.alpha
     num_vertices, pairs = cover_index_pairs(alpha, level)
     components = component_count(num_vertices, pairs)
@@ -209,8 +199,8 @@ def _cmd_derive(job: JobConfig, args) -> dict:
     return report
 
 
-def _cmd_jacobian(job: JobConfig, args) -> dict:
-    level = _level(args, 0)
+def _cmd_jacobian(job: JobConfig, flags: dict) -> dict:
+    level = flags.get("--level", 0)
     structure, e_n = level_jacobian(job.alpha, level)
     report = {"level": level, "jacobian": _structure_json(structure)}
     if level == 0:
@@ -223,15 +213,15 @@ def _cmd_jacobian(job: JobConfig, args) -> dict:
     return report
 
 
-def _cmd_zeta(job: JobConfig, args) -> dict:
-    level = _level(args, 0)
+def _cmd_zeta(job: JobConfig, flags: dict) -> dict:
+    level = flags.get("--level", 0)
     data = ihara_zeta_inverse(*cover_index_pairs(job.alpha, level))
     return {"level": level, "chi": data.chi,
             "det_part": list(data.det_part.coeffs)}
 
 
-def _cmd_lfun(job: JobConfig, args) -> dict:
-    level = _level(args)
+def _cmd_lfun(job: JobConfig, flags: dict) -> dict:
+    level = flags.get("--level", 1)
     chars = characters(job.alpha.spec, level)
     check_derive_bounds(job.alpha, level)  # the cover's, though it is not built
     edges = job.alpha.normal_form_edges(level)
@@ -245,8 +235,8 @@ def _cmd_lfun(job: JobConfig, args) -> dict:
         for chi, det_part in zip(chars, det_parts)]}
 
 
-def _cmd_check_interpolation(job: JobConfig, args) -> dict:
-    level = _level(args)
+def _cmd_check_interpolation(job: JobConfig, flags: dict) -> dict:
+    level = flags.get("--level", 1)
     report = interpolation_check(job.alpha, level)
     return {"level": level,
             "all_pass": report.all_pass,
@@ -254,8 +244,8 @@ def _cmd_check_interpolation(job: JobConfig, args) -> dict:
                               for exponents, ok in report.results]}
 
 
-def _cmd_check_factorization(job: JobConfig, args) -> dict:
-    level = _level(args)
+def _cmd_check_factorization(job: JobConfig, flags: dict) -> dict:
+    level = flags.get("--level", 1)
     report = factorization_check(job.alpha, level)
     return {"level": level,
             "polynomial_match": report.polynomial_match,
@@ -263,9 +253,8 @@ def _cmd_check_factorization(job: JobConfig, args) -> dict:
             "pass": report.passed}
 
 
-def _cmd_tower(job: JobConfig, args) -> dict:
-    max_level = job.max_level if args.max_level is None else args.max_level
-    report = tower_en(job.alpha, max_level)
+def _cmd_tower(job: JobConfig, flags: dict) -> dict:
+    report = tower_en(job.alpha, flags.get("--max-level", job.max_level))
     return {"p": report.p,
             "levels": list(report.levels),
             "e": list(report.e),
@@ -273,16 +262,16 @@ def _cmd_tower(job: JobConfig, args) -> dict:
             "jacobians": [list(t) for t in report.jacobians]}
 
 
-def _cmd_iwasawa_fit(job: JobConfig, args) -> dict:
-    out = _cmd_tower(job, args)
+def _cmd_iwasawa_fit(job: JobConfig, flags: dict) -> dict:
+    out = _cmd_tower(job, flags)
     fit = fit_iwasawa(tuple(out["e"]), out["p"])
     out["fit"] = {"mu": fit.mu, "lambda": fit.lam, "nu": fit.nu,
                   "stable": fit.stable, "residuals": list(fit.residuals)}
     return out
 
 
-def _cmd_fitting(job: JobConfig, args) -> dict:
-    level = _level(args)
+def _cmd_fitting(job: JobConfig, flags: dict) -> dict:
+    level = flags.get("--level", 1)
     gens = fitting_generators(job.alpha, level)
     report: dict = {"level": level, "regular_det": gens.regular}
     if gens.components is not None:
@@ -292,7 +281,7 @@ def _cmd_fitting(job: JobConfig, args) -> dict:
     return report
 
 
-def _cmd_mhg_check(job: JobConfig, args) -> dict:
+def _cmd_mhg_check(job: JobConfig, flags: dict) -> dict:
     if job.quotient is None:
         raise ConfigError("mhg-check requires a quotient spec in the config")
     verdict = mhg_check(job.alpha, job.quotient)
@@ -345,27 +334,28 @@ def _json_text(value, indent: str = "") -> str:
     """The text json.dumps gives for a report with string keys, indented
     by two spaces with sorted keys, byte for byte.  With an indent,
     json.dumps runs its pure-Python encoder a token at a time; here strings
-    go through the same C escaper and a list of plain ints is one join."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if type(value) is int:
+    go through the same C escaper and a list of plain ints is one join.
+    Reports hold exact JSON types, so the dispatch is on the exact type."""
+    kind = type(value)
+    if kind is int:
         return int.__repr__(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
     inner = indent + "  "
-    if isinstance(value, dict):
+    if kind is dict:
         if not value:
             return "{}"
-        return "{\n" + inner + (",\n" + inner).join(
+        return "{\n" + inner + (",\n" + inner).join([
             encode_basestring_ascii(key) + ": " + _json_text(item, inner)
-            for key, item in sorted(value.items())) + "\n" + indent + "}"
-    if isinstance(value, (list, tuple)):
+            for key, item in sorted(value.items())]) + "\n" + indent + "}"
+    if kind is list or kind is tuple:
         if not value:
             return "[]"
         # exactly int: a bool is an int too, but prints as true/false
         items = (map(int.__repr__, value) if set(map(type, value)) == {int}
-                 else (_json_text(item, inner) for item in value))
-        return ("[\n" + inner + (",\n" + inner).join(items) + "\n" + indent +
-                "]")
-    if value is None or isinstance(value, bool):
+                 else [_json_text(item, inner) for item in value])
+        return "[\n" + inner + (",\n" + inner).join(items) + f"\n{indent}]"
+    if value is None or kind is bool:
         return _JSON_LITERALS[value]
     return json.dumps(value)
 
@@ -389,51 +379,81 @@ def _render(report: dict, formats) -> dict[str, str]:
             f"conversion") from exc
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="graphtower",
-        description="Exact voltage-cover computations over p-group towers")
-    parser.add_argument("subcommand", choices=sorted(_HANDLERS))
-    parser.add_argument("--config", required=True, help="JSON job config path")
-    parser.add_argument("--level", type=int, default=None)
-    parser.add_argument("--max-level", type=int, default=None)
-    parser.add_argument("--out", default=None,
-                        help="directory to write the report in every format")
-    parser.add_argument("--format", choices=sorted(_RENDERERS), default="json",
-                        help="format of the report printed to stdout")
-    return parser
+_FORMATS = "|".join(_RENDERERS)
+# flag -> (value name, regular expression of its values, their type, help)
+_FLAGS = {
+    "--config": ("PATH", ".+", str, "JSON job config path (required)"),
+    "--level": ("N", "[0-9]+", int, "cover level, a nonnegative integer"),
+    "--max-level": ("N", "[0-9]+", int, "top level, a nonnegative integer"),
+    "--out": ("DIR", ".+", str, "directory for the report in every format"),
+    "--format": (_FORMATS, _FORMATS, str, "stdout format (default: json)"),
+}
+_SUBCOMMANDS = ", ".join(sorted(_HANDLERS))
+_USAGE = "\n".join([
+    "usage: graphtower SUBCOMMAND --config PATH [flags]",
+    "subcommands: " + _SUBCOMMANDS,
+    "flags, in any order, as --flag VALUE or --flag=VALUE:",
+    *(f"  {f + ' ' + n:<20}{t}" for f, (n, *_, t) in _FLAGS.items())])
 
 
-_PARSER = build_parser()
+def _parse_args(argv: list[str]) -> tuple[str, dict] | None:
+    """(subcommand, {flag: value}) of a command line; None for -h, --help."""
+    subcommands, flags, words = [], {}, iter(argv)
+    for word in words:
+        if word in ("-h", "--help"):
+            return None
+        if not word.startswith("-"):
+            subcommands.append(word)
+            continue
+        flag, eq, text = word.partition("=")
+        _require(flag in _FLAGS, f"unknown flag {flag}")
+        name, values, kind, help_text = _FLAGS[flag]
+        if not eq:
+            text = next(words, "--")
+            _require(not text.startswith("--"), f"{flag} needs a value {name}")
+        try:
+            if not re.fullmatch(values, text):
+                raise ValueError(text)
+            flags[flag] = kind(text)  # int() fails past the int-to-str limit
+        except ValueError:
+            raise ConfigError(f"invalid value {text!r} for {flag} {name}: "
+                              f"{help_text}") from None
+    _require(len(subcommands) == 1 and subcommands[0] in _HANDLERS,
+             f"expected one subcommand of {_SUBCOMMANDS}, got {subcommands}")
+    _require("--config" in flags, "--config PATH is required")
+    return subcommands[0], flags
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _PARSER.parse_args(argv)
     try:
-        _require(min(args.level or 0, args.max_level or 0) >= 0,
-                 "--level and --max-level must be nonnegative")
-        job = parse_config(args.config)
-        report = {"subcommand": args.subcommand,
+        command = _parse_args(sys.argv[1:] if argv is None else argv)
+        if command is None:
+            print(_USAGE)
+            return 0
+        subcommand, flags = command
+        out, fmt = flags.get("--out"), flags.get("--format", "json")
+        job = parse_config(flags["--config"])
+        report = {"subcommand": subcommand,
                   "config_hash": job.config_hash,
                   "version": __version__,
-                  **_HANDLERS[args.subcommand](job, args)}
-        texts = _render(report, _RENDERERS if args.out else (args.format,))
+                  **_HANDLERS[subcommand](job, flags)}
+        texts = _render(report, _RENDERERS if out else (fmt,))
     except tuple(_EXIT_CODES) as exc:
         code, label = next(entry for kind, entry in _EXIT_CODES.items()
                            if isinstance(exc, kind))
         print(f"{label}: {exc}", file=sys.stderr)
         return code
-    if args.out:
-        out_dir = Path(args.out)
+    if out:
+        out_dir = Path(out)
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
-            for fmt, text in texts.items():
-                (out_dir / f"{args.subcommand}.{fmt}").write_text(text + "\n")
+            for name, text in texts.items():
+                (out_dir / f"{subcommand}.{name}").write_text(text + "\n")
         except OSError as exc:
             print(f"cannot write report: {exc}", file=sys.stderr)
             return 1
     try:
-        print(texts[args.format])
+        print(texts[fmt])
         sys.stdout.flush()
     except BrokenPipeError as exc:
         # the reader is gone; with stdout on devnull, the flush at

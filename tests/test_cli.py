@@ -15,7 +15,7 @@ import pytest
 import graphtower
 from graphtower.cli import _HANDLERS, _json_text, main, parse_config
 from graphtower.cyclotomic import CyclotomicInteger
-from graphtower.errors import ConfigError
+from graphtower.errors import ConfigError, GraphTowerError
 from graphtower.polynomials import IntPolynomial
 
 from conftest import (LOOP_CONFIG, MU2_CONFIG, abelian_pin_config, derive,
@@ -178,7 +178,7 @@ def _replace(path, value):
     return data
 
 
-@pytest.mark.parametrize("data, message", [
+_MALFORMED_CONFIGS = [
     (_replace(("quotient",), [1]), "quotient"),
     (_replace(("group", "rank"), "x"), "rank"),
     (_replace(("group", "rank"), True), "rank"),
@@ -196,10 +196,13 @@ def _replace(path, value):
     (dict(LOOP_CONFIG, graph={"vertices": ["v"], "edges": [
         {"id": 1, "ends": ["v", "v"]}, {"id": "1", "ends": ["v", "v"]}]},
           voltage={"1": [[0, 1]]}), "edge ids"),
-], ids=["quotient-list", "rank-str", "rank-bool", "p-bool", "list-vertex",
-        "no-vertices", "list-end", "word-int", "exponent-bool",
-        "quotient-bool", "max-level-bool", "max-level-negative", "list-root",
-        "edge-id-collision"])
+]
+
+
+@pytest.mark.parametrize("data, message", _MALFORMED_CONFIGS, ids=[
+    "quotient-list", "rank-str", "rank-bool", "p-bool", "list-vertex",
+    "no-vertices", "list-end", "word-int", "exponent-bool", "quotient-bool",
+    "max-level-bool", "max-level-negative", "list-root", "edge-id-collision"])
 def test_malformed_config_exits_1(tmp_path, capsys, data, message):
     path = write_config(tmp_path, data)
     assert main(["tower", "--config", path]) == 1
@@ -212,6 +215,64 @@ def test_negative_level_flag_exits_1(tmp_path, capsys, flag):
     path = write_config(tmp_path, LOOP_CONFIG)
     assert main(["tower", "--config", path, flag, "-1"]) == 1
     assert "nonnegative" in capsys.readouterr().err
+
+
+# "{}" stands for the path of a valid config
+@pytest.mark.parametrize("argv", [
+    ["tower", "--config", "{}", "--level", "x"],
+    ["tower", "--config", "{}", "--max-level", "1.5"],
+    pytest.param(["tower", "--config", "{}", "--max-level", "9" * 5000],
+                 marks=pytest.mark.skipif(
+                     not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                     reason="no limit on int-to-str conversion")),
+    ["tower", "--config", "{}", "--format", "xml"],
+    ["tower", "--config", "{}", "--format=xml"],
+    ["tower", "--config", "{}", "--levels", "1"],
+    ["tower", "--conf", "{}"],
+    ["tower", "--config", "{}", "-x"],
+    ["tower", "--config", "{}", "--level"],
+    ["tower", "--level", "--config", "{}"],
+    ["--config", "{}", "--level", "1"],
+    ["towers", "--config", "{}"],
+    ["tower", "zeta", "--config", "{}"],
+    ["tower", "--level", "1"],
+    [],
+], ids=["level-word", "max-level-float", "max-level-past-int-limit",
+        "format-xml", "format-xml-equals",
+        "unknown-flag", "prefix", "short-flag", "no-value-at-end",
+        "no-value-before-flag", "no-subcommand", "unknown-subcommand",
+        "two-subcommands", "no-config", "empty"])
+def test_malformed_command_line_exits_1(tmp_path, capsys, argv):
+    path = write_config(tmp_path, LOOP_CONFIG)
+    assert main([path if word == "{}" else word for word in argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_prints_the_usage(capsys, flag):
+    assert main(["tower", flag]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: graphtower SUBCOMMAND --config PATH")
+    assert err == ""
+    for word in [*_HANDLERS, "--config", "--level", "--max-level", "--out",
+                 "--format", "json|tsv"]:
+        assert word in out
+
+
+def test_flags_in_any_order_and_either_form(tmp_path, capsys):
+    path = write_config(tmp_path, LOOP_CONFIG)
+    outputs = []
+    for argv in (["iwasawa-fit", "--config", path, "--max-level", "4"],
+                 [f"--config={path}", "--max-level=4", "iwasawa-fit"],
+                 ["--max-level", "4", "--config", path, "iwasawa-fit"],
+                 ["--format=json", "iwasawa-fit", f"--config={path}",
+                  "--max-level", "4"]):
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert len(set(outputs)) == 1
+    assert json.loads(outputs[0])["e"] == [0, 1, 2, 3, 4]
 
 
 def test_invalid_utf8_config_exits_1(tmp_path, capsys):
@@ -238,13 +299,13 @@ def _json_paths(node, path=()):
         yield from _json_paths(child, path + (key,))
 
 
-def test_mutation_fuzz_never_raises(tmp_path, capsys):
-    """Replace or delete one JSON node per case; main must exit 0-3."""
+def _fuzz_cases():
+    """(config, argv without --config) of each of 300 seeded mutants of
+    LOOP_CONFIG and MU2_CONFIG: one JSON node replaced or deleted."""
     rng = random.Random(20240611)
     # at max-level 2, tower jobs on MU2_CONFIG reach its 162-vertex cover
     bases = [(LOOP_CONFIG, "2"), (MU2_CONFIG, "2")]
     subcommands = sorted(_HANDLERS)
-    path = tmp_path / "job.json"
     for case in range(300):
         base, max_level = bases[case % 2]
         data = copy.deepcopy(base)
@@ -260,12 +321,52 @@ def test_mutation_fuzz_never_raises(tmp_path, capsys):
             parent[target[-1]] = copy.deepcopy(rng.choice(same_type))
         else:
             parent[target[-1]] = copy.deepcopy(rng.choice(_FUZZ_VALUES))
+        yield data, [rng.choice(subcommands), "--level", "1",
+                     "--max-level", max_level]
+
+
+def test_mutation_fuzz_never_raises(tmp_path, capsys):
+    """Replace or delete one JSON node per case; main must exit 0-3."""
+    path = tmp_path / "job.json"
+    for data, argv in _fuzz_cases():
         path.write_text(json.dumps(data))
-        argv = [rng.choice(subcommands), "--config", str(path),
-                "--level", "1", "--max-level", max_level]
-        code = main(argv)
+        code = main([*argv, "--config", str(path)])
         assert code in (0, 1, 2, 3), (argv, data)
     capsys.readouterr()
+
+
+def _parse_outcome(path):
+    """parse_config's outcome on a file: its error, or the parsed job."""
+    try:
+        job = parse_config(path)
+    except GraphTowerError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return repr((job.config_hash, job.alpha, job.quotient, job.max_level))
+
+
+# SHA-256 over the parse outcomes of the fuzz mutants, the malformed configs
+# above and the valid test configs, one line each, recorded with the parser
+# that walked each node through generic type helpers
+_PARSE_OUTCOMES_SHA256 = (
+    "0155a73762755a46f767e10feb35d603a3fb044ea62d8dc50e15a7540405d063")
+
+
+def test_parse_config_outcomes_are_pinned(tmp_path):
+    """Every check, message and constructor call of parse_config keeps its
+    outcome: the error on each of the 300 fuzz mutants and the malformed
+    configs, and the job parsed from each valid config of the tests."""
+    valid = [LOOP_CONFIG, MU2_CONFIG, CLIFF_128_CONFIG, Z125_CONFIG,
+             P727_CONFIG, _METACYCLIC_P2_CONFIG, _INT_ID_CONFIG,
+             _ESCAPED_ID_CONFIG]
+    path = tmp_path / "job.json"
+    outcomes = []
+    mutants = [data for data, _ in [*_fuzz_cases(), *_MALFORMED_CONFIGS]]
+    for data in mutants + valid:
+        path.write_text(json.dumps(data))
+        outcomes.append(_parse_outcome(path))
+    assert sum(o.startswith("('") for o in outcomes) > len(valid)
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest == _PARSE_OUTCOMES_SHA256
 
 
 # -- no Smith normal form cliff on large covers

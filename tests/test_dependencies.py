@@ -80,7 +80,6 @@ REACHED_ELSEWHERE = {
         "perfbench/layertrace.py LAYER_CLASSES wraps it by name",
     "groups.TowerGroupSpec.multiply":
         "perfbench/layertrace.py LAYER_CLASSES wraps it by name",
-    "cli.build_parser": "runs once, when graphtower.cli is imported",
 }
 
 
