@@ -13,12 +13,12 @@ from .groups import TowerGroupSpec
 from .grouprings import Character, characters, nrd_abelian
 from .cyclotomic import CyclotomicInteger
 from .jacobian import AbelianGroupStructure, level_jacobian
-from .polynomials import IntPolynomial, LaurentElement
+from .polynomials import LaurentElement
 from .voltage import (QuotientSpec, VoltageAssignment,
                       connectivity_criterion, cover_index_pairs,
                       edge_translations, quotient_assignment)
 from .zeta import (ZetaData, artin_l_inverse, factorization_check,
-                   ihara_zeta_inverse, interpolation_check)
+                   ihara_zeta_inverse, interpolation_check, l_functions)
 from .iwasawa import (FittingGenerators, IwasawaFit, Lambda1Det, MHGVerdict,
                       TowerReport, fit_iwasawa, fitting_generators,
                       lambda1_determinant, mhg_check, mu_lambda_from_poly,

@@ -20,13 +20,11 @@ from . import __version__
 from .cyclotomic import CyclotomicInteger
 from .errors import BoundExceededError, ConfigError, GraphTowerError
 from .graphs import Multigraph, component_count
-from .grouprings import characters, per_character
 from .jacobian import AbelianGroupStructure, level_jacobian
-from .voltage import (QuotientSpec, VoltageAssignment, check_derive_bounds,
-                      cover_index_pairs)
+from .voltage import QuotientSpec, VoltageAssignment, cover_index_pairs
 from .groups import TowerGroupSpec
-from .zeta import (artin_l_inverse, factorization_check, ihara_zeta_inverse,
-                   interpolation_check)
+from .zeta import (factorization_check, ihara_zeta_inverse,
+                   interpolation_check, l_functions)
 from .iwasawa import fit_iwasawa, fitting_generators, mhg_check, tower_en
 
 _EDGE_LIST_LIMIT = 500
@@ -217,22 +215,17 @@ def _cmd_zeta(job: JobConfig, flags: dict) -> dict:
     level = flags.get("--level", 0)
     data = ihara_zeta_inverse(*cover_index_pairs(job.alpha, level))
     return {"level": level, "chi": data.chi,
-            "det_part": list(data.det_part.coeffs)}
+            "det_part": list(data.det_part)}
 
 
 def _cmd_lfun(job: JobConfig, flags: dict) -> dict:
     level = flags.get("--level", 1)
-    chars = characters(job.alpha.spec, level)
-    check_derive_bounds(job.alpha, level)  # the cover's, though it is not built
-    edges = job.alpha.normal_form_edges(level)
-    degrees = job.alpha.base.degrees()
-    det_parts = per_character(chars, lambda chi, units: artin_l_inverse(
-        chi, units, edges, degrees))
-    chi_exponent = len(degrees) - len(edges)
+    base = job.alpha.base
+    chi_exponent = base.num_vertices - base.num_edges
     return {"level": level, "l_functions": [
         {"character": list(chi.exponents), "chi_exponent": chi_exponent,
          "det_part": [_cyc_json(c) for c in det_part]}
-        for chi, det_part in zip(chars, det_parts)]}
+        for chi, det_part in l_functions(job.alpha, level)]}
 
 
 def _cmd_check_interpolation(job: JobConfig, flags: dict) -> dict:
@@ -295,7 +288,7 @@ def _cmd_mhg_check(job: JobConfig, flags: dict) -> dict:
                 "gamma_low": det.gamma_det.low,
                 "gamma_coeffs": list(det.gamma_det.coeffs),
                 "cleared_power": det.cleared_power,
-                "f_coeffs": list(det.f.coeffs)}}
+                "f_coeffs": list(det.f)}}
 
 
 _HANDLERS = {

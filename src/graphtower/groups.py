@@ -86,12 +86,10 @@ class TowerGroupSpec:
         return self.action_unit if self.action_unit is not None else 1 + self.p
 
     @property
-    def num_generators(self) -> int:
-        return self.rank if self.kind == "abelian" else 2
-
-    @property
     def dimension(self) -> int:
-        """Dimension of the tower group (rank of each filtration quotient)."""
+        """Dimension d of the tower group, the rank of each filtration
+        quotient; for a uniform group also its minimal number of
+        generators, so a word's generator indices run over 0..d−1."""
         return self.rank if self.kind == "abelian" else 2
 
     def order(self, n: int) -> int:
@@ -124,7 +122,7 @@ class TowerGroupSpec:
         dividing p^(n−1).  At level 1 both kinds give the exponent sums
         mod p, since there u ≡ 1.
         """
-        count = self.num_generators
+        count = self.dimension
         for index, _ in word:
             if not 0 <= index < count:
                 raise ValueError(f"invalid generator index in {list(word)}")
@@ -182,25 +180,5 @@ class TowerGroupSpec:
         coordinate most significant."""
         self.check_enumerable(n)
         return list(itertools.product(range(self.p ** n),
-                                      repeat=self.num_generators))
+                                      repeat=self.dimension))
 
-
-def _fp_rank(vectors: list[list[int]], p: int) -> int:
-    """Rank of a set of vectors over F_p (Gaussian elimination)."""
-    rows = [list(v) for v in vectors]
-    rank = 0
-    width = len(rows[0]) if rows else 0
-    for col in range(width):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] % p), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        rows[rank] = [(x * inv) % p for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] % p:
-                factor = rows[i][col]
-                rows[i] = [(x - factor * y) % p
-                           for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank

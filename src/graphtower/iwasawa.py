@@ -12,8 +12,7 @@ from .grouprings import Character, nrd_abelian, regular_det_fits
 from .groups import p_valuation
 from .jacobian import level_jacobian
 from .linalg import det_int_poly_matrix
-from .polynomials import (IntPolynomial, LaurentElement,
-                          laurent_substitute_gamma)
+from .polynomials import LaurentElement, laurent_substitute_gamma
 from .voltage import (QuotientSpec, VoltageAssignment, check_derive_bounds,
                       connectivity_criterion, quotient_assignment)
 
@@ -46,7 +45,7 @@ class Lambda1Det:
 
     gamma_det: LaurentElement
     cleared_power: int  # the γ^k multiplied in (a unit; μ and λ unaffected)
-    f: IntPolynomial  # γ^k · det, evaluated at γ = 1 + T
+    f: tuple[int, ...]  # γ^k · det at γ = 1 + T, ascending T-coefficients
 
 
 @dataclass(frozen=True)
@@ -160,14 +159,15 @@ def lambda1_determinant(alpha_quotient: VoltageAssignment) -> Lambda1Det:
     return Lambda1Det(det, k, f)
 
 
-def mu_lambda_from_poly(f: IntPolynomial, p: int) -> tuple[int, int]:
-    """Weierstrass data of a nonzero polynomial over Z_p.
+def mu_lambda_from_poly(f: tuple[int, ...], p: int) -> tuple[int, int]:
+    """Weierstrass data of a nonzero polynomial over Z_p, given as
+    ascending coefficients.
 
     μ = min coefficient valuation, λ = first index attaining it.
     """
-    if f.is_zero():
+    if not any(f):
         raise ValueError("zero polynomial has no Weierstrass data")
-    return min((p_valuation(c, p), i) for i, c in enumerate(f.coeffs) if c)
+    return min((p_valuation(c, p), i) for i, c in enumerate(f) if c)
 
 
 def mu_lower_bound(alpha: VoltageAssignment) -> int:
@@ -183,7 +183,7 @@ def mu_lower_bound(alpha: VoltageAssignment) -> int:
     p = alpha.spec.p
     identity = (0,) * alpha.spec.dimension
     counts: Counter[tuple[int, int, tuple[int, ...]]] = Counter()
-    for (i, j), a in zip(alpha.base.index_pairs(), alpha.normal_forms(1)):
+    for i, j, a in alpha.normal_form_edges(1):
         counts[i, i, identity] += 1
         counts[j, j, identity] += 1
         counts[j, i, a] -= 1

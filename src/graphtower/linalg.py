@@ -12,24 +12,26 @@ division is exact because the scaled entry is a minor of the input.
 Determinants over Z[ζ] reach `det_int_poly_matrix` too, lifted to Z[x],
 one per Galois orbit of characters (`grouprings.orbit_nrd`,
 `grouprings.orbit_h_values`, `zeta.artin_l_inverse`); nothing here is
-generic over the ring.
+generic over the ring.  Integer polynomials are tuples of ascending
+coefficients, and `poly_product` packs a product into one integer product.
 
-Smith normal form takes the matrix as sparse rows {column: value}, the
-form `graphs.laplacian_rows` builds a Laplacian in, and runs in three
-phases.  Sparse elimination removes the ±1 pivots, in approximate
-Markowitz order; on a graph Laplacian that leaves a core of a few rows.
-The pivots come off a heap of Markowitz keys, and after each step only
-the keys that can have fallen are pushed again: the entries the step
-changed, and every entry of an updated row that got shorter.  A key that
-has risen is refreshed when it is popped.  A min-pivot loop diagonalizes
-the core in exact arithmetic.  The diagonal is then normalized by pairwise
-gcd/lcm into a divisibility chain.
+Smith normal form takes the matrix as sparse rows {column: value}, the form
+`graphs.laplacian_rows` builds a Laplacian in, and gives the F_p-rank of
+`voltage.connectivity_criterion` too.  It runs in three phases.  Sparse
+elimination removes the ±1 pivots, in approximate Markowitz order; on a
+graph Laplacian that leaves a core of a few rows.  The pivots come off a
+heap of Markowitz keys, and after each step only the keys that can have
+fallen are pushed again: the entries the step changed, and every entry of
+an updated row that got shorter.  A key that has risen is refreshed when it
+is popped.  A min-pivot loop diagonalizes the core in exact arithmetic.
+The diagonal is then normalized by pairwise gcd/lcm into a divisibility
+chain.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from typing import Iterable, Mapping, Sequence
 
 
@@ -143,6 +145,16 @@ def _band_order(rows: Sequence[Iterable[int]]) -> list[int]:
                         queue.append(j)
             order += queue
     return order
+
+
+def poly_product(polys: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Product of integer polynomials, given and returned as ascending
+    coefficients, as one integer product by Kronecker substitution at
+    u = 2^B: every coefficient of the product is at most ∏‖f‖₁ in absolute
+    value, so it fits in a signed digit of B bits."""
+    bits = prod(sum(map(abs, f)) for f in polys).bit_length() + 1
+    u = 1 << bits
+    return _unpack(prod(_eval_poly(f, u) for f in polys), bits)
 
 
 def _eval_poly(coeffs: Sequence[int], x: int) -> int:

@@ -1,23 +1,24 @@
 """Integer polynomials and Laurent polynomials.
 
-Elements are tuples of integer coefficients in ascending degree with no
-trailing zeros (the zero polynomial is the empty tuple).  The package uses
-``IntPolynomial`` products (the orbit norms of ``factorization_check``),
-``LaurentElement.make`` (the Λ₁-determinant) and ``laurent_substitute_gamma``
-(its γ = 1 + T substitution); the product and the substitution are single
-integer operations by Kronecker substitution.  The schoolbook ``_add``,
-``_sub``, ``_mul`` and ``_exact_div`` serve only ``PolynomialRing`` and
-``LaurentRing``, the Z[u] and Z[γ, γ⁻¹] ring objects that the tests'
-reference Bareiss runs over; the two classes stay here while
-perfbench/layertrace.py wraps them by name.
+An integer polynomial is a plain tuple of its coefficients in ascending
+degree with no trailing zeros (the zero polynomial is the empty tuple),
+the form ``linalg.det_int_poly_matrix`` returns; ``linalg.poly_product``
+multiplies them.  The package uses ``LaurentElement.make`` (the
+Λ₁-determinant) and ``laurent_substitute_gamma`` (its γ = 1 + T
+substitution, a single integer operation by Kronecker substitution).  The
+schoolbook ``_add``, ``_mul`` and ``_exact_div`` serve only
+``PolynomialRing`` and ``LaurentRing``, the Z[u] and Z[γ, γ⁻¹] ring
+objects that the tests' reference Bareiss runs over; the two classes stay
+here while perfbench/layertrace.py wraps them by name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Sequence
 
-from .linalg import _eval_poly, _unpack
+from .linalg import _unpack
 
 Coeffs = tuple[int, ...]
 
@@ -30,17 +31,7 @@ def _normalize(coeffs: Sequence[int]) -> Coeffs:
 
 
 def _add(a: Coeffs, b: Coeffs) -> Coeffs:
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else 0
-        y = b[i] if i < len(b) else 0
-        out.append(x + y)
-    return _normalize(out)
-
-
-def _sub(a: Coeffs, b: Coeffs) -> Coeffs:
-    return _add(a, tuple(-c for c in b))
+    return _normalize([x + y for x, y in zip_longest(a, b, fillvalue=0)])
 
 
 def _mul(a: Coeffs, b: Coeffs) -> Coeffs:
@@ -99,7 +90,7 @@ class PolynomialRing:
         return _add(a, b)
 
     def sub(self, a: Coeffs, b: Coeffs) -> Coeffs:
-        return _sub(a, b)
+        return _add(a, self.neg(b))
 
     def mul(self, a: Coeffs, b: Coeffs) -> Coeffs:
         return _mul(a, b)
@@ -115,30 +106,6 @@ class PolynomialRing:
 
 
 @dataclass(frozen=True)
-class IntPolynomial:
-    """Integer polynomial in ascending-coefficient form."""
-
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.coeffs and self.coeffs[-1] == 0:
-            object.__setattr__(self, "coeffs", _normalize(self.coeffs))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        """One integer product by Kronecker substitution at u = 2^B: every
-        coefficient of the product is at most ‖a‖₁·‖b‖₁ in absolute value,
-        so it fits in a signed digit of B bits."""
-        a, b = self.coeffs, other.coeffs
-        bits = (sum(map(abs, a)) * sum(map(abs, b))).bit_length() + 1
-        u = 1 << bits
-        return IntPolynomial(_unpack(_eval_poly(a, u) * _eval_poly(b, u),
-                                     bits))
-
-
-@dataclass(frozen=True)
 class LaurentElement:
     """Integer Laurent polynomial c_low·γ^low + ... in normalized form.
 
@@ -151,16 +118,11 @@ class LaurentElement:
 
     @staticmethod
     def make(low: int, coeffs: Sequence[int]) -> "LaurentElement":
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        shift = 0
-        while cs and cs[0] == 0:
-            cs.pop(0)
-            shift += 1
+        cs = _normalize(coeffs)
         if not cs:
             return LaurentElement(0, ())
-        return LaurentElement(low + shift, tuple(cs))
+        shift = next(i for i, c in enumerate(cs) if c)
+        return LaurentElement(low + shift, cs[shift:])
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -206,15 +168,16 @@ class LaurentRing:
 LAURENT = LaurentRing()
 
 
-def laurent_substitute_gamma(value: LaurentElement) -> tuple[int, IntPolynomial]:
+def laurent_substitute_gamma(value: LaurentElement) -> tuple[int, Coeffs]:
     """Clear negative powers and substitute γ = 1 + T.
 
     Returns (k, f) where k is the γ-power multiplied in to make the element
-    polynomial and f(T) = γ^k·value evaluated at γ = 1 + T.  The γ^k factor
-    is a unit of Z_p⟦T⟧, so it affects neither μ nor λ.
+    polynomial and f(T) = γ^k·value evaluated at γ = 1 + T, as ascending
+    coefficients.  The γ^k factor is a unit of Z_p⟦T⟧, so it affects
+    neither μ nor λ.
     """
     if value.is_zero():
-        return 0, IntPolynomial(())
+        return 0, ()
     k = max(0, -value.low)
     coeffs = (0,) * (value.low + k) + value.coeffs  # γ^k·value, from γ^0 up
     # Kronecker substitution T = 2^B: Horner at γ = 1 + 2^B is a shift-add
@@ -223,4 +186,4 @@ def laurent_substitute_gamma(value: LaurentElement) -> tuple[int, IntPolynomial]
     packed = 0
     for c in reversed(coeffs):
         packed = (packed << bits) + packed + c
-    return k, IntPolynomial(_unpack(packed, bits))
+    return k, _unpack(packed, bits)

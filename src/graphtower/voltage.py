@@ -7,7 +7,9 @@ edge backwards inverts its voltage.
 The derived graph X_n of (X, α, G^(n)) is never built: it is the base plus
 each edge's right translation of G^(n) (`edge_translations`), or the end
 indices of its edges (`cover_index_pairs`).  Level 0 is the trivial cover,
-G^(0) = 1 with every translation [0], so X_0 = X.
+G^(0) = 1 with every translation [0], so X_0 = X.  Whether every X_n is
+connected is `connectivity_criterion`, an F_p-rank read off the one Smith
+form, `linalg.smith_invariant_factors`.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from typing import Mapping, Sequence
 
 from .errors import BoundExceededError, DisconnectedError
 from .graphs import EdgeId, Multigraph
-from .groups import TowerGroupSpec, _fp_rank
+from .groups import TowerGroupSpec
+from .linalg import smith_invariant_factors
 
 Word = tuple[tuple[int, int], ...]  # ((generator index, exponent), ...)
 
@@ -43,7 +46,7 @@ class VoltageAssignment:
             raise ValueError(f"voltages for unknown edges: {sorted(map(str, extra))}")
         for _, word in self.voltages:
             for index, _ in word:
-                if not 0 <= index < self.spec.num_generators:
+                if not 0 <= index < self.spec.dimension:
                     raise ValueError(f"invalid generator index {index}")
 
     @staticmethod
@@ -121,20 +124,20 @@ def connectivity_criterion(alpha: VoltageAssignment) -> bool:
     for both kinds, so the β-values are F_p-vectors: with φ(v) the image
     of the tree path from the first vertex to v, an edge from v to w of
     level-1 voltage a has β = φ(v) + a − φ(w), which is 0 on tree edges.
-    The criterion compares their F_p-rank with d.  A base vertex that the
-    search for φ leaves unreached raises DisconnectedError.
+    The criterion compares their F_p-rank with d.  That rank is the number
+    of invariant factors over Z that p does not divide, since a unimodular
+    Smith decomposition over Z stays invertible mod p.  A base vertex that
+    the search for φ leaves unreached raises DisconnectedError.
     """
-    base = alpha.base
     spec = alpha.spec
     p = spec.p
-    pairs = base.index_pairs()
-    images = alpha.normal_forms(1)
+    edges = alpha.normal_form_edges(1)
     steps: list[list[tuple[int, tuple[int, ...]]]] = [
-        [] for _ in base.vertices]
-    for (i, j), a in zip(pairs, images):
+        [] for _ in alpha.base.vertices]
+    for i, j, a in edges:
         steps[i].append((j, a))
         steps[j].append((i, tuple(-x for x in a)))
-    phi: list[tuple[int, ...] | None] = [None] * base.num_vertices
+    phi: list[tuple[int, ...] | None] = [None] * len(steps)
     phi[0] = (0,) * spec.dimension
     stack = [0]
     while stack:
@@ -145,9 +148,13 @@ def connectivity_criterion(alpha: VoltageAssignment) -> bool:
                 stack.append(j)
     if None in phi:
         raise DisconnectedError("base graph is disconnected")
-    betas = [[(x + y - z) % p for x, y, z in zip(phi[i], a, phi[j])]
-             for (i, j), a in zip(pairs, images)]
-    return _fp_rank(betas, p) == spec.dimension
+    # each β as a sparse row {t: β_t}, with no zero values
+    betas = []
+    for i, j, a in edges:
+        beta = [(x + y - z) % p for x, y, z in zip(phi[i], a, phi[j])]
+        betas.append({t: b for t, b in enumerate(beta) if b})
+    factors = smith_invariant_factors(betas, spec.dimension)
+    return sum(d % p != 0 for d in factors) == spec.dimension
 
 
 @dataclass(frozen=True)
@@ -163,7 +170,7 @@ class QuotientSpec:
     exponents: tuple[int, ...]
 
     def validate(self, spec: TowerGroupSpec) -> None:
-        if len(self.exponents) != spec.num_generators:
+        if len(self.exponents) != spec.dimension:
             raise ValueError("one exponent per generator required")
         if all(e % spec.p == 0 for e in self.exponents):
             raise ValueError("quotient map is not surjective onto Z_p")

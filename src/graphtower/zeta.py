@@ -14,7 +14,7 @@ about half the base-2^B digits.  The orbit norms below take neither step,
 so a fault in either cannot pass the factorization check on both sides.
 That check takes one more integer determinant per Galois orbit of
 characters, the norm of the orbit's L-function, from the base edges'
-level-n normal forms.  The per-character L-functions that ``lfun`` prints
+level-n normal forms.  The per-character L-functions of ``l_functions``
 take one integer polynomial determinant per Galois orbit too, packed at
 u = 2^B and lifted to Z[x], and ``cyclotomic.galois_images`` reads every
 character of the orbit off it.  Every identity check below is an exact
@@ -24,11 +24,11 @@ The L-functions, the interpolation check and ``fitting`` read the cover's
 adjacency Σ_σ A(σ)·σ, where A(σ)_ij counts the edges between (v_i, 1) and
 (v_j, σ) in X_n, off the base edges' level-n normal forms, as A_α (a test
 reads it off the edges of an X_n built from group elements).  χ(a) is
-computed only by ``Character.exponent``.  ``lfun`` and the reduced norm of
-``fitting`` reach A_α only through ``grouprings.character_adjacency``.  The
-orbit norms of ``artin_l_norm`` and the lift of
-``grouprings.orbit_h_values`` read the exponents instead, so the
-interpolation check's two sides do not share the builder.
+computed only by ``Character.exponent``.  ``l_functions`` and the reduced
+norm of ``fitting`` reach A_α only through
+``grouprings.character_adjacency``.  The orbit norms of ``artin_l_norm``
+and the lift of ``grouprings.orbit_h_values`` read the exponents instead,
+so the interpolation check's two sides do not share the builder.
 """
 
 from __future__ import annotations
@@ -44,8 +44,7 @@ from .cyclotomic import (CyclotomicInteger, euler_phi_prime_power,
 from .grouprings import (Character, Edges, character_adjacency, characters,
                          galois_orbits, orbit_h_values, orbit_nrd,
                          per_character)
-from .linalg import _unpack, det_int_poly_matrix
-from .polynomials import IntPolynomial
+from .linalg import _unpack, det_int_poly_matrix, poly_product
 from .voltage import VoltageAssignment, check_derive_bounds, cover_index_pairs
 
 
@@ -54,7 +53,7 @@ class ZetaData:
     """ζ_X(u)^{-1} = (1−u²)^{−chi} · det_part(u)."""
 
     chi: int
-    det_part: IntPolynomial
+    det_part: tuple[int, ...]  # ascending u-coefficients
 
 
 def ihara_zeta_inverse(num_vertices: int,
@@ -144,7 +143,7 @@ def ihara_zeta_inverse(num_vertices: int,
             coeffs += (0, 0)
             for k in range(len(coeffs) - 1, 1, -1):
                 coeffs[k] += e * coeffs[k - 2]
-    return ZetaData(num_vertices - len(pairs), IntPolynomial(tuple(coeffs)))
+    return ZetaData(num_vertices - len(pairs), tuple(coeffs))
 
 
 def _two_colouring(neighbours: Sequence[Counter]) -> list[int] | None:
@@ -213,8 +212,23 @@ def artin_l_inverse(chi: Character, units: Sequence[int], edges: Edges,
     return det_parts
 
 
+def l_functions(alpha: VoltageAssignment, n: int
+                ) -> list[tuple[Character, tuple[CyclotomicInteger, ...]]]:
+    """(χ, det part of L(χ,u)⁻¹) for every character χ of G^(n), in
+    ``characters`` order, by one ``artin_l_inverse`` per Galois orbit.  The
+    enumeration bound is checked before the bounds of X_n, which is not
+    built."""
+    chars = characters(alpha.spec, n)
+    check_derive_bounds(alpha, n)
+    edges = alpha.normal_form_edges(n)
+    degrees = alpha.base.degrees()
+    return list(zip(chars, per_character(
+        chars, lambda chi, units: artin_l_inverse(chi, units, edges,
+                                                  degrees))))
+
+
 def artin_l_norm(chi: Character, edges: Edges,
-                 degrees: Sequence[int]) -> IntPolynomial:
+                 degrees: Sequence[int]) -> tuple[int, ...]:
     """Norm of the det part of L(χ,u)⁻¹: the product of the det parts of
     L(χ^a,u)⁻¹ over the Galois orbit of χ, as one integer determinant.
 
@@ -245,7 +259,7 @@ def artin_l_norm(chi: Character, edges: Edges,
             for r, t, b in block:
                 rows[first * phi + r].setdefault(
                     second * phi + t, [0, 0])[1] -= b
-    return IntPolynomial(det_int_poly_matrix(rows))
+    return det_int_poly_matrix(rows)
 
 
 @dataclass(frozen=True)
@@ -308,17 +322,17 @@ def factorization_check(alpha: VoltageAssignment, n: int) -> FactorizationReport
 
     The product over all characters is taken as the product over Galois
     orbits of ``artin_l_norm``, all in Z[u], from the base edges' level-n
-    normal forms.  The cover side is ``ihara_zeta_inverse`` of the index
-    pairs of ``cover_index_pairs``.  Neither side builds X_n.
+    normal forms, multiplied by ``poly_product``.  The cover side is
+    ``ihara_zeta_inverse`` of the index pairs of ``cover_index_pairs``.
+    Neither side builds X_n.
     """
     orbits = galois_orbits(alpha.spec, n)
     num_vertices, pairs = cover_index_pairs(alpha, n)
     base = alpha.base
     edges = alpha.normal_form_edges(n)
     degrees = base.degrees()
-    product = IntPolynomial((1,))
-    for chi, _ in orbits:
-        product = product * artin_l_norm(chi, edges, degrees)
+    product = poly_product([artin_l_norm(chi, edges, degrees)
+                            for chi, _ in orbits])
     zeta = ihara_zeta_inverse(num_vertices, pairs)
     total_exponent = (sum(size for _, size in orbits) *
                       (base.num_vertices - base.num_edges))

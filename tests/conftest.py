@@ -14,7 +14,7 @@ from graphtower import (Multigraph, TowerGroupSpec, VoltageAssignment,
 from graphtower.cyclotomic import (CyclotomicInteger, _add_monomial,
                                    euler_phi_prime_power, galois_images)
 from graphtower.errors import DisconnectedError
-from graphtower.groups import _fp_rank, p_valuation
+from graphtower.groups import p_valuation
 from graphtower.grouprings import Character, characters
 from graphtower.linalg import det_int, det_int_poly_matrix
 
@@ -236,7 +236,7 @@ def enumerate_spanning_trees(graph):
 
 def identity(spec):
     """The identity of every G^(n): the zero normal form."""
-    return (0,) * spec.num_generators
+    return (0,) * spec.dimension
 
 
 def inverse(spec, n, a):
@@ -281,7 +281,7 @@ class GroupRingElement:
     def from_terms(spec, level, terms):
         pruned = {g: c for g, c in terms.items() if c != 0}
         mod = spec.p ** level
-        assert all(len(g) == spec.num_generators and
+        assert all(len(g) == spec.dimension and
                    all(0 <= x < mod for x in g) for g in pruned)
         return GroupRingElement(spec, level, tuple(sorted(pruned.items())))
 
@@ -533,9 +533,9 @@ def lift(x, new_k):
 
 def generator(spec, index, n):
     """Generator `index` of G^(n): σ or τ, or a unit vector."""
-    if not 0 <= index < spec.num_generators:
+    if not 0 <= index < spec.dimension:
         raise ValueError(f"invalid generator index {index}")
-    exps = [0] * spec.num_generators
+    exps = [0] * spec.dimension
     exps[index] = 1 % spec.p ** n
     return tuple(exps)
 
@@ -593,6 +593,29 @@ def cover_graph(alpha, n):
     return Multigraph.build(vertices, [
         ((alpha.base.edges[x // size][0], group[x % size]),
          (vertices[i], vertices[j])) for x, (i, j) in enumerate(pairs)])
+
+
+def _fp_rank(vectors, p):
+    """Rank of a set of vectors over F_p, by Gaussian elimination: the
+    oracle of the Smith-form rank that the package's criterion reads."""
+    rows = [list(v) for v in vectors]
+    rank = 0
+    width = len(rows[0]) if rows else 0
+    for col in range(width):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] % p),
+                     None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        rows[rank] = [(x * inv) % p for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col] % p:
+                factor = rows[i][col]
+                rows[i] = [(x - factor * y) % p
+                           for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
 
 
 def is_generating_set(spec, elements):
@@ -696,7 +719,7 @@ def oracle_instance(rng, kind, p, rank):
     v = rng.randrange(nv)
     ends.append((v, v))
     voltages = {
-        i: [[rng.randrange(spec.num_generators),
+        i: [[rng.randrange(spec.dimension),
              rng.choice(ORACLE_EXPONENTS + (rng.randint(-99, 99),))]
             for _ in range(rng.randint(0, 3))]
         for i in range(len(ends))}

@@ -125,7 +125,7 @@ def test_criterion_5_cycle_with_multiedge_examples():
     assert connectivity_criterion(alpha5)
     reduced5 = quotient_assignment(alpha5, quotient)
     det5 = lambda1_determinant(reduced5)
-    c0, c1, c2 = det5.f.coeffs[:3]
+    c0, c1, c2 = det5.f[:3]
     assert c0 == 0 and c1 == 0
     assert c2 % 3 != 0
     assert abs(c2) == 13
@@ -141,7 +141,7 @@ def test_criterion_5_cycle_with_multiedge_examples():
     assert connectivity_criterion(alpha4)
     reduced4 = quotient_assignment(alpha4, quotient)
     det4 = lambda1_determinant(reduced4)
-    assert det4.f.coeffs == (0, 0, -9)
+    assert det4.f == (0, 0, -9)
     assert mu_lambda_from_poly(det4.f, 3) == (2, 2)
     verdict4 = mhg_check(alpha4, quotient)
     assert verdict4.verdict == "INCONCLUSIVE"
@@ -171,7 +171,7 @@ def test_criterion_6_mu_equals_two_example():
     # 18(2 − γ − γ⁻¹) exactly, cleared to −18T²
     assert det.gamma_det.low == -1
     assert det.gamma_det.coeffs == (-18, 36, -18)
-    assert det.f.coeffs == (0, 0, -18)
+    assert det.f == (0, 0, -18)
     assert mu_lambda_from_poly(det.f, 3) == (2, 2)
     assert mu_lower_bound(alpha) == 2
     verdict = mhg_check(alpha, quotient)

@@ -105,7 +105,7 @@ def test_normal_forms_and_translations_match_multiply(kind, p, rank):
     spec = oracle_spec(kind, p, rank)
     for n in range(5):
         for _ in range(20):
-            word = [(rng.randrange(spec.num_generators),
+            word = [(rng.randrange(spec.dimension),
                      rng.choice(ORACLE_EXPONENTS + (rng.randint(-99, 99),)))
                     for _ in range(rng.randint(0, 4))]
             assert spec.normal_form(n, word) == evaluate_word(spec, n, word)

@@ -2,13 +2,14 @@
 elimination it replaced, and determinantal divisors by brute force."""
 
 import random
+from collections import Counter
 from itertools import combinations
 from math import gcd
 
 from graphtower import TowerGroupSpec, VoltageAssignment
 from graphtower.linalg import det_int, smith_invariant_factors
 
-from conftest import (components, dense_laplacian, derive,
+from conftest import (_fp_rank, components, dense_laplacian, derive,
                       random_connected_multigraph, sparse)
 
 
@@ -162,6 +163,46 @@ def test_snf_matches_determinantal_divisors():
         m = _random_small_matrix(rng, kinds[case % 4])
         assert (smith_invariant_factors(*sparse(m)) ==
                 determinantal_smith(m)), m
+
+
+def _mod_p_row(rng, p, cols, earlier):
+    """A row with entries in [0, p), or a zero row, or a copy of an earlier
+    row, or an earlier row plus p in some columns: equal mod p, not over
+    Z.  Returns the kind and the row."""
+    kind = rng.choice(["random", "zero", "repeat", "agree mod p"]
+                      if earlier else ["random", "zero"])
+    if kind == "random":
+        return kind, [rng.randrange(p) for _ in range(cols)]
+    if kind == "zero":
+        return kind, [0] * cols
+    row = list(rng.choice(earlier))
+    if kind == "agree mod p":
+        lifted = rng.randrange(cols)
+        row = [x + p * (j == lifted or rng.random() < 0.3)
+               for j, x in enumerate(row)]
+    return kind, row
+
+
+def test_snf_counts_the_fp_rank():
+    """The number of invariant factors that p does not divide is the rank
+    over F_p, since a unimodular Smith decomposition over Z stays
+    invertible mod p; ``connectivity_criterion`` reads its F_p-rank so.
+    300 seeded matrices per prime, of 0-8 rows and 1-5 columns, against
+    the Gaussian elimination of ``_fp_rank``."""
+    rng = random.Random(7004)
+    kinds = Counter()
+    for p in (2, 3, 5, 7):
+        for _ in range(300):
+            cols = rng.randint(1, 5)
+            m = []
+            for _ in range(rng.randint(0, 8)):
+                kind, row = _mod_p_row(rng, p, cols, m)
+                kinds[kind] += 1
+                m.append(row)
+            rows = [{j: v for j, v in enumerate(row) if v} for row in m]
+            factors = smith_invariant_factors(rows, cols)
+            assert sum(d % p != 0 for d in factors) == _fp_rank(m, p), (p, m)
+    assert min(kinds.values()) > 300
 
 
 def test_snf_edge_shapes():

@@ -266,6 +266,20 @@ def test_criterion_matches_the_beta_route():
     assert verdicts[True] > 10 and verdicts[False] > 10
 
 
+def test_criterion_reads_the_rank_mod_p():
+    """Two loops of voltages (1, 2) and (2, 1) over (Z/p^n)^2: their
+    β-values have determinant −3, so they span (Z/p)^2 for p = 5 but not
+    for p = 3, though their rank over Z is 2 for both."""
+    loops = Multigraph.build(["v"], [("a", ("v", "v")), ("b", ("v", "v"))])
+    for p, connected in ((3, False), (5, True)):
+        alpha = VoltageAssignment.build(
+            loops, TowerGroupSpec("abelian", p, rank=2),
+            {"a": [[0, 1], [1, 2]], "b": [[0, 2], [1, 1]]})
+        assert connectivity_criterion(alpha) is criterion_by_betas(alpha)
+        assert criterion_by_betas(alpha) is connected
+        assert (components(derive(alpha, 1)) == 1) is connected
+
+
 def test_criterion_predicts_connectedness():
     """A passing criterion gives connected X_1 and X_2, and a failing one a
     disconnected X_1, both read off the group-element `derive`."""
