@@ -14,6 +14,7 @@ takes no Smith form of its own.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .errors import DisconnectedError
 from .graphs import laplacian_rows
@@ -31,10 +32,7 @@ class AbelianGroupStructure:
 
     @property
     def torsion_order(self) -> int:
-        order = 1
-        for d in self.torsion:
-            order *= d
-        return order
+        return prod(self.torsion)
 
     def describe(self) -> str:
         parts = ["Z"] * self.free_rank + [f"Z/{d}" for d in self.torsion]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Sequence
 
-from .linalg import _unpack
+from .linalg import _eval_poly, _unpack
 
 Coeffs = tuple[int, ...]
 
@@ -180,10 +180,7 @@ def laurent_substitute_gamma(value: LaurentElement) -> tuple[int, Coeffs]:
         return 0, ()
     k = max(0, -value.low)
     coeffs = (0,) * (value.low + k) + value.coeffs  # γ^k·value, from γ^0 up
-    # Kronecker substitution T = 2^B: Horner at γ = 1 + 2^B is a shift-add
-    # pass, and |coefficient of f| ≤ Σ|c_i|·2^i fits in a signed B-bit digit.
+    # Kronecker substitution T = 2^B: the value at γ = 1 + 2^B packs f, and
+    # |coefficient of f| ≤ Σ|c_i|·2^i fits in a signed B-bit digit.
     bits = len(coeffs) + sum(map(abs, coeffs)).bit_length() + 1
-    packed = 0
-    for c in reversed(coeffs):
-        packed = (packed << bits) + packed + c
-    return k, _unpack(packed, bits)
+    return k, _unpack(_eval_poly(coeffs, (1 << bits) + 1), bits)

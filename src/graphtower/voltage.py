@@ -8,8 +8,9 @@ The derived graph X_n of (X, α, G^(n)) is never built: it is the base plus
 each edge's right translation of G^(n) (`edge_translations`), or the end
 indices of its edges (`cover_index_pairs`).  Level 0 is the trivial cover,
 G^(0) = 1 with every translation [0], so X_0 = X.  Whether every X_n is
-connected is `connectivity_criterion`, an F_p-rank read off the one Smith
-form, `linalg.smith_invariant_factors`.
+connected is `connectivity_criterion`: the F_p-rank of the base's edge rows
+[incidence | level-1 voltage], read off the one Smith form,
+`linalg.smith_invariant_factors`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import BoundExceededError, DisconnectedError
-from .graphs import EdgeId, Multigraph
+from .graphs import EdgeId, Multigraph, component_count
 from .groups import TowerGroupSpec
 from .linalg import smith_invariant_factors
 
@@ -122,39 +123,31 @@ def connectivity_criterion(alpha: VoltageAssignment) -> bool:
     G^(1) = G/G^p, which for a powerful tower group implies topological
     generation and hence connectivity at every level.  G^(1) is (Z/p)^d
     for both kinds, so the β-values are F_p-vectors: with φ(v) the image
-    of the tree path from the first vertex to v, an edge from v to w of
-    level-1 voltage a has β = φ(v) + a − φ(w), which is 0 on tree edges.
-    The criterion compares their F_p-rank with d.  That rank is the number
-    of invariant factors over Z that p does not divide, since a unimodular
-    Smith decomposition over Z stays invertible mod p.  A base vertex that
-    the search for φ leaves unreached raises DisconnectedError.
+    of a tree path to v, an edge from v to w of level-1 voltage a has
+    β = φ(v) + a − φ(w).  The cycles are the kernel of Nᵗ, N the oriented
+    edge–vertex incidence matrix, so on a connected base of m vertices
+    the edge rows [N | A], A the level-1 voltages, have F_p-rank m − 1
+    plus that of the β-values, and the criterion is rank_p[N | A] =
+    m − 1 + d.  That rank is the number of invariant factors over Z that
+    p does not divide, since a unimodular Smith decomposition over Z stays
+    invertible mod p.  A failing criterion on a disconnected base raises
+    DisconnectedError.
     """
-    spec = alpha.spec
-    p = spec.p
-    edges = alpha.normal_form_edges(1)
-    steps: list[list[tuple[int, tuple[int, ...]]]] = [
-        [] for _ in alpha.base.vertices]
-    for i, j, a in edges:
-        steps[i].append((j, a))
-        steps[j].append((i, tuple(-x for x in a)))
-    phi: list[tuple[int, ...] | None] = [None] * len(steps)
-    phi[0] = (0,) * spec.dimension
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for j, a in steps[i]:
-            if phi[j] is None:
-                phi[j] = tuple((x + y) % p for x, y in zip(phi[i], a))
-                stack.append(j)
-    if None in phi:
+    d = alpha.spec.dimension
+    m = alpha.base.num_vertices
+    rows = []
+    for i, j, a in alpha.normal_form_edges(1):
+        row = {m + t: x for t, x in enumerate(a) if x}
+        if i != j:
+            row[i], row[j] = 1, -1
+        if row:
+            rows.append(row)
+    factors = smith_invariant_factors(rows, m + d)
+    if sum(f % alpha.spec.p != 0 for f in factors) == m - 1 + d:
+        return True
+    if component_count(m, alpha.base.index_pairs()) > 1:
         raise DisconnectedError("base graph is disconnected")
-    # each β as a sparse row {t: β_t}, with no zero values
-    betas = []
-    for i, j, a in edges:
-        beta = [(x + y - z) % p for x, y, z in zip(phi[i], a, phi[j])]
-        betas.append({t: b for t, b in enumerate(beta) if b})
-    factors = smith_invariant_factors(betas, spec.dimension)
-    return sum(d % p != 0 for d in factors) == spec.dimension
+    return False
 
 
 @dataclass(frozen=True)

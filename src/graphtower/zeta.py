@@ -135,14 +135,12 @@ def ihara_zeta_inverse(num_vertices: int,
         for t, row in zip(rest, rows):
             for x, entry in row.items():
                 row[x] = ([0] + entry)[1 - colour[t] + colour[rest[x]]::2]
-    coeffs = list(det_int_poly_matrix(rows))
+    coeffs = det_int_poly_matrix(rows)
     if colour is not None:  # from w back to u: w^k = u^(2k)
         coeffs = [c for w_coeff in coeffs for c in (w_coeff, 0)][:-1]
-    if e:
-        for _ in range(len(fibre) - len(rest)):  # times c
-            coeffs += (0, 0)
-            for k in range(len(coeffs) - 1, 1, -1):
-                coeffs[k] += e * coeffs[k - 2]
+    if e and len(fibre) > len(rest):  # times c^(|S|−|T|)
+        coeffs = poly_product(
+            [coeffs, *[(1, 0, e)] * (len(fibre) - len(rest))])
     return ZetaData(num_vertices - len(pairs), tuple(coeffs))
 
 

@@ -12,11 +12,12 @@ from graphtower.errors import BoundExceededError, DisconnectedError
 from graphtower.graphs import laplacian_rows
 from graphtower.voltage import edge_translations
 
-from conftest import (ORACLE_SHAPES, GroupRingElement, act, augmentation,
-                      components, cover_graph, criterion_by_betas,
-                      dense_laplacian, derive, doubled, evaluate_word,
-                      identity, inverse, oracle_instance,
-                      project_element, random_abelian_instance,
+from conftest import (ORACLE_EXPONENTS, ORACLE_SHAPES, GroupRingElement, act,
+                      augmentation, components, cover_graph,
+                      criterion_by_betas, dense_laplacian, derive, doubled,
+                      evaluate_word, identity, inverse, oracle_instance,
+                      oracle_spec, project_element,
+                      random_abelian_instance, random_connected_multigraph,
                       voltage_adjacency, voltage_laplacian)
 
 
@@ -264,6 +265,43 @@ def test_criterion_matches_the_beta_route():
                 with pytest.raises(DisconnectedError):
                     criterion(split)
     assert verdicts[True] > 10 and verdicts[False] > 10
+
+
+def test_criterion_matches_the_beta_route_on_larger_bases():
+    """The same agreement on bases of 2-12 vertices with up to 10 extra
+    edges, past the 1-3 vertices of `oracle_instance`, over (Z/p^n)^d for
+    p = 2, 3, 5, 7 and d = 1-4 and both metacyclic shapes, with words of
+    0-2 letters.  The base beside a disjoint copy of itself, carrying the
+    same words, has a cycle in each component and raises DisconnectedError
+    on both routes."""
+    rng = random.Random(61)
+    verdicts = Counter()
+    shapes = [*(("abelian", p, rank) for p in (2, 3, 5, 7)
+                for rank in (1, 2, 3, 4)),
+              ("metacyclic", 2, 2), ("metacyclic", 3, 2)]
+    for kind, p, rank in shapes:
+        spec = oracle_spec(kind, p, rank)
+        for _ in range(8):
+            base = random_connected_multigraph(rng, max_vertices=12,
+                                               max_extra_edges=10)
+            words = {e: [[rng.randrange(spec.dimension),
+                          rng.choice(ORACLE_EXPONENTS)]
+                         for _ in range(rng.randint(0, 2))]
+                     for e, _ in base.edges}
+            alpha = VoltageAssignment.build(base, spec, words)
+            expected = criterion_by_betas(alpha)
+            assert connectivity_criterion(alpha) == expected
+            verdicts[expected] += 1
+            twice = Multigraph.build(
+                [*base.vertices, *((v, "copy") for v in base.vertices)],
+                [*base.edges, *(((e, "copy"), ((v, "copy"), (w, "copy")))
+                                for e, (v, w) in base.edges)])
+            split = VoltageAssignment.build(twice, spec, {
+                **words, **{(e, "copy"): words[e] for e, _ in base.edges}})
+            for criterion in (connectivity_criterion, criterion_by_betas):
+                with pytest.raises(DisconnectedError):
+                    criterion(split)
+    assert verdicts[True] > 40 and verdicts[False] > 20
 
 
 def test_criterion_reads_the_rank_mod_p():
