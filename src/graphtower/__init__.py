@@ -16,7 +16,7 @@ from .jacobian import AbelianGroupStructure, level_jacobian
 from .polynomials import LaurentElement
 from .voltage import (QuotientSpec, VoltageAssignment,
                       connectivity_criterion, cover_index_pairs,
-                      edge_translations, quotient_assignment)
+                      quotient_assignment)
 from .zeta import (ZetaData, artin_l_inverse, factorization_check,
                    ihara_zeta_inverse, interpolation_check, l_functions)
 from .iwasawa import (FittingGenerators, IwasawaFit, Lambda1Det, MHGVerdict,

@@ -2,9 +2,10 @@
 
 Loops and parallel edges are allowed everywhere.  Vertex and edge order is
 insertion order and all matrices are indexed by it, so repeated runs produce
-identical output.  A `Multigraph` is only ever a base graph: a cover X_n
-reaches the builders below as vertex indices and index pairs, from its
-base and its voltage translations, and is never built.
+identical output.  A `Multigraph` is only ever a base graph.  The builders
+below take any graph as a vertex count and the vertex indices (i, j) of
+each edge's ends, the form in which `voltage.cover_index_pairs` gives a
+cover X_n, so they know nothing of fibres or groups.
 """
 
 from __future__ import annotations
@@ -65,40 +66,25 @@ class Multigraph:
         return degrees
 
 
-def laplacian_rows(num_vertices: int, pairs: Sequence[tuple[int, int]],
-                   translations: Sequence[Sequence[int]],
-                   size: int) -> list[dict[int, int]]:
-    """The reduced Laplacian of a cover, D − A without the row and column
-    of vertex 0, as sparse rows {column: value}, in one pass over its base:
-    num_vertices vertices, the vertex indices (i, j) of each base edge's
-    ends, and each edge's translation t, a right translation of a group of
-    order size, as an index list.  Cover vertex (v_i, g_k) is i·size + k,
-    at index i·size + k − 1, and the edge over e from v_i to v_j joins it
-    to j·size + t[k].  A graph is its own cover with size 1 and every t
-    [0].  A loop whose t is the identity (t[0] = 0) adds nothing, since it
-    counts twice in both D and A; any other t fixes no point, so each
-    vertex's degree is its fibre's.
+def laplacian_rows(num_vertices: int,
+                   pairs: Sequence[tuple[int, int]]) -> list[dict[int, int]]:
+    """The reduced Laplacian of the graph on vertices 0..num_vertices − 1
+    with an edge joining i and j for each (i, j) of pairs: D − A without
+    the row and column of vertex 0, as sparse rows {column: value}, vertex
+    i at index i − 1.  A loop adds nothing, since it counts twice in both
+    D and A, so each diagonal entry is minus the sum of its row; a vertex
+    with no other edge keeps an empty row, and no value is 0.
     """
-    degrees = [0] * num_vertices
-    lifts = []
-    for (i, j), t in zip(pairs, translations):
-        if i != j or t[0]:
-            degrees[i] += 1
-            degrees[j] += 1
-            lifts.append((i * size, j * size, t))
-    rows: list[dict[int, int]] = []
-    for i, d in enumerate(degrees):
-        first = i * size - 1
-        rows += ([{v: d} for v in range(first, first + size)] if d else
-                 [{} for _ in range(size)])
-    for first_i, first_j, t in lifts:
-        fibre_j = rows[first_j:first_j + size]
-        for a, row, h in zip(range(first_i - 1, first_i - 1 + size),
-                             rows[first_i:first_i + size], t):
-            b = first_j - 1 + h
-            row[b] = row.get(b, 0) - 1
-            row = fibre_j[h]
-            row[a] = row.get(a, 0) - 1
+    rows: list[dict[int, int]] = [{} for _ in range(num_vertices)]
+    for i, j in pairs:
+        if i != j:
+            row = rows[i]
+            row[j - 1] = row.get(j - 1, 0) - 1
+            row = rows[j]
+            row[i - 1] = row.get(i - 1, 0) - 1
+    for i, row in enumerate(rows):
+        if row:
+            row[i - 1] = -sum(row.values())
     if rows:
         # vertex 0 is index −1, in its own row and in its neighbours' rows
         for b in rows.pop(0):

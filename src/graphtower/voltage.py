@@ -4,12 +4,12 @@ The orientation convention is fixed once and for all: every edge's positive
 direction runs from its first listed endpoint to its second; traversing an
 edge backwards inverts its voltage.
 
-The derived graph X_n of (X, α, G^(n)) is never built: it is the base plus
-each edge's right translation of G^(n) (`edge_translations`), or the end
-indices of its edges (`cover_index_pairs`).  Level 0 is the trivial cover,
-G^(0) = 1 with every translation [0], so X_0 = X.  Whether every X_n is
-connected is `connectivity_criterion`: the F_p-rank of the base's edge rows
-[incidence | level-1 voltage], read off the one Smith form,
+The derived graph X_n of (X, α, G^(n)) reaches every builder in one form,
+`cover_index_pairs`: its vertex count and the end indices of its edges,
+from each base edge's right translation of G^(n).  Level 0 is the trivial
+cover, G^(0) = 1 with every translation [0], so X_0 = X.  Whether every
+X_n is connected is `connectivity_criterion`: the F_p-rank of the base's
+edge rows [incidence | level-1 voltage], read off the one Smith form,
 `linalg.smith_invariant_factors`.
 """
 
@@ -58,18 +58,14 @@ class VoltageAssignment:
             for e, _ in base.edges if e in voltages)
         return VoltageAssignment(base, spec, packed)
 
-    def normal_forms(self, n: int) -> list[tuple[int, ...]]:
-        """Each edge's voltage in G^(n) as a normal form, in edge order."""
-        words = dict(self.voltages)
-        return [self.spec.normal_form(n, words[e]) for e, _ in self.base.edges]
-
     def normal_form_edges(
             self, n: int) -> list[tuple[int, int, tuple[int, ...]]]:
         """Each edge as (i, j, a), in edge order: the indices of its ends
-        and its voltage's normal form in G^(n).  The characters and the
-        regular representation take A_α, and D − A_α^t, from this list."""
-        return [(i, j, a) for (i, j), a in
-                zip(self.base.index_pairs(), self.normal_forms(n))]
+        and its voltage's normal form in G^(n).  A_α, D − A_α^t and the
+        index pairs of X_n are read off this list."""
+        words = dict(self.voltages)
+        return [(i, j, self.spec.normal_form(n, words[e])) for (e, _), (i, j)
+                in zip(self.base.edges, self.base.index_pairs())]
 
 
 def check_derive_bounds(alpha: VoltageAssignment, n: int) -> None:
@@ -86,34 +82,22 @@ def check_derive_bounds(alpha: VoltageAssignment, n: int) -> None:
     spec.check_enumerable(n)
 
 
-def edge_translations(alpha: VoltageAssignment, n: int) -> list[list[int]]:
-    """For each base edge e, in edge order, the right translation
-    g ↦ g·α(e) of G^(n) as an index list into `enumerate_group(n)`.
-
-    Each voltage is read once as its normal form, and the translation is
-    integer arithmetic on normal forms (`TowerGroupSpec.right_translation`).
-    The bounds of `check_derive_bounds` are checked first.
-    """
-    check_derive_bounds(alpha, n)
-    spec = alpha.spec
-    return [spec.right_translation(n, a) for a in alpha.normal_forms(n)]
-
-
 def cover_index_pairs(alpha: VoltageAssignment,
                       n: int) -> tuple[int, list[tuple[int, int]]]:
     """The vertex count of X_n and the vertex indices of each cover edge's
-    ends, without building X_n: vertex (v_i, g_k) is i·|G^(n)| + k, with
-    g_k element k of `enumerate_group(n)`, and edge x, which lies over base
-    edge e = x // |G^(n)| at g_k, k = x mod |G^(n)|, joins it, for e from
-    v_i to v_j, to j·|G^(n)| + t_e[k], with t_e the translation of e from
-    `edge_translations`."""
-    translations = edge_translations(alpha, n)
-    size = alpha.spec.order(n)
-    base = alpha.base
+    ends, after the bounds of `check_derive_bounds`.  Vertex (v_i, g_k) is
+    i·|G^(n)| + k, with g_k element k of `enumerate_group(n)`, and edge x,
+    which lies over base edge e = x // |G^(n)| at g_k, k = x mod |G^(n)|,
+    joins it, for e from v_i to v_j, to (v_j, g_k·α(e)), read off the
+    right translation of α(e)'s normal form
+    (`TowerGroupSpec.right_translation`)."""
+    check_derive_bounds(alpha, n)
+    spec = alpha.spec
+    size = spec.order(n)
     pairs = [(i * size + k, j * size + h)
-             for (i, j), translation in zip(base.index_pairs(), translations)
-             for k, h in enumerate(translation)]
-    return base.num_vertices * size, pairs
+             for i, j, a in alpha.normal_form_edges(n)
+             for k, h in enumerate(spec.right_translation(n, a))]
+    return alpha.base.num_vertices * size, pairs
 
 
 def connectivity_criterion(alpha: VoltageAssignment) -> bool:

@@ -544,18 +544,17 @@ def _count_multigraphs(monkeypatch):
 def test_check_factorization_and_zeta_build_no_cover(tmp_path, capsys,
                                                      monkeypatch):
     """Both sides of check-factorization, and zeta of a cover, come from
-    one set of voltage translations: no χ(A_α) over Z[ζ], and no Multigraph
+    one list of X_n's index pairs: no χ(A_α) over Z[ζ], and no Multigraph
     larger than the base."""
     path = write_config(tmp_path, LOOP_CONFIG)
     for subcommand in ("check-factorization", "zeta"):
         with monkeypatch.context() as patch:
             adjacency = _count_calls(
                 patch, graphtower.grouprings.character_adjacency)
-            translations = _count_calls(patch,
-                                        graphtower.voltage.edge_translations)
+            pairs = _count_calls(patch, graphtower.voltage.cover_index_pairs)
             graphs = _count_multigraphs(patch)
             assert main([subcommand, "--config", path, "--level", "2"]) == 0
-        assert (len(adjacency), len(translations)) == (0, 1)
+        assert (len(adjacency), len(pairs)) == (0, 1)
         assert graphs == [len(LOOP_CONFIG["graph"]["vertices"])]
 
 
@@ -745,12 +744,11 @@ def test_check_factorization_uses_no_cyclotomic_arithmetic(tmp_path, capsys,
 def test_character_jobs_derive_no_cover(tmp_path, capsys, monkeypatch,
                                         subcommand):
     """A_α over Z[G^(n)] is all these jobs need of X_n: they take no
-    translations of G^(n)."""
-    translations = _count_calls(monkeypatch,
-                                graphtower.voltage.edge_translations)
+    index pairs of X_n."""
+    pairs = _count_calls(monkeypatch, graphtower.voltage.cover_index_pairs)
     path = write_config(tmp_path, LOOP_CONFIG)
     assert main([subcommand, "--config", path, "--level", "2"]) == 0
-    assert len(translations) == 0
+    assert len(pairs) == 0
 
 
 @pytest.mark.parametrize("subcommand", ["lfun", "check-interpolation"])
@@ -770,15 +768,16 @@ def test_character_jobs_keep_the_cover_bound(tmp_path, capsys, subcommand):
 
 
 def _count_normal_forms(monkeypatch):
-    """Record every VoltageAssignment.normal_forms call; returns the log."""
+    """Record every VoltageAssignment.normal_form_edges call; returns the
+    log."""
     calls = []
-    normal_forms = graphtower.VoltageAssignment.normal_forms
+    normal_form_edges = graphtower.VoltageAssignment.normal_form_edges
 
     def counted(alpha, n):
         calls.append(n)
-        return normal_forms(alpha, n)
+        return normal_form_edges(alpha, n)
 
-    monkeypatch.setattr(graphtower.VoltageAssignment, "normal_forms",
+    monkeypatch.setattr(graphtower.VoltageAssignment, "normal_form_edges",
                         counted)
     return calls
 
@@ -1019,7 +1018,7 @@ def test_tower_checks_connectivity_once_per_job(tmp_path, capsys,
 
 def test_tower_past_the_bound_derives_no_level(tmp_path, capsys,
                                                monkeypatch):
-    calls = _count_calls(monkeypatch, graphtower.voltage.edge_translations)
+    calls = _count_calls(monkeypatch, graphtower.voltage.cover_index_pairs)
     path = write_config(tmp_path, LOOP_CONFIG)
     assert main(["tower", "--config", path, "--max-level", "7"]) == 3
     assert "enumeration bound" in capsys.readouterr().err

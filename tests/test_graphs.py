@@ -12,10 +12,8 @@ from conftest import (dense_laplacian, enumerate_spanning_trees,
 
 
 def plain_rows(g):
-    """The reduced Laplacian rows of g, as a cover of itself of fibre size
-    1."""
-    return laplacian_rows(g.num_vertices, g.index_pairs(),
-                          [[0]] * g.num_edges, 1)
+    """The reduced Laplacian rows of g, from its index pairs."""
+    return laplacian_rows(g.num_vertices, g.index_pairs())
 
 
 def triangle():
@@ -129,11 +127,18 @@ def test_adding_loop_changes_nothing():
 
 def test_laplacian_rows_match_the_dense_laplacian():
     """Sparse rows equal D − A with its zeros left out and the row and
-    column of vertex 0 dropped, also on the graph with no vertices."""
+    column of vertex 0 dropped, also on the graph with no vertices and on
+    a disconnected one: an isolated vertex and a vertex with only loops
+    keep empty rows, with no zero values."""
     rng = random.Random(13)
     empty = Multigraph.build([], [])
-    for g in [empty] + [random_connected_multigraph(rng, max_vertices=7)
-                        for _ in range(30)]:
+    disconnected = Multigraph.build(
+        ["a", "b", "isolated", "loops", "c"],
+        [(0, ("a", "b")), (1, ("b", "c")), (2, ("loops", "loops")),
+         (3, ("c", "a")), (4, ("loops", "loops")), (5, ("a", "a"))])
+    for g in [empty, disconnected] + [
+            random_connected_multigraph(rng, max_vertices=7)
+            for _ in range(30)]:
         dense = dense_laplacian(g)
         assert plain_rows(g) == [
             {j - 1: v for j, v in enumerate(row) if v and j}

@@ -1,0 +1,148 @@
+"""Metamorphic checks: the reports of the subcommands that read X_n's index
+pairs depend only on the cover's isomorphism class.
+
+Switching-equivalent voltage assignments give isomorphic derived graphs
+(Gross & Tucker, *Topological Graph Theory*, ch. 2): with a word w_v at
+each vertex, (v, g) ↦ (v, g·w_v) maps X_n of α onto X_n of
+α'(e) = w_s⁻¹·α(e)·w_t, for e from s to t.  Reversing an edge and
+inverting its word, or renaming and reordering the vertex and edge ids,
+gives the same cover with other labels.  So `jacobian`, `tower`, `zeta`
+and `check-factorization` must print the same bytes for the transformed
+config, apart from `config_hash`, and `derive` the same counts.
+"""
+
+import copy
+import json
+import random
+import re
+
+import pytest
+
+from graphtower.cli import main
+
+from conftest import LOOP_CONFIG, MU2_CONFIG, abelian_pin_config
+
+_HASH = re.compile(r'\n  "config_hash": "[0-9a-f]{64}",')
+
+_DERIVE_COUNTS = ("num_vertices", "num_edges", "connected", "num_components")
+
+
+def _inverse(word):
+    return [[g, -x] for g, x in reversed(word)]
+
+
+def _generators(config):
+    group = config["group"]
+    return 2 if group["kind"] == "metacyclic" else group.get("rank", 1)
+
+
+def _random_word(rng, generators):
+    return [[rng.randrange(generators), rng.choice([-2, -1, 1, 2, 10])]
+            for _ in range(rng.randint(1, 3))]
+
+
+def switch(config, rng):
+    """α'(e) = w_s⁻¹·α(e)·w_t, with a random nonempty word w_v at each
+    vertex."""
+    new = copy.deepcopy(config)
+    words = {v: _random_word(rng, _generators(config))
+             for v in config["graph"]["vertices"]}
+    for edge in new["graph"]["edges"]:
+        s, t = edge["ends"]
+        key = str(edge["id"])
+        new["voltage"][key] = _inverse(words[s]) + new["voltage"][key] + \
+            words[t]
+    return new
+
+
+def reverse(config, rng):
+    """A random nonempty set of edges reversed, their words inverted,
+    drawn from the edges that this changes: non-loops, and loops whose
+    word is not its own inverse letter by letter."""
+    new = copy.deepcopy(config)
+    voltage = new["voltage"]
+    edges = [edge for edge in new["graph"]["edges"]
+             if edge["ends"][0] != edge["ends"][1] or
+             _inverse(voltage[str(edge["id"])]) != voltage[str(edge["id"])]]
+    for edge in rng.sample(edges, rng.randint(1, len(edges))):
+        edge["ends"].reverse()
+        key = str(edge["id"])
+        voltage[key] = _inverse(voltage[key])
+    return new
+
+
+def relabel(config, rng):
+    """New vertex and edge ids, strings and integers mixed, with the vertex
+    and edge lists shuffled."""
+    new = copy.deepcopy(config)
+    graph = new["graph"]
+    names = {v: (f"r{k}" if k % 2 else 1000 + k)
+             for k, v in enumerate(rng.sample(graph["vertices"],
+                                              len(graph["vertices"])))}
+    graph["vertices"] = rng.sample([names[v] for v in graph["vertices"]],
+                                   len(names))
+    edges, voltage = [], {}
+    for k, edge in enumerate(rng.sample(graph["edges"], len(graph["edges"]))):
+        eid = f"x{k}" if k % 2 else 2000 + k
+        edges.append({"id": eid, "ends": [names[v] for v in edge["ends"]]})
+        voltage[str(eid)] = new["voltage"][str(edge["id"])]
+    graph["edges"] = edges
+    new["voltage"] = voltage
+    return new
+
+
+# (config, the subcommands run on it): levels are at most 2, and MU2's
+# tower, zeta and check-factorization stay at level 1, since the zeta of
+# its 162-vertex level-2 cover takes about a minute
+_JOBS = {
+    "loop": (LOOP_CONFIG, [["jacobian", "--level", "2"],
+                           ["tower", "--max-level", "2"],
+                           ["zeta", "--level", "2"],
+                           ["check-factorization", "--level", "2"],
+                           ["derive", "--level", "2"]]),
+    "mu2": (MU2_CONFIG, [["jacobian", "--level", "2"],
+                         ["tower", "--max-level", "1"],
+                         ["zeta", "--level", "1"],
+                         ["check-factorization", "--level", "1"],
+                         ["derive", "--level", "2"]]),
+    **{f"pin{p}^{rank}": (
+        abelian_pin_config(random.Random(f"pin {p} {rank}"), p, rank, level,
+                           3, 4),
+        [["jacobian", "--level", str(level)],
+         ["tower", "--max-level", str(level)],
+         ["zeta", "--level", str(level)],
+         ["check-factorization", "--level", str(level)],
+         ["derive", "--level", str(level)]])
+       for p, rank, level in [(3, 1, 2), (2, 2, 1), (5, 1, 1)]},
+}
+
+
+def _reports(tmp_path, capsys, name, config, commands):
+    """Each command's exit code, output without `config_hash` (or the
+    derive counts) and error text."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(config))
+    reports = []
+    for argv in commands:
+        code = main([*argv, "--config", str(path)])
+        out, err = capsys.readouterr()
+        out, hashes = _HASH.subn("", out)
+        assert hashes == (code == 0)
+        if argv[0] == "derive":
+            report = json.loads(out)
+            out = [report[key] for key in _DERIVE_COUNTS]
+        reports.append((argv[0], code, out, err))
+    return reports
+
+
+@pytest.mark.parametrize("job", sorted(_JOBS))
+def test_reports_depend_only_on_the_cover(tmp_path, capsys, job):
+    config, commands = _JOBS[job]
+    rng = random.Random(f"metamorphic {job}")
+    expected = _reports(tmp_path, capsys, "original", config, commands)
+    assert any(code == 0 for _, code, _, _ in expected)
+    for transform in (switch, reverse, relabel):
+        changed = transform(config, rng)
+        assert json.dumps(changed) != json.dumps(config)
+        assert _reports(tmp_path, capsys, transform.__name__, changed,
+                        commands) == expected, transform.__name__
