@@ -17,15 +17,15 @@ coefficients, and `poly_product` packs a product into one integer product.
 
 Smith normal form takes the matrix as sparse rows {column: value}, the form
 `graphs.laplacian_rows` builds a Laplacian in, and gives the F_p-rank of
-`voltage.connectivity_criterion` too.  It runs in three phases.  Sparse
-elimination removes the ±1 pivots, in approximate Markowitz order; on a
-graph Laplacian that leaves a core of a few rows.  The pivots come off a
-heap of Markowitz keys, and after each step only the keys that can have
-fallen are pushed again: the entries the step changed, and every entry of
-an updated row that got shorter.  A key that has risen is refreshed when it
-is popped.  A min-pivot loop diagonalizes the core in exact arithmetic.
-The diagonal is then normalized by pairwise gcd/lcm into a divisibility
-chain.
+`voltage.connectivity_criterion` too.  Two phases work on those rows.  The
+first removes the ±1 pivots, in approximate Markowitz order; on a graph
+Laplacian that leaves a core of a few rows.  The pivots come off a heap of
+Markowitz keys, and after each step only the keys that can have fallen are
+pushed again: the entries the step changed, and every entry of an updated
+row that got shorter.  A key that has risen is refreshed when it is popped.
+The second, a min-pivot loop in exact arithmetic, diagonalizes the core's
+sparse rows.  The diagonal is then normalized by pairwise gcd/lcm into a
+divisibility chain.
 """
 
 from __future__ import annotations
@@ -182,10 +182,10 @@ def smith_invariant_factors(rows: list[dict[int, int]],
     sparse rows {column: value} with no zero values, and its column count.
     The rows are overwritten.
 
-    Three phases: the unit pivots are eliminated sparsely
-    (`_eliminate_unit_pivots`), the small core left over is diagonalized
-    (`_diagonalize_core`), and the diagonal is normalized into a
-    divisibility chain.  The returned list has length
+    Two phases on the same sparse rows, whose list keeps its length: the
+    unit pivots are eliminated (`_eliminate_unit_pivots`), and the core
+    left over is diagonalized (`_diagonalize_core`).  The diagonal is then
+    normalized into a divisibility chain.  The returned list has length
     min(rows, cols); trailing zeros mark rank deficiency.
     """
     units, core = _eliminate_unit_pivots(rows, cols)
@@ -195,16 +195,18 @@ def smith_invariant_factors(rows: list[dict[int, int]],
         for j in range(i + 1, len(chain)):
             a, b = chain[i], chain[j]
             g = gcd(a, b)
-            chain[i], chain[j] = g, (a // g * b if g else 0)
-    return [1] * (units + len(diag) - len(chain)) + chain
+            chain[i], chain[j] = g, a // g * b
+    # each unit pivot took one row and one column of the matrix
+    return ([1] * (units + len(diag) - len(chain)) + chain +
+            [0] * (min(len(rows), cols) - units - len(diag)))
 
 
 def _eliminate_unit_pivots(
         rows: list[dict[int, int] | None],
-        cols: int) -> tuple[int, list[list[int]]]:
+        cols: int) -> tuple[int, list[dict[int, int]]]:
     """Sparse elimination of ±1 pivots: each is a unimodular step that
     contributes one invariant factor 1.  Returns the number of pivots and
-    the dense core of the rows and columns left over.
+    the nonempty rows left over, the core, as the same sparse rows.
 
     The rows are updated in place, with the set of rows of each column.
     The next pivot is a ±1 entry popped from a heap keyed by Markowitz cost
@@ -269,63 +271,71 @@ def _eliminate_unit_pivots(
         for i, lead, repush in pushes:
             for j in repush:
                 heappush(heap, (lead * (len(col_rows[j]) - 1), i, j))
-    core_cols = [j for j, s in enumerate(col_rows) if s is not None]
-    return units, [[row.get(j, 0) for j in core_cols]
-                   for row in rows if row is not None]
+    return units, [row for row in rows if row]
 
 
-def _diagonalize_core(m: list[list[int]]) -> list[int]:
-    """Diagonal entries equivalent to the core, which is overwritten:
-    min(rows, cols) entries, 0 where the trailing block ran out.
+def _diagonalize_core(rows: list[dict[int, int]]) -> list[int]:
+    """The nonzero diagonal, one entry per unit of rank, of a matrix
+    equivalent to the core, given as nonempty sparse rows, which are
+    overwritten.
 
-    A min-pivot loop of exact row and column operations diagonalizes.  It
-    makes no divisibility test; the gcd/lcm pass in the caller turns the
-    diagonal into the chain.  Each pivot is the nonzero entry of least
-    absolute value in the trailing block, the first in row-major order
-    among equals.  The search drops the zeros in C, not in Python, which
-    is most of a large sparse core.
+    A min-pivot loop of exact row and column operations, with no swaps and
+    no divisibility test; the gcd/lcm pass in the caller turns the
+    diagonal into the chain.  Each pivot starts at an entry of least
+    absolute value; the search stops at ±1.  Nearest-integer row operations
+    act on the rows holding the pivot column; a remainder left there moves
+    the pivot to the least entry of its row.  Once the column is clear,
+    column operations reduce the pivot row alone, and its least remainder
+    becomes the pivot.  A finished pivot row is dropped.
     """
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
     diag: list[int] = []
-    for t in range(min(rows, cols)):
-        block = []
-        for row in m[t:]:
-            block += row[t:]
-        low = min(map(abs, filter(None, block)), default=0)
-        if not low:
-            break
-        for i in range(t, rows):
-            held = m[i][t:]
-            if low in held or -low in held:
-                break
-        j = t + list(map(abs, held)).index(low)
-        m[t], m[i] = m[i], m[t]
-        for row in m[t:]:
-            row[t], row[j] = row[j], row[t]
+    while rows:
+        low = 0
+        for row in rows:
+            least = min(map(abs, row.values()))
+            if not low or least < low:
+                low, pivot = least, row
+                if low == 1:
+                    break
         while True:
-            row_t = m[t]
-            p = row_t[t]
-            tail, twice = row_t[t:], 2 * p
-            # nearest-integer quotients leave remainders of at most |p|/2
-            for row in m[t + 1:]:
-                q = (2 * row[t] + p) // twice
+            for c, p in pivot.items():
+                if p == low or p == -low:
+                    break
+            twice = 2 * p
+            # nearest-integer quotients leave remainders of at most |p|/2,
+            # so |p| at least halves at every move of the pivot
+            low = 0
+            for row in rows:
+                a = row.get(c)
+                if a is None or row is pivot:
+                    continue
+                q = (2 * a + p) // twice
                 if q:
-                    row[t:] = [a - q * b for a, b in zip(row[t:], tail)]
-            below = [(abs(m[i][t]), i) for i in range(t + 1, rows) if m[i][t]]
-            if below:
-                i = min(below)[1]
-                m[t], m[i] = m[i], m[t]
+                    for j, v in pivot.items():
+                        new = row.get(j, 0) - q * v
+                        if new:
+                            row[j] = new
+                        else:
+                            del row[j]
+                    a -= q * p
+                if a and (not low or abs(a) < low):
+                    low, moved = abs(a), row
+            if low:
+                pivot = moved
+                low = min(map(abs, pivot.values()))
                 continue
-            # column t is clear below the pivot, so a column operation
-            # changes row t alone
-            for j in range(t + 1, cols):
-                row_t[j] -= (2 * row_t[j] + p) // (2 * p) * p
-            right = [(abs(row_t[j]), j) for j in range(t + 1, cols) if row_t[j]]
-            if not right:
+            # column c is clear outside the pivot row, so a column
+            # operation changes that row alone
+            for j, v in list(pivot.items()):
+                if j != c:
+                    v -= (2 * v + p) // twice * p
+                    if v:
+                        pivot[j] = v
+                    else:
+                        del pivot[j]
+            if len(pivot) == 1:
                 break
-            j = min(right)[1]
-            for row in m[t:]:
-                row[t], row[j] = row[j], row[t]
+            low = min(map(abs, pivot.values()))
         diag.append(p)
-    return diag + [0] * (min(rows, cols) - len(diag))
+        rows = [row for row in rows if row and row is not pivot]
+    return diag

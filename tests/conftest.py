@@ -114,6 +114,65 @@ def sparse(matrix):
             len(matrix[0]) if matrix else 0)
 
 
+def dense_core_reference(m):
+    """Diagonal entries equivalent to a dense integer matrix, which is
+    overwritten: min(rows, cols) entries, 0 where the trailing block ran
+    out.  The dense min-pivot loop that `linalg` ran on the core left by
+    its ±1 pivots before the core stayed sparse; kept as the reference the
+    sparse core is checked against.
+
+    Each pivot is the nonzero entry of least absolute value in the trailing
+    block, the first in row-major order among equals, moved to (t, t) by
+    swaps; nearest-integer row and column operations clear its row and
+    column.  No divisibility test: a gcd/lcm pass turns the diagonal into
+    the chain.
+    """
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    diag = []
+    for t in range(min(rows, cols)):
+        block = []
+        for row in m[t:]:
+            block += row[t:]
+        low = min(map(abs, filter(None, block)), default=0)
+        if not low:
+            break
+        for i in range(t, rows):
+            held = m[i][t:]
+            if low in held or -low in held:
+                break
+        j = t + list(map(abs, held)).index(low)
+        m[t], m[i] = m[i], m[t]
+        for row in m[t:]:
+            row[t], row[j] = row[j], row[t]
+        while True:
+            row_t = m[t]
+            p = row_t[t]
+            tail, twice = row_t[t:], 2 * p
+            # nearest-integer quotients leave remainders of at most |p|/2
+            for row in m[t + 1:]:
+                q = (2 * row[t] + p) // twice
+                if q:
+                    row[t:] = [a - q * b for a, b in zip(row[t:], tail)]
+            below = [(abs(m[i][t]), i) for i in range(t + 1, rows) if m[i][t]]
+            if below:
+                i = min(below)[1]
+                m[t], m[i] = m[i], m[t]
+                continue
+            # column t is clear below the pivot, so a column operation
+            # changes row t alone
+            for j in range(t + 1, cols):
+                row_t[j] -= (2 * row_t[j] + p) // (2 * p) * p
+            right = [(abs(row_t[j]), j) for j in range(t + 1, cols) if row_t[j]]
+            if not right:
+                break
+            j = min(right)[1]
+            for row in m[t:]:
+                row[t], row[j] = row[j], row[t]
+        diag.append(p)
+    return diag + [0] * (min(rows, cols) - len(diag))
+
+
 @dataclass(frozen=True)
 class GraphMatrices:
     """Adjacency matrix A, degree matrix D and Euler characteristic.

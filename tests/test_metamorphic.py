@@ -6,9 +6,12 @@ Switching-equivalent voltage assignments give isomorphic derived graphs
 each vertex, (v, g) ↦ (v, g·w_v) maps X_n of α onto X_n of
 α'(e) = w_s⁻¹·α(e)·w_t, for e from s to t.  Reversing an edge and
 inverting its word, or renaming and reordering the vertex and edge ids,
-gives the same cover with other labels.  So `jacobian`, `tower`, `zeta`
-and `check-factorization` must print the same bytes for the transformed
-config, apart from `config_hash`, and `derive` the same counts.
+gives the same cover with other labels.  So `jacobian`, `tower`,
+`iwasawa-fit`, `mhg-check`, `zeta` and `check-factorization` must print the
+same bytes for the transformed config, apart from `config_hash`, and
+`derive` the same counts.  `mhg-check` reads the quotient tower, whose
+voltages the transforms move the same way, so its λ1 determinant is taken
+of a conjugate matrix.
 """
 
 import copy
@@ -93,23 +96,31 @@ def relabel(config, rng):
 
 # (config, the subcommands run on it): levels are at most 2, and MU2's
 # tower, zeta and check-factorization stay at level 1, since the zeta of
-# its 162-vertex level-2 cover takes about a minute
+# its 162-vertex level-2 cover takes about a minute; iwasawa-fit needs
+# levels 0-2
 _JOBS = {
     "loop": (LOOP_CONFIG, [["jacobian", "--level", "2"],
                            ["tower", "--max-level", "2"],
+                           ["iwasawa-fit", "--max-level", "2"],
+                           ["mhg-check"],
                            ["zeta", "--level", "2"],
                            ["check-factorization", "--level", "2"],
                            ["derive", "--level", "2"]]),
     "mu2": (MU2_CONFIG, [["jacobian", "--level", "2"],
                          ["tower", "--max-level", "1"],
+                         ["iwasawa-fit", "--max-level", "2"],
+                         ["mhg-check"],
                          ["zeta", "--level", "1"],
                          ["check-factorization", "--level", "1"],
                          ["derive", "--level", "2"]]),
     **{f"pin{p}^{rank}": (
-        abelian_pin_config(random.Random(f"pin {p} {rank}"), p, rank, level,
-                           3, 4),
+        {**abelian_pin_config(random.Random(f"pin {p} {rank}"), p, rank,
+                              level, 3, 4),
+         "quotient": {"exponents": [1] + [0] * (rank - 1)}},
         [["jacobian", "--level", str(level)],
          ["tower", "--max-level", str(level)],
+         ["iwasawa-fit", "--max-level", "2"],
+         ["mhg-check"],
          ["zeta", "--level", str(level)],
          ["check-factorization", "--level", str(level)],
          ["derive", "--level", str(level)]])

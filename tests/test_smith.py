@@ -1,5 +1,6 @@
-"""Smith normal form against two oracles: the dense divisibility-enforcing
-elimination it replaced, and determinantal divisors by brute force."""
+"""Smith normal form against three oracles: the dense divisibility-enforcing
+elimination it replaced, determinantal divisors by brute force, and, for the
+core phase alone, the dense core loop that phase replaced."""
 
 import random
 from collections import Counter
@@ -7,10 +8,12 @@ from itertools import combinations
 from math import gcd
 
 from graphtower import TowerGroupSpec, VoltageAssignment
-from graphtower.linalg import det_int, smith_invariant_factors
+from graphtower.linalg import (_diagonalize_core, _eliminate_unit_pivots,
+                               det_int, smith_invariant_factors)
 
-from conftest import (_fp_rank, components, dense_laplacian, derive,
-                      random_connected_multigraph, sparse)
+from conftest import (_fp_rank, components, dense_core_reference,
+                      dense_laplacian, derive, random_connected_multigraph,
+                      sparse)
 
 
 def dense_smith_reference(matrix):
@@ -140,6 +143,83 @@ def test_snf_matches_dense_reference_on_random_matrices():
         m = [[scale * rng.randint(-9, 9) if rng.random() < density else 0
               for _ in range(cols)] for _ in range(rows)]
         assert smith_invariant_factors(*sparse(m)) == dense_smith_reference(m)
+
+
+def _chain(diag):
+    """A diagonal's absolute values as a divisibility chain, by pairwise
+    gcd/lcm: the invariant factors of the diagonal matrix."""
+    chain = list(map(abs, diag))
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            a, b = chain[i], chain[j]
+            g = gcd(a, b)
+            chain[i], chain[j] = g, (a // g * b if g else 0)
+    return chain
+
+
+def _check_core(core, num_rows, num_cols):
+    """The sparse core loop against `dense_core_reference` on one core:
+    the nonempty sparse rows of a num_rows × num_cols matrix."""
+    keys = sorted({j for row in core for j in row})
+    dense = [[row.get(j, 0) for j in keys] + [0] * (num_cols - len(keys))
+             for row in core]
+    dense += [[0] * num_cols for _ in range(num_rows - len(core))]
+    expected = _chain(dense_core_reference(dense))
+    diag = _diagonalize_core([dict(row) for row in core])
+    assert 0 not in diag
+    size = min(num_rows, num_cols)
+    assert _chain(diag + [0] * (size - len(diag))) == expected, core
+
+
+def _random_core(rng, num_rows, num_cols, density, bits, rank):
+    """A matrix of `rank` random rows of the given density, with entries
+    of up to `bits` bits, and rows that are small combinations of them, as
+    the nonempty sparse rows the core loop takes."""
+    def entry():
+        if rng.random() < density:
+            return rng.randint(-2 ** bits, 2 ** bits)
+        return 0
+    base = [[entry() for _ in range(num_cols)] for _ in range(rank)]
+    m = base + [[sum(c * row[j] for c, row in zip(mix, base))
+                 for j in range(num_cols)]
+                for mix in ([rng.randint(-3, 3) for _ in base]
+                            for _ in range(num_rows - rank))]
+    rng.shuffle(m)
+    return [row for row in ({j: v for j, v in enumerate(r) if v} for r in m)
+            if row]
+
+
+def test_sparse_core_matches_dense_reference():
+    """`_diagonalize_core` agrees with the dense core loop it replaced,
+    after the gcd/lcm chain, on cores left by the ±1 pivots of seeded cover
+    Laplacians (scaled, some keep the whole matrix), on random rectangular
+    and rank-deficient cores of 1-40 rows at densities 0.05-1 with entries
+    of up to 2^200, and on a banded sparse core of 200 rows."""
+    rng = random.Random(7005)
+    whole = 0
+    for _ in range(40):
+        lap = _cover_laplacian(rng)
+        scale = rng.choice([1, 1, 2, 3])
+        for m in (lap, [row[1:] for row in lap[1:]]):
+            rows, cols = sparse([[scale * v for v in row] for row in m])
+            units, core = _eliminate_unit_pivots(rows, cols)
+            whole += units == 0
+            _check_core(core, len(rows) - units, cols - units)
+    assert whole >= 10
+    deficient = 0
+    for _ in range(80):
+        num_rows, num_cols = rng.randint(1, 40), rng.randint(1, 40)
+        rank = rng.choice([num_rows, rng.randint(0, num_rows)])
+        deficient += rank < min(num_rows, num_cols)
+        core = _random_core(rng, num_rows, num_cols, rng.uniform(0.05, 1),
+                            rng.choice([3, 3, 20, 20, 200]), rank)
+        _check_core(core, num_rows, num_cols)
+    assert deficient >= 20
+    band = [{j: rng.choice([-1, 1]) * rng.randint(2, 30)
+             for j in range(max(0, i - 2), min(203, i + 3))
+             if rng.random() < 0.8}
+            for i in range(200)]
+    _check_core([row for row in band if row], 200, 203)
 
 
 def _random_small_matrix(rng, kind):
