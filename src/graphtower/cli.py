@@ -123,8 +123,8 @@ def _parse_group(node: object) -> TowerGroupSpec:
         return TowerGroupSpec("abelian", p, rank=rank)
     _require(kind == "metacyclic", f"unknown group kind {kind!r}")
     unit = node.get("action_unit")
-    if type(unit) is str:
-        unit = 1 + p if unit.replace(" ", "") == "1+p" else int(unit)
+    if unit == "1+p":
+        unit = 1 + p
     _require(unit is None or type(unit) is int,
              f"action_unit must be an integer or \"1+p\", got {unit!r}")
     return TowerGroupSpec("metacyclic", p, action_unit=unit)

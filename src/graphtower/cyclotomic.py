@@ -11,6 +11,8 @@ polynomial determinant Δ(x) per Galois orbit; ``galois_images`` reads Δ at
 every Galois conjugate ζ^a by one fold modulo x^(p^j) − 1, one permutation
 and one reduction modulo Φ_{p^j} each.  It is Z-linear, so it reads the
 u-packed coefficients of a determinant over Z[x][u] as well.
+``power_coordinates`` tabulates the powers of ζ, and the orbit norms of
+``zeta.artin_l_norm`` read their multiplication blocks off it.
 """
 
 from __future__ import annotations
@@ -57,21 +59,20 @@ def _add_monomial(coeffs: list, exponent: int, value, p: int, k: int) -> None:
         coeffs[i * step + r] -= value
 
 
-def root_power_matrix(p: int, k: int, exponent: int) -> list[list[int]]:
-    """The φ×φ integer matrix of multiplication by ζ_{p^k}^exponent on the
-    power basis 1, ζ, …, ζ^{φ−1}.
+def power_coordinates(p: int, k: int) -> list[list[tuple[int, int]]]:
+    """For each s < p^k, the nonzero power-basis coordinates (r, c) of
+    ζ_{p^k}^s, as ``_add_monomial`` reduces it.
 
-    x ↦ (its multiplication matrix) embeds Z[ζ] in the integer matrices, and
-    the determinant of that matrix is the norm N(x).
+    Column t of the multiplication matrix of ζ^e is entry (e + t) mod p^k,
+    and the determinant of that matrix is the norm N(ζ^e).
     """
     phi = euler_phi_prime_power(p, k)
-    rows = [[0] * phi for _ in range(phi)]
-    for t in range(phi):
-        column = [0] * phi
-        _add_monomial(column, exponent + t, 1, p, k)
-        for r, c in enumerate(column):
-            rows[r][t] = c
-    return rows
+    table = []
+    for s in range(p ** k):
+        coords = [0] * phi
+        _add_monomial(coords, s, 1, p, k)
+        table.append([(r, c) for r, c in enumerate(coords) if c])
+    return table
 
 
 def _reduce_mod_phi(p: int, k: int, coeffs: list[int]) -> list[int]:

@@ -9,12 +9,14 @@ over Z[ζ_{p^j}], χ of order p^j.  The unit of work is the Galois orbit:
 ``orbit_nrd`` and ``orbit_h_values`` each take one integer polynomial
 determinant Δ(x) per orbit, of a lift to Z[x], and
 ``cyclotomic.galois_images`` reads the value at every χ^a off it
-(χ^a(M) = σ_a(χ(M))).  ``orbit_nrd`` lifts the coordinates that the
-builder gives; ``orbit_h_values`` reads the exponents and not the
-builder.  ``per_character`` spreads per-orbit values over the characters,
-keyed by exponent vectors, so no character is built per conjugate.  The
-regular representation of D − A_α^t is the Laplacian of the cover X_n,
-so its determinant is 0, and it is never built.
+(χ^a(M) = σ_a(χ(M))), orbit by orbit of ``galois_orbits``.  ``l_rows``
+lifts the builder's coordinates, for ``orbit_nrd`` at u = 1 and
+``zeta.artin_l_inverse`` at u = 2^B; ``orbit_h_values`` reads the
+exponents and not the builder.  ``per_character`` spreads per-orbit
+values over the characters, keyed by exponent vectors, so no character
+is built per conjugate.  The regular representation of D − A_α^t is the
+Laplacian of the cover X_n, so its determinant is 0, and it is never
+built.
 """
 
 from __future__ import annotations
@@ -73,13 +75,14 @@ def characters(spec: TowerGroupSpec, n: int) -> list[Character]:
     return [Character(spec, n, g) for g in spec.enumerate_group(n)]
 
 
-def _orbits(chars: Sequence[Character]) -> Iterator[
+def galois_orbits(chars: Sequence[Character]) -> Iterator[
         tuple[Character, list[int], list[tuple[int, ...]]]]:
     """(χ, units, conjugates) for the first character χ of each Galois
-    orbit among ``chars``, all of one level n, in their order: the units
-    a mod p^j, χ of order p^j, and the exponent vectors of χ^a in the same
-    order.  χ^a depends on a mod p^j only, since p^(n−j) divides every
-    exponent of χ."""
+    orbit χ ↦ χ^a among ``chars``, all of one level n, in their order: the
+    units a mod p^j, χ of order p^j, and the exponent vectors of χ^a in the
+    same order.  χ^a depends on a mod p^j only, since p^(n−j) divides every
+    exponent of χ.  The orbit has len(units) = φ(p^j) elements; it is one
+    Q(ζ_{p^j}) component of the group algebra Q[G^(n)]."""
     seen: set[tuple[int, ...]] = set()
     for chi in chars:
         if chi.exponents in seen:
@@ -92,18 +95,6 @@ def _orbits(chars: Sequence[Character]) -> Iterator[
         yield chi, units, conjugates
 
 
-def galois_orbits(spec: TowerGroupSpec,
-                  n: int) -> list[tuple[Character, int]]:
-    """One character per orbit of χ ↦ χ^a (a a unit mod p^n), with its size.
-
-    Representatives come in ``characters()`` order.  The orbit of a
-    character of order p^j has φ(p^j) elements; it is one Q(ζ_{p^j})
-    component of the group algebra Q[G^(n)].
-    """
-    return [(chi, len(units))
-            for chi, units, _ in _orbits(characters(spec, n))]
-
-
 def per_character(chars: Sequence[Character],
                   orbit_values: Callable[[Character, list[int]], Iterable]
                   ) -> list:
@@ -112,7 +103,7 @@ def per_character(chars: Sequence[Character],
     character χ of each orbit gives the values at χ^a, a in ``units``, in
     that order."""
     values: dict[tuple[int, ...], object] = {}
-    for chi, units, conjugates in _orbits(chars):
+    for chi, units, conjugates in galois_orbits(chars):
         values.update(zip(conjugates, orbit_values(chi, units)))
     return [values[chi.exponents] for chi in chars]
 
@@ -134,6 +125,20 @@ def character_adjacency(chi: Character,
     return {key: coords for key, coords in entries.items() if any(coords)}
 
 
+def l_rows(adjacency: dict[tuple[int, int], list[int]],
+           degrees: Sequence[int], u: int) -> list[dict[int, list[int]]]:
+    """Sparse rows {column: coefficients in x} of I − χ(A_α)·u + (D − I)·u²
+    over Z[x], for an integer u, from the coordinates of
+    ``character_adjacency``: x ↦ ζ_{p^j} takes them back.  At u = 1 they
+    are the rows of D − χ(A_α)."""
+    rows: list[dict[int, list[int]]] = [{} for _ in degrees]
+    for (i, k), coords in adjacency.items():
+        rows[i][k] = [-c * u for c in coords]
+    for i, d in enumerate(degrees):
+        rows[i].setdefault(i, [0])[0] += 1 + (d - 1) * u * u
+    return rows
+
+
 def orbit_nrd(chi: Character, edges: Edges,
               degrees: Sequence[int]) -> tuple[int, ...]:
     """Δ(x) with Δ(ζ_{p^j}^a) the χ^a-component of Nrd(D − A_α^t), χ of
@@ -141,18 +146,13 @@ def orbit_nrd(chi: Character, edges: Edges,
 
     For abelian groups the reduced norm is the componentwise determinant
     under the character decomposition of the group algebra; the
-    χ-component is det(D − χ(A_α)^t).  The coordinates of
-    ``character_adjacency`` are lifted to Z[x], so that x ↦ ζ_{p^j} takes
-    the lift back, with D on the diagonal, and one ``det_int_poly_matrix``
-    gives Δ(x).  Since χ^a(A_α) = σ_a(χ(A_α)), the χ^a-component is
-    Δ(ζ_{p^j}^a).
+    χ-component is det(D − χ(A_α)^t) = det(D − χ(A_α)).  Δ(x) is the
+    determinant of ``l_rows`` at u = 1, the lift of D − χ(A_α) to Z[x],
+    by one ``det_int_poly_matrix``.  Since χ^a(A_α) = σ_a(χ(A_α)), the
+    χ^a-component is Δ(ζ_{p^j}^a).
     """
-    rows: list[dict[int, list[int]]] = [{} for _ in degrees]
-    for (k, i), coords in character_adjacency(chi, edges).items():
-        rows[i][k] = [-c for c in coords]  # entry (k, i) goes to (i, k)
-    for i, d in enumerate(degrees):
-        rows[i].setdefault(i, [0])[0] += d
-    return det_int_poly_matrix(rows)
+    return det_int_poly_matrix(
+        l_rows(character_adjacency(chi, edges), degrees, 1))
 
 
 def nrd_abelian(spec: TowerGroupSpec, n: int, edges: Edges,

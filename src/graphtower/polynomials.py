@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Sequence
 
-from .linalg import _eval_poly, _unpack
+from .linalg import _unpack
 
 Coeffs = tuple[int, ...]
 
@@ -181,6 +181,10 @@ def laurent_substitute_gamma(value: LaurentElement) -> tuple[int, Coeffs]:
     k = max(0, -value.low)
     coeffs = (0,) * (value.low + k) + value.coeffs  # γ^k·value, from γ^0 up
     # Kronecker substitution T = 2^B: the value at γ = 1 + 2^B packs f, and
-    # |coefficient of f| ≤ Σ|c_i|·2^i fits in a signed B-bit digit.
+    # |coefficient of f| ≤ Σ|c_i|·2^i fits in a signed B-bit digit.  Each
+    # Horner step times 1 + 2^B is a shift and an add, not a product.
     bits = len(coeffs) + sum(map(abs, coeffs)).bit_length() + 1
-    return k, _unpack(_eval_poly(coeffs, (1 << bits) + 1), bits)
+    value = 0
+    for c in reversed(coeffs):
+        value = (value << bits) + value + c
+    return k, _unpack(value, bits)

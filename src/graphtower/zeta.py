@@ -40,9 +40,9 @@ from operator import eq
 from typing import Sequence
 
 from .cyclotomic import (CyclotomicInteger, euler_phi_prime_power,
-                         galois_images, root_power_matrix)
+                         galois_images, power_coordinates)
 from .grouprings import (Character, Edges, character_adjacency, characters,
-                         galois_orbits, orbit_h_values, orbit_nrd,
+                         galois_orbits, l_rows, orbit_h_values, orbit_nrd,
                          per_character)
 from .linalg import _unpack, det_int_poly_matrix, poly_product
 from .voltage import VoltageAssignment, check_derive_bounds, cover_index_pairs
@@ -175,9 +175,9 @@ def artin_l_inverse(chi: Character, units: Sequence[int], edges: Edges,
 
     The base is given by its degrees and its edges (i, j, a), a the normal
     form of the edge's voltage at χ's level, as for ``artin_l_norm``.  The
-    coordinates of ``character_adjacency`` lift the matrix to Z[x][u], and
-    u = 2^B is packed into each x-coefficient, so one
-    ``det_int_poly_matrix`` gives Δ(x) with packed coefficients.
+    rows of ``grouprings.l_rows`` at u = 2^B lift the matrix to Z[x][u],
+    with u packed into each x-coefficient, so one ``det_int_poly_matrix``
+    gives Δ(x) with packed coefficients.
     ``galois_images`` is Z-linear, so it reads each conjugate's packed
     coordinates off Δ, and each splits into its signed base-2^B digits,
     the coordinates of the u-coefficients.
@@ -193,12 +193,7 @@ def artin_l_inverse(chi: Character, units: Sequence[int], edges: Edges,
     for (i, _), coords in adjacency.items():
         norms[i] += sum(map(abs, coords))
     bits = prod(norms).bit_length() + 1
-    u = 1 << bits
-    rows: list[dict[int, list[int]]] = [{} for _ in degrees]
-    for (i, k), coords in adjacency.items():
-        rows[i][k] = [-c * u for c in coords]
-    for i, d in enumerate(degrees):
-        rows[i].setdefault(i, [0])[0] += 1 + (d - 1) * u * u
+    rows = l_rows(adjacency, degrees, 1 << bits)
     det_parts = []
     for image in galois_images(p, n, chi.order_level,
                                det_int_poly_matrix(rows), units):
@@ -235,28 +230,25 @@ def artin_l_norm(chi: Character, edges: Edges,
     of order p^j, I − χ(A)u + (D − I)u² is taken over Z[ζ_{p^j}] (in
     conductor p^n the norm would count each conjugate φ(p^n)/φ(p^j)
     times), and each entry becomes its φ(p^j)-square multiplication matrix
-    over Z[u]: an edge adds the ``root_power_matrix`` block of ζ^e at
-    (i, j) and of ζ^−e at (j, i), e = ``chi.exponent(a)`` / p^(n−j).  The
-    blocks commute, so the determinant of the result is the norm.
+    over Z[u]: an edge adds the block of ζ^e at (i, j) and of ζ^−e at
+    (j, i), e = ``chi.exponent(a)`` / p^(n−j), whose column t holds the
+    coordinates of ζ^(e+t), entry (e + t) mod p^j of
+    ``cyclotomic.power_coordinates``.  The blocks commute, so the
+    determinant of the result is the norm.
     """
     p, n, j = chi.spec.p, chi.level, chi.order_level
-    phi = euler_phi_prime_power(p, j)
+    phi, order = euler_phi_prime_power(p, j), p ** j
+    powers = power_coordinates(p, j)
     step = p ** (n - j)
     rows = [{x: [1, 0, degrees[x // phi] - 1]}
             for x in range(len(degrees) * phi)]
-    blocks: dict[int, list[tuple[int, int, int]]] = {}
     for i, k, a in edges:
         e = chi.exponent(a) // step
-        for first, second, power in ((i, k, e), (k, i, -e % p ** j)):
-            block = blocks.get(power)
-            if block is None:
-                block = blocks[power] = [
-                    (r, t, b) for r, block_row in
-                    enumerate(root_power_matrix(p, j, power))
-                    for t, b in enumerate(block_row) if b]
-            for r, t, b in block:
-                rows[first * phi + r].setdefault(
-                    second * phi + t, [0, 0])[1] -= b
+        for first, second, power in ((i, k, e), (k, i, -e)):
+            for t in range(phi):
+                for r, b in powers[(power + t) % order]:
+                    rows[first * phi + r].setdefault(
+                        second * phi + t, [0, 0])[1] -= b
     return det_int_poly_matrix(rows)
 
 
@@ -278,14 +270,15 @@ def interpolation_check(alpha: VoltageAssignment, n: int) -> InterpolationReport
     One side is the χ̄-component of the reduced norm of D − A_α^t,
     det(χ̄(D − A_α^t)): the transpose conjugates characters.  ``orbit_nrd``
     takes it from the coordinates of ``character_adjacency``'s χ(A_α),
-    transposed and lifted to Z[x].  The other is h(χ, 1) = det(D − χ(A_α))
-    from ``orbit_h_values``, which lifts the exponents χ(a) of the edges
-    and does not read the builder.  Each side takes one integer polynomial
-    determinant per Galois orbit.  For the orbit's first character χ, of
-    order p^j, and each unit a mod p^j, ``cyclotomic.galois_images`` reads
-    h(χ^a, 1) at a off the one and the χ^(−a)-component at −a off the
-    other, and the pair is compared, so every character is.  The
-    characters are listed once, and the normal forms are read once.
+    lifted to Z[x] by ``grouprings.l_rows``.  The other is h(χ, 1) =
+    det(D − χ(A_α)) from ``orbit_h_values``, which lifts the exponents χ(a)
+    of the edges and does not read the builder.  Each side takes one
+    integer polynomial determinant per Galois orbit.  For the orbit's first
+    character χ, of order p^j, and each unit a mod p^j,
+    ``cyclotomic.galois_images`` reads h(χ^a, 1) at a off the one and the
+    χ^(−a)-component at −a off the other, and the pair is compared, so
+    every character is.  The characters are listed once, and the normal
+    forms are read once.
     """
     check_derive_bounds(alpha, n)  # the bounds of X_n, before level-n work
     p = alpha.spec.p
@@ -324,15 +317,15 @@ def factorization_check(alpha: VoltageAssignment, n: int) -> FactorizationReport
     ``ihara_zeta_inverse`` of the index pairs of ``cover_index_pairs``.
     Neither side builds X_n.
     """
-    orbits = galois_orbits(alpha.spec, n)
+    orbits = list(galois_orbits(characters(alpha.spec, n)))
     num_vertices, pairs = cover_index_pairs(alpha, n)
     base = alpha.base
     edges = alpha.normal_form_edges(n)
     degrees = base.degrees()
     product = poly_product([artin_l_norm(chi, edges, degrees)
-                            for chi, _ in orbits])
+                            for chi, _, _ in orbits])
     zeta = ihara_zeta_inverse(num_vertices, pairs)
-    total_exponent = (sum(size for _, size in orbits) *
+    total_exponent = (sum(len(units) for _, units, _ in orbits) *
                       (base.num_vertices - base.num_edges))
     return FactorizationReport(product == zeta.det_part,
                                total_exponent == zeta.chi)

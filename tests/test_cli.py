@@ -55,6 +55,29 @@ def test_parse_config_unknown_generator(tmp_path):
         parse_config(write_config(tmp_path, bad))
 
 
+@pytest.mark.parametrize("unit, action_unit", [("1+p", 4), (4, 4),
+                                               (None, None)])
+def test_action_unit_is_an_integer_or_1_plus_p(tmp_path, unit, action_unit):
+    group = {"kind": "metacyclic", "p": 3}
+    if unit is not None:
+        group["action_unit"] = unit
+    spec = parse_config(write_config(tmp_path, dict(
+        LOOP_CONFIG, group=group, quotient={"exponents": [0, 1]}))).alpha.spec
+    assert spec.action_unit == action_unit
+
+
+@pytest.mark.parametrize("unit", [" 4 ", "4", "x", "1+P", "1 + p", 4.0,
+                                  True, [4]])
+def test_other_action_units_exit_1(tmp_path, capsys, unit):
+    group = {"kind": "metacyclic", "p": 3, "action_unit": unit}
+    path = write_config(tmp_path, dict(LOOP_CONFIG, group=group))
+    assert main(["tower", "--config", path]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("config error: action_unit must be an integer or "
+                   f"\"1+p\", got {unit!r}\n")
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     bad = dict(LOOP_CONFIG, voltage={})
     assert main(["tower", "--config", write_config(tmp_path, bad)]) == 1
@@ -983,6 +1006,45 @@ def test_bounds_stop_jobs_at_once(tmp_path, capsys, argv, voltage):
     assert main([*argv, "--config", path]) == 3
     assert time.monotonic() - started < 1
     assert "bound" in capsys.readouterr().err
+
+
+def _lambda1_degree_config(b):
+    """Two edges v → w of voltages γ^0 and γ^b and a loop γ^1 at w: the
+    rows' γ-exponent spans bound the Λ₁-determinant's degree by 2b + 1."""
+    return {"graph": {"vertices": ["v", "w"],
+                      "edges": [{"id": "a", "ends": ["v", "w"]},
+                                {"id": "b", "ends": ["v", "w"]},
+                                {"id": "c", "ends": ["w", "w"]}]},
+            "group": {"kind": "abelian", "p": 2, "rank": 1},
+            "voltage": {"a": [], "b": [[0, b]], "c": [[0, 1]]},
+            "quotient": {"exponents": [1]}}
+
+
+@pytest.mark.parametrize("b", [900, 10 ** 12])
+def test_lambda1_degree_bound_stops_mhg_check_at_once(tmp_path, capsys, b):
+    path = write_config(tmp_path, _lambda1_degree_config(b))
+    started = time.monotonic()
+    assert main(["mhg-check", "--config", path]) == 3
+    assert time.monotonic() - started < 1
+    assert (f"Λ₁-determinant degree bound {2 * b + 1} exceeds 1800"
+            in capsys.readouterr().err)
+
+
+def test_lambda1_degree_just_below_the_bound_has_no_cliff(tmp_path, capsys):
+    """Degree bound 1799: the γ = 1 + T substitution of the cleared
+    determinant is one Horner pass of shifts and adds, about 1 s in all,
+    where a product per step took 7-11 s.  The determinant is pinned by the
+    SHA-256 of the report's lambda1_det object."""
+    path = write_config(tmp_path, _lambda1_degree_config(899))
+    started = time.monotonic()
+    assert main(["mhg-check", "--config", path]) == 0
+    assert time.monotonic() - started < 4
+    report = json.loads(capsys.readouterr().out)
+    assert (report["mu1"], report["lambda1"]) == (0, 2)
+    assert len(report["lambda1_det"]["f_coeffs"]) <= 1800
+    assert hashlib.sha256(json.dumps(
+        report["lambda1_det"], sort_keys=True).encode()).hexdigest() == (
+        "496424d9526e930e51a8267ea3912b051b13aafe8c6be6c3eb0c4752d0005428")
 
 
 # a path on 5001 vertices: past the 5000-vertex cover bound at level 0,

@@ -1,6 +1,8 @@
 import random
 
-from graphtower.cyclotomic import CyclotomicInteger, euler_phi_prime_power
+from graphtower.cyclotomic import (CyclotomicInteger, euler_phi_prime_power,
+                                   power_coordinates)
+from graphtower.linalg import det_int
 
 from conftest import (cyclotomic_constant, cyclotomic_difference,
                       cyclotomic_product, cyclotomic_sum, leibniz_det,
@@ -29,6 +31,44 @@ def test_root_of_unity_order():
             power = cyclotomic_product(power, zeta)
             assert power != one or i == order
         assert cyclotomic_product(power, zeta) == one
+
+
+def test_power_coordinates_are_the_reduced_powers_of_zeta():
+    """Entry s is ζ^s on the power basis, nonzero coordinates only, so the
+    blocks whose column t is entry (e + t) mod p^k multiply as the powers
+    of ζ do, and each has determinant N(ζ^e) = ±1."""
+    for p, k in [(2, 0), (2, 1), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1)]:
+        table = power_coordinates(p, k)
+        order, phi = p ** k, euler_phi_prime_power(p, k)
+        assert len(table) == order
+        assert all(c for entry in table for _, c in entry)
+        assert table[:phi] == [[(s, 1)] for s in range(phi)]
+        for s, entry in enumerate(table):
+            assert tuple(coords_of(entry, phi)) == root_power(p, k, s).coeffs
+
+        def block(e):
+            rows = [[0] * phi for _ in range(phi)]
+            for t in range(phi):
+                for r, c in table[(e + t) % order]:
+                    rows[r][t] = c
+            return rows
+
+        for e in range(order):
+            assert abs(det_int(block(e))) == 1
+            for f in range(order):
+                assert matrix_product(block(e), block(f)) == block(e + f)
+
+
+def coords_of(entry, phi):
+    coords = [0] * phi
+    for r, c in entry:
+        coords[r] += c
+    return coords
+
+
+def matrix_product(a, b):
+    return [[sum(x * y for x, y in zip(row, column)) for column in zip(*b)]
+            for row in a]
 
 
 def test_minimal_polynomial_relation():

@@ -241,10 +241,12 @@ def test_galois_orbits_partition_characters(p, rank, level):
     mod = p ** level
     covered = set()
     previous = -1
-    orbits = galois_orbits(spec, level)
-    for chi, size in orbits:
+    orbits = list(galois_orbits(chars))
+    for chi, units, conjugates in orbits:
+        size = len(units)
         orbit = {tuple(a * e % mod for e in chi.exponents)
                  for a in range(1, mod + 1) if a % p}
+        assert len(set(conjugates)) == size and set(conjugates) == orbit
         # the representative is the first of its orbit in characters() order
         assert position[chi.exponents] == min(position[x] for x in orbit)
         assert position[chi.exponents] > previous
@@ -256,12 +258,13 @@ def test_galois_orbits_partition_characters(p, rank, level):
         assert order == p ** chi.order_level
         assert size == len(orbit) == (order - order // p if order > 1 else 1)
     assert covered == set(position)
-    assert sum(size for _, size in orbits) == len(chars) == spec.order(level)
+    assert sum(len(units) for _, units, _ in orbits) == len(chars) == \
+        spec.order(level)
 
 
 def test_galois_orbits_need_an_abelian_quotient():
     with pytest.raises(PreconditionError):
-        galois_orbits(TowerGroupSpec("metacyclic", 3), 1)
+        list(galois_orbits(characters(TowerGroupSpec("metacyclic", 3), 1)))
 
 
 # (p, rank, level): abelian p = 2, 3, 5 and 7 at rank 1-3, levels 0-3
@@ -357,7 +360,9 @@ def test_orbit_h_values_match_the_oracle(p, rank, level):
         components = {chi.exponents: value for chi, value in
                       nrd_abelian(alpha.spec, level, edges, degrees)}
         checked = set()
-        for chi, size in galois_orbits(alpha.spec, level):
+        for chi, listed_units, _ in galois_orbits(
+                characters(alpha.spec, level)):
+            size = len(listed_units)
             units = orbit_units(chi)
             j = chi.order_level
             h_values = galois_images(

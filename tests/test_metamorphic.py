@@ -12,6 +12,14 @@ same bytes for the transformed config, apart from `config_hash`, and
 `derive` the same counts.  `mhg-check` reads the quotient tower, whose
 voltages the transforms move the same way, so its λ1 determinant is taken
 of a conjugate matrix.
+
+The character reports `lfun`, `fitting` and `check-interpolation` are read
+one character at a time, and each transform conjugates χ(A_α) by a
+diagonal or a permutation matrix, so they print the same bytes too.  Over
+an abelian group, negating every voltage (and every quotient exponent)
+maps X_n onto itself by g ↦ g⁻¹, and turns χ(A_α) into its complex
+conjugate, which is its transpose since χ(A_α) is Hermitian; so every
+character keeps its L-function, and no report is re-keyed.
 """
 
 import copy
@@ -94,10 +102,29 @@ def relabel(config, rng):
     return new
 
 
+def negate(config, rng):
+    """Every voltage exponent and every quotient exponent negated, for
+    abelian configs."""
+    new = copy.deepcopy(config)
+    new["voltage"] = {key: [[g, -x] for g, x in word]
+                      for key, word in new["voltage"].items()}
+    if "quotient" in new:
+        new["quotient"]["exponents"] = [
+            -x for x in new["quotient"]["exponents"]]
+    return new
+
+
+def _character_jobs(level):
+    return [[command, "--level", str(level)]
+            for command in ("lfun", "fitting", "check-interpolation")]
+
+
 # (config, the subcommands run on it): levels are at most 2, and MU2's
 # tower, zeta and check-factorization stay at level 1, since the zeta of
 # its 162-vertex level-2 cover takes about a minute; iwasawa-fit needs
-# levels 0-2
+# levels 0-2; the character reports run at each entry's level, and on MU2,
+# whose group is not abelian, `lfun` and `check-interpolation` exit 2 and
+# `fitting` prints regular_det alone
 _JOBS = {
     "loop": (LOOP_CONFIG, [["jacobian", "--level", "2"],
                            ["tower", "--max-level", "2"],
@@ -105,14 +132,16 @@ _JOBS = {
                            ["mhg-check"],
                            ["zeta", "--level", "2"],
                            ["check-factorization", "--level", "2"],
-                           ["derive", "--level", "2"]]),
+                           ["derive", "--level", "2"],
+                           *_character_jobs(2)]),
     "mu2": (MU2_CONFIG, [["jacobian", "--level", "2"],
                          ["tower", "--max-level", "1"],
                          ["iwasawa-fit", "--max-level", "2"],
                          ["mhg-check"],
                          ["zeta", "--level", "1"],
                          ["check-factorization", "--level", "1"],
-                         ["derive", "--level", "2"]]),
+                         ["derive", "--level", "2"],
+                         *_character_jobs(1)]),
     **{f"pin{p}^{rank}": (
         {**abelian_pin_config(random.Random(f"pin {p} {rank}"), p, rank,
                               level, 3, 4),
@@ -123,7 +152,8 @@ _JOBS = {
          ["mhg-check"],
          ["zeta", "--level", str(level)],
          ["check-factorization", "--level", str(level)],
-         ["derive", "--level", str(level)]])
+         ["derive", "--level", str(level)],
+         *_character_jobs(level)])
        for p, rank, level in [(3, 1, 2), (2, 2, 1), (5, 1, 1)]},
 }
 
@@ -152,7 +182,10 @@ def test_reports_depend_only_on_the_cover(tmp_path, capsys, job):
     rng = random.Random(f"metamorphic {job}")
     expected = _reports(tmp_path, capsys, "original", config, commands)
     assert any(code == 0 for _, code, _, _ in expected)
-    for transform in (switch, reverse, relabel):
+    transforms = [switch, reverse, relabel]
+    if config["group"]["kind"] == "abelian":
+        transforms.append(negate)
+    for transform in transforms:
         changed = transform(config, rng)
         assert json.dumps(changed) != json.dumps(config)
         assert _reports(tmp_path, capsys, transform.__name__, changed,
