@@ -16,9 +16,10 @@ from .jacobian import AbelianGroupStructure, level_jacobian
 from .polynomials import LaurentElement
 from .voltage import (QuotientSpec, VoltageAssignment,
                       connectivity_criterion, cover_index_pairs,
-                      quotient_assignment)
-from .zeta import (ZetaData, artin_l_inverse, factorization_check,
-                   ihara_zeta_inverse, interpolation_check, l_functions)
+                      cover_involution, quotient_assignment)
+from .zeta import (ZetaData, artin_l_inverse, cover_zeta_inverse,
+                   factorization_check, ihara_zeta_inverse,
+                   interpolation_check, l_functions)
 from .iwasawa import (FittingGenerators, IwasawaFit, Lambda1Det, MHGVerdict,
                       TowerReport, fit_iwasawa, fitting_generators,
                       lambda1_determinant, mhg_check, mu_lambda_from_poly,

@@ -23,7 +23,7 @@ from .graphs import Multigraph, component_count
 from .jacobian import AbelianGroupStructure, level_jacobian
 from .voltage import QuotientSpec, VoltageAssignment, cover_index_pairs
 from .groups import TowerGroupSpec
-from .zeta import (factorization_check, ihara_zeta_inverse,
+from .zeta import (cover_zeta_inverse, factorization_check,
                    interpolation_check, l_functions)
 from .iwasawa import fit_iwasawa, fitting_generators, mhg_check, tower_en
 
@@ -213,7 +213,7 @@ def _cmd_jacobian(job: JobConfig, flags: dict) -> dict:
 
 def _cmd_zeta(job: JobConfig, flags: dict) -> dict:
     level = flags.get("--level", 0)
-    data = ihara_zeta_inverse(*cover_index_pairs(job.alpha, level))
+    data = cover_zeta_inverse(job.alpha, level)
     return {"level": level, "chi": data.chi,
             "det_part": list(data.det_part)}
 

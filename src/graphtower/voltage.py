@@ -7,9 +7,11 @@ edge backwards inverts its voltage.
 The derived graph X_n of (X, α, G^(n)) reaches every builder in one form,
 `cover_index_pairs`: its vertex count and the end indices of its edges,
 from each base edge's right translation of G^(n).  Level 0 is the trivial
-cover, G^(0) = 1 with every translation [0], so X_0 = X.  Whether every
-X_n is connected is `connectivity_criterion`: the F_p-rank of the base's
-edge rows [incidence | level-1 voltage], read off the one Smith form,
+cover, G^(0) = 1 with every translation [0], so X_0 = X.  For p = 2 and
+n ≥ 1, `cover_involution` gives the involution of X_n by a central element
+of order 2, in the same vertex layout.  Whether every X_n is connected is
+`connectivity_criterion`: the F_p-rank of the base's edge rows
+[incidence | level-1 voltage], read off the one Smith form,
 `linalg.smith_invariant_factors`.
 """
 
@@ -98,6 +100,25 @@ def cover_index_pairs(alpha: VoltageAssignment,
              for i, j, a in alpha.normal_form_edges(n)
              for k, h in enumerate(spec.right_translation(n, a))]
     return alpha.base.num_vertices * size, pairs
+
+
+def cover_involution(alpha: VoltageAssignment, n: int) -> list[int] | None:
+    """For p = 2 and n ≥ 1, the involution (v_i, g) ↦ (v_i, c·g) of X_n as
+    a vertex index list in the layout of `cover_index_pairs`, c the element
+    of order 2 whose normal form is (2^(n−1), 0, ...); None otherwise.
+
+    c is central: in the abelian kind trivially, and in the metacyclic one
+    because τ·σ^(2^(n−1))·τ⁻¹ = σ^(2^(n−1)·u) = σ^(2^(n−1)) for odd u.  So
+    c·g = g·c, read off the right translation of c, and the map sends the
+    edge at g over a base edge to the edge at c·g over it."""
+    spec = alpha.spec
+    if spec.p != 2 or n == 0:
+        return None
+    size = spec.order(n)
+    translation = spec.right_translation(
+        n, (1 << (n - 1),) + (0,) * (spec.dimension - 1))
+    return [i * size + k for i in range(alpha.base.num_vertices)
+            for k in translation]
 
 
 def connectivity_criterion(alpha: VoltageAssignment) -> bool:

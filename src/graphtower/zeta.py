@@ -1,24 +1,35 @@
 """Ihara zeta functions, Artin-Ihara L-functions, and their identities.
 
-ζ_X(u)⁻¹ is one integer determinant by Kronecker substitution, of sparse
+ζ_X(u)⁻¹ is an integer determinant by Kronecker substitution, of sparse
 rows built from the ends of the graph's edges; a cover X_n gives them
 through ``voltage.cover_index_pairs`` and is never built, and level 0 is
-the trivial cover, the base itself, read the same way.  Before packing,
-one exact Schur complement takes out a set S of pairwise non-adjacent
-loop-free vertices of one degree, found greedily, when S holds at least
-half the vertices, as the fibre over a loop-free base vertex does over a
-2-vertex base.  On a bipartite graph every closed walk has even length,
-so the determinant is even in u; there the rows are conjugated by
-diag(u^colour(v)), a similarity, and packed as polynomials in w = u², with
-about half the base-2^B digits.  The orbit norms below take neither step,
-so a fault in either cannot pass the factorization check on both sides.
-That check takes one more integer determinant per Galois orbit of
-characters, the norm of the orbit's L-function, from the base edges'
-level-n normal forms.  The per-character L-functions of ``l_functions``
-take one integer polynomial determinant per Galois orbit too, packed at
-u = 2^B and lifted to Z[x], and ``cyclotomic.galois_images`` reads every
-character of the orbit off it.  Every identity check below is an exact
-equality — never a float comparison.
+the trivial cover, the base itself, read the same way.  For p = 2 and
+n ≥ 1, G^(n) has a central element c of order 2, and left multiplication
+by c is a fixed-point-free involution σ of X_n that commutes with
+M = I − Au + (D − I)u².  ``cover_zeta_inverse``, the one cover route of
+``zeta`` and of the factorization check, verifies σ on X_n's index pairs
+and takes det M = det M₊ · det M₋, two determinants of half the size: M₊
+is the matrix of X_n/σ, and M₋ gives each edge of X_n/σ that joins v to σw
+the sign −1.  The split is one level deep; splitting X_n/σ again would
+rebuild, character by character, the factorization that the check compares
+against.  Before packing, one exact Schur complement takes out a set S of
+pairwise non-adjacent loop-free vertices of one degree, found greedily,
+when S holds at least half the vertices, as the fibre over a loop-free
+base vertex does over a 2-vertex base.  On a bipartite graph every closed
+walk has even length, so the determinant is even in u; there the rows are
+conjugated by diag(u^colour(v)), a similarity, and packed as polynomials
+in w = u², with about half the base-2^B digits.  The orbit norms below
+take none of these steps, so a fault in one cannot pass the factorization
+check on both sides.  Every cover determinant is checked against its tree
+number: f(0) = 1, f(1) = 0 and 2(|E| − |V|) divides f'(1), or
+ArithmeticError.  That check takes one more integer determinant per Galois
+orbit of characters, the norm of the orbit's L-function, from the base
+edges' level-n normal forms.  The per-character L-functions of
+``l_functions`` take one integer polynomial determinant per Galois orbit
+too, packed at u = 2^B and lifted to Z[x], and
+``cyclotomic.galois_images`` reads every character of the orbit off it.
+Every identity check below is an exact equality — never a float
+comparison.
 
 The L-functions, the interpolation check and ``fitting`` read the cover's
 adjacency Σ_σ A(σ)·σ, where A(σ)_ij counts the edges between (v_i, 1) and
@@ -45,7 +56,8 @@ from .grouprings import (Character, Edges, character_adjacency, characters,
                          galois_orbits, l_rows, orbit_h_values, orbit_nrd,
                          per_character)
 from .linalg import _unpack, det_int_poly_matrix, poly_product
-from .voltage import VoltageAssignment, check_derive_bounds, cover_index_pairs
+from .voltage import (VoltageAssignment, check_derive_bounds,
+                      cover_index_pairs, cover_involution)
 
 
 @dataclass(frozen=True)
@@ -56,32 +68,126 @@ class ZetaData:
     det_part: tuple[int, ...]  # ascending u-coefficients
 
 
-def ihara_zeta_inverse(num_vertices: int,
-                       pairs: Sequence[tuple[int, int]]) -> ZetaData:
+def cover_zeta_inverse(alpha: VoltageAssignment, n: int) -> ZetaData:
+    """ζ_{X_n}(u)⁻¹, the one cover route of ``zeta`` and of the
+    factorization check: ``ihara_zeta_inverse`` of the index pairs of
+    ``cover_index_pairs``, split by ``voltage.cover_involution`` for p = 2
+    and n ≥ 1.
+
+    The split is one level deep.  X_n/σ is a cover of X too, and splitting
+    it again, down to level 0, would take the determinant apart character
+    by character, which is the factorization the check compares against.
+    The split reads only the cover's index pairs and one vertex
+    permutation, which it verifies; it reads no character, no exponent of
+    a character and no power of ζ, so the orbit norms still share no step
+    with the cover side.
+    """
+    num_vertices, pairs = cover_index_pairs(alpha, n)
+    return ihara_zeta_inverse(num_vertices, pairs, cover_involution(alpha, n))
+
+
+def ihara_zeta_inverse(num_vertices: int, pairs: Sequence[tuple[int, int]],
+                       involution: Sequence[int] | None = None) -> ZetaData:
     """ζ_X(u)⁻¹ of the graph with vertices 0..num_vertices − 1 and one edge
-    per pair (i, j) of end indices: the exact determinant of
+    per pair (i, j) of end indices: the exact determinant f of
     M = I − Au + (D−I)u², and χ = V − E.
 
-    Before the determinant, M shrinks by one exact Schur complement.  S is
-    a set of pairwise non-adjacent loop-free vertices of one degree d: the
-    vertices of each degree are taken in order, each kept unless adjacent
-    to one already kept, and S (``fibre`` below) is the largest set so
-    found.  Then
-    M_SS = c·I with c = 1 + (d−1)u², and when |S| ≥ |T|, T the other
-    vertices,
+    A is read off the pairs: each end of an edge adds 1 to the entry
+    towards the other end, so a loop adds 2 on the diagonal.  With
+    ``involution``, a vertex permutation σ, f is det M₊ · det M₋, the
+    halves of `_involution_halves`; without it, f is det M.  Either way
+    `_det_part` takes the determinants.
+
+    f is checked in one pass over its coefficients: f(0) = 1, f(1) =
+    det(D − A) = 0 on a nonempty graph, and 2(|E| − |V|) divides f'(1),
+    which is 2(|E| − |V|)·κ with κ the number of spanning trees
+    (Hashimoto; Northshield), so f'(1) = 0 when |E| = |V|.  A failure
+    raises ArithmeticError.
+    """
+    neighbours = [Counter() for _ in range(num_vertices)]
+    for i, j in pairs:
+        neighbours[i][j] += 1
+        neighbours[j][i] += 1
+    det_part = _det_part([neighbours] if involution is None else
+                         _involution_halves(neighbours, involution))
+    value = slope = 0
+    for k, c in enumerate(det_part):
+        value += c
+        slope += k * c
+    excess = 2 * (len(pairs) - num_vertices)
+    if (det_part[:1] != (1,) or (value and num_vertices) or
+            (slope % excess if excess else slope)):
+        raise ArithmeticError("the Ihara determinant fails f(0) = 1, "
+                              "f(1) = 0 or 2(|E| − |V|) | f'(1)")
+    return ZetaData(num_vertices - len(pairs), det_part)
+
+
+def _involution_halves(neighbours: Sequence[Counter],
+                       sigma: Sequence[int]) -> list[list[Counter]]:
+    """[A₊, A₋]: the adjacency of X/σ and its signed twin, for a
+    fixed-point-free involution σ of the graph X with adjacency
+    ``neighbours``, after σ is verified on that adjacency.  ArithmeticError
+    is raised when σ is not a fixed-point-free involution of the vertices
+    or does not map edges to edges, A(σv, σw) ≠ A(v, w).
+
+    Such a σ commutes with M = I − Au + (D − I)u², so in the basis
+    e_r ± e_σr, r the least vertex of each orbit, M is block-diagonal and
+    det M = det M₊ · det M₋ with M₊ = I − A₊u + (D − I)u² and M₋ the same
+    with A₋.  Row r of A_± holds A(r, q) ± A(r, σq) at the orbit q: A₊
+    is the adjacency of X/σ, where the edges v–σv of an orbit become a
+    loop, and A₋ gives each edge r–σq the sign −1.  Both keep the degrees
+    of X.  |A₋| ≤ A₊ entrywise, so A₋'s nonzero pattern lies inside A₊'s.
+    """
+    if len(sigma) != len(neighbours) or any(
+            s == v or sigma[s] != v for v, s in enumerate(sigma)):
+        raise ArithmeticError(
+            "the cover involution is not a fixed-point-free involution")
+    for v, counts in enumerate(neighbours):
+        image = neighbours[sigma[v]]
+        if len(image) != len(counts) or any(
+                image[sigma[w]] != a for w, a in counts.items()):
+            raise ArithmeticError(
+                "the cover involution does not map edges to edges")
+    orbit = [0] * len(sigma)
+    sign = [1] * len(sigma)
+    reps = [v for v, s in enumerate(sigma) if v < s]
+    for q, r in enumerate(reps):
+        orbit[r] = orbit[sigma[r]] = q
+        sign[sigma[r]] = -1
+    plus, minus = [], []
+    for r in reps:
+        folded, signed = Counter(), Counter()
+        for w, a in neighbours[r].items():
+            folded[orbit[w]] += a
+            signed[orbit[w]] += sign[w] * a
+        plus.append(folded)
+        minus.append(Counter({q: a for q, a in signed.items() if a}))
+    return [plus, minus]
+
+
+def _det_part(adjacencies: Sequence[Sequence[Counter]]) -> tuple[int, ...]:
+    """∏ det(I − Au + (D − I)u²) over the adjacencies A in the list, each
+    a Counter of entries per row, D the degrees of the first, whose
+    nonzero pattern holds every other's; one adjacency, or the halves of
+    `_involution_halves`.
+
+    Before each determinant, M shrinks by one exact Schur complement.  S
+    is a set of pairwise non-adjacent loop-free vertices of one degree d:
+    the vertices of each degree are taken in order, each kept unless
+    adjacent to one already kept, and S (``fibre`` below) is the largest
+    set so found.  Then M_SS = c·I with c = 1 + (d−1)u², and when
+    |S| ≥ |T|, T the other vertices,
 
         det M = c^(|S|−|T|) · det(c·M_TT − u²·A_TS·A_ST),
 
-    with no division: entry (t, t′) of A_TS·A_ST counts the 2-paths
-    t–s–t′ through S, with edge multiplicity.  On a cover X_n this fires
-    when the fibre over a loop-free base vertex covers half the vertices,
-    as over any 2-vertex base with one loop-free vertex.  When |S| < |T|,
-    S is taken empty and c = 1, and the rows below are those of M itself.
+    with no division: entry (t, t′) of A_TS·A_ST sums the 2-paths t–s–t′
+    through S, with edge multiplicity (and sign).  On a cover X_n this
+    fires when the fibre over a loop-free base vertex covers half the
+    vertices, as over any 2-vertex base with one loop-free vertex.  When
+    |S| < |T|, S is taken empty and c = 1, and the rows below are those
+    of M itself.
 
-    The rows are sparse, {column: [u⁰..u⁴ coefficients]}, built straight
-    from the pairs: each end of an edge adds 1 to its degree and −1 to the
-    u-coefficient towards the other end, so a loop adds 2 to the degree
-    and −2 to the u-coefficient on the diagonal.
+    The rows are sparse, {column: [u⁰..u⁴ coefficients]}.
 
     When the graph is 2-coloured by `_two_colouring` (no loop, no odd
     cycle), entry (t, x) is multiplied by u^(colour(t) − colour(x)).  That
@@ -96,52 +202,56 @@ def ihara_zeta_inverse(num_vertices: int,
     halves the degree of the packed entries and of the determinant, and
     the result is spread back onto the even powers of u.  The orbit norms
     of ``artin_l_norm`` do not take this step.
+
+    The colouring and S are found once, on the first adjacency's pattern.
+    They serve every adjacency whose pattern lies inside it: no entry
+    joins two vertices of one colour, and S stays loop-free and pairwise
+    non-adjacent, with the same degrees.
     """
-    neighbours = [Counter() for _ in range(num_vertices)]
-    for i, j in pairs:
-        neighbours[i][j] += 1
-        neighbours[j][i] += 1
-    colour = _two_colouring(neighbours)
-    degrees = [sum(counts.values()) for counts in neighbours]
+    pattern = adjacencies[0]
+    colour = _two_colouring(pattern)
+    degrees = [sum(counts.values()) for counts in pattern]
     classes: dict[int, set[int]] = {}
-    for v, counts in enumerate(neighbours):
+    for v, counts in enumerate(pattern):
         if v not in counts:
             kept = classes.setdefault(degrees[v], set())
             if kept.isdisjoint(counts):
                 kept.add(v)
     degree, fibre = max(classes.items(), key=lambda item: len(item[1]),
                         default=(1, set()))
-    if 2 * len(fibre) < num_vertices:
+    if 2 * len(fibre) < len(pattern):
         degree, fibre = 1, set()
     e = degree - 1  # c = 1 + e·u²
-    rest = [t for t in range(num_vertices) if t not in fibre]
+    rest = [t for t in range(len(pattern)) if t not in fibre]
     position = {t: k for k, t in enumerate(rest)}
-    rows = []
-    for t in rest:
-        f = degrees[t] - 1
-        row = {position[t]: [1, 0, f + e, 0, f * e]}
-        for w, a in neighbours[t].items():
-            if w in fibre:
-                for x, b in neighbours[w].items():
-                    row.setdefault(position[x], [0] * 5)[2] -= a * b
-            else:
-                entry = row.setdefault(position[w], [0] * 5)
-                entry[1] -= a
-                entry[3] -= a * e
-        rows.append(row)
-    if colour is not None:
-        # entry (t, x) times u^(colour(t) − colour(x)) is even in u; its
-        # coefficients of u⁰, u², u⁴ are those of w⁰, w¹, w²
-        for t, row in zip(rest, rows):
-            for x, entry in row.items():
-                row[x] = ([0] + entry)[1 - colour[t] + colour[rest[x]]::2]
-    coeffs = det_int_poly_matrix(rows)
-    if colour is not None:  # from w back to u: w^k = u^(2k)
-        coeffs = [c for w_coeff in coeffs for c in (w_coeff, 0)][:-1]
-    if e and len(fibre) > len(rest):  # times c^(|S|−|T|)
-        coeffs = poly_product(
-            [coeffs, *[(1, 0, e)] * (len(fibre) - len(rest))])
-    return ZetaData(num_vertices - len(pairs), tuple(coeffs))
+    factors = []
+    for neighbours in adjacencies:
+        rows = []
+        for t in rest:
+            f = degrees[t] - 1
+            row = {position[t]: [1, 0, f + e, 0, f * e]}
+            for w, a in neighbours[t].items():
+                if w in fibre:
+                    for x, b in neighbours[w].items():
+                        row.setdefault(position[x], [0] * 5)[2] -= a * b
+                else:
+                    entry = row.setdefault(position[w], [0] * 5)
+                    entry[1] -= a
+                    entry[3] -= a * e
+            rows.append(row)
+        if colour is not None:
+            # entry (t, x) times u^(colour(t) − colour(x)) is even in u;
+            # its coefficients of u⁰, u², u⁴ are those of w⁰, w¹, w²
+            for t, row in zip(rest, rows):
+                for x, entry in row.items():
+                    row[x] = ([0] + entry)[1 - colour[t] + colour[rest[x]]::2]
+        coeffs = det_int_poly_matrix(rows)
+        if colour is not None:  # from w back to u: w^k = u^(2k)
+            coeffs = [c for w_coeff in coeffs for c in (w_coeff, 0)][:-1]
+        factors.append(coeffs)
+        if e:  # times c^(|S|−|T|)
+            factors += [(1, 0, e)] * (len(fibre) - len(rest))
+    return tuple(factors[0]) if len(factors) == 1 else poly_product(factors)
 
 
 def _two_colouring(neighbours: Sequence[Counter]) -> list[int] | None:
@@ -314,17 +424,16 @@ def factorization_check(alpha: VoltageAssignment, n: int) -> FactorizationReport
     The product over all characters is taken as the product over Galois
     orbits of ``artin_l_norm``, all in Z[u], from the base edges' level-n
     normal forms, multiplied by ``poly_product``.  The cover side is
-    ``ihara_zeta_inverse`` of the index pairs of ``cover_index_pairs``.
-    Neither side builds X_n.
+    ``cover_zeta_inverse``, from X_n's index pairs.  Neither side builds
+    X_n.
     """
     orbits = list(galois_orbits(characters(alpha.spec, n)))
-    num_vertices, pairs = cover_index_pairs(alpha, n)
+    zeta = cover_zeta_inverse(alpha, n)
     base = alpha.base
     edges = alpha.normal_form_edges(n)
     degrees = base.degrees()
     product = poly_product([artin_l_norm(chi, edges, degrees)
                             for chi, _, _ in orbits])
-    zeta = ihara_zeta_inverse(num_vertices, pairs)
     total_exponent = (sum(len(units) for _, units, _ in orbits) *
                       (base.num_vertices - base.num_edges))
     return FactorizationReport(product == zeta.det_part,

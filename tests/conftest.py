@@ -92,6 +92,16 @@ MU2_CONFIG = {
 }
 
 
+# the cells of the perfbench cover_zeta mix, as (p, rank, base vertices,
+# extra edges, level): covers of 10-32 vertices
+COVER_ZETA_CELLS = [
+    (5, 1, 2, 2, 1), (2, 2, 3, 2, 1), (2, 1, 2, 3, 3), (3, 2, 2, 2, 1),
+    (2, 2, 2, 2, 2), (3, 1, 2, 2, 2), (2, 3, 2, 3, 1), (2, 1, 2, 2, 3),
+    (2, 2, 2, 2, 2), (3, 1, 2, 3, 2), (2, 3, 2, 2, 1), (7, 1, 3, 2, 1),
+    (2, 3, 3, 2, 1), (2, 1, 3, 2, 3), (3, 1, 3, 2, 2), (2, 2, 2, 2, 2),
+]
+
+
 def abelian_pin_config(rng, p, rank, level, nv, max_extra):
     """A seeded abelian config on nv base vertices: a random spanning tree
     plus 2..max_extra edges, parallel edges and loops allowed."""

@@ -17,9 +17,10 @@ from graphtower.cli import _HANDLERS, _json_text, main, parse_config
 from graphtower.cyclotomic import CyclotomicInteger
 from graphtower.errors import ConfigError, GraphTowerError
 from graphtower.linalg import poly_product
+from graphtower.voltage import cover_involution
 
-from conftest import (LOOP_CONFIG, MU2_CONFIG, abelian_pin_config, derive,
-                      spanning_tree_count)
+from conftest import (COVER_ZETA_CELLS, LOOP_CONFIG, MU2_CONFIG,
+                      abelian_pin_config, derive, spanning_tree_count)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -528,6 +529,14 @@ def test_a_report_integer_past_the_str_limit_exits_3(
 
 # -- each job computes each intermediate once
 
+def _patch_everywhere(monkeypatch, fn, replacement):
+    """Bind replacement in every package module that binds fn."""
+    for module in list(sys.modules.values()):
+        if (module.__name__.startswith("graphtower") and
+                vars(module).get(fn.__name__) is fn):
+            monkeypatch.setattr(module, fn.__name__, replacement)
+
+
 def _count_calls(monkeypatch, fn):
     """Wrap fn in every package module that binds it; returns the call log."""
     calls = []
@@ -536,10 +545,7 @@ def _count_calls(monkeypatch, fn):
         calls.append(args)
         return fn(*args, **kwargs)
 
-    for module in list(sys.modules.values()):
-        if (module.__name__.startswith("graphtower") and
-                vars(module).get(fn.__name__) is fn):
-            monkeypatch.setattr(module, fn.__name__, counted)
+    _patch_everywhere(monkeypatch, fn, counted)
     return calls
 
 
@@ -640,19 +646,58 @@ def test_check_factorization_fails_on_a_wrong_orbit_norm(tmp_path, capsys,
 
 def test_check_factorization_fails_on_a_dropped_cover_edge(tmp_path, capsys,
                                                            monkeypatch):
-    """A cover side missing one edge breaks the check, which still exits 0
-    and says so."""
+    """A cover side missing edges breaks the check.  Over p = 2 a cover
+    missing one edge is no longer mapped to itself by the involution, and
+    the job exits 4; missing both edges of one of its orbits, or one edge
+    over p = 3, the check still exits 0 and says it failed."""
     pairs = graphtower.zeta.cover_index_pairs
+    for p, orbit in ((2, False), (2, True), (3, False)):
 
-    def dropped(alpha, n):
-        num_vertices, edges = pairs(alpha, n)
-        return num_vertices, edges[1:]
+        def dropped(alpha, n):
+            num_vertices, edges = pairs(alpha, n)
+            gone = {0}
+            if orbit:
+                sigma = cover_involution(alpha, n)
+                i, j = edges[0]
+                gone.add(edges.index((sigma[i], sigma[j])))
+            return num_vertices, [e for x, e in enumerate(edges)
+                                  if x not in gone]
 
-    monkeypatch.setattr(graphtower.zeta, "cover_index_pairs", dropped)
-    report = _factorization_report(tmp_path, capsys)
+        path = write_config(tmp_path, abelian_pin_config(
+            random.Random(3), p, 2, 1, 3, 4))
+        with monkeypatch.context() as patch:
+            patch.setattr(graphtower.zeta, "cover_index_pairs", dropped)
+            code = main(["check-factorization", "--config", path,
+                         "--level", "1"])
+        out, err = capsys.readouterr()
+        if p == 2 and not orbit:
+            assert (code, out) == (4, "")
+            assert err == ("internal error: the cover involution does not "
+                           "map edges to edges\n")
+            continue
+        assert code == 0
+        report = json.loads(out)
+        assert report["pass"] is False
+        assert report["polynomial_match"] is False
+        assert report["exponent_match"] is False
+
+
+def _failed_cover_check(code, out, err):
+    """How a check-factorization job whose cover side was corrupted failed:
+    "invariant" when the cover determinant failed f(0) = 1, f(1) = 0 or
+    2(|E| − |V|) | f'(1) and the job exited 4, "mismatch" when the job
+    exited 0 and reported that the polynomials differ and the exponents
+    agree."""
+    if code == 4:
+        assert out == ""
+        assert err.startswith("internal error: the Ihara determinant fails")
+        return "invariant"
+    assert code == 0
+    report = json.loads(out)
     assert report["pass"] is False
     assert report["polynomial_match"] is False
-    assert report["exponent_match"] is False
+    assert report["exponent_match"] is True
+    return "mismatch"
 
 
 def _loop_free_fibre_config(rng):
@@ -671,44 +716,54 @@ def _loop_free_fibre_config(rng):
 @pytest.mark.parametrize("subcommand", ["zeta", "check-factorization"])
 def test_cover_determinant_takes_one_fibre_out(tmp_path, capsys, monkeypatch,
                                                subcommand):
-    """The Schur complement over the fibre of v0 leaves the cover a
-    16-row matrix, not 32; the orbit norms have at most 4 rows."""
+    """The involution splits the 32-vertex cover into two halves of 16
+    vertices, and the Schur complement over the fibre of v0 leaves each an
+    8-row matrix, not 16; the orbit norms, taken after the cover, have at
+    most 4 rows."""
     calls = _count_calls(monkeypatch, graphtower.linalg.det_int_poly_matrix)
     path = write_config(tmp_path, _loop_free_fibre_config(random.Random(6)))
     assert main([subcommand, "--config", path, "--level", "2"]) == 0
-    assert max(len(rows) for rows, in calls) == 16
+    assert [len(rows) for rows, in calls[:2]] == [8, 8]
+    assert all(len(rows) <= 4 for rows, in calls[2:])
     if subcommand == "check-factorization":
         assert json.loads(capsys.readouterr().out)["pass"] is True
 
 
 def test_check_factorization_fails_on_a_corrupted_reduced_entry(
         tmp_path, capsys, monkeypatch):
-    """One coefficient of a diagonal entry of the reduced cover matrix off
-    by one changes its determinant by a power of u times a principal minor
-    with constant term 1, so the check fails, exits 0 and says so."""
+    """One coefficient of a diagonal entry of either half of the reduced
+    cover matrix off by one changes that half's determinant by a power of
+    u times a principal minor with constant term 1, so the check fails:
+    the cover determinant fails its check of f(0), f(1) and f'(1), and
+    the job exits 4, or it passes it, and the job exits 0 and says the
+    polynomials differ.  Both occur."""
     kernel = graphtower.zeta.det_int_poly_matrix
     rng = random.Random(84)
+    outcomes = []
     for seed in range(6):
         path = write_config(tmp_path,
                             _loop_free_fibre_config(random.Random(seed)))
-        corrupted = []
+        for half in (0, 1):
+            halves = []
 
-        def corrupting(rows):
-            if len(rows) == 16:  # the cover's reduced matrix
-                t = rng.randrange(16)
-                rows[t][t][rng.randrange(1, 5)] += 1
-                corrupted.append(t)
-            return kernel(rows)
+            def corrupting(rows):
+                if len(rows) == 8:  # a half of the cover's reduced matrix
+                    if len(halves) == half:
+                        t = rng.randrange(8)
+                        entry = rows[t][t]
+                        entry[rng.randrange(1, len(entry))] += 1
+                    halves.append(rows)
+                return kernel(rows)
 
-        with monkeypatch.context() as patch:
-            patch.setattr(graphtower.zeta, "det_int_poly_matrix", corrupting)
-            assert main(["check-factorization", "--config", path,
-                         "--level", "2"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert len(corrupted) == 1
-        assert report["pass"] is False
-        assert report["polynomial_match"] is False
-        assert report["exponent_match"] is True
+            with monkeypatch.context() as patch:
+                patch.setattr(graphtower.zeta, "det_int_poly_matrix",
+                              corrupting)
+                code = main(["check-factorization", "--config", path,
+                             "--level", "2"])
+            assert len(halves) == 2
+            outcomes.append(_failed_cover_check(code,
+                                                *capsys.readouterr()))
+    assert set(outcomes) == {"invariant", "mismatch"}
 
 
 # a 6-cycle with one edge of voltage 1 over Z/3^6: X_6 is a 4374-cycle
@@ -1162,12 +1217,13 @@ _ZETA_SHA256 = {
 }
 
 
-# (p, rank, level, base vertices) by seed, and the rows of the cover's
-# packed matrix after the Schur complement over a loop-free fibre: 32
-# vertices with |S| = |T| and c = 1 + 4u², 27 with |S| = 2|T| and 45 with
-# |S| = 3|T|/2, both with c = 1 + u²
-_REDUCED_ZETA_PIN_SHAPES = {3: ((2, 1, 4, 2), 16), 4: ((3, 1, 2, 3), 9),
-                            13: ((3, 2, 1, 5), 18)}
+# (p, rank, level, base vertices) by seed, and the rows of each packed
+# matrix of the cover after the Schur complement over a loop-free fibre:
+# 32 vertices over Z/16, split by the involution into two halves of 16
+# vertices, each with |S| = |T| and c = 1 + 4u²; 27 with |S| = 2|T| and
+# 45 with |S| = 3|T|/2, both with c = 1 + u² and odd p, so not split
+_REDUCED_ZETA_PIN_SHAPES = {3: ((2, 1, 4, 2), [8, 8]), 4: ((3, 1, 2, 3), [9]),
+                            13: ((3, 2, 1, 5), [18])}
 
 # SHA-256 of the zeta stdout, recorded with the whole cover matrix packed
 _REDUCED_ZETA_SHA256 = {
@@ -1197,7 +1253,7 @@ def test_reduced_zeta_output_is_pinned(tmp_path, capsys, monkeypatch, seed):
     calls = _count_calls(monkeypatch, graphtower.linalg.det_int_poly_matrix)
     assert (_zeta_digest(tmp_path, capsys, seed, shape) ==
             _REDUCED_ZETA_SHA256[seed])
-    assert [len(args[0]) for args in calls] == [rows]
+    assert [len(args[0]) for args in calls] == rows
 
 
 # -- bipartite covers: the cover determinant packed in w = u²
@@ -1223,27 +1279,29 @@ def _bipartite_config(rng, p, rank, level, ends, colours):
 
 
 def _bipartite_case(kind, seed):
-    """(config, level, rows packed) of a seeded bipartite cover of a kind:
+    """(config, level, rows of each packed matrix) of a seeded bipartite
+    cover of a kind; over p = 2 the involution splits the cover into two
+    halves of half its vertices, each packed:
     1: 32 vertices over Z/4 x Z/4 and a 2-vertex base whose v0 has no loop,
-       so the Schur complement over the fibre of v0 leaves 16 rows;
+       so the Schur complement over the fibre of v0 leaves 8 rows a half;
     2: the same group over a 2-vertex base with odd-voltage loops at both
-       vertices, which has no loop-free fibre;
+       vertices, which has no loop-free fibre: 16 rows a half;
     3: 36 vertices over Z/9 and a 4-cycle with two more edges between its
-       parts;
+       parts, not split;
     4: 24 vertices over Z/8 and a triangle with odd voltages, a
-       bipartite cover of a base that is not."""
+       bipartite cover of a base that is not: 12 rows a half."""
     rng = random.Random(seed)
     if kind == 1:
         ends = [(0, 1)] * rng.randint(1, 3) + [(1, 1)] * rng.randint(1, 2)
-        return _bipartite_config(rng, 2, 2, 2, ends, (0, 1)), 2, 16
+        return _bipartite_config(rng, 2, 2, 2, ends, (0, 1)), 2, [8, 8]
     if kind == 2:
         ends = [(0, 1)] * rng.randint(1, 2) + [(0, 0), (1, 1), (1, 1)]
-        return _bipartite_config(rng, 2, 2, 2, ends, (0, 0)), 2, 32
+        return _bipartite_config(rng, 2, 2, 2, ends, (0, 0)), 2, [16, 16]
     if kind == 3:
         ends = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 1), (2, 3)]
-        return _bipartite_config(rng, 3, 1, 2, ends, (0, 1, 0, 1)), 2, 18
+        return _bipartite_config(rng, 3, 1, 2, ends, (0, 1, 0, 1)), 2, [18]
     ends = [(0, 1), (1, 2), (2, 0), (0, 1)]
-    return _bipartite_config(rng, 2, 1, 3, ends, (0, 0, 0)), 3, 24
+    return _bipartite_config(rng, 2, 1, 3, ends, (0, 0, 0)), 3, [12, 12]
 
 
 def _packed_lengths(calls):
@@ -1265,15 +1323,16 @@ _BIPARTITE_ZETA_SHA256 = {
 @pytest.mark.parametrize("seed", sorted(_BIPARTITE_ZETA_SHA256))
 def test_bipartite_zeta_output_is_pinned(tmp_path, capsys, monkeypatch,
                                          seed):
-    """The cover side is packed in w = u², every entry of at most 3
-    coefficients, and prints the polynomial it printed packed in u."""
+    """The cover side, both halves of it over p = 2, is packed in w = u²,
+    every entry of at most 3 coefficients, and prints the polynomial it
+    printed packed in u and unsplit."""
     data, level, rows = _bipartite_case(seed, seed)
     calls = _count_calls(monkeypatch, graphtower.linalg.det_int_poly_matrix)
     path = write_config(tmp_path, data)
     assert main(["zeta", "--config", path, "--level", str(level)]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == _BIPARTITE_ZETA_SHA256[seed]
-    assert [len(args[0]) for args in calls] == [rows]
+    assert [len(args[0]) for args in calls] == rows
     assert _packed_lengths(calls) <= {1, 2, 3}
 
 
@@ -1285,15 +1344,16 @@ _Z64_ZETA_SHA256 = (
 
 def test_128_vertex_bipartite_cover_is_packed_in_w(tmp_path, capsys,
                                                    monkeypatch):
-    """Z/64 over three odd-voltage edges v0–v1: the Schur complement leaves
-    the 64 rows over v1, packed in w = u²."""
+    """Z/64 over three odd-voltage edges v0–v1: the involution splits the
+    cover into two 64-vertex halves, and in each the Schur complement
+    leaves the 32 rows over v1, packed in w = u²."""
     data = _bipartite_config(random.Random(7), 2, 1, 6, [(0, 1)] * 3, (0, 0))
     calls = _count_calls(monkeypatch, graphtower.linalg.det_int_poly_matrix)
     path = write_config(tmp_path, data)
     assert main(["zeta", "--config", path, "--level", "6"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == _Z64_ZETA_SHA256
-    assert [len(args[0]) for args in calls] == [64]
+    assert [len(args[0]) for args in calls] == [32, 32]
     assert _packed_lengths(calls) <= {1, 2, 3}
     assert not any(json.loads(out)["det_part"][1::2])
 
@@ -1301,9 +1361,12 @@ def test_128_vertex_bipartite_cover_is_packed_in_w(tmp_path, capsys,
 def test_check_factorization_fails_on_a_flipped_colour(tmp_path, capsys,
                                                        monkeypatch):
     """One vertex over v1 given the wrong colour loses its off-diagonal
-    entries in the packed matrix, so on seeded bipartite covers, with and
-    without the Schur complement, the check fails, exits 0 and says so.
-    The colouring is computed once per job, and never for an orbit norm."""
+    entries in both packed halves, so on seeded bipartite covers, with and
+    without the Schur complement, the check fails: the job exits 4 when
+    the cover determinant fails its check of f(0), f(1) and f'(1), or
+    exits 0 and says the polynomials differ, and both occur.  The
+    colouring is computed once per job, and never for an orbit norm, and
+    the two halves are packed with the rows of `_bipartite_case`."""
     colouring = graphtower.zeta._two_colouring
     norm = graphtower.zeta.artin_l_norm
     rng = random.Random(86)
@@ -1317,8 +1380,9 @@ def test_check_factorization_fails_on_a_flipped_colour(tmp_path, capsys,
             in_norm.pop()
 
     monkeypatch.setattr(graphtower.zeta, "artin_l_norm", traced_norm)
+    outcomes = []
     for seed in range(6):
-        data, level, _ = _bipartite_case(1 + seed % 2, 100 + seed)
+        data, level, rows = _bipartite_case(1 + seed % 2, 100 + seed)
         path = write_config(tmp_path, data)
         for flip in (False, True):
             calls = []
@@ -1333,23 +1397,140 @@ def test_check_factorization_fails_on_a_flipped_colour(tmp_path, capsys,
 
             with monkeypatch.context() as patch:
                 patch.setattr(graphtower.zeta, "_two_colouring", flipped)
-                assert main(["check-factorization", "--config", path,
-                             "--level", str(level)]) == 0
-            report = json.loads(capsys.readouterr().out)
+                packed = _count_calls(patch,
+                                      graphtower.linalg.det_int_poly_matrix)
+                code = main(["check-factorization", "--config", path,
+                             "--level", str(level)])
             assert calls == [False]
-            assert report["pass"] is not flip
-            assert report["polynomial_match"] is not flip
-            assert report["exponent_match"] is True
+            assert [len(args[0]) for args in packed[:2]] == rows
+            if flip:
+                outcomes.append(_failed_cover_check(code,
+                                                    *capsys.readouterr()))
+            else:
+                assert code == 0
+                assert json.loads(capsys.readouterr().out)["pass"] is True
+    assert set(outcomes) == {"invariant", "mismatch"}
+
+def test_the_cover_side_reads_no_character(tmp_path, capsys, monkeypatch):
+    """The cover side, split over p = 2, reads X_n's index pairs and one
+    vertex permutation: while ``cover_zeta_inverse`` runs, no Character is
+    built, no exponent χ(a) is read and no table of powers of ζ is made,
+    for zeta, abelian or metacyclic, or for check-factorization, whose
+    orbit norms do all three."""
+    in_cover, reads, covers = [], [], []
+    cover = graphtower.zeta.cover_zeta_inverse
+
+    def traced_cover(*args):
+        in_cover.append(args)
+        covers.append(args)
+        try:
+            return cover(*args)
+        finally:
+            in_cover.pop()
+
+    def tracing(name, fn):
+        def traced(*args, **kwargs):
+            reads.append((name, bool(in_cover)))
+            return fn(*args, **kwargs)
+        return traced
+
+    _patch_everywhere(monkeypatch, cover, traced_cover)
+    powers = graphtower.cyclotomic.power_coordinates
+    _patch_everywhere(monkeypatch, powers, tracing("powers", powers))
+    for method in ("__post_init__", "exponent"):
+        monkeypatch.setattr(graphtower.Character, method, tracing(
+            method, getattr(graphtower.Character, method)))
+    # characters of the metacyclic group are not taken: zeta alone
+    for data, subcommands in [
+            (_bipartite_case(1, 5)[0], ("zeta", "check-factorization")),
+            (_METACYCLIC_P2_CONFIG, ("zeta",))]:
+        path = write_config(tmp_path, data)
+        for subcommand in subcommands:
+            reads.clear()
+            assert main([subcommand, "--config", path, "--level", "2"]) == 0
+            assert not any(inside for _, inside in reads)
+            assert {name for name, _ in reads} == (
+                set() if subcommand == "zeta" else
+                {"__post_init__", "exponent", "powers"})
+    assert len(covers) == 3
+    capsys.readouterr()
 
 
-# the cells of the perfbench cover_zeta mix, as (p, rank, base vertices,
-# extra edges, level): covers of 10-32 vertices
-_COVER_ZETA_CELLS = [
-    (5, 1, 2, 2, 1), (2, 2, 3, 2, 1), (2, 1, 2, 3, 3), (3, 2, 2, 2, 1),
-    (2, 2, 2, 2, 2), (3, 1, 2, 2, 2), (2, 3, 2, 3, 1), (2, 1, 2, 2, 3),
-    (2, 2, 2, 2, 2), (3, 1, 2, 3, 2), (2, 3, 2, 2, 1), (7, 1, 3, 2, 1),
-    (2, 3, 3, 2, 1), (2, 1, 3, 2, 3), (3, 1, 3, 2, 2), (2, 2, 2, 2, 2),
-]
+def test_check_factorization_fails_on_a_flipped_signed_edge(tmp_path, capsys,
+                                                            monkeypatch):
+    """One edge of X_n/σ given the other sign in A₋, on seeded p = 2
+    covers: det M₋ changes, while f(1) = 0 and 2(|E| − |V|) | f'(1) still
+    hold, since det M₊(1) = 0 and the flip changes D − A₋ by 2 at two
+    entries, so det M₋(1) keeps its parity.  The check exits 0 and says the
+    polynomials differ; unflipped it passes."""
+    halves = graphtower.zeta._involution_halves
+
+    def flipped(neighbours, sigma):
+        plus, minus = halves(neighbours, sigma)
+        # of the off-diagonal entries of A₊ one of the largest: parallel
+        # edges, which lie on a cycle, so the flip is no switching
+        _, r, q = max((a, r, q) for r, row in enumerate(plus)
+                      for q, a in row.items() if q != r)
+        # one of the edges r–q that A₋[r, q] sums, of sign s, turned over
+        s = 1 if minus[r][q] >= 0 else -1
+        minus[r][q] -= 2 * s
+        minus[q][r] -= 2 * s
+        return plus, minus
+
+    configs = [_loop_free_fibre_config(random.Random(seed))
+               for seed in range(3)]
+    configs += [_bipartite_case(kind, 7)[:2] for kind in (1, 2, 4)]
+    for data in configs:
+        data, level = data if isinstance(data, tuple) else (data, 2)
+        path = write_config(tmp_path, data)
+        argv = ["check-factorization", "--config", path, "--level", str(level)]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["pass"] is True
+        with monkeypatch.context() as patch:
+            patch.setattr(graphtower.zeta, "_involution_halves", flipped)
+            code = main(argv)
+        assert _failed_cover_check(code, *capsys.readouterr()) == "mismatch"
+
+
+# a Z_2 tower on two vertices: edges 0–1 of voltages 0 and 1 and a loop of
+# voltage 3 at 1; every X_n is connected
+_Z2_TOWER_CONFIG = {
+    "graph": {"vertices": [0, 1],
+              "edges": [{"id": "a", "ends": [0, 1]},
+                        {"id": "b", "ends": [0, 1]},
+                        {"id": "c", "ends": [1, 1]}]},
+    "group": {"kind": "abelian", "p": 2, "rank": 1},
+    "voltage": {"a": [], "b": [[0, 1]], "c": [[0, 3]]},
+}
+
+
+@pytest.mark.parametrize("subcommand", ["zeta", "check-factorization"])
+@pytest.mark.parametrize("config", ["z2", "loop"])
+def test_a_corrupted_cover_determinant_exits_4(tmp_path, capsys, monkeypatch,
+                                               subcommand, config):
+    """The u-coefficient (w-coefficient when packed in w) of the cover's
+    first packed determinant off by one: on a connected X_n that determinant
+    no longer vanishes at u = 1, and no other factor does, so f(1) ≠ 0.
+    The library's check raises ArithmeticError and the job exits 4."""
+    kernel = graphtower.zeta.det_int_poly_matrix
+    corrupted = []
+
+    def corrupting(rows):
+        det = kernel(rows)
+        if corrupted:
+            return det
+        corrupted.append(det)
+        return (det[0], det[1] + 1, *det[2:])
+
+    monkeypatch.setattr(graphtower.zeta, "det_int_poly_matrix", corrupting)
+    data = _Z2_TOWER_CONFIG if config == "z2" else LOOP_CONFIG
+    path = write_config(tmp_path, data)
+    assert main([subcommand, "--config", path, "--level", "2"]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and len(corrupted) == 1
+    assert err == ("internal error: the Ihara determinant fails f(0) = 1, "
+                   "f(1) = 0 or 2(|E| − |V|) | f'(1)\n")
+
 
 # SHA-256 of the zeta stdout over three seeded configs per cell, recorded
 # at the parent commit
@@ -1362,7 +1543,7 @@ def test_zeta_output_over_the_cover_zeta_cells_is_pinned(tmp_path, capsys):
     only booleans; this pins the polynomials of 48 covers of its shapes."""
     rng = random.Random(17)
     digest = hashlib.sha256()
-    for p, rank, nv, extra, level in _COVER_ZETA_CELLS * 3:
+    for p, rank, nv, extra, level in COVER_ZETA_CELLS * 3:
         path = write_config(tmp_path, abelian_pin_config(rng, p, rank, level,
                                                          nv, extra))
         assert main(["zeta", "--config", path, "--level", str(level)]) == 0

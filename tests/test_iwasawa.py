@@ -8,7 +8,8 @@ from graphtower import (Multigraph, QuotientSpec, TowerGroupSpec,
                         fitting_generators, lambda1_determinant, mhg_check,
                         mu_lambda_from_poly, mu_lower_bound,
                         quotient_assignment, tower_en)
-from graphtower.errors import DisconnectedError, PreconditionError
+from graphtower.errors import (BoundExceededError, DisconnectedError,
+                               PreconditionError)
 from graphtower.jacobian import p_valuation
 from graphtower.polynomials import LAURENT, LaurentElement
 
@@ -101,6 +102,25 @@ def test_lambda1_disconnected_cover_raises():
     trivial = VoltageAssignment.build(loop, spec, {"e": []})
     with pytest.raises(DisconnectedError):
         lambda1_determinant(trivial)
+
+
+def test_lambda1_degree_bound_is_inclusive():
+    """Two parallel edges v → w of γ-exponents 0 and b: the rows' γ-spans
+    bound the degree by 2b.  At b = 900 the bound is 1800, the limit
+    itself, and the determinant 2 − γ^900 − γ^−900 is taken; at b = 901 it
+    is 1802, past the limit."""
+    spec = TowerGroupSpec("abelian", 7, rank=1)
+    base = Multigraph.build(["v", "w"], [("a", ("v", "w")),
+                                         ("b", ("v", "w"))])
+
+    def alpha(b):
+        return VoltageAssignment.build(base, spec, {"a": [], "b": [[0, b]]})
+
+    assert lambda1_determinant(alpha(900)).gamma_det == LaurentElement.make(
+        -900, [-1] + [0] * 899 + [2] + [0] * 899 + [-1])
+    with pytest.raises(BoundExceededError,
+                       match="degree bound 1802 exceeds 1800"):
+        lambda1_determinant(alpha(901))
 
 
 def _laurent_laplacian(alpha):

@@ -2,17 +2,19 @@ import itertools
 import random
 from collections import Counter
 
+import pytest
+
 import graphtower.zeta
 from graphtower import (Character, Multigraph, TowerGroupSpec,
                         VoltageAssignment, artin_l_inverse,
-                        factorization_check, ihara_zeta_inverse,
-                        interpolation_check)
+                        cover_zeta_inverse, factorization_check,
+                        ihara_zeta_inverse, interpolation_check)
 from graphtower.cyclotomic import euler_phi_prime_power, galois_images
 from graphtower.grouprings import (character_adjacency, characters,
                                    galois_orbits, orbit_h_values)
 from graphtower.linalg import det_int_poly_matrix
 from graphtower.polynomials import PolynomialRing, _normalize
-from graphtower.voltage import cover_index_pairs
+from graphtower.voltage import cover_index_pairs, cover_involution
 from graphtower.zeta import artin_l_norm
 
 from conftest import (GroupRingElement, GroupRingMatrix, adjacency_matrix,
@@ -569,3 +571,102 @@ def test_schur_complement_on_covers_of_two_vertex_bases(monkeypatch):
                                      list(enumerate(pairs))))
     assert kinds[2, True] and kinds[2, False] and kinds[3, False]
     assert not kinds[3, True] and not kinds[5, True]
+
+
+def _split_cases(rng):
+    """(alpha, level) over the abelian p = 2 groups of ranks 1-3 and the
+    metacyclic p = 2 group (u = 3), at levels 1-3, on 2-vertex bases: with
+    a loop-free v0, where the Schur step fires on X_n/σ, or with loops at
+    both vertices, where it does not, and with a loop of voltage c, the
+    element that σ multiplies by, at v1 or at v0 besides the others.  The
+    64-element group takes a 1-vertex base with loops."""
+    groups = [(TowerGroupSpec("abelian", 2, rank=rank), level)
+              for rank, levels in ((1, (1, 2, 3)), (2, (1, 2)), (3, (1,)))
+              for level in levels]
+    groups += [(TowerGroupSpec("metacyclic", 2), level)
+               for level in (1, 2, 3)]
+    cases = []
+    for spec, level in groups:
+        mod = 2 ** level
+        c = [[0, mod // 2]]
+        shapes = [(2, (0, 1), 1), (2, (1, 1), None), (2, (0, 2), None),
+                  (2, (1, 2), 0)]
+        if spec.order(level) == 64:
+            # one base vertex: the unsplit determinant of a 128-vertex cover
+            # of a 2-vertex base takes minutes
+            shapes = [(1, (2,), 0), (1, (3,), None)]
+        for nv, loops, c_loop in shapes:
+            ends = [(0, 1)] * rng.randint(1, 2) if nv == 2 else []
+            ends += [(v, v) for v in range(nv) for _ in range(loops[v])]
+            words = [[[g, rng.randrange(mod)] for g in range(spec.dimension)]
+                     for _ in ends]
+            if c_loop is not None:
+                ends.append((c_loop, c_loop))
+                words.append(c)
+            graph = Multigraph.build(range(nv), list(enumerate(ends)))
+            cases.append((VoltageAssignment.build(
+                graph, spec, dict(enumerate(words))), level))
+    return cases
+
+
+def test_split_by_the_involution_matches_the_unsplit_determinant(
+        monkeypatch):
+    """For p = 2 and n ≥ 1, ``cover_zeta_inverse`` takes the two halves of
+    X_n split by its involution σ, each with at most |V|/2 rows, and
+    prints the polynomial that ``ihara_zeta_inverse`` of the same pairs
+    gives unsplit, in one matrix of at most |V| rows.  Bipartite covers and
+    others occur, with the Schur step firing on X_n/σ and declining, and
+    bipartite covers whose quotient is not, packed in u; loops of voltage
+    c become loops of X_n/σ.  At level 0 and for odd p there is no
+    split."""
+    packed = _record_packed(monkeypatch)
+    kinds = Counter()
+    for alpha, level in _split_cases(random.Random(88)):
+        num_vertices, pairs = cover_index_pairs(alpha, level)
+        packed.clear()
+        unsplit = ihara_zeta_inverse(num_vertices, pairs)
+        assert len(packed) == 1 and len(packed[0]) <= num_vertices
+        packed.clear()
+        assert cover_zeta_inverse(alpha, level) == unsplit
+        half = num_vertices // 2
+        rows = [len(matrix) for matrix in packed]
+        assert len(rows) == 2 and rows[0] == rows[1] <= half
+        # X_n/σ is bipartite only if X_n is; at level 1 σ can swap the
+        # colours of a bipartite X_n, and then X_n/σ has an odd cycle
+        lengths = {len(entry) for matrix in packed for row in matrix
+                   for entry in row.values()}
+        in_w = lengths <= {1, 2, 3}
+        assert in_w or lengths == {5}
+        bipartite = not any(unsplit.det_part[1::2])
+        assert bipartite or not in_w
+        kinds[bipartite, in_w, rows[0] < half] += 1
+    assert {(b, s) for b, _, s in kinds} == {(False, False), (False, True),
+                                            (True, False), (True, True)}
+    assert (True, False, True) in kinds or (True, False, False) in kinds
+    for alpha, level in [(_split_cases(random.Random(89))[0][0], 0),
+                         (oracle_instance(random.Random(90), "abelian", 3, 1),
+                          1)]:
+        packed.clear()
+        assert cover_involution(alpha, level) is None
+        assert cover_zeta_inverse(alpha, level) == ihara_zeta_inverse(
+            *cover_index_pairs(alpha, level))
+        assert len(packed) == 2
+
+
+@pytest.mark.parametrize("sigma, message", [
+    ([1, 0, 3, 2, 4, 5], "not a fixed-point-free involution"),
+    ([1, 2, 0, 4, 5, 3], "not a fixed-point-free involution"),
+    ([1, 0, 3, 2], "not a fixed-point-free involution"),
+    ([2, 3, 0, 1, 5, 4], "does not map edges to edges"),
+])
+def test_an_involution_that_fails_its_check_raises(sigma, message):
+    """σ is checked on the graph's own pairs before the split: a fixed
+    point, a 3-cycle, a permutation of the wrong length, or one that maps
+    an edge to a non-edge raises ArithmeticError.  The 6-cycle with the
+    antipodal σ passes."""
+    pairs = [(v, (v + 1) % 6) for v in range(6)]
+    antipodal = [(v + 3) % 6 for v in range(6)]
+    assert ihara_zeta_inverse(6, pairs, antipodal) == ihara_zeta_inverse(
+        6, pairs)
+    with pytest.raises(ArithmeticError, match=message):
+        ihara_zeta_inverse(6, pairs, sigma)
