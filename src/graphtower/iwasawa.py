@@ -3,7 +3,6 @@ finite-level Fitting generators, and the 𝔐_H(G) decision procedure."""
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .cyclotomic import CyclotomicInteger
@@ -182,12 +181,12 @@ def mu_lower_bound(alpha: VoltageAssignment) -> int:
     """
     p = alpha.spec.p
     identity = (0,) * alpha.spec.dimension
-    counts: Counter[tuple[int, int, tuple[int, ...]]] = Counter()
+    counts: dict[tuple[int, int, tuple[int, ...]], int] = {}
     for i, j, a in alpha.normal_form_edges(1):
-        counts[i, i, identity] += 1
-        counts[j, j, identity] += 1
-        counts[j, i, a] -= 1
-        counts[i, j, tuple(-x % p for x in a)] -= 1
+        for key, step in (((i, i, identity), 1), ((j, j, identity), 1),
+                          ((j, i, a), -1),
+                          ((i, j, tuple(-x % p for x in a)), -1)):
+            counts[key] = counts.get(key, 0) + step
     k = min((p_valuation(c, p) for c in counts.values() if c), default=0)
     return k * alpha.base.num_vertices
 

@@ -73,30 +73,33 @@ def det_int(matrix: Sequence[Sequence[int]]) -> int:
             seen[k], seen[pivot_row] = seen[pivot_row], seen[k]
             sign = -sign
         row_k = m[k]
-        _catch_up(row_k, k, pivots, seen[k])
+        if seen[k] != k:
+            _catch_up(row_k, k, pivots, seen[k])
         pivot = row_k[k]
         prev = pivots[k]
         for i in range(k + 1, n):
             row_i = m[i]
             if row_i[k]:
-                _catch_up(row_i, k, pivots, seen[i])
+                if seen[i] != k:
+                    _catch_up(row_i, k, pivots, seen[i])
                 head = row_i[k]
                 for j in range(k + 1, n):
                     row_i[j] = (pivot * row_i[j] - head * row_k[j]) // prev
                 seen[i] = k + 1
         pivots.append(pivot)
     last = m[n - 1]
-    _catch_up(last, n - 1, pivots, seen[n - 1])
+    if seen[n - 1] != n - 1:
+        _catch_up(last, n - 1, pivots, seen[n - 1])
     return sign * last[n - 1]
 
 
 def _catch_up(row: list[int], k: int, pivots: list[int], seen: int) -> None:
-    """Apply the zero-head steps seen..k−1 to the entries row[k:]."""
-    if seen != k:
-        num, den = pivots[k], pivots[seen]
-        for j in range(k, len(row)):
-            if row[j]:
-                row[j] = row[j] * num // den
+    """Apply the zero-head steps seen..k−1 to the entries row[k:]; the
+    caller tests seen < k, the lag, first."""
+    num, den = pivots[k], pivots[seen]
+    for j in range(k, len(row)):
+        if row[j]:
+            row[j] = row[j] * num // den
 
 
 def det_int_poly_matrix(

@@ -3,7 +3,9 @@
 ζ_X(u)⁻¹ is an integer determinant by Kronecker substitution, of sparse
 rows built from the ends of the graph's edges; a cover X_n gives them
 through ``voltage.cover_index_pairs`` and is never built, and level 0 is
-the trivial cover, the base itself, read the same way.  For p = 2 and
+the trivial cover, the base itself, read the same way.  The adjacency is
+one plain dict {w: multiplicity} per vertex, and stays plain dicts through
+the split, the Schur step and the packing.  For p = 2 and
 n ≥ 1, G^(n) has a central element c of order 2, and left multiplication
 by c is a fixed-point-free involution σ of X_n that commutes with
 M = I − Au + (D − I)u².  ``cover_zeta_inverse``, the one cover route of
@@ -44,7 +46,6 @@ so the interpolation check's two sides do not share the builder.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from math import prod
 from operator import eq
@@ -104,10 +105,10 @@ def ihara_zeta_inverse(num_vertices: int, pairs: Sequence[tuple[int, int]],
     (Hashimoto; Northshield), so f'(1) = 0 when |E| = |V|.  A failure
     raises ArithmeticError.
     """
-    neighbours = [Counter() for _ in range(num_vertices)]
+    neighbours: list[dict[int, int]] = [{} for _ in range(num_vertices)]
     for i, j in pairs:
-        neighbours[i][j] += 1
-        neighbours[j][i] += 1
+        neighbours[i][j] = neighbours[i].get(j, 0) + 1
+        neighbours[j][i] = neighbours[j].get(i, 0) + 1
     det_part = _det_part([neighbours] if involution is None else
                          _involution_halves(neighbours, involution))
     value = slope = 0
@@ -122,13 +123,16 @@ def ihara_zeta_inverse(num_vertices: int, pairs: Sequence[tuple[int, int]],
     return ZetaData(num_vertices - len(pairs), det_part)
 
 
-def _involution_halves(neighbours: Sequence[Counter],
-                       sigma: Sequence[int]) -> list[list[Counter]]:
+def _involution_halves(neighbours: Sequence[dict[int, int]],
+                       sigma: Sequence[int]) -> list[list[dict[int, int]]]:
     """[A₊, A₋]: the adjacency of X/σ and its signed twin, for a
     fixed-point-free involution σ of the graph X with adjacency
-    ``neighbours``, after σ is verified on that adjacency.  ArithmeticError
-    is raised when σ is not a fixed-point-free involution of the vertices
-    or does not map edges to edges, A(σv, σw) ≠ A(v, w).
+    ``neighbours``, after σ is verified on that adjacency.  Every adjacency
+    here is a list of plain dict rows {w: entry} with no zero entry.
+    ArithmeticError is raised when σ is not a fixed-point-free involution
+    of the vertices or does not map edges to edges, A(σv, σw) ≠ A(v, w):
+    σ being a bijection, that is one dict comparison per vertex, of row σv
+    with row v relabelled by σ, multiplicities included.
 
     Such a σ commutes with M = I − Au + (D − I)u², so in the basis
     e_r ± e_σr, r the least vertex of each orbit, M is block-diagonal and
@@ -136,16 +140,15 @@ def _involution_halves(neighbours: Sequence[Counter],
     with A₋.  Row r of A_± holds A(r, q) ± A(r, σq) at the orbit q: A₊
     is the adjacency of X/σ, where the edges v–σv of an orbit become a
     loop, and A₋ gives each edge r–σq the sign −1.  Both keep the degrees
-    of X.  |A₋| ≤ A₊ entrywise, so A₋'s nonzero pattern lies inside A₊'s.
+    of X.  |A₋| ≤ A₊ entrywise, so A₋'s nonzero pattern lies inside A₊'s;
+    A₋'s zero entries are dropped.
     """
     if len(sigma) != len(neighbours) or any(
             s == v or sigma[s] != v for v, s in enumerate(sigma)):
         raise ArithmeticError(
             "the cover involution is not a fixed-point-free involution")
-    for v, counts in enumerate(neighbours):
-        image = neighbours[sigma[v]]
-        if len(image) != len(counts) or any(
-                image[sigma[w]] != a for w, a in counts.items()):
+    for v, row in enumerate(neighbours):
+        if neighbours[sigma[v]] != {sigma[w]: a for w, a in row.items()}:
             raise ArithmeticError(
                 "the cover involution does not map edges to edges")
     orbit = [0] * len(sigma)
@@ -156,18 +159,21 @@ def _involution_halves(neighbours: Sequence[Counter],
         sign[sigma[r]] = -1
     plus, minus = [], []
     for r in reps:
-        folded, signed = Counter(), Counter()
+        folded: dict[int, int] = {}
+        signed: dict[int, int] = {}
         for w, a in neighbours[r].items():
-            folded[orbit[w]] += a
-            signed[orbit[w]] += sign[w] * a
+            q = orbit[w]
+            folded[q] = folded.get(q, 0) + a
+            signed[q] = signed.get(q, 0) + sign[w] * a
         plus.append(folded)
-        minus.append(Counter({q: a for q, a in signed.items() if a}))
+        minus.append({q: a for q, a in signed.items() if a})
     return [plus, minus]
 
 
-def _det_part(adjacencies: Sequence[Sequence[Counter]]) -> tuple[int, ...]:
+def _det_part(adjacencies: Sequence[Sequence[dict[int, int]]]
+              ) -> tuple[int, ...]:
     """∏ det(I − Au + (D − I)u²) over the adjacencies A in the list, each
-    a Counter of entries per row, D the degrees of the first, whose
+    a plain dict {column: entry} per row, with no zero entry, D the degrees of the first, whose
     nonzero pattern holds every other's; one adjacency, or the halves of
     `_involution_halves`.
 
@@ -254,10 +260,11 @@ def _det_part(adjacencies: Sequence[Sequence[Counter]]) -> tuple[int, ...]:
     return tuple(factors[0]) if len(factors) == 1 else poly_product(factors)
 
 
-def _two_colouring(neighbours: Sequence[Counter]) -> list[int] | None:
+def _two_colouring(neighbours: Sequence[dict[int, int]]) -> list[int] | None:
     """Colours 0 and 1 such that every edge joins two colours, by one
-    depth-first search per component from its least vertex, coloured 0;
-    None when an edge joins one colour, as a loop or an odd cycle does."""
+    depth-first search per component from its least vertex, coloured 0, over
+    plain dict rows {w: multiplicity}; None when an edge joins one colour,
+    as a loop or an odd cycle does."""
     colour: list[int | None] = [None] * len(neighbours)
     for root in range(len(colour)):
         if colour[root] is None:

@@ -1472,9 +1472,9 @@ def test_check_factorization_fails_on_a_flipped_signed_edge(tmp_path, capsys,
         _, r, q = max((a, r, q) for r, row in enumerate(plus)
                       for q, a in row.items() if q != r)
         # one of the edges r–q that A₋[r, q] sums, of sign s, turned over
-        s = 1 if minus[r][q] >= 0 else -1
-        minus[r][q] -= 2 * s
-        minus[q][r] -= 2 * s
+        s = 1 if minus[r].get(q, 0) >= 0 else -1
+        minus[r][q] = minus[r].get(q, 0) - 2 * s
+        minus[q][r] = minus[q].get(r, 0) - 2 * s
         return plus, minus
 
     configs = [_loop_free_fibre_config(random.Random(seed))

@@ -658,13 +658,22 @@ def test_split_by_the_involution_matches_the_unsplit_determinant(
     ([1, 2, 0, 4, 5, 3], "not a fixed-point-free involution"),
     ([1, 0, 3, 2], "not a fixed-point-free involution"),
     ([2, 3, 0, 1, 5, 4], "does not map edges to edges"),
+    # v ↦ 3 − v maps every edge to an edge and every loop to a loop, but
+    # the doubled edge 0–1 onto the single edge 3–2
+    ([3, 2, 1, 0, 5, 4], "does not map edges to edges"),
+    # v ↦ 1 − v maps every edge to an edge with its multiplicity, but the
+    # looped vertex 0 onto the loop-free 1
+    ([1, 0, 5, 4, 3, 2], "does not map edges to edges"),
 ])
 def test_an_involution_that_fails_its_check_raises(sigma, message):
     """σ is checked on the graph's own pairs before the split: a fixed
-    point, a 3-cycle, a permutation of the wrong length, or one that maps
-    an edge to a non-edge raises ArithmeticError.  The 6-cycle with the
-    antipodal σ passes."""
-    pairs = [(v, (v + 1) % 6) for v in range(6)]
+    point, a 3-cycle, a permutation of the wrong length, one that maps an
+    edge to a non-edge, and two that map every edge to an edge but not
+    with its multiplicity (a doubled edge, a loop) raise ArithmeticError.
+    The graph is a 6-cycle with the edges 0–1 and 3–4 doubled and loops at
+    0 and 3; the antipodal σ passes."""
+    pairs = [(v, (v + 1) % 6) for v in range(6)] + [(0, 1), (3, 4),
+                                                    (0, 0), (3, 3)]
     antipodal = [(v + 3) % 6 for v in range(6)]
     assert ihara_zeta_inverse(6, pairs, antipodal) == ihara_zeta_inverse(
         6, pairs)
