@@ -10,7 +10,7 @@ from .errors import (BoundExceededError, ConfigError, DisconnectedError,
                      GraphTowerError, PreconditionError)
 from .graphs import Multigraph, component_count, laplacian_rows
 from .groups import TowerGroupSpec
-from .grouprings import Character, characters, nrd_abelian
+from .grouprings import Character, characters
 from .cyclotomic import CyclotomicInteger
 from .jacobian import AbelianGroupStructure, level_jacobian
 from .polynomials import LaurentElement

@@ -12,11 +12,11 @@ determinant Δ(x) per orbit, of a lift to Z[x], and
 (χ^a(M) = σ_a(χ(M))), orbit by orbit of ``galois_orbits``.  ``l_rows``
 lifts the builder's coordinates, for ``orbit_nrd`` at u = 1 and
 ``zeta.artin_l_inverse`` at u = 2^B; ``orbit_h_values`` reads the
-exponents and not the builder.  ``per_character`` spreads per-orbit
-values over the characters, keyed by exponent vectors, so no character
-is built per conjugate.  The regular representation of D − A_α^t is the
-Laplacian of the cover X_n, so its determinant is 0, and it is never
-built.
+exponents and not the builder.  ``per_character``, the one orbit driver,
+lists the characters, reads the base once, and spreads per-orbit values
+over the characters by exponent vector, so no character is built per
+conjugate.  The regular representation of D − A_α^t is the Laplacian of
+the cover X_n, so its determinant is 0, and it is never built.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .cyclotomic import (CyclotomicInteger, _add_monomial,
 from .errors import PreconditionError
 from .groups import TowerGroupSpec, p_valuation
 from .linalg import det_int_poly_matrix
+from .voltage import VoltageAssignment
 
 _REGULAR_DET_BOUND = 300  # |G^(n)| · matrix size
 
@@ -95,17 +96,23 @@ def galois_orbits(chars: Sequence[Character]) -> Iterator[
         yield chi, units, conjugates
 
 
-def per_character(chars: Sequence[Character],
-                  orbit_values: Callable[[Character, list[int]], Iterable]
-                  ) -> list:
-    """One value per character of ``chars``, in their order, taken one
-    Galois orbit at a time: ``orbit_values(χ, units)`` for the first
-    character χ of each orbit gives the values at χ^a, a in ``units``, in
-    that order."""
+def per_character(alpha: VoltageAssignment, n: int,
+                  orbit_values: Callable[[Character, list[int], Edges,
+                                          Sequence[int]], Iterable]
+                  ) -> list[tuple[Character, object]]:
+    """(χ, value) for every character χ of G^(n), in ``characters`` order:
+    ``orbit_values(χ, units, edges, degrees)`` for the first χ of each
+    Galois orbit gives the values at χ^a, a in ``units``, in that order.
+    The characters are listed, and so bounded, before the base's level-n
+    normal forms and degrees are read, once."""
+    chars = characters(alpha.spec, n)
+    edges = alpha.normal_form_edges(n)
+    degrees = alpha.base.degrees()
     values: dict[tuple[int, ...], object] = {}
     for chi, units, conjugates in galois_orbits(chars):
-        values.update(zip(conjugates, orbit_values(chi, units)))
-    return [values[chi.exponents] for chi in chars]
+        values.update(zip(conjugates,
+                          orbit_values(chi, units, edges, degrees)))
+    return [(chi, values[chi.exponents]) for chi in chars]
 
 
 def character_adjacency(chi: Character,
@@ -155,20 +162,13 @@ def orbit_nrd(chi: Character, edges: Edges,
         l_rows(character_adjacency(chi, edges), degrees, 1))
 
 
-def nrd_abelian(spec: TowerGroupSpec, n: int, edges: Edges,
-                degrees: Sequence[int]
-                ) -> list[tuple[Character, CyclotomicInteger]]:
-    """Per-character determinants of D − A_α^t over an abelian G^(n), in
-    ``characters`` order: one ``orbit_nrd`` per Galois orbit, whose
-    conjugates ``galois_images`` reads off."""
-    chars = characters(spec, n)
-
-    def components(chi: Character, units: list[int]) -> list:
-        return galois_images(spec.p, n, chi.order_level,
-                             orbit_nrd(chi, edges, degrees), units)
-
-    return [(chi, CyclotomicInteger(spec.p, n, value))
-            for chi, value in zip(chars, per_character(chars, components))]
+def nrd_components(chi: Character, units: Sequence[int], edges: Edges,
+                   degrees: Sequence[int]) -> list[CyclotomicInteger]:
+    """The χ^a-components of Nrd(D − A_α^t) over an abelian G^(n), for
+    each a in ``units``: ``galois_images`` of the one ``orbit_nrd``."""
+    p, n = chi.spec.p, chi.level
+    return [CyclotomicInteger(p, n, value) for value in galois_images(
+        p, n, chi.order_level, orbit_nrd(chi, edges, degrees), units)]
 
 
 def orbit_h_values(chi: Character, edges: Edges,

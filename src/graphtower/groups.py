@@ -57,7 +57,7 @@ class TowerGroupSpec:
     kind: str  # "abelian" | "metacyclic"
     p: int
     rank: int = 1  # number of Z/p^n factors (abelian kind)
-    action_unit: int | None = None  # metacyclic u; defaults to 1 + p
+    action_unit: int | None = None  # metacyclic u, 1 + p when not given
 
     def __post_init__(self) -> None:
         if self.kind not in ("abelian", "metacyclic"):
@@ -67,6 +67,9 @@ class TowerGroupSpec:
         if not _is_prime(self.p):
             raise ValueError(f"p must be prime, got {self.p}")
         if self.kind == "abelian":
+            if self.action_unit is not None:
+                raise ValueError(
+                    "action unit only defined for metacyclic kind")
             if self.rank < 1:
                 raise ValueError("abelian rank must be >= 1")
             if self.rank > _ENUM_BOUND:
@@ -74,16 +77,12 @@ class TowerGroupSpec:
                 raise BoundExceededError(
                     f"abelian rank {self.rank} exceeds bound {_ENUM_BOUND}")
         else:
-            u = self.unit
+            if self.action_unit is None:  # one group, one spec
+                object.__setattr__(self, "action_unit", 1 + self.p)
+            u = self.action_unit
             if u % self.p != 1:
                 raise ValueError(
                     f"metacyclic action unit must be ≡ 1 mod p, got {u}")
-
-    @property
-    def unit(self) -> int:
-        if self.kind != "metacyclic":
-            raise ValueError("action unit only defined for metacyclic kind")
-        return self.action_unit if self.action_unit is not None else 1 + self.p
 
     @property
     def dimension(self) -> int:
@@ -110,7 +109,8 @@ class TowerGroupSpec:
         if self.kind == "abelian":
             return tuple((x + y) % mod for x, y in zip(a, b))
         (i1, j1), (i2, j2) = a, b
-        return ((i1 + i2 * pow(self.unit, j1, mod)) % mod, (j1 + j2) % mod)
+        u = self.action_unit
+        return ((i1 + i2 * pow(u, j1, mod)) % mod, (j1 + j2) % mod)
 
     def normal_form(self, n: int,
                     word: Sequence[tuple[int, int]]) -> tuple[int, ...]:
@@ -135,7 +135,7 @@ class TowerGroupSpec:
         i = j = 0
         for index, exponent in word:
             if index == 0:
-                i = (i + exponent * pow(self.unit, j, mod)) % mod
+                i = (i + exponent * pow(self.action_unit, j, mod)) % mod
             else:
                 j = (j + exponent) % mod
         return (i, j)
@@ -159,7 +159,7 @@ class TowerGroupSpec:
                 translation = [k * mod + y for k in translation
                                for y in shifted]
             return translation
-        u = self.unit % mod
+        u = self.action_unit % mod
         column, power = [], 1
         for j in range(mod):
             column.append(a[0] * power % mod)

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 from .cyclotomic import CyclotomicInteger
 from .errors import BoundExceededError, DisconnectedError, PreconditionError
-from .grouprings import Character, nrd_abelian, regular_det_fits
+from .grouprings import (Character, nrd_components, per_character,
+                         regular_det_fits)
 from .groups import p_valuation
 from .jacobian import level_jacobian
 from .linalg import det_int_poly_matrix
@@ -226,19 +227,18 @@ class FittingGenerators:
 def fitting_generators(alpha: VoltageAssignment, n: int) -> FittingGenerators:
     """Reduced-norm generators of the level-n Fitting ideal.
 
-    Per-character components of D − A_α^t for abelian quotients, from the
-    base edges' level-n normal forms, read once; the character bound is
-    checked before any level-n arithmetic.  ``regular`` is the determinant
-    of the regular representation of D − A_α^t, 0 whenever the
-    representation fits in its size bound and None past it.  It is 0
-    without being computed: that representation is the Laplacian of X_n,
-    whose rows sum to 0, so the all-ones vector lies in its kernel.
+    Per-character components of D − A_α^t for abelian quotients, by
+    ``nrd_components`` per Galois orbit of ``per_character``, which lists
+    (and so bounds) the characters before it reads the base edges'
+    level-n normal forms, once.  ``regular`` is the determinant of the
+    regular representation of D − A_α^t, 0 whenever the representation
+    fits in its size bound and None past it.  It is 0 without being
+    computed: that representation is the Laplacian of X_n, whose rows sum
+    to 0, so the all-ones vector lies in its kernel.
     """
     spec = alpha.spec
     regular = 0 if regular_det_fits(spec, n, alpha.base.num_vertices) else None
     if spec.kind != "abelian":
         return FittingGenerators(n, None, regular)
-    spec.check_enumerable(n)  # the character bound, before level-n work
-    components = tuple(nrd_abelian(spec, n, alpha.normal_form_edges(n),
-                                   alpha.base.degrees()))
-    return FittingGenerators(n, components, regular)
+    return FittingGenerators(
+        n, tuple(per_character(alpha, n, nrd_components)), regular)

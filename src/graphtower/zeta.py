@@ -36,9 +36,10 @@ comparison.
 The L-functions, the interpolation check and ``fitting`` read the cover's
 adjacency Σ_σ A(σ)·σ, where A(σ)_ij counts the edges between (v_i, 1) and
 (v_j, σ) in X_n, off the base edges' level-n normal forms, as A_α (a test
-reads it off the edges of an X_n built from group elements).  χ(a) is
-computed only by ``Character.exponent``.  ``l_functions`` and the reduced
-norm of ``fitting`` reach A_α only through
+reads it off the edges of an X_n built from group elements), all three
+once per job, through the orbit driver ``grouprings.per_character``.
+χ(a) is computed only by ``Character.exponent``.  ``l_functions`` and
+the reduced norm of ``fitting`` reach A_α only through
 ``grouprings.character_adjacency``.  The orbit norms of ``artin_l_norm``
 and the lift of ``grouprings.orbit_h_values`` read the exponents instead,
 so the interpolation check's two sides do not share the builder.
@@ -325,16 +326,11 @@ def artin_l_inverse(chi: Character, units: Sequence[int], edges: Edges,
 def l_functions(alpha: VoltageAssignment, n: int
                 ) -> list[tuple[Character, tuple[CyclotomicInteger, ...]]]:
     """(χ, det part of L(χ,u)⁻¹) for every character χ of G^(n), in
-    ``characters`` order, by one ``artin_l_inverse`` per Galois orbit.  The
-    enumeration bound is checked before the bounds of X_n, which is not
+    ``characters`` order, by one ``artin_l_inverse`` per Galois orbit of
+    ``grouprings.per_character``, after the bounds of X_n, which is not
     built."""
-    chars = characters(alpha.spec, n)
     check_derive_bounds(alpha, n)
-    edges = alpha.normal_form_edges(n)
-    degrees = alpha.base.degrees()
-    return list(zip(chars, per_character(
-        chars, lambda chi, units: artin_l_inverse(chi, units, edges,
-                                                  degrees))))
+    return per_character(alpha, n, artin_l_inverse)
 
 
 def artin_l_norm(chi: Character, edges: Edges,
@@ -394,25 +390,22 @@ def interpolation_check(alpha: VoltageAssignment, n: int) -> InterpolationReport
     character χ, of order p^j, and each unit a mod p^j,
     ``cyclotomic.galois_images`` reads h(χ^a, 1) at a off the one and the
     χ^(−a)-component at −a off the other, and the pair is compared, so
-    every character is.  The characters are listed once, and the normal
-    forms are read once.
+    every character is.  ``grouprings.per_character`` lists the
+    characters once and reads the normal forms once.
     """
     check_derive_bounds(alpha, n)  # the bounds of X_n, before level-n work
-    p = alpha.spec.p
-    edges = alpha.normal_form_edges(n)
-    degrees = alpha.base.degrees()
-    chars = characters(alpha.spec, n)
 
-    def compare(chi: Character, units: list[int]):
-        j = chi.order_level
+    def compare(chi: Character, units: list[int], edges: Edges,
+                degrees: Sequence[int]):
+        p, j = chi.spec.p, chi.order_level
         h_values = galois_images(p, n, j, orbit_h_values(chi, edges, degrees),
                                  units)
         components = galois_images(p, n, j, orbit_nrd(chi, edges, degrees),
                                    [-a % p ** j for a in units])
         return map(eq, h_values, components)
 
-    return InterpolationReport(tuple(zip(
-        (chi.exponents for chi in chars), per_character(chars, compare))))
+    return InterpolationReport(tuple(
+        (chi.exponents, ok) for chi, ok in per_character(alpha, n, compare)))
 
 
 @dataclass(frozen=True)

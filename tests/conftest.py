@@ -314,7 +314,7 @@ def inverse(spec, n, a):
     if spec.kind == "abelian" or mod == 1:
         return tuple(-x % mod for x in a)
     i, j = a
-    u_inv = pow(spec.unit, -1, mod)
+    u_inv = pow(spec.action_unit, -1, mod)
     return (-i * pow(u_inv, j, mod) % mod, -j % mod)
 
 
@@ -335,7 +335,8 @@ def act(spec, n, h, vertex):
 
 # -- the group-ring matrix layer: Z[G^(n)], A_α and D − A_α^t as matrices
 # over it, characters applied term by term, and the regular representation;
-# the oracle for grouprings.character_adjacency, nrd_abelian and regular_det
+# the oracle for grouprings.character_adjacency, nrd_components and
+# regular_det
 
 
 @dataclass(frozen=True)

@@ -57,7 +57,7 @@ def test_parse_config_unknown_generator(tmp_path):
 
 
 @pytest.mark.parametrize("unit, action_unit", [("1+p", 4), (4, 4),
-                                               (None, None)])
+                                               (None, 4)])
 def test_action_unit_is_an_integer_or_1_plus_p(tmp_path, unit, action_unit):
     group = {"kind": "metacyclic", "p": 3}
     if unit is not None:
@@ -892,6 +892,20 @@ def test_check_interpolation_builds_each_intermediate_once(tmp_path, capsys,
             assert len(lifted) == len(integer) == 3
         assert len(characters) == 1 and len(built) == 9
         assert normal_forms == [2]
+
+
+@pytest.mark.parametrize("subcommand",
+                         ["lfun", "check-interpolation", "fitting"])
+def test_character_jobs_past_the_enumeration_bound_read_no_normal_form(
+        tmp_path, capsys, monkeypatch, subcommand):
+    """Z/3^7 over one vertex: the 2187-vertex cover is within its bound,
+    the 2187 characters are not, and the job exits 3 having read no normal
+    form, since the characters are listed, and so bounded, first."""
+    normal_forms = _count_normal_forms(monkeypatch)
+    path = write_config(tmp_path, LOOP_CONFIG)
+    assert main([subcommand, "--config", path, "--level", "7"]) == 3
+    assert "enumeration bound" in capsys.readouterr().err
+    assert normal_forms == []
 
 
 @pytest.mark.parametrize("seed", range(6))

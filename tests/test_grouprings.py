@@ -7,8 +7,8 @@ from graphtower import TowerGroupSpec
 from graphtower.cyclotomic import galois_images
 from graphtower.errors import PreconditionError
 from graphtower.grouprings import (Character, character_adjacency,
-                                   characters, galois_orbits, nrd_abelian,
-                                   orbit_h_values, orbit_nrd,
+                                   characters, galois_orbits, nrd_components,
+                                   orbit_h_values, orbit_nrd, per_character,
                                    regular_det_fits)
 from graphtower.linalg import det_int
 
@@ -308,9 +308,7 @@ def test_nrd_abelian_matches_the_oracle():
                            (3, 2, 1), (5, 1, 1), (7, 1, 1)]:
         for _ in range(2):
             alpha = oracle_instance(rng, "abelian", p, rank)
-            components = nrd_abelian(alpha.spec, level,
-                                     alpha.normal_form_edges(level),
-                                     alpha.base.degrees())
+            components = per_character(alpha, level, nrd_components)
             assert components == reduced_norm(
                 voltage_laplacian(alpha, level))
 
@@ -346,7 +344,7 @@ def test_orbit_h_values_match_the_oracle(p, rank, level):
     ``orbit_h_values`` and the χ^a-component off that of ``orbit_nrd``,
     which lifts ``character_adjacency`` instead.  They are det χ^−a and
     det χ^a of the oracle's D − A_α^t over Z[G^(n)], with the character
-    applied term by term, and so is ``nrd_abelian``'s χ^a-component, for
+    applied term by term, and so is ``nrd_components``' χ^a-component, for
     every character."""
     rng = random.Random(50 + 100 * p + 10 * rank + level)
     for _ in range(2):
@@ -358,7 +356,7 @@ def test_orbit_h_values_match_the_oracle(p, rank, level):
             [character_evaluate(chi, x) for x in row] for row in laplacian])
             for chi in characters(alpha.spec, level)}
         components = {chi.exponents: value for chi, value in
-                      nrd_abelian(alpha.spec, level, edges, degrees)}
+                      per_character(alpha, level, nrd_components)}
         checked = set()
         for chi, listed_units, _ in galois_orbits(
                 characters(alpha.spec, level)):

@@ -129,6 +129,19 @@ def test_invalid_specs():
         TowerGroupSpec("dihedral", 3)
 
 
+def test_action_unit_is_resolved_at_construction():
+    """A metacyclic spec stores 1 + p when no unit is given, so one group
+    is one spec, equal and of equal hash; an abelian spec takes no unit."""
+    default = TowerGroupSpec("metacyclic", 3)
+    given = TowerGroupSpec("metacyclic", 3, action_unit=4)
+    assert default == given and hash(default) == hash(given)
+    assert len({default, given}) == 1
+    assert TowerGroupSpec("metacyclic", 2).action_unit == 3
+    assert default != TowerGroupSpec("metacyclic", 3, action_unit=7)
+    with pytest.raises(ValueError):
+        TowerGroupSpec("abelian", 3, action_unit=7)
+
+
 def test_p_valuation():
     assert p_valuation(18, 3) == 2
     assert p_valuation(-27, 3) == 3

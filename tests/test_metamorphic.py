@@ -20,6 +20,14 @@ an abelian group, negating every voltage (and every quotient exponent)
 maps X_n onto itself by g ↦ g⁻¹, and turns χ(A_α) into its complex
 conjugate, which is its transpose since χ(A_α) is Hermitian; so every
 character keeps its L-function, and no report is re-keyed.
+
+An automorphism φ of G maps X_n of α onto X_n of φ∘α by (v, g) ↦
+(v, φ(g)), and the quotient q onto q∘φ⁻¹, so the reports that read the
+cover print the same bytes again.  Over an abelian G = Z_p^l, φ is a
+unimodular U, and χ_e(U·a) = χ_{Uᵀe}(a): the character reports are
+re-keyed, the new entry at e′ being the old one at Uᵀe′ mod p^n.  Over the
+metacyclic group, σ ↦ σ^k for k prime to p keeps τστ⁻¹ = σ^u, and no
+character report is read, so every byte stays the same.
 """
 
 import copy
@@ -154,7 +162,7 @@ _JOBS = {
          ["check-factorization", "--level", str(level)],
          ["derive", "--level", str(level)],
          *_character_jobs(level)])
-       for p, rank, level in [(3, 1, 2), (2, 2, 1), (5, 1, 1)]},
+       for p, rank, level in [(3, 1, 2), (2, 2, 1), (5, 1, 1), (3, 2, 1)]},
 }
 
 
@@ -190,3 +198,104 @@ def test_reports_depend_only_on_the_cover(tmp_path, capsys, job):
         assert json.dumps(changed) != json.dumps(config)
         assert _reports(tmp_path, capsys, transform.__name__, changed,
                         commands) == expected, transform.__name__
+
+
+def _unimodular(rng, rank):
+    """A random U in GL_rank(Z) and U⁻¹, as lists of rows: shears that add
+    k times column s to column t, the first taking generator 1 to the
+    letters of generators 0 and 1 (at rank 2, columns (1, 0) and (1, 1))."""
+    matrix = [[int(h == g) for g in range(rank)] for h in range(rank)]
+    inverse = copy.deepcopy(matrix)
+    shears = [(0, 1, 1)] + [(*rng.sample(range(rank), 2),
+                             rng.choice([-2, -1, 1, 2])) for _ in range(3)]
+    for s, t, k in shears:  # U·(I + k·e_s·e_tᵀ), and its inverse on the left
+        for row in matrix:
+            row[t] += k * row[s]
+        inverse[s] = [x - k * y for x, y in zip(inverse[s], inverse[t])]
+    return matrix, inverse
+
+
+def automorphism(config, matrix, inverse):
+    """φ∘α for the automorphism φ(a) = U·a of Z_p^l: each letter (g, x)
+    becomes the letters (h, x·U[h][g]) with U[h][g] ≠ 0, and the quotient
+    exponents q become q·U⁻¹."""
+    new = copy.deepcopy(config)
+    new["voltage"] = {key: [[h, x * row[g]] for g, x in word
+                            for h, row in enumerate(matrix) if row[g]]
+                      for key, word in new["voltage"].items()}
+    q = new["quotient"]["exponents"]
+    new["quotient"]["exponents"] = [
+        sum(q[g] * inverse[g][h] for g in range(len(q)))
+        for h in range(len(q))]
+    return new
+
+
+def power_sigma(config, k):
+    """φ∘α for the automorphism σ ↦ σ^k, τ ↦ τ of the metacyclic group,
+    k prime to p: every generator-0 exponent times k."""
+    new = copy.deepcopy(config)
+    new["voltage"] = {key: [[g, x * k if g == 0 else x] for g, x in word]
+                      for key, word in new["voltage"].items()}
+    return new
+
+
+_CHARACTER_ENTRIES = {"lfun": "l_functions", "fitting": "components",
+                      "check-interpolation": "per_character"}
+
+
+def _moved_characters(reports, matrix, p):
+    """The reports with every character entry e′ of lfun, fitting and
+    check-interpolation moved to Uᵀe′ mod p^n, in the reports' order of
+    characters again."""
+    moved = []
+    for command, code, out, err in reports:
+        if code == 0 and command in _CHARACTER_ENTRIES:
+            report = json.loads(out)
+            mod = p ** report["level"]
+            entries = report[_CHARACTER_ENTRIES[command]]
+            for entry in entries:
+                e = entry["character"]
+                entry["character"] = [
+                    sum(row[g] * x for row, x in zip(matrix, e)) % mod
+                    for g in range(len(e))]
+            entries.sort(key=lambda entry: entry["character"])
+            out = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        moved.append((command, code, out, err))
+    return moved
+
+
+_AUTOMORPHISM_JOBS = sorted(
+    name for name, (config, _) in _JOBS.items()
+    if config["group"]["kind"] == "metacyclic" or
+    config["group"].get("rank", 1) >= 2)
+
+
+@pytest.mark.parametrize("job", _AUTOMORPHISM_JOBS)
+def test_reports_are_invariant_under_automorphisms_of_g(tmp_path, capsys,
+                                                         job):
+    config, commands = _JOBS[job]
+    rng = random.Random(f"automorphism {job}")
+    expected = _reports(tmp_path, capsys, "original", config, commands)
+    group = config["group"]
+    if group["kind"] == "metacyclic":
+        for k in (2, 4, 5):
+            changed = power_sigma(config, k)
+            assert json.dumps(changed) != json.dumps(config)
+            assert _reports(tmp_path, capsys, f"sigma{k}", changed,
+                            commands) == expected, k
+        return
+    rank = group["rank"]
+    identity = [[int(h == g) for g in range(rank)] for h in range(rank)]
+    checked = 0
+    for draw in range(3):
+        matrix, inverse = _unimodular(rng, rank)
+        assert [[sum(x * y for x, y in zip(row, column))
+                 for column in zip(*inverse)] for row in matrix] == identity
+        changed = automorphism(config, matrix, inverse)
+        assert json.dumps(changed) != json.dumps(config)
+        reports = _reports(tmp_path, capsys, f"automorphism{draw}", changed,
+                           commands)
+        assert _moved_characters(reports, matrix, group["p"]) == expected
+        checked += sum(code == 0 and command in _CHARACTER_ENTRIES
+                       for command, code, _, _ in reports)
+    assert checked == 9
